@@ -10,9 +10,9 @@ __version__ = "0.1.0"
 
 from .domain import (Annotation, Box, BoxSet, Classification, Detection,
                      Distribution, RewardBreakdown, Sample, ScoredRecord,
-                     TaskKind, convert_box, mask_to_box, validate_annotation)
-from .reward import (RewardConfig, closed_loop_reward, filter_high_subset,
-                     reward_histogram, think_answer_reward)
+                     TaskKind, mask_to_box, validate_annotation)
+from .reward import (closed_loop_reward, filter_high_subset, reward_histogram,
+                     think_answer_reward)
 from .similarity import (classification_similarity, detection_similarity,
                          hungarian_match, iou, jsd, kld, mse)
 
@@ -20,8 +20,8 @@ __all__ = [
     "__version__",
     "Annotation", "Box", "BoxSet", "Classification", "Detection",
     "Distribution", "RewardBreakdown", "Sample", "ScoredRecord", "TaskKind",
-    "convert_box", "mask_to_box", "validate_annotation",
-    "RewardConfig", "closed_loop_reward", "filter_high_subset",
+    "mask_to_box", "validate_annotation",
+    "closed_loop_reward", "filter_high_subset",
     "reward_histogram", "think_answer_reward",
     "classification_similarity", "detection_similarity", "hungarian_match",
     "iou", "jsd", "kld", "mse",

@@ -13,7 +13,7 @@ import numpy as np
 from .domain import Box, BoxSet, Classification, Detection, Distribution, Sample
 from .errors import CorruptionInfeasible, DomainError
 from .pipeline import StageResult, run_closed_loop_stage
-from .reward import DEFAULT_TAU, reward_histogram
+from .reward import DEFAULT_TAU, histogram_bins, reward_histogram
 from .similarity import iou
 
 MAX_BOX_ATTEMPTS = 10_000
@@ -86,14 +86,13 @@ class AuditReport:
     n_corrupted: int = 0
 
     def render(self) -> str:
-        bins = ["[0.00-0.25)", "[0.25-0.50)", "[0.50-0.75)", "[0.75-1.00]"]
         lines = [
             f"label-noise audit (seed={self.seed}, "
             f"corruption={self.corruption_fraction:.0%}, tau={self.tau})",
             "",
             f"{'bin':<14}{'clean':>10}{'clean %':>10}{'corrupt':>10}{'corrupt %':>11}",
         ]
-        for i, b in enumerate(bins):
+        for i, (b, _, _) in enumerate(histogram_bins()):
             lines.append(f"{b:<14}{self.clean_counts[i]:>10}"
                          f"{self.clean_percentages[i]:>9.1f}%"
                          f"{self.corrupted_counts[i]:>10}"

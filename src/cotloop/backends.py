@@ -330,21 +330,28 @@ class SyntheticReasonBackend:
     1.0 is the scripted full-cue policy with closed-loop reward 1.
     """
 
+    _rng_stream = "reason"
+
     def __init__(self, world: CueWorld, fidelity: float = 1.0,
                  bank: Sequence[str] = DEFAULT_TEMPLATE_BANK):
         self.world = world
         self.fidelity = fidelity
         self.bank = tuple(bank)
 
-    def generate(self, request: GenerationRequest) -> str:
+    def _draw(self, request: GenerationRequest) -> tuple[list[str], str]:
+        """Seeded cue-subset draw: (mentioned cues, narrative naming them)."""
         sample = self.world.by_id[request.sample_id]
-        rng = random.Random(f"reason|{self.world.seed}|{request.sample_id}|{request.seed}")
+        rng = random.Random(
+            f"{self._rng_stream}|{self.world.seed}|{request.sample_id}|{request.seed}")
         if self.fidelity >= 1.0:
             subset = sorted(sample.cue_set)
         else:
             subset = [c for c in sorted(sample.cue_set) if rng.random() < self.fidelity]
         template_id = rng.randrange(len(self.bank))
-        return synthetic_reason(sample, template_id, subset, self.bank)
+        return subset, synthetic_reason(sample, template_id, subset, self.bank)
+
+    def generate(self, request: GenerationRequest) -> str:
+        return self._draw(request)[1]
 
 
 class SyntheticReconBackend:
@@ -363,23 +370,14 @@ class SyntheticReconBackend:
         return synthetic_reconstruct(self.world, request.image_ref, cot)
 
 
-class SyntheticR1Backend:
-    """Think-answer provider for reward evaluation at a chosen cue fidelity."""
+class SyntheticR1Backend(SyntheticReasonBackend):
+    """Think-answer provider for reward evaluation at a chosen cue fidelity:
+    the reasoning draw (on its own RNG stream) plus the world rule's answer
+    for the cues it names."""
 
-    def __init__(self, world: CueWorld, fidelity: float = 1.0,
-                 bank: Sequence[str] = DEFAULT_TEMPLATE_BANK):
-        self.world = world
-        self.fidelity = fidelity
-        self.bank = tuple(bank)
+    _rng_stream = "r1"
 
     def generate(self, request: GenerationRequest) -> str:
-        sample = self.world.by_id[request.sample_id]
-        rng = random.Random(f"r1|{self.world.seed}|{request.sample_id}|{request.seed}")
-        if self.fidelity >= 1.0:
-            subset = sorted(sample.cue_set)
-        else:
-            subset = [c for c in sorted(sample.cue_set) if rng.random() < self.fidelity]
-        template_id = rng.randrange(len(self.bank))
-        think = synthetic_reason(sample, template_id, subset, self.bank)
-        annotation = self.world.rule(subset)
-        return f"<think>{think}</think><answer>{render_annotation(annotation, self.world.task)}</answer>"
+        subset, think = self._draw(request)
+        answer = render_annotation(self.world.rule(subset), self.world.task)
+        return f"<think>{think}</think><answer>{answer}</answer>"

@@ -30,7 +30,7 @@ from .grpo import export_curve, train_toy_policy
 from .pipeline import (evaluate_predictions, export_sft_corpus, load_dataset,
                        load_predictions, load_records, run_closed_loop_stage,
                        run_rft_reward_eval, save_dataset)
-from .reward import DEFAULT_TAU, filter_high_subset, reward_histogram
+from .reward import DEFAULT_TAU, filter_high_subset, histogram_bins, reward_histogram
 
 USAGE_EXIT = 64
 
@@ -184,8 +184,7 @@ def _cmd_filter(args):
     pct = 100.0 * n_kept / n_total if n_total else 0.0
     print(f"kept {n_kept} / {n_total} ({pct:.1f}%)")
     counts, pcts = reward_histogram([r.reward for r in records])
-    labels = ["[0.00-0.25)", "[0.25-0.50)", "[0.50-0.75)", "[0.75-1.00]"]
-    for label, c, p in zip(labels, counts, pcts):
+    for (label, _, _), c, p in zip(histogram_bins(), counts, pcts):
         print(f"{label}  {c:>8}  {p:5.1f}%")
     return 0
 
@@ -280,9 +279,9 @@ def _cmd_report(args):
     records = load_records(args.records)
     rewards = [r.reward for r in records]
     counts, pcts = reward_histogram(rewards)
-    labels = ["[0.00-0.25)", "[0.25-0.50)", "[0.50-0.75)", "[0.75-1.00]"]
+    bins = histogram_bins()
     print(f"{'bin':<14}{'count':>8}{'percent':>9}")
-    for label, c, p in zip(labels, counts, pcts):
+    for (label, _, _), c, p in zip(bins, counts, pcts):
         print(f"{label:<14}{c:>8}{p:>8.1f}%")
     reasons: dict[str, int] = {}
     for r in records:
@@ -291,9 +290,8 @@ def _cmd_report(args):
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:
             f.write("bin_low\tbin_high\tcount\tpercent\n")
-            edges = [0.0, 0.25, 0.5, 0.75, 1.0]
-            for i, (c, p) in enumerate(zip(counts, pcts)):
-                f.write(f"{edges[i]}\t{edges[i+1]}\t{c}\t{p:.4f}\n")
+            for (_, lo, hi), c, p in zip(bins, counts, pcts):
+                f.write(f"{lo}\t{hi}\t{c}\t{p:.4f}\n")
         print(f"wrote plot data -> {args.output}")
     return 0
 

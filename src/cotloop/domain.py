@@ -182,28 +182,6 @@ def validate_annotation(a: Annotation, task: TaskKind, ground_truth: bool = Fals
     return violations
 
 
-def convert_box(box, direction: str):
-    """Convert between corner [x1,y1,x2,y2] and [x,y,w,h] interchange forms.
-
-    ``direction`` is ``"corner_to_xywh"`` or ``"xywh_to_corner"``; input is
-    a Box or a 4-tuple, output is a plain 4-tuple.
-    """
-    if direction == "corner_to_xywh":
-        if isinstance(box, Box):
-            x1, y1, x2, y2 = box.as_tuple()
-        else:
-            x1, y1, x2, y2 = box
-            if x2 < x1 or y2 < y1:
-                raise InvalidGeometry(f"corner ordering violated: {box}")
-        return (x1, y1, x2 - x1, y2 - y1)
-    if direction == "xywh_to_corner":
-        x, y, w, h = box if not isinstance(box, Box) else box.as_tuple()
-        if w < 0 or h < 0:
-            raise InvalidGeometry(f"negative width/height: {(x, y, w, h)}")
-        return (x, y, x + w, y + h)
-    raise ValueError(f"unknown direction: {direction!r}")
-
-
 def mask_to_box(mask) -> Box:
     """Tightest corner box enclosing every true cell of a dense binary grid.
 

@@ -66,7 +66,16 @@ class MissingFile(CotloopError):
 
 
 class HeaderMismatch(CotloopError):
-    """Dataset file header is absent or inconsistent with the requested task."""
+    """A file's header is absent, foreign, or inconsistent with the requested task."""
+
+
+class MalformedLine(CotloopError):
+    """A complete data line of a cotloop file that does not parse."""
+
+    def __init__(self, path: str, line: int, reason: Exception):
+        super().__init__(f"{path}: line {line}: {reason}")
+        self.path = path
+        self.line = line
 
 
 class ValidationFailure(CotloopError):

@@ -2,31 +2,118 @@
 tau-filtering and SFT export, think-answer reward evaluation, and metric
 evaluation.
 
-All on-disk artifacts are line-oriented JSON with a versioned header
-line; record files are flushed per line so interrupted runs resume from
-the last complete record.
+All on-disk artifacts follow one file rule:
+
+- The first line is a header, ``{"format": "cotloop-<kind>", "version": 1, ...}``,
+  and every later line is one JSON object. Each line is flushed as it is
+  written, so an interrupted run leaves at most a torn final line.
+- A missing file raises `MissingFile`. A missing, unparseable or foreign
+  header (another format or version, or not a text file) raises
+  `HeaderMismatch`; the stage then refuses to write over the file.
+- An unterminated final line that does not parse is an interrupted write:
+  it is dropped with a logged warning. The stage resumes after the last
+  complete record, and a file holding only a torn header starts afresh.
+- Any other malformed line raises `MalformedLine` with its line number;
+  dataset files report such lines per line instead (see `load_dataset`).
 """
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
+import logging
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .backends import GenerationRequest
 from .domain import (Annotation, Box, BoxSet, Classification, Detection,
                      Distribution, RewardBreakdown, Sample, ScoredRecord,
                      validate_annotation)
-from .errors import (BackendError, DomainError, HeaderMismatch, MissingFile,
-                     ValidationFailure)
+from .errors import (BackendError, DomainError, HeaderMismatch, MalformedLine,
+                     MissingFile, ValidationFailure)
 from .grpo import Group, GroupMember, compute_group_advantages, select_best_of_group
 from .render import render_annotation
 from .reward import DEFAULT_TAU, closed_loop_reward, think_answer_reward
 from .similarity import hungarian_match, jsd
 from .textproto import ParsedOutput, load_template, render_prompt
 
+log = logging.getLogger(__name__)
+
 FORMAT_VERSION = 1
+DATASET = "cotloop-dataset"
+RECORDS = "cotloop-records"
+SFT = "cotloop-sft"
+RFT_BOOKKEEPING = "cotloop-rft-bookkeeping"
+PREDICTIONS = "cotloop-predictions"
+
+
+# --- the file rule -----------------------------------------------------------
+
+def _dumps(obj: dict) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
+
+
+def _write_jsonl(path: str, fmt: str, rows: Iterable[dict], **header) -> None:
+    """Write the header line, then one flushed line per row."""
+    with open(path, "w", encoding="utf-8") as f:
+        for obj in itertools.chain([{"format": fmt, "version": FORMAT_VERSION, **header}],
+                                   rows):
+            f.write(_dumps(obj) + "\n")
+            f.flush()
+
+
+def _read_jsonl(path: str, fmt: str, row: Callable[[dict], object],
+                errors: Optional[list[str]] = None, missing_ok: bool = False
+                ) -> tuple[Optional[dict], list[tuple[int, object]]]:
+    """Read a `fmt` file under the file rule; returns (header, rows).
+
+    Each row is (line number, row(parsed line)). A line that fails to
+    parse or convert raises `MalformedLine`, or is reported in `errors`
+    when a list is given. With `missing_ok`, a file that is absent or holds
+    no complete line reads as (None, []).
+    """
+    if not os.path.exists(path):
+        if missing_ok:
+            return None, []
+        raise MissingFile(path)
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().split("\n")
+    except UnicodeDecodeError as e:
+        raise HeaderMismatch(f"{path}: not a text file: {e}") from None
+    tail = lines.pop()  # "" when the last line is terminated
+    if tail:
+        try:
+            json.loads(tail)
+        except json.JSONDecodeError:
+            log.warning("%s: dropped torn line %d (interrupted write)", path, len(lines) + 1)
+        else:
+            lines.append(tail)
+    if not lines:
+        if missing_ok:
+            return None, []
+        raise HeaderMismatch(f"{path}: no header line, expected {fmt}")
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError as e:
+        raise HeaderMismatch(f"{path}: unparseable header: {e}") from None
+    found = (header.get("format"), header.get("version")) if isinstance(header, dict) else None
+    if found != (fmt, FORMAT_VERSION):
+        raise HeaderMismatch(f"{path}: not a {fmt} v{FORMAT_VERSION} file "
+                             f"(format, version = {found})")
+    rows = []
+    for n, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        try:
+            rows.append((n, row(json.loads(raw))))
+        except Exception as e:  # malformed line, reported with its number
+            if errors is None:
+                raise MalformedLine(path, n, e) from e
+            errors.append(f"line {n}: {e}")
+    return header, rows
 
 
 # --- dataset files -----------------------------------------------------------
@@ -61,21 +148,22 @@ def annotation_from_json(obj: dict) -> Annotation:
     raise ValueError(f"unknown annotation shape: {sorted(obj)}")
 
 
-def _dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
+def _sample_to_json(s: Sample) -> dict:
+    line = {"id": s.id, "image_ref": s.image_ref,
+            "annotation": annotation_to_json(s.annotation)}
+    if s.target_desc is not None:
+        line["target_desc"] = s.target_desc
+    return line
+
+
+def _sample_fields(obj: dict) -> dict:
+    return {"id": str(obj["id"]), "image_ref": str(obj["image_ref"]),
+            "annotation": annotation_from_json(obj["annotation"]),
+            "target_desc": obj.get("target_desc")}
 
 
 def save_dataset(samples: Sequence[Sample], task, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        header = {"format": "cotloop-dataset", "version": FORMAT_VERSION,
-                  "task": _task_to_json(task)}
-        f.write(_dumps(header) + "\n")
-        for s in samples:
-            line = {"id": s.id, "image_ref": s.image_ref,
-                    "annotation": annotation_to_json(s.annotation)}
-            if s.target_desc is not None:
-                line["target_desc"] = s.target_desc
-            f.write(_dumps(line) + "\n")
+    _write_jsonl(path, DATASET, map(_sample_to_json, samples), task=_task_to_json(task))
 
 
 def load_dataset(path: str, task_hint: Optional[str] = None,
@@ -83,41 +171,19 @@ def load_dataset(path: str, task_hint: Optional[str] = None,
     """Load and validate a dataset file.
 
     Returns (samples, error report). Malformed lines are collected, not
-    silently dropped; without skip_invalid any error aborts the load.
+    silently dropped: lines that do not parse are listed first, then lines
+    that fail validation. Without skip_invalid any error aborts the load.
     """
-    if not os.path.exists(path):
-        raise MissingFile(path)
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise HeaderMismatch("empty dataset file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as e:
-        raise HeaderMismatch(f"unparseable header: {e}")
-    if header.get("format") != "cotloop-dataset":
-        raise HeaderMismatch(f"not a dataset file: format={header.get('format')!r}")
+    errors: list[str] = []
+    header, rows = _read_jsonl(path, DATASET, _sample_fields, errors)
     task = _task_from_json(header.get("task", {}))
-    if task_hint is not None:
-        kind = "classification" if isinstance(task, Classification) else "detection"
-        if kind != task_hint:
-            raise HeaderMismatch(f"dataset task is {kind}, expected {task_hint}")
+    if task_hint is not None and _task_name(task) != task_hint:
+        raise HeaderMismatch(f"dataset task is {_task_name(task)}, expected {task_hint}")
 
     samples: list[Sample] = []
-    errors: list[str] = []
     seen_ids: set[str] = set()
-    for n, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        try:
-            obj = json.loads(raw)
-            annotation = annotation_from_json(obj["annotation"])
-            sample = Sample(id=str(obj["id"]), image_ref=str(obj["image_ref"]),
-                            task=task, annotation=annotation,
-                            target_desc=obj.get("target_desc"))
-        except Exception as e:  # malformed line, reported with its number
-            errors.append(f"line {n}: {e}")
-            continue
+    for n, fields in rows:
+        sample = Sample(task=task, **fields)
         violations = validate_annotation(sample.annotation, task, ground_truth=True)
         if violations:
             errors.append(f"line {n} ({sample.id}): " + "; ".join(violations))
@@ -166,50 +232,11 @@ def record_from_json(obj: dict) -> ScoredRecord:
 
 
 def save_records(records: Sequence[ScoredRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(_dumps({"format": "cotloop-records", "version": FORMAT_VERSION}) + "\n")
-        for r in records:
-            f.write(_dumps(record_to_json(r)) + "\n")
+    _write_jsonl(path, RECORDS, map(record_to_json, records))
 
 
 def load_records(path: str) -> list[ScoredRecord]:
-    if not os.path.exists(path):
-        raise MissingFile(path)
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines or json.loads(lines[0]).get("format") != "cotloop-records":
-        raise HeaderMismatch("not a records file")
-    records = []
-    for raw in lines[1:]:
-        if raw.strip():
-            records.append(record_from_json(json.loads(raw)))
-    return records
-
-
-def _read_complete_record_ids(path: str) -> tuple[list[str], list[str]]:
-    """Existing complete lines for crash resumption; ignores a torn last line."""
-    if not os.path.exists(path):
-        return [], []
-    with open(path, encoding="utf-8") as f:
-        content = f.read()
-    lines = content.split("\n")
-    if lines and lines[-1] != "":
-        lines = lines[:-1]  # torn final line, no trailing newline
-    else:
-        lines = lines[:-1]
-    complete = []
-    ids = []
-    for raw in lines:
-        if not raw.strip():
-            continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError:
-            continue
-        complete.append(raw)
-        if "sample_id" in obj:
-            ids.append(obj["sample_id"])
-    return complete, ids
+    return [record for _, record in _read_jsonl(path, RECORDS, record_from_json)[1]]
 
 
 # --- prompt construction -----------------------------------------------------
@@ -248,19 +275,47 @@ def r1_prompt(sample: Sample) -> str:
     return render_prompt(t, variables)
 
 
+# --- the group loop ----------------------------------------------------------
+
+def _derive_seed(seed: int, sample_id: str, g: int) -> int:
+    h = hashlib.sha256(f"{seed}|{sample_id}|{g}".encode()).hexdigest()
+    return int(h[:12], 16)
+
+
+def _run_groups(samples: Sequence[Sample], group_size: int, seed: int,
+                member_for: Callable[[Sample], Callable[[int], object]],
+                failures: list[dict], done: frozenset[str] = frozenset()
+                ) -> Iterator[tuple[Sample, list]]:
+    """Yield (sample, members) for each sample whose id is not in `done`.
+
+    `member_for(sample)` returns the function that makes one group member
+    from its derived seed; it runs for g = 0..G-1 in order. A BackendError
+    anywhere in a group sends the whole sample to `failures`.
+    """
+    for sample in samples:
+        if sample.id in done:
+            continue
+        try:
+            member = member_for(sample)
+            members = [member(_derive_seed(seed, sample.id, g)) for g in range(group_size)]
+        except BackendError as e:
+            failures.append({"sample_id": sample.id, "error": str(e),
+                             "kind": type(e).__name__})
+            continue
+        yield sample, members
+
+
 # --- closed-loop stage -------------------------------------------------------
 
 @dataclass
 class StageResult:
     records: list[ScoredRecord] = field(default_factory=list)
     failures: list[dict] = field(default_factory=list)
-    groups: list[Group] = field(default_factory=list)
 
 
 def run_closed_loop_stage(samples: Sequence[Sample], reason_backend, recon_backend,
                           group_size: int, seed: int,
-                          records_path: Optional[str] = None,
-                          keep_groups: bool = False) -> StageResult:
+                          records_path: Optional[str] = None) -> StageResult:
     """Generate G CoTs per sample, reconstruct, score, retain best-of-group.
 
     Records persist incrementally (one flushed line per sample), and a
@@ -268,55 +323,34 @@ def run_closed_loop_stage(samples: Sequence[Sample], reason_backend, recon_backe
     Backend failures go into the failure manifest; the stage completes.
     """
     result = StageResult()
-    done_ids: set[str] = set()
-    out = None
+    resumed: list[dict] = []
     if records_path is not None:
-        complete, ids = _read_complete_record_ids(records_path)
-        done_ids = set(ids)
-        header = _dumps({"format": "cotloop-records", "version": FORMAT_VERSION})
-        if complete and complete[0] == header:
-            # Rewrite only complete lines, then continue appending.
-            with open(records_path, "w", encoding="utf-8") as f:
-                f.write("\n".join(complete) + "\n")
-            for raw in complete[1:]:
-                result.records.append(record_from_json(json.loads(raw)))
-            out = open(records_path, "a", encoding="utf-8")
-        else:
-            out = open(records_path, "w", encoding="utf-8")
-            out.write(header + "\n")
-            out.flush()
-            done_ids = set()
-    try:
-        for sample in samples:
-            if sample.id in done_ids:
-                continue
-            try:
-                members = []
-                for g in range(group_size):
-                    req = GenerationRequest(sample_id=sample.id,
-                                            image_ref=sample.image_ref,
-                                            prompt=reasoning_prompt(sample),
-                                            seed=_derive_seed(seed, sample.id, g))
-                    cot = reason_backend.generate(req)
-                    recon_req = GenerationRequest(sample_id=sample.id,
-                                                  image_ref=sample.image_ref,
-                                                  prompt=reconstruction_prompt(sample, cot),
-                                                  temperature=0.0,
-                                                  seed=_derive_seed(seed, sample.id, g))
-                    recon_text = recon_backend.generate(recon_req)
-                    breakdown = closed_loop_reward(sample, cot, recon_text)
-                    parsed = ParsedOutput.from_text(recon_text, sample.task)
-                    members.append(GroupMember(cot=cot, reconstruction=parsed.answer,
-                                               breakdown=breakdown))
-            except BackendError as e:
-                result.failures.append({"sample_id": sample.id, "error": str(e),
-                                        "kind": type(e).__name__})
-                continue
-            group = Group.build(sample.id, members) if group_size >= 2 else None
-            if group is not None and keep_groups:
-                result.groups.append(group)
-            if group is not None:
-                _, record = select_best_of_group(group)
+        # Complete lines are rewritten as read, then new records follow.
+        _, rows = _read_jsonl(records_path, RECORDS,
+                              lambda obj: (obj, record_from_json(obj)), missing_ok=True)
+        resumed = [obj for _, (obj, _) in rows]
+        result.records = [record for _, (_, record) in rows]
+    done = frozenset(r.sample_id for r in result.records)
+
+    def member_for(sample: Sample):
+        def member(member_seed: int) -> GroupMember:
+            cot = reason_backend.generate(GenerationRequest(
+                sample_id=sample.id, image_ref=sample.image_ref,
+                prompt=reasoning_prompt(sample), seed=member_seed))
+            recon_text = recon_backend.generate(GenerationRequest(
+                sample_id=sample.id, image_ref=sample.image_ref,
+                prompt=reconstruction_prompt(sample, cot), temperature=0.0,
+                seed=member_seed))
+            breakdown = closed_loop_reward(sample, cot, recon_text)
+            parsed = ParsedOutput.from_text(recon_text, sample.task)
+            return GroupMember(cot=cot, reconstruction=parsed.answer, breakdown=breakdown)
+        return member
+
+    def scored() -> Iterator[ScoredRecord]:
+        for sample, members in _run_groups(samples, group_size, seed, member_for,
+                                           result.failures, done):
+            if len(members) >= 2:
+                _, record = select_best_of_group(Group.build(sample.id, members))
             else:
                 m = members[0]
                 record = ScoredRecord(sample_id=sample.id, cot=m.cot,
@@ -324,19 +358,15 @@ def run_closed_loop_stage(samples: Sequence[Sample], reason_backend, recon_backe
                                       reward=m.breakdown.composite,
                                       breakdown=m.breakdown)
             result.records.append(record)
-            if out is not None:
-                out.write(_dumps(record_to_json(record)) + "\n")
-                out.flush()
-    finally:
-        if out is not None:
-            out.close()
+            yield record
+
+    if records_path is None:
+        for _ in scored():
+            pass
+    else:
+        _write_jsonl(records_path, RECORDS,
+                     itertools.chain(resumed, map(record_to_json, scored())))
     return result
-
-
-def _derive_seed(seed: int, sample_id: str, g: int) -> int:
-    import hashlib
-    h = hashlib.sha256(f"{seed}|{sample_id}|{g}".encode()).hexdigest()
-    return int(h[:12], 16)
 
 
 # --- SFT export --------------------------------------------------------------
@@ -349,20 +379,13 @@ def export_sft_corpus(records: Sequence[ScoredRecord], samples: Sequence[Sample]
     ground-truth annotation, canonically rendered, in <answer> tags.
     """
     by_id = {s.id: s for s in samples}
-    kept = 0
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(_dumps({"format": "cotloop-sft", "version": FORMAT_VERSION}) + "\n")
-        for r in records:
-            if r.reward < tau:
-                continue
-            sample = by_id[r.sample_id]
-            target = (f"<think>{r.cot}</think>"
-                      f"<answer>{render_annotation(sample.annotation, sample.task)}</answer>")
-            f.write(_dumps({"image_ref": sample.image_ref,
-                            "prompt": r1_prompt(sample),
-                            "target": target}) + "\n")
-            kept += 1
-    return kept
+    kept = [(r, by_id[r.sample_id]) for r in records if r.reward >= tau]
+    _write_jsonl(path, SFT, (
+        {"image_ref": sample.image_ref, "prompt": r1_prompt(sample),
+         "target": (f"<think>{r.cot}</think>"
+                    f"<answer>{render_annotation(sample.annotation, sample.task)}</answer>")}
+        for r, sample in kept))
+    return len(kept)
 
 
 # --- think-answer reward evaluation ------------------------------------------
@@ -379,44 +402,36 @@ def run_rft_reward_eval(samples: Sequence[Sample], r1_backend, group_size: int,
     """Sample G think-answer outputs per sample, score with the format-gated
     reward, and emit the grouping bookkeeping an external trainer consumes."""
     result = RftEvalResult()
-    out = None
-    if bookkeeping_path is not None:
-        out = open(bookkeeping_path, "w", encoding="utf-8")
-        out.write(_dumps({"format": "cotloop-rft-bookkeeping",
-                          "version": FORMAT_VERSION}) + "\n")
-    try:
-        totals = []
-        for sample in samples:
-            prompt = r1_prompt(sample)
-            completions, rewards = [], []
-            try:
-                for g in range(group_size):
-                    req = GenerationRequest(sample_id=sample.id,
-                                            image_ref=sample.image_ref,
-                                            prompt=prompt,
-                                            seed=_derive_seed(seed, sample.id, g))
-                    text = r1_backend.generate(req)
-                    completions.append(text)
-                    rewards.append(think_answer_reward(sample, text).composite)
-            except BackendError as e:
-                result.failures.append({"sample_id": sample.id, "error": str(e),
-                                        "kind": type(e).__name__})
-                continue
+    totals: list[float] = []
+
+    def member_for(sample: Sample):
+        prompt = r1_prompt(sample)
+
+        def member(member_seed: int) -> tuple[str, float]:
+            text = r1_backend.generate(GenerationRequest(
+                sample_id=sample.id, image_ref=sample.image_ref, prompt=prompt,
+                seed=member_seed))
+            return text, think_answer_reward(sample, text).composite
+        return member
+
+    def rows() -> Iterator[dict]:
+        for sample, members in _run_groups(samples, group_size, seed, member_for,
+                                           result.failures):
+            rewards = [reward for _, reward in members]
             advantages = (compute_group_advantages(rewards)
                           if len(rewards) >= 2 else [0.0] * len(rewards))
             mean = sum(rewards) / len(rewards)
             result.per_sample_mean[sample.id] = mean
             totals.append(mean)
-            if out is not None:
-                out.write(_dumps({"sample_id": sample.id,
-                                  "completions": completions,
-                                  "rewards": rewards,
-                                  "advantages": advantages}) + "\n")
-                out.flush()
-        result.mean_reward = sum(totals) / len(totals) if totals else 0.0
-    finally:
-        if out is not None:
-            out.close()
+            yield {"sample_id": sample.id, "completions": [text for text, _ in members],
+                   "rewards": rewards, "advantages": advantages}
+
+    if bookkeeping_path is None:
+        for _ in rows():
+            pass
+    else:
+        _write_jsonl(bookkeeping_path, RFT_BOOKKEEPING, rows())
+    result.mean_reward = sum(totals) / len(totals) if totals else 0.0
     return result
 
 
@@ -433,26 +448,12 @@ class EvalReport:
 
 
 def load_predictions(path: str) -> dict[str, str]:
-    if not os.path.exists(path):
-        raise MissingFile(path)
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines or json.loads(lines[0]).get("format") != "cotloop-predictions":
-        raise HeaderMismatch("not a predictions file")
-    preds = {}
-    for raw in lines[1:]:
-        if raw.strip():
-            obj = json.loads(raw)
-            preds[str(obj["id"])] = obj["raw"]
-    return preds
+    _, rows = _read_jsonl(path, PREDICTIONS, lambda obj: (str(obj["id"]), obj["raw"]))
+    return dict(pred for _, pred in rows)
 
 
 def save_predictions(preds: dict[str, str], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(_dumps({"format": "cotloop-predictions",
-                        "version": FORMAT_VERSION}) + "\n")
-        for sid, raw in preds.items():
-            f.write(_dumps({"id": sid, "raw": raw}) + "\n")
+    _write_jsonl(path, PREDICTIONS, ({"id": sid, "raw": raw} for sid, raw in preds.items()))
 
 
 def _normalized_prediction(raw: str, task: Classification) -> tuple[Distribution, bool]:

@@ -6,7 +6,6 @@ The closed-loop reward gates annotation similarity on "no leak" and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .domain import (Classification, RewardBreakdown, Sample, ScoredRecord,
@@ -17,20 +16,6 @@ from .textproto import ParsedOutput, detect_leak, validate_f_cot, validate_f_r1
 
 HISTOGRAM_EDGES = (0.0, 0.25, 0.5, 0.75, 1.0)
 DEFAULT_TAU = 0.75
-
-
-@dataclass(frozen=True)
-class RewardConfig:
-    tau: float = DEFAULT_TAU
-    histogram_edges: tuple[float, ...] = HISTOGRAM_EDGES
-    clamp: float = 1e-10
-
-    def __post_init__(self):
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValueError(f"tau must be in [0,1]: {self.tau}")
-        edges = self.histogram_edges
-        if list(edges) != sorted(set(edges)) or edges[0] != 0.0 or edges[-1] != 1.0:
-            raise ValueError("histogram edges must strictly increase and span [0,1]")
 
 
 def _similarity(sample: Sample, reconstruction) -> float:
@@ -92,6 +77,14 @@ def reward_histogram(rewards: Sequence[float],
     total = len(rewards)
     pcts = [100.0 * c / total if total else 0.0 for c in counts]
     return counts, pcts
+
+
+def histogram_bins() -> list[tuple[str, float, float]]:
+    """(label, low edge, high edge) of each `reward_histogram` bin, e.g.
+    ("[0.00-0.25)", 0.0, 0.25); only the top bin's label is closed."""
+    edges = HISTOGRAM_EDGES
+    return [(f"[{lo:.2f}-{hi:.2f}{']' if hi == edges[-1] else ')'}", lo, hi)
+            for lo, hi in zip(edges, edges[1:])]
 
 
 def filter_high_subset(records: Sequence[ScoredRecord],

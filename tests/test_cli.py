@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 import yaml
 
 from cotloop.cli import cli_dispatch
@@ -95,6 +96,47 @@ def test_gen_cot_and_export_sft(tmp_path, capsys):
     assert cli_dispatch(["report", "--records", str(records),
                          "--output", str(tmp_path / "plot.tsv")]) == 0
     assert "reasons:" in capsys.readouterr().out
+
+
+@pytest.fixture
+def torn_run(tmp_path):
+    """gen-cot records killed mid-line after 7 of 8 samples, and the dataset."""
+    config = write_world_config(tmp_path / "config.yaml")
+    records = tmp_path / "records.jsonl"
+    assert cli_dispatch(["gen-cot", "--config", config,
+                         "--records", str(records)]) == 0
+    lines = records.read_text().splitlines(keepends=True)
+    records.write_text("".join(lines[:-1]) + lines[-1][:40])
+    world = CueWorld(kind="classification", num_samples=8, cues_per_sample=4,
+                     vocab_size=24, seed=0)
+    dataset = tmp_path / "dataset.jsonl"
+    save_dataset([s.as_sample() for s in world.samples], world.task,
+                 str(dataset))
+    return records, dataset
+
+
+@pytest.mark.parametrize("command, expected", [
+    (["filter"], "kept 7 / 7 (100.0%)"),
+    (["report"], "[0.75-1.00]          7   100.0%"),
+    (["export-sft", "--dataset", "{dataset}", "--output", "{dataset}.sft"],
+     "exported 7 SFT lines"),
+], ids=["filter", "report", "export-sft"])
+def test_commands_read_a_torn_records_file(torn_run, capsys, command, expected):
+    records, dataset = torn_run
+    capsys.readouterr()
+    args = [a.format(dataset=dataset) for a in command]
+    assert cli_dispatch(args + ["--records", str(records)]) == 0
+    assert expected in capsys.readouterr().out
+
+
+def test_gen_cot_refuses_a_foreign_records_file(torn_run, capsys):
+    _, dataset = torn_run
+    before = dataset.read_bytes()
+    config = write_world_config(dataset.parent / "config.yaml")
+    assert cli_dispatch(["gen-cot", "--config", config,
+                         "--records", str(dataset)]) == 1
+    assert "cotloop-records" in capsys.readouterr().err
+    assert dataset.read_bytes() == before
 
 
 def test_gen_cot_idempotent(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from cotloop.domain import (Box, BoxSet, Classification, Detection,
                             Distribution, RewardBreakdown, Sample,
-                            ScoredRecord, convert_box, make_breakdown,
+                            ScoredRecord, make_breakdown,
                             mask_to_box, validate_annotation)
 from cotloop.errors import EmptyMask, InvalidGeometry
 
@@ -40,31 +40,6 @@ def test_box_invariants():
         Box(0, 0, float("inf"), 5)
     assert Box(0, 0, 4, 3).area == 12
     assert Box(5, 5, 5, 5).area == 0  # degenerate boxes are valid data
-
-
-# --- convert_box ---------------------------------------------------------------
-
-def test_convert_box_examples():
-    assert convert_box(Box(138, 182, 656, 428), "corner_to_xywh") == (138, 182, 518, 246)
-    assert convert_box((0, 0, 0, 0), "corner_to_xywh") == (0, 0, 0, 0)
-    assert convert_box((138, 182, 518, 246), "xywh_to_corner") == (138, 182, 656, 428)
-
-
-def test_convert_box_rejects_negative_wh():
-    with pytest.raises(InvalidGeometry):
-        convert_box((0, 0, -1, 5), "xywh_to_corner")
-    with pytest.raises(ValueError):
-        convert_box((0, 0, 1, 1), "sideways")
-
-
-coord = st.integers(min_value=0, max_value=10_000)
-
-
-@given(x1=coord, y1=coord, dx=coord, dy=coord)
-def test_convert_box_round_trip(x1, y1, dx, dy):
-    corner = (x1, y1, x1 + dx, y1 + dy)
-    assert convert_box(convert_box(corner, "corner_to_xywh"),
-                       "xywh_to_corner") == corner
 
 
 # --- mask_to_box ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Pipeline: dataset IO, the closed-loop stage, SFT export, and evaluation."""
 
+import hashlib
 import json
 
 import pytest
@@ -7,8 +8,8 @@ import pytest
 from cotloop.backends import (CueWorld, MockBackend, SyntheticR1Backend,
                               SyntheticReasonBackend, SyntheticReconBackend)
 from cotloop.domain import (Box, BoxSet, Classification, Distribution, Sample)
-from cotloop.errors import (DomainError, HeaderMismatch, MissingFile,
-                            ValidationFailure)
+from cotloop.errors import (CotloopError, DomainError, HeaderMismatch,
+                            MissingFile, ValidationFailure)
 from cotloop.pipeline import (evaluate_predictions, export_sft_corpus,
                               load_dataset, load_predictions, load_records,
                               r1_prompt, reasoning_prompt,
@@ -208,6 +209,72 @@ def test_records_round_trip(stage_world, tmp_path):
         load_records(str(tmp_path / "absent.jsonl"))
 
 
+# --- the file rule: torn, foreign and malformed files ------------------------------
+
+LOADERS = {"dataset": lambda p: load_dataset(p)[0], "records": load_records,
+           "predictions": load_predictions}
+
+
+def write_format(name, path, stage_world):
+    samples = [s.as_sample() for s in stage_world.samples]
+    if name == "dataset":
+        save_dataset(samples, stage_world.task, str(path))
+    elif name == "records":
+        save_records(run_stage(stage_world).records, str(path))
+    else:
+        save_predictions(predictions_for(samples), str(path))
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+@pytest.mark.parametrize("content", [
+    b"", b"not json\n", b"\xff\xfe binary\n", b'{"format": "cotloop-sft", "version": 1}\n',
+    b'{"format": "cotloop-records", "version": 99}\n', b"[1, 2]\n",
+], ids=["empty", "not-json", "not-utf8", "foreign", "other-version", "not-object"])
+def test_loaders_refuse_foreign_files(tmp_path, name, content):
+    path = tmp_path / "foreign.jsonl"
+    path.write_bytes(content)
+    with pytest.raises(HeaderMismatch):
+        LOADERS[name](str(path))
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_loaders_drop_a_torn_final_line(tmp_path, stage_world, caplog, name):
+    path = tmp_path / f"{name}.jsonl"
+    write_format(name, path, stage_world)
+    complete = LOADERS[name](str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+    with caplog.at_level("WARNING", logger="cotloop.pipeline"):
+        loaded = LOADERS[name](str(path))
+    assert len(loaded) == len(complete) - 1
+    assert f"line {len(lines)}" in caplog.text
+
+
+@pytest.mark.parametrize("name", ["records", "predictions", "stage"])
+def test_malformed_middle_line_names_its_line(tmp_path, stage_world, name):
+    path = tmp_path / "file.jsonl"
+    write_format("predictions" if name == "predictions" else "records", path, stage_world)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = '{"sample_id": "s1"}\n' if name == "records" else "{torn\n"
+    path.write_text("".join(lines))
+    before = path.read_bytes()
+    with pytest.raises(CotloopError, match=r"line 3\b"):
+        if name == "stage":
+            run_stage(stage_world, path)
+        else:
+            LOADERS[name](str(path))
+    assert path.read_bytes() == before
+
+
+def test_stage_resumes_a_torn_header_as_a_fresh_run(stage_world, tmp_path):
+    full_path = tmp_path / "full.jsonl"
+    run_stage(stage_world, full_path)
+    torn = tmp_path / "torn.jsonl"
+    torn.write_bytes(full_path.read_bytes()[:10])
+    assert len(run_stage(stage_world, torn).records) == 8
+    assert torn.read_bytes() == full_path.read_bytes()
+
+
 # --- SFT export ----------------------------------------------------------------------
 
 def test_export_sft_corpus(stage_world, tmp_path):
@@ -346,3 +413,54 @@ def test_predictions_round_trip(tmp_path, class_samples):
     path = tmp_path / "preds.jsonl"
     save_predictions(preds, str(path))
     assert load_predictions(str(path)) == preds
+
+
+# --- golden bytes ------------------------------------------------------------------------
+
+# sha256 of every file format, written for a tiny world of each task kind.
+# A change to any writer, to the synthetic backends or to reward scoring
+# shows up here.
+GOLDEN_SHA256 = {
+    "classification": {
+        "dataset": "d452ad4483697f6ee948ba7fa7dc395d5ce95479b3173c4f354639642ee1b510",
+        "records": "536c27adeb74a6c53e5e6faa1df74b87f333725f82c79e9e94d19620dec208b6",
+        "sft": "9cd51087c5d673c2c35d6bf377299f9e1b5548ffb50f7e3621416069ce5d4f68",
+        "rft": "1a74395c3c9aaa4c7a190a7a1b5f8ecec8eb622f2610648a04bf8acda60828cc",
+        "predictions": "32a26e547182d03ffaf0d5bb6a3d9756a6f25f6105149f8252c181edc4a8d214",
+    },
+    "detection": {
+        "dataset": "8ab7c26b5ab4231206430d0851e1206310fefd41e7d8a73085a66c0929448387",
+        "records": "b269374cce84b536104b1ca2a95b1fa593d37232abb8536b9aecb8b3ebc50e38",
+        "sft": "939eb6eff6c7cb5bcfc23d6f2cccb4d0a1d18c2bd710db87ca304e2469b4eaf2",
+        "rft": "f6885617269d538b8892800c9e3b585faca66baf4022ce0287b8c6a41698cfad",
+        "predictions": "ec68d844890f6dc3c72ce9e2784f53114aaae583ba2a0de430f4298e545d5c33",
+    },
+}
+
+
+def write_every_format(kind, root):
+    world = CueWorld(kind=kind, num_samples=4, cues_per_sample=2, vocab_size=6,
+                     seed=3)
+    samples = [s.as_sample() for s in world.samples]
+    paths = {name: root / f"{kind}-{name}.jsonl"
+             for name in ("dataset", "records", "sft", "rft", "predictions")}
+    save_dataset(samples, world.task, str(paths["dataset"]))
+    stage = run_closed_loop_stage(samples, SyntheticReasonBackend(world, 0.6),
+                                  SyntheticReconBackend(world), group_size=3,
+                                  seed=5, records_path=str(paths["records"]))
+    resaved = root / f"{kind}-resaved.jsonl"
+    save_records(stage.records, str(resaved))
+    assert resaved.read_bytes() == paths["records"].read_bytes()
+    export_sft_corpus(stage.records, samples, tau=0.5, path=str(paths["sft"]))
+    run_rft_reward_eval(samples, SyntheticR1Backend(world, 0.6), group_size=3,
+                        seed=5, bookkeeping_path=str(paths["rft"]))
+    save_predictions(predictions_for(samples), str(paths["predictions"]))
+    return paths
+
+
+@pytest.mark.parametrize("kind", ["classification", "detection"])
+def test_every_format_is_byte_stable(tmp_path, kind):
+    paths = write_every_format(kind, tmp_path)
+    digests = {name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for name, p in paths.items()}
+    assert digests == GOLDEN_SHA256[kind]

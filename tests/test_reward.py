@@ -9,9 +9,8 @@ from cotloop.domain import (Box, BoxSet, Distribution, Sample, ScoredRecord,
                             make_breakdown)
 from cotloop.errors import DomainError
 from cotloop.render import render_annotation
-from cotloop.reward import (RewardConfig, closed_loop_reward,
-                            filter_high_subset, reward_histogram,
-                            think_answer_reward)
+from cotloop.reward import (closed_loop_reward, filter_high_subset,
+                            reward_histogram, think_answer_reward)
 
 from conftest import (CLASS_BIN_COUNTS, EXAMPLE_DISTRIBUTION,
                       DET_BIN_COUNTS, rewards_with_bin_counts)
@@ -169,13 +168,3 @@ def test_filter_monotone(rewards, tau1, tau2):
     kept_lo = {r.sample_id for r in filter_high_subset(records, lo)[0]}
     kept_hi = {r.sample_id for r in filter_high_subset(records, hi)[0]}
     assert kept_hi <= kept_lo
-
-
-# --- config ---------------------------------------------------------------------------
-
-def test_reward_config_validation():
-    assert RewardConfig().tau == 0.75
-    with pytest.raises(ValueError):
-        RewardConfig(tau=1.5)
-    with pytest.raises(ValueError):
-        RewardConfig(histogram_edges=(0.0, 0.5, 0.25, 1.0))

@@ -40,17 +40,19 @@ def test_kld_category_mismatch():
         kld(dist2((0.5, 0.5)), Distribution({"a": 0.5, "c": 0.5}))
 
 
-@given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2,
-                max_size=8),
-       st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2,
-                max_size=8))
-def test_kld_nonnegative_on_normalized(ps, qs):
-    n = min(len(ps), len(qs))
-    ps, qs = ps[:n], qs[:n]
-    sp, sq = sum(ps) or 1.0, sum(qs) or 1.0
-    cats = [f"c{i}" for i in range(n)]
-    p = Distribution({c: v / sp for c, v in zip(cats, ps)})
-    q = Distribution({c: v / sq for c, v in zip(cats, qs)})
+def normalizable(n):
+    """Weight vectors of length n with a positive sum, so they normalize."""
+    return st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=n,
+                    max_size=n).filter(lambda xs: sum(xs) > 0)
+
+
+@given(st.integers(min_value=2, max_value=8).flatmap(
+    lambda n: st.tuples(normalizable(n), normalizable(n))))
+def test_kld_nonnegative_on_normalized(pair):
+    ps, qs = pair
+    cats = [f"c{i}" for i in range(len(ps))]
+    p = Distribution({c: v / sum(ps) for c, v in zip(cats, ps)})
+    q = Distribution({c: v / sum(qs) for c, v in zip(cats, qs)})
     assert kld(p, q) >= -1e-9
 
 
