@@ -21,9 +21,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import requests
+from requests.adapters import HTTPAdapter
 
 from .domain import Annotation, Box, BoxSet, Classification, Detection, Distribution, Sample
-from .errors import AuthFailure, MockMiss, RemoteUnavailable, TemplateError, Timeout
+from .errors import (AuthFailure, BadPayload, InvalidSetting, MockMiss, RemoteUnavailable,
+                     TemplateError, Timeout)
 from .render import render_annotation
 
 
@@ -59,10 +61,17 @@ class MockBackend:
 class RemoteBackend:
     """Chat-completion client with bounded concurrency and retry/backoff.
 
+    `max_in_flight` (default 4) caps how many requests this backend has
+    open at once; the stages run as many GRPO groups at once as the caps of
+    their backends add up to (see `pipeline._run_groups`). A session built
+    here pools up to `max_in_flight` connections per host; one passed in is
+    used as given.
+
     The credential is read from the environment variable named at
-    construction, never from config files. Every request is logged
-    (prompt hash, latency, token counts) to the run ledger when a path
-    is given.
+    construction, never from config files. Every answered request is
+    logged (prompt hash, sample id, seed, latency, token counts) to the run
+    ledger when a path is given. Lines are appended as requests complete,
+    so with several in flight the seed maps a line back to its group member.
     """
 
     def __init__(self, endpoint: str, model: str, auth_env: str = "COTLOOP_API_KEY",
@@ -71,14 +80,21 @@ class RemoteBackend:
                  ledger_path: Optional[str] = None,
                  session: Optional[requests.Session] = None,
                  sleep: Callable[[float], None] = time.sleep):
+        if not isinstance(max_in_flight, int) or max_in_flight < 1:
+            raise InvalidSetting(f"max_in_flight must be an integer >= 1, got {max_in_flight!r}")
         self.endpoint = endpoint
         self.model = model
         self.auth_env = auth_env
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
+        self.max_in_flight = max_in_flight
         self.ledger_path = ledger_path
-        self._session = session or requests.Session()
+        if session is None:
+            session = requests.Session()
+            for prefix in ("http://", "https://"):
+                session.mount(prefix, HTTPAdapter(pool_maxsize=max_in_flight))
+        self._session = session
         self._sleep = sleep
         self._gate = threading.Semaphore(max_in_flight)
         self._ledger_lock = threading.Lock()
@@ -111,12 +127,25 @@ class RemoteBackend:
         entry = {
             "prompt_sha256": hashlib.sha256(request.prompt.encode()).hexdigest(),
             "sample_id": request.sample_id,
+            "seed": request.seed,
             "latency_s": round(latency, 4),
             "usage": usage,
         }
         with self._ledger_lock, open(self.ledger_path, "a", encoding="utf-8") as f:
             f.write(json.dumps(entry, sort_keys=True) + "\n")
             f.flush()
+
+    @staticmethod
+    def _reply(resp) -> tuple[dict, str]:
+        """(payload, reply text) of a 200 response; BadPayload when it has none."""
+        try:
+            payload = resp.json()
+            content = payload["choices"][0]["message"]["content"]
+        except (ValueError, LookupError, TypeError) as e:
+            raise BadPayload(f"malformed reply: {type(e).__name__}: {e}") from None
+        if not isinstance(content, str):
+            raise BadPayload(f"malformed reply: content is {type(content).__name__}")
+        return payload, content
 
     def generate(self, request: GenerationRequest) -> str:
         headers = self._headers()
@@ -141,9 +170,13 @@ class RemoteBackend:
                 if resp.status_code >= 400:
                     last_error = RemoteUnavailable(f"HTTP {resp.status_code}")
                     continue
-                payload = resp.json()
+                try:
+                    payload, content = self._reply(resp)
+                except BadPayload as e:
+                    last_error = e
+                    continue
                 self._log(request, time.monotonic() - start, payload.get("usage", {}))
-                return payload["choices"][0]["message"]["content"]
+                return content
         raise last_error
 
 

@@ -53,8 +53,16 @@ class Timeout(BackendError):
     """Remote request exceeded its deadline after all retries."""
 
 
+class BadPayload(BackendError):
+    """Remote endpoint answered 200 without a usable reply after all retries."""
+
+
 class MockMiss(BackendError):
     """Scripted mock backend has no canned response for a prompt."""
+
+
+class InvalidSetting(CotloopError):
+    """A run or backend setting outside its valid range."""
 
 
 class CorruptionInfeasible(CotloopError):

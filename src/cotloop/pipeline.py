@@ -24,6 +24,8 @@ import itertools
 import json
 import logging
 import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -282,25 +284,60 @@ def _derive_seed(seed: int, sample_id: str, g: int) -> int:
     return int(h[:12], 16)
 
 
+def _ordered_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
+    """`map(fn, items)` on `workers` threads, yielding results in item order.
+
+    At most `workers` calls are submitted ahead of the oldest unyielded one.
+    An exception reaches the caller at its item's turn; then, or when the
+    caller stops early, queued calls are cancelled and running ones finish
+    before this returns.
+    """
+    pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="cotloop-group")
+    try:
+        pending = deque()
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def _run_groups(samples: Sequence[Sample], group_size: int, seed: int,
                 member_for: Callable[[Sample], Callable[[int], object]],
-                failures: list[dict], done: frozenset[str] = frozenset()
-                ) -> Iterator[tuple[Sample, list]]:
+                failures: list[dict], backends: Sequence,
+                done: frozenset[str] = frozenset()) -> Iterator[tuple[Sample, list]]:
     """Yield (sample, members) for each sample whose id is not in `done`.
 
     `member_for(sample)` returns the function that makes one group member
     from its derived seed; it runs for g = 0..G-1 in order. A BackendError
     anywhere in a group sends the whole sample to `failures`.
+
+    Whole groups run concurrently on as many threads as the `max_in_flight`
+    caps of the distinct `backends` add up to. In-process backends have no
+    cap and count 0; with no cap at all, groups run one after another on
+    the calling thread. Either way groups and failures come out in sample
+    order, so output files are the same bytes as a sequential run. Only the
+    order of backend calls, and so a remote ledger's line order, varies.
     """
-    for sample in samples:
-        if sample.id in done:
-            continue
+    todo = [sample for sample in samples if sample.id not in done]
+
+    def run(sample: Sample):
         try:
             member = member_for(sample)
-            members = [member(_derive_seed(seed, sample.id, g)) for g in range(group_size)]
+            return [member(_derive_seed(seed, sample.id, g)) for g in range(group_size)]
         except BackendError as e:
-            failures.append({"sample_id": sample.id, "error": str(e),
-                             "kind": type(e).__name__})
+            return e
+
+    caps = {id(b): getattr(b, "max_in_flight", 0) for b in backends}
+    workers = max(1, sum(caps.values()))
+    results = map(run, todo) if workers == 1 else _ordered_map(run, todo, workers)
+    for sample, members in zip(todo, results):
+        if isinstance(members, BackendError):
+            failures.append({"sample_id": sample.id, "error": str(members),
+                             "kind": type(members).__name__})
             continue
         yield sample, members
 
@@ -348,7 +385,8 @@ def run_closed_loop_stage(samples: Sequence[Sample], reason_backend, recon_backe
 
     def scored() -> Iterator[ScoredRecord]:
         for sample, members in _run_groups(samples, group_size, seed, member_for,
-                                           result.failures, done):
+                                           result.failures,
+                                           (reason_backend, recon_backend), done):
             if len(members) >= 2:
                 _, record = select_best_of_group(Group.build(sample.id, members))
             else:
@@ -416,7 +454,7 @@ def run_rft_reward_eval(samples: Sequence[Sample], r1_backend, group_size: int,
 
     def rows() -> Iterator[dict]:
         for sample, members in _run_groups(samples, group_size, seed, member_for,
-                                           result.failures):
+                                           result.failures, (r1_backend,)):
             rewards = [reward for _, reward in members]
             advantages = (compute_group_advantages(rewards)
                           if len(rewards) >= 2 else [0.0] * len(rewards))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import re
+import threading
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
@@ -16,6 +17,18 @@ from typing import Optional
 from .domain import (Annotation, Box, BoxSet, Classification, Detection,
                      Distribution, TaskKind, validate_annotation)
 from .errors import MalformedAnswer, MissingVariable, TemplateError
+
+# ast.literal_eval converts its parse tree under an interpreter-wide depth
+# counter: in CPython 3.11.7 and earlier (gh-106905) a thread switch inside the
+# conversion, such as a finalizer run by the garbage collector, raises
+# SystemError in another thread. GRPO groups parse answers on worker threads.
+_LITERAL_LOCK = threading.Lock()
+
+
+def _literal_eval(text: str):
+    with _LITERAL_LOCK:
+        return ast.literal_eval(text)
+
 
 PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
@@ -114,7 +127,7 @@ def parse_distribution_answer(answer_raw: str, categories) -> Distribution:
     """
     literal = _first_balanced(answer_raw, "{", "}")
     try:
-        obj = ast.literal_eval(literal)
+        obj = _literal_eval(literal)
     except (ValueError, SyntaxError) as e:
         raise MalformedAnswer(f"unparseable map literal: {e}") from e
     if not isinstance(obj, dict):
@@ -140,7 +153,7 @@ def parse_box_answer(answer_raw: str) -> tuple[BoxSet, bool]:
     """
     literal = _first_balanced(answer_raw, "[", "]")
     try:
-        obj = ast.literal_eval(literal)
+        obj = _literal_eval(literal)
     except (ValueError, SyntaxError) as e:
         raise MalformedAnswer(f"unparseable box literal: {e}") from e
     if not isinstance(obj, (list, tuple)):
@@ -218,7 +231,7 @@ def _is_bare_literal(text: str) -> bool:
     if not stripped or stripped[0] not in "{[(":
         return False
     try:
-        ast.literal_eval(stripped)
+        _literal_eval(stripped)
         return True
     except (ValueError, SyntaxError):
         return False

@@ -12,8 +12,8 @@ from cotloop.backends import (CueWorld, DEFAULT_TEMPLATE_BANK,
                               SyntheticReconBackend, extract_cot_from_prompt,
                               synthetic_reason, synthetic_reconstruct)
 from cotloop.domain import Classification, Detection
-from cotloop.errors import (AuthFailure, MockMiss, RemoteUnavailable,
-                            TemplateError, Timeout)
+from cotloop.errors import (AuthFailure, BadPayload, InvalidSetting, MockMiss,
+                            RemoteUnavailable, TemplateError, Timeout)
 from cotloop.reward import closed_loop_reward, think_answer_reward
 from cotloop.textproto import detect_leak, validate_f_r1
 from cotloop.pipeline import reconstruction_prompt
@@ -52,6 +52,21 @@ class FakeResponse:
     def json(self):
         return {"choices": [{"message": {"content": self._content}}],
                 "usage": self._usage}
+
+
+class PayloadResponse:
+    """A 200 reply whose body decodes to `payload`, or raises it if it is an
+    exception (a body that is not JSON)."""
+
+    status_code = 200
+
+    def __init__(self, payload):
+        self._payload = payload
+
+    def json(self):
+        if isinstance(self._payload, Exception):
+            raise self._payload
+        return self._payload
 
 
 class FakeSession:
@@ -94,10 +109,51 @@ def test_remote_retries_with_backoff(monkeypatch):
     sleeps = []
     session = FakeSession([FakeResponse(status_code=500),
                            requests.ConnectionError("down"),
+                           PayloadResponse({"choices": []}),
                            FakeResponse(content="hello")])
-    backend = make_remote(session, sleeps)
+    backend = make_remote(session, sleeps, max_attempts=4)
     assert backend.generate(req()) == "hello"
-    assert sleeps == [1.0, 2.0]  # exponential backoff, base 1s
+    assert sleeps == [1.0, 2.0, 4.0]  # exponential backoff, base 1s
+
+
+@pytest.mark.parametrize("payload", [
+    ValueError("Expecting value: line 1 column 1 (char 0)"),
+    {"usage": {}},
+    {"choices": []},
+    {"choices": None},
+    {"choices": [{"text": "legacy completion shape"}]},
+    {"choices": [{"message": {"content": None}}]},
+    {"choices": [{"message": {"content": ["a", "list"]}}]},
+    ["not", "an", "object"],
+], ids=["not-json", "no-choices", "empty-choices", "null-choices", "no-message",
+        "null-content", "list-content", "not-an-object"])
+def test_remote_bad_payload_is_retried_then_raised(monkeypatch, payload):
+    monkeypatch.setenv("COTLOOP_API_KEY", "k")
+    sleeps = []
+    session = FakeSession([PayloadResponse(payload)] * 3)
+    backend = make_remote(session, sleeps)
+    with pytest.raises(BadPayload):
+        backend.generate(req())
+    assert len(session.calls) == 3
+    assert sleeps == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("cap", [0, -1, 1.5, "4"])
+def test_remote_rejects_a_cap_that_is_not_a_positive_int(cap):
+    with pytest.raises(InvalidSetting, match="max_in_flight"):
+        make_remote(FakeSession([]), [], max_in_flight=cap)
+
+
+def test_remote_sizes_its_own_connection_pool_to_the_cap():
+    backend = RemoteBackend(endpoint="https://api.example.test/v1/chat",
+                            model="test-model", max_in_flight=16)
+    assert backend.max_in_flight == 16
+    for url in ("http://api.example.test/", "https://api.example.test/"):
+        assert backend._session.get_adapter(url)._pool_maxsize == 16
+    injected = requests.Session()
+    make_remote(injected, [], max_in_flight=16)
+    assert (injected.get_adapter("https://api.example.test/")._pool_maxsize
+            == requests.adapters.DEFAULT_POOLSIZE)
 
 
 def test_remote_exhausts_attempts(monkeypatch):
@@ -132,6 +188,7 @@ def test_remote_body_and_ledger(monkeypatch, tmp_path):
     assert session.calls[0]["headers"]["Authorization"] == "Bearer secret-key"
     entry = json.loads(ledger.read_text().strip())
     assert entry["sample_id"] == "s"
+    assert entry["seed"] == 42  # with requests in flight, lines come in completion order
     assert "usage" in entry and "prompt_sha256" in entry
     # The raw prompt and the credential never reach the ledger.
     assert "describe" not in ledger.read_text()

@@ -58,6 +58,20 @@ def test_backend_exhaustion_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_remote_cap_below_one_exits_one(tmp_path, capsys):
+    config = write_world_config(tmp_path / "config.yaml")
+    cfg = yaml.safe_load(open(config))
+    remote = {"kind": "remote", "endpoint": "http://localhost:9/v1/chat",
+              "model": "m", "max_in_flight": 0}
+    cfg["backends"] = {"reason": remote, "recon": remote}
+    (tmp_path / "config.yaml").write_text(yaml.safe_dump(cfg))
+    code = cli_dispatch(["gen-cot", "--config", config,
+                         "--records", str(tmp_path / "records.jsonl")])
+    assert code == 1
+    assert "max_in_flight" in capsys.readouterr().err
+    assert not (tmp_path / "records.jsonl").exists()
+
+
 # --- filter ------------------------------------------------------------------------
 
 def test_filter_fixture_output(tmp_path, capsys):

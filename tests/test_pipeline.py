@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import sys
+import threading
+import time
+from collections import Counter
 
 import pytest
 
-from cotloop.backends import (CueWorld, MockBackend, SyntheticR1Backend,
-                              SyntheticReasonBackend, SyntheticReconBackend)
+from cotloop.backends import (CueWorld, GenerationRequest, MockBackend, RemoteBackend,
+                              SyntheticR1Backend, SyntheticReasonBackend,
+                              SyntheticReconBackend)
 from cotloop.domain import (Box, BoxSet, Classification, Distribution, Sample)
 from cotloop.errors import (CotloopError, DomainError, HeaderMismatch,
                             MissingFile, ValidationFailure)
@@ -343,6 +348,153 @@ def test_rft_eval_partial_fidelity_between(stage_world):
     mid = run_rft_reward_eval(samples, SyntheticR1Backend(stage_world, 0.5),
                               group_size=4, seed=0)
     assert 0.0 < mid.mean_reward < 1.0
+
+
+# --- groups in flight over remote backends ---------------------------------------------
+
+class Reply:
+    def __init__(self, status_code, payload):
+        self.status_code = status_code
+        self._payload = payload
+
+    def json(self):
+        if isinstance(self._payload, Exception):
+            raise self._payload
+        return self._payload
+
+
+class ServiceSession:
+    """Fake chat-completion service answering each model with a synthetic backend.
+
+    Every post waits about 2 ms and counts the posts open per model. The first
+    attempt of every request whose seed is divisible by 5 gets a 503. Every
+    post for a sample in `bad_body` gets a body that is not JSON, every post
+    for one in `down` a 503, and a post for `crash` raises an error that is
+    not a backend failure.
+    """
+
+    def __init__(self, world, bad_body=(), down=(), crash=None):
+        self.models = {"reason": SyntheticReasonBackend(world, 0.6),
+                       "recon": SyntheticReconBackend(world),
+                       "r1": SyntheticR1Backend(world, 0.6)}
+        self.bad_body, self.down, self.crash = set(bad_body), set(down), crash
+        self._lock = threading.Lock()
+        self.open, self.peak, self.seen = Counter(), Counter(), set()
+        self.answered = Counter()
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        image, text = json["messages"][0]["content"]
+        sample_id = image["image_url"]["url"].removeprefix("synthetic://")
+        model, seed = json["model"], json["seed"]
+        with self._lock:
+            self.open[model] += 1
+            self.peak[model] = max(self.peak[model], self.open[model])
+            first = (model, sample_id, seed) not in self.seen
+            self.seen.add((model, sample_id, seed))
+        try:
+            time.sleep(0.002)
+            if sample_id == self.crash:
+                raise RuntimeError(f"session broke on {sample_id}")
+            if sample_id in self.bad_body:
+                return Reply(200, ValueError("Expecting value: line 1 column 1 (char 0)"))
+            if sample_id in self.down or (first and seed % 5 == 0):
+                return Reply(503, {})
+            out = self.models[model].generate(GenerationRequest(
+                sample_id=sample_id, image_ref=image["image_url"]["url"],
+                prompt=text["text"], temperature=json["temperature"],
+                max_tokens=json["max_tokens"], seed=seed))
+            with self._lock:
+                self.answered[model] += 1
+            return Reply(200, {"choices": [{"message": {"content": out}}], "usage": {}})
+        finally:
+            with self._lock:
+                self.open[model] -= 1
+
+
+@pytest.fixture(scope="module")
+def remote_world():
+    return CueWorld(num_samples=12, cues_per_sample=2, vocab_size=8, seed=3)
+
+
+def remote_run(world, root, cap, session, ledger=False):
+    """Closed-loop stage and rft eval through RemoteBackends capped at `cap`."""
+    remote = {model: RemoteBackend(endpoint="http://service.test/v1/chat", model=model,
+                                   max_in_flight=cap, session=session,
+                                   sleep=lambda seconds: None,
+                                   ledger_path=(str(root / f"ledger-{model}.jsonl")
+                                                if ledger else None))
+              for model in ("reason", "recon", "r1")}
+    samples = [s.as_sample() for s in world.samples]
+    records, book = root / "records.jsonl", root / "book.jsonl"
+    stage = run_closed_loop_stage(samples, remote["reason"], remote["recon"],
+                                  group_size=3, seed=5, records_path=str(records))
+    rft = run_rft_reward_eval(samples, remote["r1"], group_size=3, seed=5,
+                              bookkeeping_path=str(book))
+    return stage, rft, records.read_bytes(), book.read_bytes()
+
+
+def test_groups_in_flight_write_the_bytes_of_a_sequential_run(remote_world, tmp_path,
+                                                              monkeypatch):
+    monkeypatch.setenv("COTLOOP_API_KEY", "k")
+    samples = [s.as_sample() for s in remote_world.samples]
+    bad_body, down = "syn-0002", "syn-0007"
+    # In-process backends run on the calling thread: the sequential reference.
+    kept = [s for s in samples if s.id not in (bad_body, down)]
+    reference = {"records": tmp_path / "reference-records.jsonl",
+                 "book": tmp_path / "reference-book.jsonl"}
+    run_closed_loop_stage(kept, SyntheticReasonBackend(remote_world, 0.6),
+                          SyntheticReconBackend(remote_world), group_size=3, seed=5,
+                          records_path=str(reference["records"]))
+    run_rft_reward_eval(kept, SyntheticR1Backend(remote_world, 0.6), group_size=3, seed=5,
+                        bookkeeping_path=str(reference["book"]))
+    failures = [
+        {"sample_id": bad_body, "kind": "BadPayload",
+         "error": "malformed reply: ValueError: Expecting value: line 1 column 1 (char 0)"},
+        {"sample_id": down, "kind": "RemoteUnavailable", "error": "HTTP 503"}]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for cap in (1, 2, 3):
+            root = tmp_path / f"cap{cap}"
+            root.mkdir()
+            session = ServiceSession(remote_world, bad_body=[bad_body], down=[down])
+            stage, rft, records, book = remote_run(remote_world, root, cap, session,
+                                                   ledger=True)
+            assert records == reference["records"].read_bytes()
+            assert book == reference["book"].read_bytes()
+            assert stage.failures == failures and rft.failures == failures
+            assert all(peak <= cap for peak in session.peak.values()), session.peak
+            if cap > 1:
+                assert max(session.peak.values()) > 1, session.peak
+            for model in ("reason", "recon", "r1"):
+                lines = (root / f"ledger-{model}.jsonl").read_text().splitlines()
+                entries = [json.loads(line) for line in lines]
+                assert len(entries) == session.answered[model]
+                assert len({(e["sample_id"], e["seed"]) for e in entries}) == len(entries)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_an_error_in_one_group_leaves_an_in_order_prefix(remote_world, tmp_path,
+                                                         monkeypatch):
+    monkeypatch.setenv("COTLOOP_API_KEY", "k")
+    full_root, root = tmp_path / "full", tmp_path / "crashed"
+    full_root.mkdir()
+    root.mkdir()
+    _, _, full, _ = remote_run(remote_world, full_root, 3,
+                               ServiceSession(remote_world, down=["syn-0002"]))
+    with pytest.raises(RuntimeError, match="syn-0005"):
+        remote_run(remote_world, root, 3,
+                   ServiceSession(remote_world, down=["syn-0002"], crash="syn-0005"))
+    assert not [t for t in threading.enumerate() if t.name.startswith("cotloop-group")]
+    prefix = (root / "records.jsonl").read_bytes()
+    ids = [json.loads(line)["sample_id"] for line in prefix.splitlines()[1:]]
+    assert ids == ["syn-0000", "syn-0001", "syn-0003", "syn-0004"]
+    assert full.startswith(prefix)
+    _, _, resumed, _ = remote_run(remote_world, root, 3,
+                                  ServiceSession(remote_world, down=["syn-0002"]))
+    assert resumed == full
 
 
 # --- evaluation ------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Prompt rendering, answer parsing, leak detection, format gates."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -111,6 +114,34 @@ def test_parse_distribution_answer_bad_values():
         parse_distribution_answer("{'a': 'x', 'b': 0.5}", ("a", "b"))
     with pytest.raises(MalformedAnswer):
         parse_distribution_answer("no braces at all", ("a", "b"))
+
+
+class _Cycle:
+    """Cyclic garbage whose finalizer runs Python code inside the collector."""
+
+    def __init__(self):
+        self.me = self
+
+    def __del__(self):
+        sum(range(50))
+
+
+def test_answer_parsing_survives_concurrent_threads():
+    categories = tuple(f"c{i}" for i in range(24))
+    probs = {c: 1 / 24 for c in categories}
+
+    def parse_many(_):
+        for _ in range(1500):
+            _Cycle(), _Cycle()
+            assert parse_distribution_answer(repr(probs), categories).probs == probs
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(3) as pool:
+            list(pool.map(parse_many, range(3), timeout=120))
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_parse_distribution_answer_no_sum_constraint():
