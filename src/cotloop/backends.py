@@ -58,6 +58,11 @@ class MockBackend:
             raise MockMiss(f"no canned response for prompt: {request.prompt[:80]!r}")
 
 
+def _require(name: str, value, ok: bool, want: str) -> None:
+    if not ok:
+        raise InvalidSetting(f"{name} must be {want}, got {value!r}")
+
+
 class RemoteBackend:
     """Chat-completion client with bounded concurrency and retry/backoff.
 
@@ -65,7 +70,9 @@ class RemoteBackend:
     open at once; the stages run as many GRPO groups at once as the caps of
     their backends add up to (see `pipeline._run_groups`). A session built
     here pools up to `max_in_flight` connections per host; one passed in is
-    used as given.
+    used as given. A `max_in_flight` or `max_attempts` that is not an
+    integer >= 1, a `timeout` <= 0 or a negative `backoff_base` raises
+    InvalidSetting.
 
     The credential is read from the environment variable named at
     construction, never from config files. Every answered request is
@@ -80,8 +87,14 @@ class RemoteBackend:
                  ledger_path: Optional[str] = None,
                  session: Optional[requests.Session] = None,
                  sleep: Callable[[float], None] = time.sleep):
-        if not isinstance(max_in_flight, int) or max_in_flight < 1:
-            raise InvalidSetting(f"max_in_flight must be an integer >= 1, got {max_in_flight!r}")
+        _require("max_in_flight", max_in_flight,
+                 isinstance(max_in_flight, int) and max_in_flight >= 1, "an integer >= 1")
+        _require("max_attempts", max_attempts,
+                 isinstance(max_attempts, int) and max_attempts >= 1, "an integer >= 1")
+        _require("timeout", timeout,
+                 isinstance(timeout, (int, float)) and timeout > 0, "a number > 0")
+        _require("backoff_base", backoff_base,
+                 isinstance(backoff_base, (int, float)) and backoff_base >= 0, "a number >= 0")
         self.endpoint = endpoint
         self.model = model
         self.auth_env = auth_env
@@ -319,7 +332,7 @@ def synthetic_reason(sample: SyntheticSample, template_id: int,
     return bank[template_id].replace("{cues}", phrase)
 
 
-def synthetic_reconstruct(world: CueWorld, image_ref: str, cot: str) -> str:
+def synthetic_reconstruct(world: CueWorld, cot: str) -> str:
     """Apply the world rule to the cues mentioned in a CoT; render as an answer string."""
     cues = world.extract_cues(cot)
     annotation = world.rule(cues)
@@ -400,7 +413,7 @@ class SyntheticReconBackend:
 
     def generate(self, request: GenerationRequest) -> str:
         cot = extract_cot_from_prompt(request.prompt, self.world.kind)
-        return synthetic_reconstruct(self.world, request.image_ref, cot)
+        return synthetic_reconstruct(self.world, cot)
 
 
 class SyntheticR1Backend(SyntheticReasonBackend):

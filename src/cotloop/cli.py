@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+from typing import Optional
 
 import yaml
 
@@ -25,7 +26,8 @@ from .backends import (CueWorld, MockBackend, RemoteBackend,
                        SyntheticReconBackend)
 from .domain import (Box, BoxSet, Classification, Detection, Distribution,
                      Sample, mask_to_box)
-from .errors import BackendError, CotloopError
+from .errors import (BackendError, CotloopError, InvalidSetting, MalformedLine,
+                     MissingFile)
 from .grpo import export_curve, train_toy_policy
 from .pipeline import (evaluate_predictions, export_sft_corpus, load_dataset,
                        load_predictions, load_records, run_closed_loop_stage,
@@ -33,6 +35,10 @@ from .pipeline import (evaluate_predictions, export_sft_corpus, load_dataset,
 from .reward import DEFAULT_TAU, filter_high_subset, histogram_bins, reward_histogram
 
 USAGE_EXIT = 64
+# Flags that `ingest --task <kind>` cannot do without.
+INGEST_NEEDS = {"classification": ("categories",), "detection": ("width", "height")}
+# Keys a backend spec of each kind cannot do without.
+BACKEND_NEEDS = {"mock": ("responses",), "remote": ("endpoint", "model")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,11 +56,30 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def _open(path: str):
+    """Open an input for a parser that decodes bytes itself (JSON, YAML);
+    MissingFile when there is none."""
+    try:
+        return open(path, "rb")
+    except FileNotFoundError:
+        raise MissingFile(path) from None
+
+
+def _mapping(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise InvalidSetting(f"{where} must be a mapping, got {type(value).__name__}")
+    return value
+
+
 def _load_config(path):
     if not path:
         return {}
-    with open(path, encoding="utf-8") as f:
-        return yaml.safe_load(f) or {}
+    with _open(path) as f:
+        try:
+            config = yaml.safe_load(f) or {}
+        except yaml.YAMLError as e:
+            raise InvalidSetting(f"{path}: not a YAML file: {' '.join(str(e).split())}") from None
+    return _mapping(config, path)
 
 
 def _resolve(flag_value, config, key, default):
@@ -85,17 +110,33 @@ def _write_manifest(output_path: str, args: argparse.Namespace, config: dict,
         f.write("\n")
 
 
-def _build_world(config: dict) -> CueWorld:
-    w = config.get("world", {})
-    return CueWorld(kind=w.get("kind", "classification"),
-                    num_samples=w.get("num_samples", 50),
-                    cues_per_sample=w.get("cues_per_sample", 4),
-                    vocab_size=w.get("vocab_size", 24),
-                    seed=w.get("seed", 0))
+def _world_flags(args, seed: int) -> dict:
+    return {"num_samples": args.world_samples, "cues_per_sample": args.world_cues,
+            "vocab_size": args.world_vocab, "seed": seed}
 
 
-def _build_backend(spec: dict, stage: str, world):
+def _build_world(config: dict, flags: Optional[dict] = None) -> Optional[CueWorld]:
+    """The world block of the config, else the world `flags` describe, else None."""
+    if "world" not in config and flags is None:
+        return None
+    w = _mapping(config.get("world", flags), "world")
+    try:
+        return CueWorld(kind=w.get("kind", "classification"),
+                        num_samples=w.get("num_samples", 50),
+                        cues_per_sample=w.get("cues_per_sample", 4),
+                        vocab_size=w.get("vocab_size", 24),
+                        seed=w.get("seed", 0))
+    except (ValueError, TypeError) as e:
+        raise InvalidSetting(f"world: {e}") from None
+
+
+def _build_backend(config: dict, stage: str, world, default: Optional[dict] = None):
+    backends = _mapping(config.get("backends", {}), "backends")
+    spec = _mapping(backends.get(stage, default or {}), f"backends.{stage}")
     kind = spec.get("kind", "synthetic")
+    missing = [key for key in BACKEND_NEEDS.get(kind, ()) if key not in spec]
+    if missing:
+        raise InvalidSetting(f"backends.{stage}: a {kind} backend needs {', '.join(missing)}")
     if kind == "synthetic":
         if world is None:
             raise CotloopError("synthetic backend requires a world block in config")
@@ -105,8 +146,11 @@ def _build_backend(spec: dict, stage: str, world):
             return SyntheticReconBackend(world)
         return SyntheticR1Backend(world, fidelity=spec.get("fidelity", 1.0))
     if kind == "mock":
-        with open(spec["responses"], encoding="utf-8") as f:
-            return MockBackend(json.load(f))
+        with _open(spec["responses"]) as f:
+            try:
+                return MockBackend(json.load(f))
+            except (ValueError, TypeError) as e:
+                raise InvalidSetting(f"{spec['responses']}: not a JSON mapping: {e}") from None
     if kind == "remote":
         return RemoteBackend(endpoint=spec["endpoint"], model=spec["model"],
                              auth_env=spec.get("auth_env", "COTLOOP_API_KEY"),
@@ -135,21 +179,24 @@ def _cmd_ingest(args):
     else:
         task = Detection(image_width=args.width, image_height=args.height)
     samples = []
-    with open(args.input, encoding="utf-8") as f:
-        for raw in f:
+    with _open(args.input) as f:
+        for n, raw in enumerate(f, start=1):
             if not raw.strip():
                 continue
-            obj = json.loads(raw)
-            if args.task == "classification":
-                annotation = Distribution({str(k): float(v)
-                                           for k, v in obj["probs"].items()})
-            elif "mask" in obj:
-                annotation = BoxSet((mask_to_box(obj["mask"]),))
-            else:
-                annotation = BoxSet(tuple(Box(*map(float, b)) for b in obj["boxes"]))
-            samples.append(Sample(id=str(obj["id"]), image_ref=str(obj["image_ref"]),
-                                  task=task, annotation=annotation,
-                                  target_desc=obj.get("target_desc")))
+            try:
+                obj = json.loads(raw)
+                if args.task == "classification":
+                    annotation = Distribution({str(k): float(v)
+                                               for k, v in obj["probs"].items()})
+                elif "mask" in obj:
+                    annotation = BoxSet((mask_to_box(obj["mask"]),))
+                else:
+                    annotation = BoxSet(tuple(Box(*map(float, b)) for b in obj["boxes"]))
+                samples.append(Sample(id=str(obj["id"]), image_ref=str(obj["image_ref"]),
+                                      task=task, annotation=annotation,
+                                      target_desc=obj.get("target_desc")))
+            except (ValueError, LookupError, TypeError, AttributeError, CotloopError) as e:
+                raise MalformedLine(args.input, n, e) from e
     save_dataset(samples, task, args.output)
     _write_manifest(args.output, args, config, [args.input])
     print(f"ingested {len(samples)} samples -> {args.output}")
@@ -161,10 +208,9 @@ def _cmd_gen_cot(args):
     group_size, gs_src = _resolve(args.group_size, config, "group_size", 8)
     seed, seed_src = _resolve(args.seed, config, "seed", 0)
     _print_settings({"group_size": (group_size, gs_src), "seed": (seed, seed_src)})
-    world = _build_world(config) if "world" in config else None
-    backends = config.get("backends", {})
-    reason = _build_backend(backends.get("reason", {}), "reason", world)
-    recon = _build_backend(backends.get("recon", {}), "recon", world)
+    world = _build_world(config)
+    reason = _build_backend(config, "reason", world)
+    recon = _build_backend(config, "recon", world)
     samples = _dataset_or_world(args, config, world)
     result = run_closed_loop_stage(samples, reason, recon, group_size=group_size,
                                    seed=seed, records_path=args.records)
@@ -204,8 +250,8 @@ def _cmd_rft_eval(args):
     group_size, gs_src = _resolve(args.group_size, config, "group_size", 8)
     seed, seed_src = _resolve(args.seed, config, "seed", 0)
     _print_settings({"group_size": (group_size, gs_src), "seed": (seed, seed_src)})
-    world = _build_world(config) if "world" in config else None
-    r1 = _build_backend(config.get("backends", {}).get("r1", {}), "r1", world)
+    world = _build_world(config)
+    r1 = _build_backend(config, "r1", world)
     samples = _dataset_or_world(args, config, world)
     result = run_rft_reward_eval(samples, r1, group_size=group_size, seed=seed,
                                  bookkeeping_path=args.output)
@@ -222,9 +268,7 @@ def _cmd_rft_eval(args):
 
 def _cmd_train_toy(args):
     config = _load_config(args.config)
-    world = _build_world(config) if "world" in config else CueWorld(
-        num_samples=args.world_samples, cues_per_sample=args.world_cues,
-        vocab_size=args.world_vocab, seed=args.world_seed)
+    world = _build_world(config, _world_flags(args, args.world_seed))
     result = train_toy_policy(world, steps=args.steps, group_size=args.group_size,
                               seed=args.seed, learning_rate=args.lr,
                               minibatch_size=args.minibatch)
@@ -256,12 +300,9 @@ def _cmd_audit(args):
     tau, tau_src = _resolve(args.tau, config, "tau", DEFAULT_TAU)
     seed, seed_src = _resolve(args.seed, config, "seed", 0)
     _print_settings({"tau": (tau, tau_src), "seed": (seed, seed_src)})
-    world = _build_world(config) if "world" in config else CueWorld(
-        num_samples=args.world_samples, cues_per_sample=args.world_cues,
-        vocab_size=args.world_vocab, seed=seed)
-    backends = config.get("backends", {})
-    reason = _build_backend(backends.get("reason", {"fidelity": 0.9}), "reason", world)
-    recon = _build_backend(backends.get("recon", {}), "recon", world)
+    world = _build_world(config, _world_flags(args, seed))
+    reason = _build_backend(config, "reason", world, {"fidelity": 0.9})
+    recon = _build_backend(config, "recon", world)
     samples = [s.as_sample() for s in world.samples]
     report, _ = run_noise_audit(samples, fraction=args.fraction,
                                 reason_backend=reason, recon_backend=recon,
@@ -391,6 +432,11 @@ def cli_dispatch(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "ingest":
+            missing = [f"--{name}" for name in INGEST_NEEDS[args.task]
+                       if getattr(args, name) is None]
+            if missing:
+                parser.error(f"--task {args.task} needs {' and '.join(missing)}")
     except SystemExit as e:
         return e.code if e.code is not None else 0
     try:

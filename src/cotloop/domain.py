@@ -93,9 +93,6 @@ class Distribution:
     def __post_init__(self):
         object.__setattr__(self, "probs", dict(self.probs))
 
-    def values_in_order(self, categories: Sequence[str]) -> list[float]:
-        return [self.probs[c] for c in categories]
-
     def total(self) -> float:
         return sum(self.probs.values())
 

@@ -65,14 +65,14 @@ class Group:
         return [m.breakdown.composite for m in self.members]
 
 
-def select_best_of_group(group: Group) -> tuple[int, ScoredRecord]:
+def select_best_of_group(sample_id: str,
+                         members: Sequence[GroupMember]) -> tuple[int, ScoredRecord]:
     """Highest-reward member; ties break to the lowest index."""
-    if not group.members:
+    if not members:
         raise DomainError("cannot select from an empty group")
-    best = max(range(len(group.members)),
-               key=lambda i: (group.members[i].breakdown.composite, -i))
-    m = group.members[best]
-    record = ScoredRecord(sample_id=group.sample_id, cot=m.cot,
+    best = max(range(len(members)), key=lambda i: (members[i].breakdown.composite, -i))
+    m = members[best]
+    record = ScoredRecord(sample_id=sample_id, cot=m.cot,
                           reconstruction=m.reconstruction,
                           reward=m.breakdown.composite, breakdown=m.breakdown)
     return best, record
@@ -140,11 +140,6 @@ def build_toy_policy(world: CueWorld, distractors: int = 3,
     return ToyPolicy(logits=logits, learning_rate=learning_rate)
 
 
-def _sample_buckets(policy: ToyPolicy, sample_id: str) -> list[str]:
-    prefix = f"{sample_id}|"
-    return [b for b in policy.logits if b.startswith(prefix)]
-
-
 @dataclass
 class ToyTrainResult:
     curve: list[float] = field(default_factory=list)
@@ -152,12 +147,11 @@ class ToyTrainResult:
 
 
 def train_toy_policy(world: CueWorld, steps: int, group_size: int, seed: int,
-                     bank: Sequence[str] = DEFAULT_TEMPLATE_BANK,
-                     distractors: int = 3, learning_rate: float = 0.5,
-                     minibatch_size: Optional[int] = None,
-                     policy: Optional[ToyPolicy] = None) -> ToyTrainResult:
-    """Train the toy policy and return the per-step mean best-of-group
-    reward curve. Fully deterministic under a fixed seed.
+                     learning_rate: float = 0.5,
+                     minibatch_size: Optional[int] = None) -> ToyTrainResult:
+    """Train a fresh toy policy (see `build_toy_policy`) and return the
+    per-step mean best-of-group reward curve. Fully deterministic under a
+    fixed seed.
 
     By default every step visits the whole dataset (full batch), which
     keeps the per-step mean reward low-variance; pass a smaller
@@ -167,12 +161,14 @@ def train_toy_policy(world: CueWorld, steps: int, group_size: int, seed: int,
         raise DomainError("steps must be >= 1")
     if group_size < 2:
         raise DomainError("group size must be >= 2")
-    if policy is None:
-        policy = build_toy_policy(world, distractors=distractors, bank=bank,
-                                  learning_rate=learning_rate)
+    if minibatch_size is not None and minibatch_size < 1:
+        raise DomainError("minibatch size must be >= 1")
+    policy = build_toy_policy(world, learning_rate=learning_rate)
     # String seeds hash deterministically across processes (unlike tuples).
     rng = random.Random(f"toy-train|{seed}")
     samples = list(world.samples)
+    buckets = {s.id: [b for b in policy.logits if b.startswith(f"{s.id}|")]
+               for s in samples}
     result = ToyTrainResult(policy=policy)
     reward_cache: dict[tuple, RewardBreakdown] = {}
     batch_size = len(samples) if minibatch_size is None else min(
@@ -181,29 +177,23 @@ def train_toy_policy(world: CueWorld, steps: int, group_size: int, seed: int,
         batch = rng.sample(samples, batch_size)
         step_best: list[float] = []
         for sample in batch:
-            buckets = _sample_buckets(policy, sample.id)
             draws: list[dict[str, str]] = []
             members = []
             for _g in range(group_size):
-                draw = {b: policy.sample_choices(b, rng, 1)[0] for b in buckets}
+                draw = {b: policy.sample_choices(b, rng, 1)[0] for b in buckets[sample.id]}
                 draws.append(draw)
                 template_id = int(draw[f"{sample.id}|template"][1:])
                 subset = sorted(b.rsplit("|", 1)[1] for b, c in draw.items()
                                 if c == "in")
+                cot = synthetic_reason(sample, template_id, subset)
                 key = (sample.id, template_id, tuple(subset))
-                breakdown = reward_cache.get(key)
-                if breakdown is None:
-                    cot = synthetic_reason(sample, template_id, subset, bank)
-                    recon_text = synthetic_reconstruct(world, sample.image_ref, cot)
-                    breakdown = closed_loop_reward(sample.as_sample(), cot, recon_text)
-                    reward_cache[key] = breakdown
-                    cot_text = cot
-                else:
-                    cot_text = synthetic_reason(sample, template_id, subset, bank)
-                members.append(GroupMember(cot=cot_text, reconstruction=None,
-                                           breakdown=breakdown))
+                if key not in reward_cache:
+                    reward_cache[key] = closed_loop_reward(
+                        sample.as_sample(), cot, synthetic_reconstruct(world, cot))
+                members.append(GroupMember(cot=cot, reconstruction=None,
+                                           breakdown=reward_cache[key]))
             group = Group.build(sample.id, members)
-            for b in buckets:
+            for b in buckets[sample.id]:
                 policy.update(b, [d[b] for d in draws], group.advantages)
             step_best.append(max(group.rewards))
         result.curve.append(sum(step_best) / len(step_best))

@@ -33,9 +33,9 @@ from .backends import GenerationRequest
 from .domain import (Annotation, Box, BoxSet, Classification, Detection,
                      Distribution, RewardBreakdown, Sample, ScoredRecord,
                      validate_annotation)
-from .errors import (BackendError, DomainError, HeaderMismatch, MalformedLine,
-                     MissingFile, ValidationFailure)
-from .grpo import Group, GroupMember, compute_group_advantages, select_best_of_group
+from .errors import (BackendError, DomainError, HeaderMismatch, InvalidSetting,
+                     MalformedLine, MissingFile, ValidationFailure)
+from .grpo import GroupMember, compute_group_advantages, select_best_of_group
 from .render import render_annotation
 from .reward import DEFAULT_TAU, closed_loop_reward, think_answer_reward
 from .similarity import hungarian_match, jsd
@@ -279,6 +279,12 @@ def r1_prompt(sample: Sample) -> str:
 
 # --- the group loop ----------------------------------------------------------
 
+def _require_group_size(group_size) -> None:
+    """Both stages call this before they read or write any file."""
+    if not isinstance(group_size, int) or group_size < 1:
+        raise InvalidSetting(f"group_size must be an integer >= 1, got {group_size!r}")
+
+
 def _derive_seed(seed: int, sample_id: str, g: int) -> int:
     h = hashlib.sha256(f"{seed}|{sample_id}|{g}".encode()).hexdigest()
     return int(h[:12], 16)
@@ -359,6 +365,7 @@ def run_closed_loop_stage(samples: Sequence[Sample], reason_backend, recon_backe
     restarted run skips sample ids already present in the record file.
     Backend failures go into the failure manifest; the stage completes.
     """
+    _require_group_size(group_size)
     result = StageResult()
     resumed: list[dict] = []
     if records_path is not None:
@@ -387,14 +394,7 @@ def run_closed_loop_stage(samples: Sequence[Sample], reason_backend, recon_backe
         for sample, members in _run_groups(samples, group_size, seed, member_for,
                                            result.failures,
                                            (reason_backend, recon_backend), done):
-            if len(members) >= 2:
-                _, record = select_best_of_group(Group.build(sample.id, members))
-            else:
-                m = members[0]
-                record = ScoredRecord(sample_id=sample.id, cot=m.cot,
-                                      reconstruction=m.reconstruction,
-                                      reward=m.breakdown.composite,
-                                      breakdown=m.breakdown)
+            _, record = select_best_of_group(sample.id, members)
             result.records.append(record)
             yield record
 
@@ -414,9 +414,14 @@ def export_sft_corpus(records: Sequence[ScoredRecord], samples: Sequence[Sample]
     """Filter at tau and write one think-answer training line per kept record.
 
     The target wraps the record's CoT in <think> tags and the sample's
-    ground-truth annotation, canonically rendered, in <answer> tags.
+    ground-truth annotation, canonically rendered, in <answer> tags. Records
+    of sample ids missing from `samples` raise DomainError, and no file is
+    written.
     """
     by_id = {s.id: s for s in samples}
+    unknown = sorted({r.sample_id for r in records} - set(by_id))
+    if unknown:
+        raise DomainError(f"records for unknown sample ids: {unknown[:5]}")
     kept = [(r, by_id[r.sample_id]) for r in records if r.reward >= tau]
     _write_jsonl(path, SFT, (
         {"image_ref": sample.image_ref, "prompt": r1_prompt(sample),
@@ -439,6 +444,7 @@ def run_rft_reward_eval(samples: Sequence[Sample], r1_backend, group_size: int,
                         seed: int, bookkeeping_path: Optional[str] = None) -> RftEvalResult:
     """Sample G think-answer outputs per sample, score with the format-gated
     reward, and emit the grouping bookkeeping an external trainer consumes."""
+    _require_group_size(group_size)
     result = RftEvalResult()
     totals: list[float] = []
 

@@ -12,7 +12,7 @@ from .domain import (Classification, RewardBreakdown, Sample, ScoredRecord,
                      make_breakdown)
 from .errors import DomainError
 from .similarity import classification_similarity, detection_similarity
-from .textproto import ParsedOutput, detect_leak, validate_f_cot, validate_f_r1
+from .textproto import ParsedOutput, detect_leak, think_precedes_answer, validate_f_cot
 
 HISTOGRAM_EDGES = (0.0, 0.25, 0.5, 0.75, 1.0)
 DEFAULT_TAU = 0.75
@@ -48,8 +48,8 @@ def closed_loop_reward(sample: Sample, cot: str, reconstruction_text: str) -> Re
 
 def think_answer_reward(sample: Sample, raw_model_output: str) -> RewardBreakdown:
     """Score one raw think-answer output; format-gated, no leakage term."""
-    format_ok = validate_f_r1(raw_model_output, sample.task)
     parsed = ParsedOutput.from_text(raw_model_output, sample.task)
+    format_ok = parsed.answer is not None and think_precedes_answer(raw_model_output)
     similarity = _similarity(sample, parsed.answer) if parsed.answer is not None else 0.0
     reason = None
     if not format_ok:

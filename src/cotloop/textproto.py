@@ -247,21 +247,20 @@ def validate_f_cot(cot: str, reconstruction: Optional[Annotation]) -> bool:
     return reconstruction is not None
 
 
-def validate_f_r1(raw_model_output: str, task: TaskKind) -> bool:
-    """Think-answer format gate: non-empty think, then a parseable answer."""
+def think_precedes_answer(raw_model_output: str) -> bool:
+    """Think-answer tag check: a non-empty <think> pair that starts before
+    the first <answer> pair."""
     m_think = _THINK_RE.search(raw_model_output)
     m_answer = _ANSWER_RE.search(raw_model_output)
     if m_think is None or m_answer is None:
         return False
-    if m_think.start() > m_answer.start():
-        return False
-    if not m_think.group(1).strip():
-        return False
-    try:
-        answer = parse_answer_for_task(m_answer.group(1), task)
-    except MalformedAnswer:
-        return False
-    return not validate_annotation(answer, task)
+    return m_think.start() <= m_answer.start() and bool(m_think.group(1).strip())
+
+
+def validate_f_r1(raw_model_output: str, task: TaskKind) -> bool:
+    """Think-answer format gate: non-empty think, then a parseable answer."""
+    return (think_precedes_answer(raw_model_output)
+            and ParsedOutput.from_text(raw_model_output, task).answer is not None)
 
 
 @dataclass(frozen=True)

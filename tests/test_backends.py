@@ -138,10 +138,17 @@ def test_remote_bad_payload_is_retried_then_raised(monkeypatch, payload):
     assert sleeps == [1.0, 2.0]
 
 
-@pytest.mark.parametrize("cap", [0, -1, 1.5, "4"])
-def test_remote_rejects_a_cap_that_is_not_a_positive_int(cap):
-    with pytest.raises(InvalidSetting, match="max_in_flight"):
-        make_remote(FakeSession([]), [], max_in_flight=cap)
+@pytest.mark.parametrize("setting, value", [
+    *(pytest.param("max_in_flight", cap, id=str(cap)) for cap in (0, -1, 1.5, "4")),
+    *(pytest.param(setting, value, id=f"{setting}={value!r}") for setting, value in (
+        ("max_attempts", 0), ("max_attempts", -1), ("max_attempts", 1.5),
+        ("max_attempts", "3"), ("timeout", 0), ("timeout", -1.0), ("timeout", "5"),
+        ("timeout", None), ("backoff_base", -0.5), ("backoff_base", "1"),
+        ("backoff_base", float("nan")))),
+])
+def test_remote_rejects_a_cap_that_is_not_a_positive_int(setting, value):
+    with pytest.raises(InvalidSetting, match=setting):
+        make_remote(FakeSession([]), [], **{setting: value})
 
 
 def test_remote_sizes_its_own_connection_pool_to_the_cap():
@@ -271,7 +278,7 @@ def test_closed_loop_fixed_point(class_world, det_world):
     for world in (class_world, det_world):
         for s in world.samples:
             cot = synthetic_reason(s, 0, sorted(s.cue_set))
-            recon = synthetic_reconstruct(world, s.image_ref, cot)
+            recon = synthetic_reconstruct(world, cot)
             b = closed_loop_reward(s.as_sample(), cot, recon)
             assert b.composite == pytest.approx(1.0, abs=1e-12), s.id
 
@@ -282,7 +289,7 @@ def test_partial_cues_score_monotonically(class_world):
     rewards = []
     for k in (0, 2, 4):
         cot = synthetic_reason(s, 0, cues[:k])
-        recon = synthetic_reconstruct(class_world, s.image_ref, cot)
+        recon = synthetic_reconstruct(class_world, cot)
         rewards.append(closed_loop_reward(s.as_sample(), cot, recon).composite)
     assert rewards[0] < rewards[2] and rewards[1] < rewards[2]
     assert rewards[2] == pytest.approx(1.0)
@@ -297,7 +304,7 @@ def test_random_subsets_leave_training_headroom(class_world):
         for _ in range(10):
             subset = [c for c in pool if rng.random() < 0.5]
             cot = synthetic_reason(s, 0, subset)
-            recon = synthetic_reconstruct(class_world, s.image_ref, cot)
+            recon = synthetic_reconstruct(class_world, cot)
             total += closed_loop_reward(s.as_sample(), cot, recon).composite
             n += 1
     assert total / n < 0.5

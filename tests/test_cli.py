@@ -72,6 +72,96 @@ def test_remote_cap_below_one_exits_one(tmp_path, capsys):
     assert not (tmp_path / "records.jsonl").exists()
 
 
+def edited_config(tmp, edit):
+    """--config for the world config as changed in place by `edit`."""
+    cfg = yaml.safe_load(open(write_world_config(tmp / "config.yaml")))
+    edit(cfg)
+    (tmp / "config.yaml").write_text(yaml.safe_dump(cfg))
+    return ["--config", str(tmp / "config.yaml")]
+
+
+def config_text(tmp, text):
+    (tmp / "config.yaml").write_text(text)
+    return ["--config", str(tmp / "config.yaml")]
+
+
+def remote_spec(**extra):
+    return {"kind": "remote", "endpoint": "http://localhost:9/v1/chat", "model": "m", **extra}
+
+
+def mock_spec(tmp, responses_text):
+    (tmp / "responses.json").write_text(responses_text)
+    return {"kind": "mock", "responses": str(tmp / "responses.json")}
+
+
+def ingest(tmp, task, lines, *flags):
+    """ingest argv for an input of `lines`: JSON objects, or bytes as they are."""
+    (tmp / "raw.jsonl").write_bytes(b"".join(
+        (line if isinstance(line, bytes) else json.dumps(line).encode()) + b"\n"
+        for line in lines))
+    return ["ingest", "--input", str(tmp / "raw.jsonl"), "--output", str(tmp / "data.jsonl"),
+            "--task", task, *flags]
+
+
+def gen_cot(tmp, *args):
+    return ["gen-cot", "--records", str(tmp / "records.jsonl"), *args]
+
+
+NO_ANNOTATION = {"id": "b", "image_ref": "img://b"}
+
+# case -> (argv for a tmp dir, exit code, text of the last stderr line)
+BAD_INPUT = {
+    "missing-config": (lambda t: gen_cot(t, "--config", str(t / "absent.yaml")), 1,
+                       "absent.yaml"),
+    "config-not-a-mapping": (lambda t: gen_cot(t, *config_text(t, "- a\n- b\n")), 1,
+                             "must be a mapping"),
+    "config-not-yaml": (lambda t: gen_cot(t, *config_text(t, "world: [\n")), 1,
+                        "not a YAML file"),
+    "unknown-world-kind": (lambda t: gen_cot(t, *edited_config(
+        t, lambda cfg: cfg["world"].update(kind="segmentation"))), 1, "segmentation"),
+    "remote-without-endpoint": (lambda t: gen_cot(t, *edited_config(
+        t, lambda cfg: cfg.update(backends={"reason": {"kind": "remote", "model": "m"}}))),
+        1, "endpoint"),
+    "remote-max-attempts-0": (lambda t: gen_cot(t, *edited_config(
+        t, lambda cfg: cfg.update(backends={"reason": remote_spec(max_attempts=0),
+                                            "recon": remote_spec()}))), 1, "max_attempts"),
+    "mock-responses-not-json": (lambda t: gen_cot(t, *edited_config(
+        t, lambda cfg: cfg.update(backends={"reason": mock_spec(t, "not json")}))), 1,
+        "not a JSON mapping"),
+    "gen-cot-group-size-0": (lambda t: gen_cot(t, "--group-size", "0",
+                                               *edited_config(t, lambda cfg: None)), 1,
+                             "group_size"),
+    "rft-eval-group-size-0": (lambda t: ["rft-eval", "--group-size", "0",
+                                         *edited_config(t, lambda cfg: None)], 1, "group_size"),
+    "audit-cues-above-vocab": (lambda t: ["audit", "--world-cues", "30", "--world-vocab",
+                                          "5"], 1, "cues_per_sample"),
+    "train-toy-minibatch-0": (lambda t: ["train-toy", "--minibatch", "0", "--output",
+                                         str(t / "curve.tsv")], 1, "minibatch"),
+    "ingest-line-without-probs": (lambda t: ingest(
+        t, "classification", [{**NO_ANNOTATION, "probs": {"x": 1.0, "y": 0.0}},
+                              NO_ANNOTATION], "--categories", "x,y"), 1, "raw.jsonl: line 2"),
+    "ingest-line-without-boxes": (lambda t: ingest(
+        t, "detection", [{**NO_ANNOTATION, "boxes": [[0, 0, 1, 1]]}, NO_ANNOTATION],
+        "--width", "3", "--height", "3"), 1, "raw.jsonl: line 2"),
+    "ingest-line-not-utf8": (lambda t: ingest(
+        t, "detection", [{**NO_ANNOTATION, "boxes": [[0, 0, 1, 1]]}, b"\xff"],
+        "--width", "3", "--height", "3"), 1, "raw.jsonl: line 2"),
+    "ingest-without-categories": (lambda t: ingest(t, "classification", []), 64,
+                                  "--categories"),
+    "ingest-without-height": (lambda t: ingest(t, "detection", [], "--width", "3"), 64,
+                              "--height"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT))
+def test_bad_input_exits_with_a_typed_error(tmp_path, capsys, case):
+    make_argv, code, message = BAD_INPUT[case]
+    assert cli_dispatch(make_argv(tmp_path)) == code  # an escaping exception fails the test
+    assert message in capsys.readouterr().err.splitlines()[-1]
+    assert not (tmp_path / "records.jsonl").exists()
+    assert not (tmp_path / "data.jsonl").exists()
+
+
 # --- filter ------------------------------------------------------------------------
 
 def test_filter_fixture_output(tmp_path, capsys):

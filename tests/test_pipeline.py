@@ -14,7 +14,7 @@ from cotloop.backends import (CueWorld, GenerationRequest, MockBackend, RemoteBa
                               SyntheticReconBackend)
 from cotloop.domain import (Box, BoxSet, Classification, Distribution, Sample)
 from cotloop.errors import (CotloopError, DomainError, HeaderMismatch,
-                            MissingFile, ValidationFailure)
+                            InvalidSetting, MissingFile, ValidationFailure)
 from cotloop.pipeline import (evaluate_predictions, export_sft_corpus,
                               load_dataset, load_predictions, load_records,
                               r1_prompt, reasoning_prompt,
@@ -317,6 +317,17 @@ def test_export_sft_excludes_below_tau(stage_world, tmp_path):
     assert len(path.read_text().splitlines()) == 1
 
 
+def test_export_sft_refuses_unknown_record_ids(stage_world, tmp_path):
+    result = run_stage(stage_world)
+    samples = [s.as_sample() for s in stage_world.samples][:1]
+    path = tmp_path / "sft.jsonl"
+    with pytest.raises(DomainError) as caught:
+        export_sft_corpus(result.records, samples, tau=0.75, path=str(path))
+    assert str(caught.value) == ("records for unknown sample ids: "
+                                 + str([f"syn-000{i}" for i in range(1, 6)]))
+    assert not path.exists()
+
+
 # --- think-answer reward evaluation ----------------------------------------------------
 
 def test_rft_eval_perfect_backend(stage_world, tmp_path):
@@ -348,6 +359,25 @@ def test_rft_eval_partial_fidelity_between(stage_world):
     mid = run_rft_reward_eval(samples, SyntheticR1Backend(stage_world, 0.5),
                               group_size=4, seed=0)
     assert 0.0 < mid.mean_reward < 1.0
+
+
+@pytest.mark.parametrize("group_size", [0, -1, 2.5, "4"])
+@pytest.mark.parametrize("stage", ["closed-loop", "rft"])
+def test_stages_refuse_a_group_size_below_one(stage_world, tmp_path, stage, group_size):
+    samples = [s.as_sample() for s in stage_world.samples]
+    path = tmp_path / "out.jsonl"
+
+    def run(g):
+        if stage == "closed-loop":
+            return run_stage(stage_world, path, group_size=g)
+        return run_rft_reward_eval(samples, SyntheticR1Backend(stage_world), group_size=g,
+                                   seed=0, bookkeeping_path=str(path))
+
+    run(1)
+    before = path.read_bytes()
+    with pytest.raises(InvalidSetting, match="group_size"):
+        run(group_size)
+    assert path.read_bytes() == before
 
 
 # --- groups in flight over remote backends ---------------------------------------------
@@ -616,3 +646,33 @@ def test_every_format_is_byte_stable(tmp_path, kind):
     digests = {name: hashlib.sha256(p.read_bytes()).hexdigest()
                for name, p in paths.items()}
     assert digests == GOLDEN_SHA256[kind]
+
+
+# sha256 of the records and rft bookkeeping at G=1: the stage keeps each
+# sample's only member and every rft advantage is 0.
+GOLDEN_G1_SHA256 = {
+    "classification": {
+        "records": "038efebf13659d4d5e72fa51e7709757c165de34920652491d2b3e59ae2a5d94",
+        "rft": "f8858dece44616056b6e79e0a8dc2d7c49b3f60a550dc3cdd055d9d811878d3c",
+    },
+    "detection": {
+        "records": "04380e3259a51bc7dd9f2e9ef2fc43798f2a37bb7e6186c6e5ff545141ed19d3",
+        "rft": "ecab9523d46a98469404577fee195556cbf4a93f9cfe8ff4f52b2404c9235af1",
+    },
+}
+
+
+@pytest.mark.parametrize("kind", ["classification", "detection"])
+def test_a_group_of_one_is_byte_stable(tmp_path, kind):
+    world = CueWorld(kind=kind, num_samples=6, cues_per_sample=2, vocab_size=6,
+                     seed=3)
+    samples = [s.as_sample() for s in world.samples]
+    records, rft = tmp_path / "records.jsonl", tmp_path / "rft.jsonl"
+    run_closed_loop_stage(samples, SyntheticReasonBackend(world, 0.6),
+                          SyntheticReconBackend(world), group_size=1, seed=5,
+                          records_path=str(records))
+    run_rft_reward_eval(samples, SyntheticR1Backend(world, 0.6), group_size=1,
+                        seed=5, bookkeeping_path=str(rft))
+    digests = {name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for name, p in (("records", records), ("rft", rft))}
+    assert digests == GOLDEN_G1_SHA256[kind]
