@@ -27,6 +27,7 @@ from .domain import Annotation, Box, BoxSet, Classification, Detection, Distribu
 from .errors import (AuthFailure, BadPayload, InvalidSetting, MockMiss, RemoteUnavailable,
                      TemplateError, Timeout)
 from .render import render_annotation
+from .textproto import load_template, read_slot, task_name
 
 
 @dataclass(frozen=True)
@@ -339,36 +340,6 @@ def synthetic_reconstruct(world: CueWorld, cot: str) -> str:
     return f"<answer>{render_annotation(annotation, world.task)}</answer>"
 
 
-def _cot_anchors(task_name: str) -> tuple[str, str]:
-    """Literal text surrounding the {CoTs} slot in the reconstruction template."""
-    from .textproto import load_template
-    body = load_template(task_name, "reconstruction").body
-    pre, _, post = body.partition("{CoTs}")
-    pre = pre[pre.rfind("}") + 1:]
-    brace = post.find("{")
-    if brace >= 0:
-        post = post[:brace]
-    return pre, post
-
-
-def extract_cot_from_prompt(prompt: str, task_name: str) -> str:
-    """Recover the embedded CoT from a rendered reconstruction prompt.
-
-    The prompt body mentions every category name, so cue scanning must
-    be restricted to the CoT segment. Falls back to the whole prompt
-    when the anchors are absent (direct CoT input).
-    """
-    pre, post = _cot_anchors(task_name)
-    start = prompt.find(pre)
-    if start < 0:
-        return prompt
-    start += len(pre)
-    end = prompt.rfind(post) if post else len(prompt)
-    if end <= start:
-        return prompt
-    return prompt[start:end]
-
-
 class SyntheticReasonBackend:
     """Reasoning-stage provider over a cue world.
 
@@ -403,16 +374,17 @@ class SyntheticReasonBackend:
 class SyntheticReconBackend:
     """Reconstruction-stage provider: reads cue mentions out of the CoT.
 
-    The rendered reconstruction prompt also lists every category name,
-    so the CoT segment is first isolated via the template's surrounding
-    literal text before cue scanning.
+    Like a remote model, it gets the CoT only inside the rendered prompt, which
+    also lists every category name. It reads the CoT back through its world's
+    reconstruction template (`textproto.read_slot`) and scans only that.
     """
 
     def __init__(self, world: CueWorld):
         self.world = world
+        self.template = load_template(task_name(world.task), "reconstruction")
 
     def generate(self, request: GenerationRequest) -> str:
-        cot = extract_cot_from_prompt(request.prompt, self.world.kind)
+        cot = read_slot(self.template, request.prompt, "CoTs")
         return synthetic_reconstruct(self.world, cot)
 
 

@@ -24,19 +24,21 @@ from .audit import run_noise_audit
 from .backends import (CueWorld, MockBackend, RemoteBackend,
                        SyntheticR1Backend, SyntheticReasonBackend,
                        SyntheticReconBackend)
-from .domain import (Box, BoxSet, Classification, Detection, Distribution,
-                     Sample, mask_to_box)
-from .errors import (BackendError, CotloopError, InvalidSetting, MalformedLine,
-                     MissingFile)
+from .domain import (BoxSet, Classification, Detection, Sample, mask_to_box,
+                     validate_annotation)
+from .errors import (BackendError, CotloopError, DomainError, InvalidSetting,
+                     MalformedLine, MissingFile)
 from .grpo import export_curve, train_toy_policy
-from .pipeline import (evaluate_predictions, export_sft_corpus, load_dataset,
-                       load_predictions, load_records, run_closed_loop_stage,
-                       run_rft_reward_eval, save_dataset)
+from .pipeline import (annotation_from_json, evaluate_predictions, export_sft_corpus,
+                       load_dataset, load_predictions, load_records,
+                       run_closed_loop_stage, run_rft_reward_eval, save_dataset)
 from .reward import DEFAULT_TAU, filter_high_subset, histogram_bins, reward_histogram
 
 USAGE_EXIT = 64
 # Flags that `ingest --task <kind>` cannot do without.
 INGEST_NEEDS = {"classification": ("categories",), "detection": ("width", "height")}
+# Settings a config world block may give.
+WORLD_KEYS = ("kind", "num_samples", "cues_per_sample", "vocab_size", "seed")
 # Keys a backend spec of each kind cannot do without.
 BACKEND_NEEDS = {"mock": ("responses",), "remote": ("endpoint", "model")}
 
@@ -62,7 +64,7 @@ def _open(path: str):
     try:
         return open(path, "rb")
     except FileNotFoundError:
-        raise MissingFile(path) from None
+        raise MissingFile(f"no such file: {path}") from None
 
 
 def _mapping(value, where: str) -> dict:
@@ -110,22 +112,25 @@ def _write_manifest(output_path: str, args: argparse.Namespace, config: dict,
         f.write("\n")
 
 
-def _world_flags(args, seed: int) -> dict:
+def _world_flags(args, seed: Optional[int]) -> dict:
     return {"num_samples": args.world_samples, "cues_per_sample": args.world_cues,
             "vocab_size": args.world_vocab, "seed": seed}
 
 
-def _build_world(config: dict, flags: Optional[dict] = None) -> Optional[CueWorld]:
-    """The world block of the config, else the world `flags` describe, else None."""
+def _build_world(config: dict, flags: Optional[dict] = None,
+                 seed: Optional[int] = None) -> Optional[CueWorld]:
+    """The world of the `--world-*` `flags` and the config's world block, or None
+    when there are neither. Each setting resolves flag (None: not given), then
+    config, then CueWorld's default; a given `seed` replaces the default seed."""
     if "world" not in config and flags is None:
         return None
-    w = _mapping(config.get("world", flags), "world")
+    block = _mapping(config.get("world", {}), "world")
+    settings = {key: block[key] for key in WORLD_KEYS if key in block}
+    settings.update((key, value) for key, value in (flags or {}).items() if value is not None)
+    if seed is not None:
+        settings.setdefault("seed", seed)
     try:
-        return CueWorld(kind=w.get("kind", "classification"),
-                        num_samples=w.get("num_samples", 50),
-                        cues_per_sample=w.get("cues_per_sample", 4),
-                        vocab_size=w.get("vocab_size", 24),
-                        seed=w.get("seed", 0))
+        return CueWorld(**settings)
     except (ValueError, TypeError) as e:
         raise InvalidSetting(f"world: {e}") from None
 
@@ -185,13 +190,13 @@ def _cmd_ingest(args):
                 continue
             try:
                 obj = json.loads(raw)
-                if args.task == "classification":
-                    annotation = Distribution({str(k): float(v)
-                                               for k, v in obj["probs"].items()})
-                elif "mask" in obj:
+                if args.task == "detection" and "mask" in obj:
                     annotation = BoxSet((mask_to_box(obj["mask"]),))
                 else:
-                    annotation = BoxSet(tuple(Box(*map(float, b)) for b in obj["boxes"]))
+                    annotation = annotation_from_json(obj)
+                violations = validate_annotation(annotation, task, ground_truth=True)
+                if violations:
+                    raise DomainError("; ".join(violations))
                 samples.append(Sample(id=str(obj["id"]), image_ref=str(obj["image_ref"]),
                                       task=task, annotation=annotation,
                                       target_desc=obj.get("target_desc")))
@@ -300,7 +305,7 @@ def _cmd_audit(args):
     tau, tau_src = _resolve(args.tau, config, "tau", DEFAULT_TAU)
     seed, seed_src = _resolve(args.seed, config, "seed", 0)
     _print_settings({"tau": (tau, tau_src), "seed": (seed, seed_src)})
-    world = _build_world(config, _world_flags(args, seed))
+    world = _build_world(config, _world_flags(args, None), seed)
     reason = _build_backend(config, "reason", world, {"fidelity": 0.9})
     recon = _build_backend(config, "recon", world)
     samples = [s.as_sample() for s in world.samples]
@@ -393,10 +398,10 @@ def build_parser() -> _Parser:
     p.add_argument("--lr", type=float, default=0.5)
     p.add_argument("--minibatch", type=int, default=None,
                    help="samples per step (default: full dataset)")
-    p.add_argument("--world-samples", type=int, default=50)
-    p.add_argument("--world-cues", type=int, default=4)
-    p.add_argument("--world-vocab", type=int, default=24)
-    p.add_argument("--world-seed", type=int, default=0)
+    p.add_argument("--world-samples", type=int)
+    p.add_argument("--world-cues", type=int)
+    p.add_argument("--world-vocab", type=int)
+    p.add_argument("--world-seed", type=int)
     p.add_argument("--output", required=True)
     p.add_argument("--config")
     p.set_defaults(func=_cmd_train_toy)
@@ -414,9 +419,9 @@ def build_parser() -> _Parser:
     p.add_argument("--tau", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--group-size", type=int, default=8)
-    p.add_argument("--world-samples", type=int, default=50)
-    p.add_argument("--world-cues", type=int, default=4)
-    p.add_argument("--world-vocab", type=int, default=24)
+    p.add_argument("--world-samples", type=int)
+    p.add_argument("--world-cues", type=int)
+    p.add_argument("--world-vocab", type=int)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_audit)
 

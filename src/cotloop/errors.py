@@ -87,8 +87,8 @@ class MalformedLine(CotloopError):
 
 
 class ValidationFailure(CotloopError):
-    """One or more dataset lines failed annotation validation."""
+    """One or more dataset lines failed annotation validation; the message lists them."""
 
     def __init__(self, failures):
-        super().__init__(f"{len(failures)} invalid dataset line(s)")
+        super().__init__("\n  ".join([f"{len(failures)} invalid dataset line(s):", *failures]))
         self.failures = list(failures)

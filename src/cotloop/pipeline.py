@@ -39,7 +39,7 @@ from .grpo import GroupMember, compute_group_advantages, select_best_of_group
 from .render import render_annotation
 from .reward import DEFAULT_TAU, closed_loop_reward, think_answer_reward
 from .similarity import hungarian_match, jsd
-from .textproto import ParsedOutput, load_template, render_prompt
+from .textproto import ParsedOutput, load_template, render_prompt, task_name
 
 log = logging.getLogger(__name__)
 
@@ -79,7 +79,7 @@ def _read_jsonl(path: str, fmt: str, row: Callable[[dict], object],
     if not os.path.exists(path):
         if missing_ok:
             return None, []
-        raise MissingFile(path)
+        raise MissingFile(f"no such file: {path}")
     try:
         with open(path, encoding="utf-8") as f:
             lines = f.read().split("\n")
@@ -179,8 +179,8 @@ def load_dataset(path: str, task_hint: Optional[str] = None,
     errors: list[str] = []
     header, rows = _read_jsonl(path, DATASET, _sample_fields, errors)
     task = _task_from_json(header.get("task", {}))
-    if task_hint is not None and _task_name(task) != task_hint:
-        raise HeaderMismatch(f"dataset task is {_task_name(task)}, expected {task_hint}")
+    if task_hint is not None and task_name(task) != task_hint:
+        raise HeaderMismatch(f"dataset task is {task_name(task)}, expected {task_hint}")
 
     samples: list[Sample] = []
     seen_ids: set[str] = set()
@@ -243,38 +243,31 @@ def load_records(path: str) -> list[ScoredRecord]:
 
 # --- prompt construction -----------------------------------------------------
 
-def _task_name(task) -> str:
-    return "classification" if isinstance(task, Classification) else "detection"
+def _prompt(sample: Sample, stage: str, **variables: str) -> str:
+    """Render the `stage` template of the sample's task with `variables` and
+    the task-kind variables: the category list for classification, the
+    target for detection."""
+    if isinstance(sample.task, Classification):
+        variables["categories"] = str(list(sample.task.categories))
+    else:
+        variables["target"] = sample.target_desc or "the target object"
+    return render_prompt(load_template(task_name(sample.task), stage), variables)
 
 
 def reasoning_prompt(sample: Sample) -> str:
-    """Reasoning-stage prompt: the ground truth is injected here and only here."""
-    t = load_template(_task_name(sample.task), "reasoning")
-    if isinstance(sample.task, Classification):
-        variables = {"prob_distribution": render_annotation(sample.annotation, sample.task)}
-    else:
-        variables = {"bbox": render_annotation(sample.annotation, sample.task),
-                     "target": sample.target_desc or "the target object"}
-    return render_prompt(t, variables)
+    """Reasoning-stage prompt: the ground truth is injected here and only here,
+    as `prob_distribution` (classification) or `bbox` (detection)."""
+    truth = render_annotation(sample.annotation, sample.task)
+    return _prompt(sample, "reasoning", prob_distribution=truth, bbox=truth)
 
 
 def reconstruction_prompt(sample: Sample, cot: str) -> str:
     """Reconstruction-stage prompt: never sees the ground truth."""
-    t = load_template(_task_name(sample.task), "reconstruction")
-    if isinstance(sample.task, Classification):
-        variables = {"CoTs": cot, "categories": str(list(sample.task.categories))}
-    else:
-        variables = {"CoTs": cot, "target": sample.target_desc or "the target object"}
-    return render_prompt(t, variables)
+    return _prompt(sample, "reconstruction", CoTs=cot)
 
 
 def r1_prompt(sample: Sample) -> str:
-    t = load_template(_task_name(sample.task), "r1")
-    if isinstance(sample.task, Classification):
-        variables = {"categories": str(list(sample.task.categories))}
-    else:
-        variables = {"target": sample.target_desc or "the target object"}
-    return render_prompt(t, variables)
+    return _prompt(sample, "r1")
 
 
 # --- the group loop ----------------------------------------------------------
@@ -377,10 +370,12 @@ def run_closed_loop_stage(samples: Sequence[Sample], reason_backend, recon_backe
     done = frozenset(r.sample_id for r in result.records)
 
     def member_for(sample: Sample):
+        prompt = reasoning_prompt(sample)
+
         def member(member_seed: int) -> GroupMember:
             cot = reason_backend.generate(GenerationRequest(
                 sample_id=sample.id, image_ref=sample.image_ref,
-                prompt=reasoning_prompt(sample), seed=member_seed))
+                prompt=prompt, seed=member_seed))
             recon_text = recon_backend.generate(GenerationRequest(
                 sample_id=sample.id, image_ref=sample.image_ref,
                 prompt=reconstruction_prompt(sample, cot), temperature=0.0,

@@ -1,5 +1,9 @@
 """Prompt rendering, think/answer parsing, leak detection, format gates.
 
+This module owns the prompt format. Each shipped template is read and checked
+once, and `read_slot` reads a rendered prompt back through its template: that
+is how a reconstruction backend gets the CoT, in process or behind an endpoint.
+
 Everything here is pure string work. Low-level parsers raise
 MalformedAnswer; ParsedOutput.from_text captures the failure as a value
 so scoring never aborts on bad model text.
@@ -8,14 +12,15 @@ so scoring never aborts on bad model text.
 from __future__ import annotations
 
 import ast
+import functools
 import re
 import threading
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from .domain import (Annotation, Box, BoxSet, Classification, Detection,
-                     Distribution, TaskKind, validate_annotation)
+from .domain import (Annotation, Box, BoxSet, Classification, Distribution,
+                     TaskKind, validate_annotation)
 from .errors import MalformedAnswer, MissingVariable, TemplateError
 
 # ast.literal_eval converts its parse tree under an interpreter-wide depth
@@ -39,10 +44,13 @@ STAGE_VARS = {
 }
 
 
+def task_name(task: TaskKind) -> str:
+    """The name that keys a task kind's templates."""
+    return "classification" if isinstance(task, Classification) else "detection"
+
+
 @dataclass(frozen=True)
 class PromptTemplate:
-    id: str
-    task: str      # "classification" | "detection"
     stage: str     # "reasoning" | "reconstruction" | "r1"
     body: str
 
@@ -58,11 +66,12 @@ class PromptTemplate:
         return PLACEHOLDER_RE.findall(self.body)
 
 
+@functools.cache
 def load_template(task: str, stage: str) -> PromptTemplate:
-    """Load a shipped template file, one per (task, stage)."""
+    """The shipped template of one (task, stage), read and checked on first use."""
     name = f"{task}_{stage}.txt"
     body = resources.files("cotloop.templates").joinpath(name).read_text(encoding="utf-8")
-    return PromptTemplate(id=f"{task}/{stage}", task=task, stage=stage, body=body.rstrip("\n"))
+    return PromptTemplate(stage=stage, body=body.rstrip("\n"))
 
 
 def render_prompt(template: PromptTemplate, variables: dict[str, str]) -> str:
@@ -74,6 +83,22 @@ def render_prompt(template: PromptTemplate, variables: dict[str, str]) -> str:
         return variables[name]
 
     return PLACEHOLDER_RE.sub(sub, template.body)
+
+
+def read_slot(template: PromptTemplate, prompt: str, name: str) -> str:
+    """The text `render_prompt` put into the slot `name` of `prompt`: from the
+    first match of the template's literal text left of the slot to the last
+    match of the literal text right of it. A prompt without them in that order
+    is not a rendering of the template and is returned whole."""
+    before, slot, after = template.body.partition("{" + name + "}")
+    if not slot:
+        raise TemplateError(f"template has no slot {name!r}")
+    left, right = PLACEHOLDER_RE.split(before)[-1], PLACEHOLDER_RE.split(after)[0]
+    start = prompt.find(left)
+    end = prompt.rfind(right)
+    if start < 0 or end < start + len(left):
+        return prompt
+    return prompt[start + len(left):end]
 
 
 # --- think/answer extraction -------------------------------------------------

@@ -9,13 +9,13 @@ import requests
 from cotloop.backends import (CueWorld, DEFAULT_TEMPLATE_BANK,
                               GenerationRequest, MockBackend, RemoteBackend,
                               SyntheticR1Backend, SyntheticReasonBackend,
-                              SyntheticReconBackend, extract_cot_from_prompt,
-                              synthetic_reason, synthetic_reconstruct)
+                              SyntheticReconBackend, synthetic_reason,
+                              synthetic_reconstruct)
 from cotloop.domain import Classification, Detection
 from cotloop.errors import (AuthFailure, BadPayload, InvalidSetting, MockMiss,
                             RemoteUnavailable, TemplateError, Timeout)
 from cotloop.reward import closed_loop_reward, think_answer_reward
-from cotloop.textproto import detect_leak, validate_f_r1
+from cotloop.textproto import detect_leak, load_template, read_slot, validate_f_r1
 from cotloop.pipeline import reconstruction_prompt
 
 
@@ -321,13 +321,16 @@ def test_reason_backend_determinism_and_fidelity(class_world):
     assert seen <= s.cue_set
 
 
-def test_recon_backend_reads_cot_not_category_list(class_world):
-    s = class_world.samples[0].as_sample()
-    cot = synthetic_reason(class_world.samples[0], 0, [])
+@pytest.mark.parametrize("world", ["class_world", "det_world"])
+def test_recon_backend_reads_cot_not_category_list(request, world):
+    world = request.getfixturevalue(world)
+    s = world.samples[0].as_sample()
+    cot = synthetic_reason(world.samples[0], 0, [])
     prompt = reconstruction_prompt(s, cot)
-    # The prompt lists every category; only the CoT segment may be scanned.
-    assert extract_cot_from_prompt(prompt, "classification") == cot
-    backend = SyntheticReconBackend(class_world)
+    # The prompt lists every category (classification) or names the true
+    # cues in its target (detection); only the CoT segment may be scanned.
+    assert read_slot(load_template(world.kind, "reconstruction"), prompt, "CoTs") == cot
+    backend = SyntheticReconBackend(world)
     out = backend.generate(req(prompt=prompt, sample_id=s.id))
     b = closed_loop_reward(s, cot, out)
     assert b.composite < 0.5  # empty-cue CoT cannot reconstruct the truth

@@ -39,6 +39,7 @@ def test_unknown_subcommand_is_usage_error(capsys):
 def test_validation_error_exits_one(tmp_path, capsys):
     assert cli_dispatch(["filter", "--records",
                          str(tmp_path / "absent.jsonl")]) == 1
+    assert capsys.readouterr().err == f"error: no such file: {tmp_path / 'absent.jsonl'}\n"
 
 
 def test_backend_exhaustion_exits_two(tmp_path, capsys):
@@ -107,6 +108,20 @@ def gen_cot(tmp, *args):
     return ["gen-cot", "--records", str(tmp / "records.jsonl"), *args]
 
 
+def eval_with_an_invalid_gt_line(tmp):
+    """eval argv for a ground-truth dataset whose line 4 lacks a category."""
+    world = CueWorld(kind="classification", num_samples=2, cues_per_sample=2,
+                     vocab_size=4, seed=0)
+    gt = tmp / "gt.jsonl"
+    save_dataset([s.as_sample() for s in world.samples], world.task, str(gt))
+    probs = {c: 1.0 for c in world.vocab[:3]}
+    with open(gt, "a", encoding="utf-8") as f:
+        f.write(json.dumps({"id": "broken", "image_ref": "x",
+                            "annotation": {"probs": probs}}) + "\n")
+    save_predictions({}, str(tmp / "preds.jsonl"))
+    return ["eval", "--pred", str(tmp / "preds.jsonl"), "--gt", str(gt)]
+
+
 NO_ANNOTATION = {"id": "b", "image_ref": "img://b"}
 
 # case -> (argv for a tmp dir, exit code, text of the last stderr line)
@@ -143,6 +158,14 @@ BAD_INPUT = {
     "ingest-line-without-boxes": (lambda t: ingest(
         t, "detection", [{**NO_ANNOTATION, "boxes": [[0, 0, 1, 1]]}, NO_ANNOTATION],
         "--width", "3", "--height", "3"), 1, "raw.jsonl: line 2"),
+    "ingest-probs-of-other-categories": (lambda t: ingest(
+        t, "classification", [{**NO_ANNOTATION, "probs": {"zzz": 1.0}}], "--categories",
+        "a,b"), 1, "raw.jsonl: line 1: missing categories: ['a', 'b']"),
+    "ingest-probs-not-summing-to-one": (lambda t: ingest(
+        t, "classification", [{**NO_ANNOTATION, "probs": {"a": .3, "b": .3}}],
+        "--categories", "a,b"), 1, "raw.jsonl: line 1: ground-truth distribution sums to 0.6"),
+    "eval-invalid-gt-line": (eval_with_an_invalid_gt_line, 1,
+                             "line 4 (broken): missing categories"),
     "ingest-line-not-utf8": (lambda t: ingest(
         t, "detection", [{**NO_ANNOTATION, "boxes": [[0, 0, 1, 1]]}, b"\xff"],
         "--width", "3", "--height", "3"), 1, "raw.jsonl: line 2"),
@@ -293,6 +316,14 @@ def test_audit_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "label-noise audit" in out
     assert out_path.exists()
+
+
+def test_audit_world_flags_override_the_config_world(tmp_path, capsys):
+    config = write_world_config(tmp_path / "config.yaml", num_samples=12)
+    assert cli_dispatch(["audit", "--config", config, "--world-samples", "40",
+                         "--group-size", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "of 12\n" in out and "of 28\n" in out  # 30% of 40 corrupted, the rest clean
 
 
 # --- ingest --------------------------------------------------------------------------

@@ -9,10 +9,11 @@ from hypothesis import given, strategies as st
 from cotloop.domain import Box, BoxSet, Classification, Detection, Distribution
 from cotloop.errors import MalformedAnswer, MissingVariable, TemplateError
 from cotloop.render import render_annotation
-from cotloop.textproto import (ParsedOutput, PromptTemplate, detect_leak,
-                               load_template, parse_box_answer,
+from cotloop.textproto import (PLACEHOLDER_RE, ParsedOutput, PromptTemplate,
+                               detect_leak, load_template, parse_box_answer,
                                parse_distribution_answer, parse_think_answer,
-                               render_prompt, validate_f_cot, validate_f_r1)
+                               read_slot, render_prompt, validate_f_cot,
+                               validate_f_r1)
 
 from conftest import EMOTION_CATEGORIES, EXAMPLE_DISTRIBUTION
 
@@ -25,15 +26,14 @@ def test_all_templates_load(task, stage):
     t = load_template(task, stage)
     assert t.body
     assert t.stage == stage
+    assert load_template(task, stage) is t  # read once, then looked up
 
 
 def test_template_rejects_foreign_placeholders():
     with pytest.raises(TemplateError):
-        PromptTemplate(id="x", task="classification", stage="r1",
-                       body="please use {bbox}")
+        PromptTemplate(stage="r1", body="please use {bbox}")
     with pytest.raises(TemplateError):
-        PromptTemplate(id="x", task="classification", stage="nonsense",
-                       body="hello")
+        PromptTemplate(stage="nonsense", body="hello")
 
 
 def test_render_prompt_substitutes_exactly():
@@ -52,9 +52,40 @@ def test_render_prompt_missing_variable():
 
 
 def test_render_prompt_no_placeholders_unchanged():
-    t = PromptTemplate(id="p", task="classification", stage="r1",
-                       body="no slots here")
+    t = PromptTemplate(stage="r1", body="no slots here")
     assert render_prompt(t, {}) == "no slots here"
+
+
+RECON_VARIABLES = {"classification": {"categories": str(list(EMOTION_CATEGORIES))},
+                   "detection": {"target": "the scarf draped over the chair"}}
+
+
+def _cots_with_template_text():
+    """CoTs that mix free text with pieces of both reconstruction templates'
+    literal text, the slot anchors among them."""
+    pieces = [piece for task in RECON_VARIABLES
+              for piece in PLACEHOLDER_RE.split(load_template(task, "reconstruction").body)[::2]]
+    return st.lists(st.text(max_size=20) | st.sampled_from(pieces), max_size=4).map("".join)
+
+
+@pytest.mark.parametrize("task", sorted(RECON_VARIABLES))
+@given(cot=_cots_with_template_text())
+def test_read_slot_returns_the_rendered_cot(task, cot):
+    t = load_template(task, "reconstruction")
+    prompt = render_prompt(t, {**RECON_VARIABLES[task], "CoTs": cot})
+    assert read_slot(t, prompt, "CoTs") == cot
+
+
+@pytest.mark.parametrize("task", sorted(RECON_VARIABLES))
+def test_read_slot_falls_back_to_the_whole_prompt(task):
+    t = load_template(task, "reconstruction")
+    assert read_slot(t, "a bare CoT naming no anchor", "CoTs") == "a bare CoT naming no anchor"
+    # Both anchors present, but the right one only before the left one.
+    rendered = render_prompt(t, {**RECON_VARIABLES[task], "CoTs": "|"})
+    before, after = rendered.split("|")
+    assert read_slot(t, after + before, "CoTs") == after + before
+    with pytest.raises(TemplateError):
+        read_slot(t, rendered, "bbox")
 
 
 # --- think/answer extraction --------------------------------------------------------
