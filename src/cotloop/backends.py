@@ -262,9 +262,10 @@ class CueWorld:
         # String seeds hash deterministically across processes (unlike tuples).
         rng = random.Random(f"cue-world|{seed}")
         self.vocab = _cue_vocab(vocab_size, rng)
-        self._cue_re = {
-            cue: re.compile(rf"(?<![\w-]){re.escape(cue)}(?![\w-])") for cue in self.vocab
-        }
+        # Cues are [\w-]+ runs and the lookarounds make each match a whole
+        # run, so matches cannot overlap and one findall finds every cue.
+        self._cue_re = re.compile(
+            rf"(?<![\w-])(?:{'|'.join(map(re.escape, self.vocab))})(?![\w-])")
         if kind == "classification":
             self.task = Classification(categories=self.vocab)
             self.cue_box = {}
@@ -310,7 +311,7 @@ class CueWorld:
         return BoxSet(boxes)
 
     def extract_cues(self, text: str) -> frozenset[str]:
-        return frozenset(c for c, pat in self._cue_re.items() if pat.search(text))
+        return frozenset(self._cue_re.findall(text))
 
     def distractor_pool(self, sample: SyntheticSample, extra: int) -> tuple[str, ...]:
         """Per-sample candidate cues: the true set plus `extra` seeded distractors."""

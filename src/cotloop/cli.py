@@ -161,6 +161,7 @@ def _build_backend(config: dict, stage: str, world, default: Optional[dict] = No
                              auth_env=spec.get("auth_env", "COTLOOP_API_KEY"),
                              timeout=spec.get("timeout", 120.0),
                              max_attempts=spec.get("max_attempts", 3),
+                             backoff_base=spec.get("backoff_base", 1.0),
                              max_in_flight=spec.get("max_in_flight", 4),
                              ledger_path=spec.get("ledger_path"))
     raise CotloopError(f"unknown backend kind: {kind!r}")

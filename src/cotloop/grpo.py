@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .backends import CueWorld, DEFAULT_TEMPLATE_BANK, synthetic_reason, synthetic_reconstruct
@@ -94,10 +95,17 @@ class ToyPolicy:
         z = sum(exps.values())
         return {c: e / z for c, e in exps.items()}
 
-    def sample_choices(self, bucket: str, rng: random.Random, k: int) -> list[str]:
+    def cum_weights(self, bucket: str) -> tuple[list[str], list[float]]:
+        """A bucket's choices and their cumulative probabilities: the
+        `cum_weights` that `random.choices` builds from the probabilities, so
+        a draw with them takes the same RNG stream."""
         probs = self.probs(bucket)
         choices = list(probs)
-        return rng.choices(choices, weights=[probs[c] for c in choices], k=k)
+        return choices, list(accumulate(probs[c] for c in choices))
+
+    def sample_choices(self, bucket: str, rng: random.Random, k: int) -> list[str]:
+        choices, cum = self.cum_weights(bucket)
+        return rng.choices(choices, cum_weights=cum, k=k)
 
     def update(self, bucket: str, chosen: Sequence[str],
                advantages: Sequence[float]) -> None:
@@ -177,10 +185,13 @@ def train_toy_policy(world: CueWorld, steps: int, group_size: int, seed: int,
         batch = rng.sample(samples, batch_size)
         step_best: list[float] = []
         for sample in batch:
+            # Logits change only after all G draws: one softmax per bucket.
+            tables = [(b, *policy.cum_weights(b)) for b in buckets[sample.id]]
             draws: list[dict[str, str]] = []
             members = []
             for _g in range(group_size):
-                draw = {b: policy.sample_choices(b, rng, 1)[0] for b in buckets[sample.id]}
+                draw = {b: rng.choices(choices, cum_weights=cum)[0]
+                        for b, choices, cum in tables}
                 draws.append(draw)
                 template_id = int(draw[f"{sample.id}|template"][1:])
                 subset = sorted(b.rsplit("|", 1)[1] for b, c in draw.items()
@@ -193,8 +204,9 @@ def train_toy_policy(world: CueWorld, steps: int, group_size: int, seed: int,
                 members.append(GroupMember(cot=cot, reconstruction=None,
                                            breakdown=reward_cache[key]))
             group = Group.build(sample.id, members)
-            for b in buckets[sample.id]:
-                policy.update(b, [d[b] for d in draws], group.advantages)
+            if any(group.advantages):  # all-zero advantages update nothing
+                for b in buckets[sample.id]:
+                    policy.update(b, [d[b] for d in draws], group.advantages)
             step_best.append(max(group.rewards))
         result.curve.append(sum(step_best) / len(step_best))
     return result

@@ -380,8 +380,8 @@ def run_closed_loop_stage(samples: Sequence[Sample], reason_backend, recon_backe
                 sample_id=sample.id, image_ref=sample.image_ref,
                 prompt=reconstruction_prompt(sample, cot), temperature=0.0,
                 seed=member_seed))
-            breakdown = closed_loop_reward(sample, cot, recon_text)
             parsed = ParsedOutput.from_text(recon_text, sample.task)
+            breakdown = closed_loop_reward(sample, cot, recon_text, parsed=parsed)
             return GroupMember(cot=cot, reconstruction=parsed.answer, breakdown=breakdown)
         return member
 

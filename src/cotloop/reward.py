@@ -6,7 +6,7 @@ The closed-loop reward gates annotation similarity on "no leak" and
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .domain import (Classification, RewardBreakdown, Sample, ScoredRecord,
                      make_breakdown)
@@ -24,14 +24,17 @@ def _similarity(sample: Sample, reconstruction) -> float:
     return detection_similarity(sample.annotation, reconstruction)
 
 
-def closed_loop_reward(sample: Sample, cot: str, reconstruction_text: str) -> RewardBreakdown:
+def closed_loop_reward(sample: Sample, cot: str, reconstruction_text: str, *,
+                       parsed: Optional[ParsedOutput] = None) -> RewardBreakdown:
     """Score one (CoT, reconstruction) pair against the sample's ground truth.
 
     Similarity gated to 0 by leakage in the CoT or a failed format check;
     a reconstruction that does not parse is a format failure, never an
-    exception.
+    exception. A caller that has already parsed the reconstruction against
+    the sample's task passes it as `parsed`.
     """
-    parsed = ParsedOutput.from_text(reconstruction_text, sample.task)
+    if parsed is None:
+        parsed = ParsedOutput.from_text(reconstruction_text, sample.task)
     leak, evidence = detect_leak(cot, sample.task)
     format_ok = validate_f_cot(cot, parsed.answer)
     similarity = _similarity(sample, parsed.answer) if parsed.answer is not None else 0.0

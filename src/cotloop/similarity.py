@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .domain import Box, BoxSet, Distribution
 from .errors import DomainError
@@ -95,6 +94,9 @@ def _best_subtotal(m: np.ndarray, rows: list[int], cols: list[int], needed: int)
         return 0.0
     if min(len(rows), len(cols)) < needed:
         return None
+    # Imported here: scipy.optimize is most of the package's import time, and
+    # only detection scoring needs it.
+    from scipy.optimize import linear_sum_assignment
     sub = m[np.ix_(rows, cols)]
     ri, ci = linear_sum_assignment(sub, maximize=True)
     return float(sub[ri, ci].sum())

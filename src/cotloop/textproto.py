@@ -7,6 +7,16 @@ is how a reconstruction backend gets the CoT, in process or behind an endpoint.
 Everything here is pure string work. Low-level parsers raise
 MalformedAnswer; ParsedOutput.from_text captures the failure as a value
 so scoring never aborts on bad model text.
+
+Answer literals in the canonical shapes `render` writes (a map of quoted
+keys to plain numbers; a list of plain numbers or a list of such lists;
+spaces or tabs between tokens) are read by a strict regex scanner. Any
+other literal (int keys, escapes, implicit concatenation, `1_000`, hex,
+tuples, trailing commas, comments, newlines) is balanced naively and read
+with `ast.literal_eval`; the two give the same value or the same error, and
+only that fallback takes the interpreter-wide lock below. The leak gate
+runs its per-category pair patterns only on text that holds a `:`/`=`
+followed by a digit.
 """
 
 from __future__ import annotations
@@ -26,7 +36,8 @@ from .errors import MalformedAnswer, MissingVariable, TemplateError
 # ast.literal_eval converts its parse tree under an interpreter-wide depth
 # counter: in CPython 3.11.7 and earlier (gh-106905) a thread switch inside the
 # conversion, such as a finalizer run by the garbage collector, raises
-# SystemError in another thread. GRPO groups parse answers on worker threads.
+# SystemError in another thread. GRPO groups parse answers on worker threads;
+# the lock guards the `ast` fallback only, not the answer scanner.
 _LITERAL_LOCK = threading.Lock()
 
 
@@ -123,6 +134,68 @@ def parse_think_answer(text: str) -> tuple[Optional[str], str]:
 
 # --- answer-body parsers -----------------------------------------------------
 
+# The answer scanner (see the module docstring) matches only text that
+# `ast.literal_eval` reads as the same object: ASCII digits (`\d` would take
+# other scripts' digits); an int is 0s or has no leading zero, at most 16 digits
+# (longer ones overflow `float` or the int-string limit there); keys hold no
+# quote, backslash, brace, control character or surrogate, so a match ends
+# where `_first_balanced` ends and the source is valid Python.
+_WS = r"[ \t]*"
+_NUM = (r"[-+]?(?:(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
+        r"|[0-9]+[eE][-+]?[0-9]+|0+|[1-9][0-9]{0,15})")
+_KEY_CHARS = r"[^'\"\\{}\x00-\x1f\x7f\ud800-\udfff]*"
+_PAIR = rf"""(?:'({_KEY_CHARS})'|"({_KEY_CHARS})"){_WS}:{_WS}({_NUM})"""
+_PAIR_RE = re.compile(rf"{_PAIR}(?={_WS}[,}}])")
+_MAP_RE = re.compile(rf"\{{{_WS}(?:{_PAIR}(?:{_WS},{_WS}{_PAIR})*{_WS})?\}}")
+_LIST = rf"\[{_WS}(?:{_NUM}(?:{_WS},{_WS}{_NUM})*{_WS})?\]"
+_LIST_RE = re.compile(_LIST)
+_NESTED_RE = re.compile(rf"\[{_WS}{_LIST}(?:{_WS},{_WS}{_LIST})*{_WS}\]")
+_INNER_RE = re.compile(r"\[([^\[\]]*)\]")
+
+
+def _number(token: str):
+    """The int or float `ast.literal_eval` makes of a `_NUM` token."""
+    return float(token) if "." in token or "e" in token or "E" in token else int(token)
+
+
+def _numbers(inner: str) -> list:
+    inner = inner.strip(" \t")
+    return [_number(t.strip(" \t")) for t in inner.split(",")] if inner else []
+
+
+def _scan_map(text: str) -> Optional[dict]:
+    """The first map literal of `text` if it has the canonical shape, else None."""
+    start = text.find("{")
+    m = _MAP_RE.match(text, start) if start >= 0 else None
+    if m is None:
+        return None
+    return {single or double: _number(num)
+            for single, double, num in _PAIR_RE.findall(m.group(0))}
+
+
+def _scan_list(text: str) -> Optional[list]:
+    """The first list literal of `text` if it has a canonical shape, else None."""
+    start = text.find("[")
+    if start < 0:
+        return None
+    m = _LIST_RE.match(text, start)
+    if m is not None:
+        return _numbers(m.group(0)[1:-1])
+    m = _NESTED_RE.match(text, start)
+    if m is None:
+        return None
+    return [_numbers(inner) for inner in _INNER_RE.findall(m.group(0), 1)]
+
+
+def _evaluated(answer_raw: str, open_ch: str, close_ch: str, what: str):
+    """The first naively balanced `open_ch` literal of `answer_raw`, evaluated."""
+    literal = _first_balanced(answer_raw, open_ch, close_ch)
+    try:
+        return _literal_eval(literal)
+    except (ValueError, SyntaxError) as e:
+        raise MalformedAnswer(f"unparseable {what} literal: {e}") from e
+
+
 def _first_balanced(text: str, open_ch: str, close_ch: str) -> str:
     start = text.find(open_ch)
     if start < 0:
@@ -150,11 +223,9 @@ def parse_distribution_answer(answer_raw: str, categories) -> Distribution:
     Quoting style and key order are free; the category set is not.
     No sum constraint is enforced here.
     """
-    literal = _first_balanced(answer_raw, "{", "}")
-    try:
-        obj = _literal_eval(literal)
-    except (ValueError, SyntaxError) as e:
-        raise MalformedAnswer(f"unparseable map literal: {e}") from e
+    obj = _scan_map(answer_raw)
+    if obj is None:
+        obj = _evaluated(answer_raw, "{", "}", "map")
     if not isinstance(obj, dict):
         raise MalformedAnswer("answer literal is not a map")
     got = {str(k): _as_number(v) for k, v in obj.items()}
@@ -176,11 +247,9 @@ def parse_box_answer(answer_raw: str) -> tuple[BoxSet, bool]:
     coordinates clamped to 0; the second return value flags whether any
     normalization happened.
     """
-    literal = _first_balanced(answer_raw, "[", "]")
-    try:
-        obj = _literal_eval(literal)
-    except (ValueError, SyntaxError) as e:
-        raise MalformedAnswer(f"unparseable box literal: {e}") from e
+    obj = _scan_list(answer_raw)
+    if obj is None:
+        obj = _evaluated(answer_raw, "[", "]", "box")
     if not isinstance(obj, (list, tuple)):
         raise MalformedAnswer("answer literal is not a list")
     if len(obj) > 0 and all(isinstance(x, (list, tuple)) for x in obj):
@@ -222,22 +291,33 @@ _COORD_RUN_RE = re.compile(
 _XY_TOKEN_RE = re.compile(r"\b[xy][12]\b", re.IGNORECASE)
 _DIRECTIONAL_RE = re.compile(
     r"\b(?:top|bottom|upper|lower)[-\s](?:left|right)\b", re.IGNORECASE)
+# The common tail of every category-value pair pattern, with the same flags:
+# text it does not occur in holds no pair, so the per-category scans are skipped.
+_PAIR_VALUE_RE = re.compile(r"[:=]\s*\d", re.IGNORECASE)
+
+
+@functools.lru_cache(maxsize=64)
+def _category_pair_res(categories: tuple[str, ...]) -> tuple[re.Pattern, ...]:
+    """One `<category>: <digit>` pattern per category, in category order."""
+    return tuple(re.compile(rf"\b{re.escape(cat)}\b\s*[:=]\s*\d", re.IGNORECASE)
+                 for cat in categories)
 
 
 def detect_leak(cot: str, task: TaskKind) -> tuple[bool, list[str]]:
     """Pattern-table leak check for annotation specifics inside a CoT.
 
     Line-initial list enumerators ("1.", "2)") are exempt in both tasks;
-    spelled-out number words never count as leaks.
+    spelled-out number words never count as leaks. Evidence lists the
+    matches pattern by pattern, category pairs in category order.
     """
     text = _ENUMERATOR_RE.sub("", cot)
     evidence: list[str] = []
     if isinstance(task, Classification):
         evidence += [m.group(0) for m in _DECIMAL_01_RE.finditer(text)]
         evidence += [m.group(0) for m in _PERCENT_RE.finditer(text)]
-        for cat in task.categories:
-            pair_re = re.compile(rf"\b{re.escape(cat)}\b\s*[:=]\s*\d", re.IGNORECASE)
-            evidence += [m.group(0) for m in pair_re.finditer(text)]
+        if _PAIR_VALUE_RE.search(text):
+            for pair_re in _category_pair_res(task.categories):
+                evidence += [m.group(0) for m in pair_re.finditer(text)]
     else:
         evidence += [m.group(0) for m in _BRACKET_TUPLE_RE.finditer(text)]
         evidence += [m.group(0) for m in _COORD_RUN_RE.finditer(text)]

@@ -2,9 +2,11 @@
 
 import json
 import random
+import re
 
 import pytest
 import requests
+from hypothesis import given, strategies as st
 
 from cotloop.backends import (CueWorld, DEFAULT_TEMPLATE_BANK,
                               GenerationRequest, MockBackend, RemoteBackend,
@@ -244,6 +246,20 @@ def test_extract_cues_word_boundaries(class_world):
     assert class_world.extract_cues(f"I saw the {cue} there") == {cue}
     # Substring inside a longer hyphenated token must not match.
     assert class_world.extract_cues(f"pseudo-{cue}-ish thing") == frozenset()
+
+
+_CUE_WORLD = CueWorld(vocab_size=48, seed=3)
+_CUE_PIECES = list(_CUE_WORLD.vocab[:6]) + ["amber", "lantern", "-", "_", "x", "é", "7",
+                                            " ", ".", ",", "\n", "pseudo-", "-ish", "the "]
+
+
+@given(text=st.lists(st.sampled_from(_CUE_PIECES) | st.text(max_size=3),
+                     max_size=10).map("".join))
+def test_one_regex_cue_scan_matches_per_cue_search(text):
+    per_cue = frozenset(
+        cue for cue in _CUE_WORLD.vocab
+        if re.search(rf"(?<![\w-]){re.escape(cue)}(?![\w-])", text))
+    assert _CUE_WORLD.extract_cues(text) == per_cue
 
 
 def test_distractor_pool(class_world):

@@ -1,11 +1,15 @@
 """CLI: exit codes, fixture outputs, manifests, and idempotence."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 import yaml
 
-from cotloop.cli import cli_dispatch
+import cotloop
+from cotloop.cli import _build_backend, cli_dispatch
 from cotloop.domain import make_breakdown, ScoredRecord
 from cotloop.pipeline import save_dataset, save_predictions, save_records
 from cotloop.backends import CueWorld
@@ -57,6 +61,33 @@ def test_backend_exhaustion_exits_two(tmp_path, capsys):
     code = cli_dispatch(["gen-cot", "--config", str(config),
                          "--records", str(tmp_path / "records.jsonl")])
     assert code == 2
+
+
+def test_remote_backoff_base_is_checked_and_passed(tmp_path, capsys):
+    config = write_world_config(tmp_path / "config.yaml")
+    cfg = yaml.safe_load((tmp_path / "config.yaml").read_text())
+    remote = {"kind": "remote", "endpoint": "http://localhost:9/v1/chat",
+              "model": "m", "max_attempts": 1, "backoff_base": -1}
+    cfg["backends"] = {"reason": remote, "recon": remote}
+    (tmp_path / "config.yaml").write_text(yaml.safe_dump(cfg))
+    code = cli_dispatch(["gen-cot", "--config", config,
+                         "--records", str(tmp_path / "records.jsonl")])
+    assert code == 1
+    assert "backoff_base" in capsys.readouterr().err
+    assert not (tmp_path / "records.jsonl").exists()
+    backends = {"backends": {"reason": dict(remote, backoff_base=0.25)}}
+    assert _build_backend(backends, "reason", None).backoff_base == 0.25
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    src = os.path.dirname(os.path.dirname(cotloop.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cotloop.cli; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_remote_cap_below_one_exits_one(tmp_path, capsys):

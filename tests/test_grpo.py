@@ -90,6 +90,15 @@ def test_policy_update_signs():
     assert p.logits["b"] == before
 
 
+@given(logits=st.lists(st.floats(-30, 30), min_size=1, max_size=6),
+       seed=st.integers(0, 2**32))
+def test_cumulative_draws_take_the_weighted_stream(logits, seed):
+    p = ToyPolicy(logits={"b": {f"c{i}": v for i, v in enumerate(logits)}})
+    probs = p.probs("b")
+    expected = random.Random(seed).choices(list(probs), weights=list(probs.values()), k=20)
+    assert p.sample_choices("b", random.Random(seed), 20) == expected
+
+
 def test_policy_bandit_convergence():
     # Score-function ascent on a 3-arm bandit: the dominant arm's
     # probability exceeds 0.9 within 200 updates.

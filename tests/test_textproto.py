@@ -1,11 +1,15 @@
 """Prompt rendering, answer parsing, leak detection, format gates."""
 
+import ast
+import hashlib
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, strategies as st
 
+from cotloop import textproto
 from cotloop.domain import Box, BoxSet, Classification, Detection, Distribution
 from cotloop.errors import MalformedAnswer, MissingVariable, TemplateError
 from cotloop.render import render_annotation
@@ -313,3 +317,266 @@ def test_render_parse_closure_detection():
     for orig, got in zip(bs.boxes, parsed.boxes):
         for a, b in zip(orig.as_tuple(), got.as_tuple()):
             assert b == pytest.approx(a, abs=1e-6)
+
+
+# --- answer scanner and leak prefilter vs the code they replace -----------------------
+# The parsers and leak gate as they were before the scanner and the prefilter,
+# kept as the oracles of the differential tests below.
+
+def _oracle_first_balanced(text, open_ch, close_ch):
+    start = text.find(open_ch)
+    if start < 0:
+        raise MalformedAnswer(f"no {open_ch}...{close_ch} literal found")
+    depth = 0
+    for i in range(start, len(text)):
+        if text[i] == open_ch:
+            depth += 1
+        elif text[i] == close_ch:
+            depth -= 1
+            if depth == 0:
+                return text[start:i + 1]
+    raise MalformedAnswer(f"unbalanced {open_ch} literal")
+
+
+def _oracle_as_number(v):
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise MalformedAnswer(f"non-numeric value: {v!r}")
+    return float(v)
+
+
+def _oracle_distribution(answer_raw, categories):
+    literal = _oracle_first_balanced(answer_raw, "{", "}")
+    try:
+        obj = ast.literal_eval(literal)
+    except (ValueError, SyntaxError) as e:
+        raise MalformedAnswer(f"unparseable map literal: {e}") from e
+    if not isinstance(obj, dict):
+        raise MalformedAnswer("answer literal is not a map")
+    got = {str(k): _oracle_as_number(v) for k, v in obj.items()}
+    want = set(categories)
+    missing = sorted(want - set(got))
+    extra = sorted(set(got) - want)
+    if missing or extra:
+        raise MalformedAnswer(f"category set mismatch: missing={missing} extra={extra}")
+    for cat, v in got.items():
+        if v < 0:
+            raise MalformedAnswer(f"negative probability for {cat!r}: {v}")
+    return Distribution(got)
+
+
+def _oracle_boxes(answer_raw):
+    literal = _oracle_first_balanced(answer_raw, "[", "]")
+    try:
+        obj = ast.literal_eval(literal)
+    except (ValueError, SyntaxError) as e:
+        raise MalformedAnswer(f"unparseable box literal: {e}") from e
+    if not isinstance(obj, (list, tuple)):
+        raise MalformedAnswer("answer literal is not a list")
+    if len(obj) > 0 and all(isinstance(x, (list, tuple)) for x in obj):
+        tuples = obj
+    else:
+        tuples = [obj]
+    boxes = []
+    normalized = False
+    for t in tuples:
+        if not isinstance(t, (list, tuple)) or len(t) != 4:
+            raise MalformedAnswer(f"box tuple must have 4 numbers, got {t!r}")
+        x1, y1, x2, y2 = (_oracle_as_number(v) for v in t)
+        cx1, cy1 = max(x1, 0.0), max(y1, 0.0)
+        cx2, cy2 = max(x2, 0.0), max(y2, 0.0)
+        nx1, nx2 = min(cx1, cx2), max(cx1, cx2)
+        ny1, ny2 = min(cy1, cy2), max(cy1, cy2)
+        if (nx1, ny1, nx2, ny2) != (x1, y1, x2, y2):
+            normalized = True
+        boxes.append(Box(nx1, ny1, nx2, ny2))
+    return BoxSet(tuple(boxes)), normalized
+
+
+def _oracle_detect_leak(cot, task):
+    text = re.sub(r"(?m)^\s*\d+[.)]\s*", "", cot)
+    evidence = []
+    if isinstance(task, Classification):
+        evidence += re.findall(r"(?<![\d.])(?:0?\.\d+|1\.0+)(?!\d)", text)
+        evidence += re.findall(r"\b\d+(?:\.\d+)?\s*%", text)
+        for cat in task.categories:
+            pair_re = re.compile(rf"\b{re.escape(cat)}\b\s*[:=]\s*\d", re.IGNORECASE)
+            evidence += [m.group(0) for m in pair_re.finditer(text)]
+    else:
+        evidence += [m.group(0) for m in re.finditer(
+            r"\[\s*-?\d+(?:\.\d+)?(?:\s*,\s*-?\d+(?:\.\d+)?)+\s*\]", text)]
+        evidence += [m.group(0) for m in re.finditer(
+            r"(?<![\w.])[1-9]\d+(?:\s*,\s*|\s+)[1-9]\d+(?:(?:\s*,\s*|\s+)[1-9]\d+)*", text)]
+        evidence += re.findall(r"(?i)\b[xy][12]\b", text)
+        evidence += re.findall(r"(?i)\b(?:top|bottom|upper|lower)[-\s](?:left|right)\b", text)
+    return bool(evidence), evidence
+
+
+def _outcome(fn, *args):
+    """repr of the result (keeps -0.0 apart from 0.0), or the error's type and text."""
+    try:
+        result = fn(*args)
+    except Exception as e:  # the oracle may raise more than MalformedAnswer
+        return type(e).__name__, re.sub(r" at 0x[0-9a-f]+", "", str(e))  # ast node reprs
+    if isinstance(result, Distribution):
+        return repr(list(result.probs.items()))
+    return repr(result)
+
+
+# Tokens that look like the canonical shapes but that a naive regex reads
+# differently from `ast.literal_eval`.
+_TRAP_NUMBERS = ["01", "00", "007", "0012.5", "012e3", "1_000", "0x1F", "0o7", "1e5",
+                 "1E-3", "1e999", "-1e999", ".5", "5.", "1.e2", "-0", "-0.0", "+0.0",
+                 "- 1", "+ 2.5", "--1", "+-1", "1j", "True", "None", "'x'", "nan",
+                 "\u0661", "\u0663.\u0665", "1\u0660", "\uff11", "1" + "0" * 17,
+                 "1" + "0" * 400, "1" + "0" * 5000, "()", "(1)", "[1]", "{}"]
+_WHITESPACE = ["", " ", "  ", "\t", "\v", "\f", "\n", "\r\n", "\\\n", "\u00a0",
+               "\u2003", "\u3000", "\u2028", "#c\n"]
+_plain_numbers = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6).map(lambda x: f"{x:.6f}"),
+    st.floats(allow_nan=False).map(repr),
+    st.integers(min_value=-10**20, max_value=10**20).map(str),
+    st.from_regex(r"\A[-+]?[0-9]{0,3}\.?[0-9]{0,3}(?:[eE][-+]?[0-9]{1,3})?\Z"))
+_key_text = st.one_of(st.sampled_from(EMOTION_CATEGORIES), st.text(max_size=6),
+                      st.sampled_from(["a{b", "}", "a}b", "[x]", "it's", 'say "hi"']))
+_plain_keys = st.one_of(_key_text.map(lambda k: f"'{k}'"), _key_text.map(lambda k: f'"{k}"'))
+# Half the answers are drawn near the canonical shapes, so both the scanner and
+# the fallback are exercised; the other half mix in every trap above.
+_clean_key_text = st.sampled_from(EMOTION_CATEGORIES) | st.text(
+    st.characters(blacklist_categories=("Cc", "Cs"), blacklist_characters="'\"\\{}"),
+    max_size=6)
+_CLEAN = {"ws": st.sampled_from(["", " ", "\t"]),
+          "num": st.one_of(
+              st.floats(min_value=-1e6, max_value=1e6).map(lambda x: f"{x:.6f}"),
+              st.floats(allow_nan=False, allow_infinity=False).map(repr),
+              st.integers(min_value=-10**15, max_value=10**15).map(str)),
+          "key": _clean_key_text.map(lambda k: f"'{k}'") | _clean_key_text.map(
+              lambda k: f'"{k}"'),
+          "tail": st.just("")}
+_TRAPPY = {"ws": st.sampled_from(_WHITESPACE),
+           "num": st.one_of(_plain_numbers, st.sampled_from(_TRAP_NUMBERS)),
+           "key": st.one_of(_plain_keys, _key_text.map(repr), st.sampled_from(
+               ["1", "0x1", "'a' 'b'", "b'a'", "'\\n'", "'\\''", "r'a'", "'\\x41'",
+                "'a\\\nb'", "''", "(1, 2)"])),
+           "tail": st.sampled_from(["", ",", " ,", ", ", ",,"])}
+
+
+@st.composite
+def _map_answers(draw):
+    mode = draw(st.sampled_from([_CLEAN, _TRAPPY]))
+    n = draw(st.integers(0, 5))
+    keys = [draw(mode["key"]) for _ in range(n)]
+    if draw(st.booleans()) and keys:
+        keys.append(draw(st.sampled_from(keys)))      # a duplicate key
+    ws = lambda: draw(mode["ws"])                      # noqa: E731
+    pairs = [k + ws() + ":" + ws() + draw(mode["num"]) for k in keys]
+    body = "{" + ws() + "".join((ws() + "," + ws() if i else "") + p
+                                for i, p in enumerate(pairs)) + draw(mode["tail"]) + ws() + "}"
+    prefix = draw(st.sampled_from(["", "map: ", "[1] {", "}{"]))
+    return prefix + body + draw(st.sampled_from(["", " done", "}", " {'x': 1}", "\n"]))
+
+
+def _categories_of(answer):
+    try:
+        return tuple(str(k) for k in ast.literal_eval(_oracle_first_balanced(answer, "{", "}")))
+    except Exception:
+        return EMOTION_CATEGORIES
+
+
+@given(answer=_map_answers(), own_categories=st.booleans())
+def test_map_scanner_matches_literal_eval(answer, own_categories):
+    categories = _categories_of(answer) if own_categories else EMOTION_CATEGORIES
+    assert (_outcome(parse_distribution_answer, answer, categories)
+            == _outcome(_oracle_distribution, answer, categories))
+
+
+@st.composite
+def _box_answers(draw):
+    mode = draw(st.sampled_from([_CLEAN, _TRAPPY]))
+    ws = lambda: draw(mode["ws"])                      # noqa: E731
+
+    def flat():
+        nums = [draw(mode["num"]) for _ in range(draw(st.integers(0, 5)))]
+        open_, close = ("[", "]") if mode is _CLEAN else draw(
+            st.sampled_from([("[", "]"), ("(", ")")]))
+        return (open_ + ws() + "".join((ws() + "," + ws() if i else "") + x
+                                       for i, x in enumerate(nums))
+                + draw(mode["tail"]) + ws() + close)
+    if draw(st.booleans()):
+        body = flat()
+        if not body.startswith("["):
+            body = "[" + body + "]"
+    else:
+        inner = [flat() for _ in range(draw(st.integers(1, 3)))]
+        if mode is _TRAPPY and draw(st.booleans()):
+            inner.append(draw(mode["num"]))            # mixed nesting
+        body = "[" + ws() + (ws() + "," + ws()).join(inner) + draw(mode["tail"]) + ws() + "]"
+    prefix = draw(st.sampled_from(["", "box: ", "]["]))
+    return prefix + body + draw(st.sampled_from(["", " done", "]", " [9]"]))
+
+
+@given(answer=_box_answers())
+def test_box_scanner_matches_literal_eval(answer):
+    assert _outcome(parse_box_answer, answer) == _outcome(_oracle_boxes, answer)
+
+
+@pytest.mark.parametrize("shape", ["map", "box"])
+def test_canonical_answers_take_the_scanner(shape, monkeypatch):
+    def no_ast(_):
+        raise AssertionError("canonical answer read with ast")
+    monkeypatch.setattr(textproto, "_literal_eval", no_ast)
+    if shape == "map":
+        answer = render_annotation(Distribution(dict(EXAMPLE_DISTRIBUTION)), CLS)
+        assert parse_distribution_answer(answer, EMOTION_CATEGORIES).probs == pytest.approx(
+            EXAMPLE_DISTRIBUTION)
+    else:
+        bs = BoxSet((Box(138, 182, 656, 428), Box(0.5, 1.25, 3.125, 9.0)))
+        assert parse_box_answer(render_annotation(bs, DET)) == (bs, False)
+        assert parse_box_answer(render_annotation(BoxSet(bs.boxes[:1]), DET))[0] == BoxSet(
+            bs.boxes[:1])
+
+
+_LEAK_PIECES = (["joy", "Joy", "JOY", "fear", "sad", "a.b", "c+", "x y", "\u00e9", "\u00df",
+                 "SS", ":", "=", " : ", "= ", ": ", " ", "\u00a0", "\n", "\n1. ", "\n 2) ",
+                 "0", "7", "0.5", ".25", "1.00", "42", "9 %", "\u0663", "\uff11",
+                 "-", "_", ".", "\u2003", "joy:", "fear=1", "x1", "top-left"])
+_leak_texts = st.lists(st.sampled_from(_LEAK_PIECES) | st.text(max_size=4),
+                       max_size=12).map("".join)
+_leak_categories = st.lists(st.sampled_from(["joy", "fear", "JOY", "a.b", "c+", "x y",
+                                             "\u00e9", "\u00df", "sad"]) | st.text(min_size=1, max_size=3),
+                            min_size=1, max_size=5, unique=True)
+
+
+@given(text=_leak_texts, categories=_leak_categories)
+def test_prefiltered_leak_gate_matches_the_category_loop(text, categories):
+    task = Classification(categories=tuple(categories))
+    assert detect_leak(text, task) == _oracle_detect_leak(text, task)
+    assert detect_leak(text, DET) == _oracle_detect_leak(text, DET)
+
+
+LEAK_CORPUS_CLS = (
+    "The mood is roughly 0.8 joyful, with .25 fear and 1.0 calm, not 1.000 or 0.333.",
+    "About 80% of the frame glows; 12.5 % is shade and 3% reads neutral.",
+    "cat: 3 and Cat = 0 and CAT:7, while dog=1 and Dog : 2 and red-fox= 4.",
+    "joy: 0.4, fear: 0.3, joy = 2, anger:1, Sadness =5 and surprise: 9 twice surprise=1",
+    "1. The sky is bright.\n2) joy is evident\n  3. sadness: 4 remains\n4) 0.5 of it",
+    "joy=, fear: x, surprise : 5 neutral=9 disgust:: 1 joyful: 3",
+    "0.5 0.25 .75 1.00 10.5 0.333 2.5% 100 %",
+    "No numbers at all here, just warm light across the yard.",
+)
+LEAK_CORPUS_DET = (
+    "the region [138, 182, 656, 428] holds the scarf, and so does [1.5, 2, -3, 4.25]",
+    "it spans 138, 182 in the frame, then 200 300 400, and 12,34 then 7, 8",
+    "near coordinates x1 and y2, X2 and Y1, but not x3 or x12",
+    "sitting in the top-left corner, the Lower Right edge, upper-left, bottom right",
+    "1. The object rests near the chair.\n2) 150, 250 away\n3. [10, 20]",
+    "there are 3 folds visible in the woven texture",
+)
+LEAK_GOLDEN_SHA256 = "6c0b760a18313b46f06e7601ff4e522257ed197ce343a58e873954cc9272dcc0"
+
+
+def test_leak_evidence_is_stable():
+    cls = Classification(categories=EMOTION_CATEGORIES + ("cat", "Dog", "red-fox"))
+    evidence = ([detect_leak(c, cls)[1] for c in LEAK_CORPUS_CLS]
+                + [detect_leak(c, DET)[1] for c in LEAK_CORPUS_DET])
+    assert sum(map(len, evidence)) >= 40
+    assert hashlib.sha256(repr(evidence).encode()).hexdigest() == LEAK_GOLDEN_SHA256
