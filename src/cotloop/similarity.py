@@ -2,8 +2,8 @@
 
 Classification similarity multiplies a KLD+MSE agreement factor by a
 probability-sum regularizer; detection similarity averages matched IoU
-over ground-truth boxes after optimal assignment. All logs are natural
-except the sum regularizer, which uses log10.
+over ground-truth boxes after one optimal-assignment solve, whose duals
+also settle ties. All logs are natural except log10 in the sum regularizer.
 """
 
 from __future__ import annotations
@@ -11,12 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .domain import Box, BoxSet, Distribution
 from .errors import DomainError
 
 CLAMP = 1e-10
+TIE_TOL = 1e-9  # a reduced cost this near 0 marks a pair some optimal assignment uses
 
 
 def _aligned(p: Distribution, q: Distribution) -> tuple[list[float], list[float]]:
@@ -80,72 +79,75 @@ class MatchResult:
         return sum(self.per_pair_iou)
 
 
-def iou_matrix(gt: BoxSet, pred: BoxSet) -> np.ndarray:
-    m = np.zeros((len(gt), len(pred)))
-    for i, g in enumerate(gt.boxes):
-        for j, p in enumerate(pred.boxes):
-            m[i, j] = iou(g, p)
-    return m
+def _assign(cost: list[list[float]]) -> tuple[list[int], list[float], list[float]]:
+    """Min-cost perfect matching of a square matrix by shortest augmenting paths
+    (Jonker & Volgenant 1987; Crouse 2016): returns (row_of, u, v), where row_of[j]
+    is column j's row and u[i] + v[j] <= cost[i][j], with equality where matched."""
+    n = len(cost)
+    u, v = [0.0] * n, [0.0] * (n + 1)
+    row_of = [-1] * (n + 1)  # column n is the virtual root of each search
+    for i in range(n):
+        row_of[n], j0 = i, n
+        dist, prev, done = [math.inf] * n, [n] * n, [False] * (n + 1)
+        while row_of[j0] != -1:
+            done[j0] = True
+            r, delta, j1 = row_of[j0], math.inf, -1
+            for j in range(n):
+                if not done[j]:
+                    d = cost[r][j] - u[r] - v[j]
+                    if d < dist[j]:
+                        dist[j], prev[j] = d, j0
+                    if dist[j] < delta:
+                        delta, j1 = dist[j], j
+            for j in range(n + 1):
+                if done[j]:
+                    u[row_of[j]] += delta
+                    v[j] -= delta
+                elif j < n:
+                    dist[j] -= delta
+            j0 = j1
+        while j0 != n:
+            row_of[j0], j0 = row_of[prev[j0]], prev[j0]
+    return row_of[:n], u, v
 
 
-def _best_subtotal(m: np.ndarray, rows: list[int], cols: list[int], needed: int):
-    """Max total IoU over assignments of exactly `needed` pairs, or None if infeasible."""
-    if needed == 0:
-        return 0.0
-    if min(len(rows), len(cols)) < needed:
-        return None
-    # Imported here: scipy.optimize is most of the package's import time, and
-    # only detection scoring needs it.
-    from scipy.optimize import linear_sum_assignment
-    sub = m[np.ix_(rows, cols)]
-    ri, ci = linear_sum_assignment(sub, maximize=True)
-    return float(sub[ri, ci].sum())
-
-
-def hungarian_match(gt: BoxSet, pred: BoxSet, tol: float = 1e-9) -> MatchResult:
+def hungarian_match(gt: BoxSet, pred: BoxSet) -> MatchResult:
     """Injective assignment maximizing total IoU, of size min(|gt|, |pred|).
 
     Among all optimal assignments, returns the lexicographically smallest
     by (gt_index, pred_index). Zero-IoU pairs may be assigned; they
     contribute nothing to the total.
     """
-    ng, np_ = len(gt), len(pred)
-    k = min(ng, np_)
-    if k == 0:
-        return MatchResult((), (), tuple(range(ng)))
+    ng, npd = len(gt), len(pred)
+    n = max(ng, npd)
+    ious = [[iou(g, p) for p in pred.boxes] for g in gt.boxes]
+    # A padded zero row or column stands for "unmatched", so a perfect
+    # matching of the square pairs exactly min(ng, npd) real boxes.
+    cost = [[-x for x in row] + [0.0] * (n - npd) for row in ious] + [[0.0] * n] * (n - ng)
+    row_of, u, v = _assign(cost)
+    col_of = sorted(range(n), key=row_of.__getitem__)
+    # Complementary slackness: the optimal assignments are the perfect matchings on tight pairs.
+    tight = [[abs(cost[i][j] - u[i] - v[j]) <= TIE_TOL for j in range(n)] for i in range(n)]
 
-    m = iou_matrix(gt, pred)
-    target = _best_subtotal(m, list(range(ng)), list(range(np_)), k)
+    def reroute(r: int, i: int, free: int, seen: set[int]) -> bool:
+        """Move row r along tight pairs, shifting rows after i, until `free` is taken."""
+        for c in range(n):
+            if c not in seen and row_of[c] >= i and tight[r][c]:
+                seen.add(c)
+                if c == free or reroute(row_of[c], i, free, seen):
+                    row_of[c], col_of[r] = r, c
+                    return True
+        return False
 
-    fixed: list[tuple[int, int]] = []
-    fixed_total = 0.0
-    avail = list(range(np_))
-    for g in range(ng):
-        if len(fixed) == k:
-            break
-        rest_rows = list(range(g + 1, ng))
-        chosen = None
-        for p in avail:
-            rest = _best_subtotal(m, rest_rows, [c for c in avail if c != p],
-                                  k - len(fixed) - 1)
-            if rest is None:
-                continue
-            if fixed_total + m[g, p] + rest >= target - tol:
-                chosen = p
+    # Each gt row in turn takes its smallest tight pred that later rows can make room for.
+    for i in range(ng):
+        for j in range(min(col_of[i], npd)):
+            if row_of[j] > i and tight[i][j] and reroute(row_of[j], i, col_of[i], {j}):
+                row_of[j], col_of[i] = i, j
                 break
-        if chosen is None:
-            # g stays unmatched; only reachable when |gt| > |pred|.
-            continue
-        fixed.append((g, chosen))
-        fixed_total += m[g, chosen]
-        avail.remove(chosen)
-
-    matched = {g for g, _ in fixed}
-    return MatchResult(
-        assignment=tuple(fixed),
-        per_pair_iou=tuple(float(m[g, p]) for g, p in fixed),
-        unmatched_gt=tuple(i for i in range(ng) if i not in matched),
-    )
+    pairs = tuple((i, col_of[i]) for i in range(ng) if col_of[i] < npd)
+    return MatchResult(pairs, tuple(ious[i][j] for i, j in pairs),
+                       tuple(i for i in range(ng) if col_of[i] >= npd))
 
 
 def detection_similarity(gt: BoxSet, pred: BoxSet) -> float:
@@ -158,8 +160,6 @@ def detection_similarity(gt: BoxSet, pred: BoxSet) -> float:
 
 def jsd(p: Distribution, q: Distribution) -> float:
     """Jensen-Shannon divergence with natural log; range [0, ln 2]."""
-    pv_cats = set(p.probs)
-    if pv_cats != set(q.probs):
-        raise DomainError("distributions are over different category sets")
-    mid = Distribution({c: (p.probs[c] + q.probs[c]) / 2 for c in pv_cats})
+    _aligned(p, q)  # raises on a category mismatch
+    mid = Distribution({c: (p.probs[c] + q.probs[c]) / 2 for c in p.probs})
     return 0.5 * kld(p, mid) + 0.5 * kld(q, mid)

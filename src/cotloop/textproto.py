@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import math
 import re
 import threading
 from dataclasses import dataclass
@@ -214,7 +215,12 @@ def _first_balanced(text: str, open_ch: str, close_ch: str) -> str:
 def _as_number(v) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise MalformedAnswer(f"non-numeric value: {v!r}")
-    return float(v)
+    try:
+        if math.isfinite(v):
+            return float(v)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise MalformedAnswer("number outside the float range")
 
 
 def parse_distribution_answer(answer_raw: str, categories) -> Distribution:

@@ -83,11 +83,15 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     src = os.path.dirname(os.path.dirname(cotloop.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, cotloop.cli; print('scipy.optimize' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "False"
+    scoring = ("import sys; from cotloop import Box, BoxSet, detection_similarity\n"
+               "a, b = Box(0, 0, 2, 2), Box(4, 4, 6, 6)\n"
+               "assert detection_similarity(BoxSet((a, b)), BoxSet((b, a))) == 1.0\n"
+               "print('scipy' in sys.modules)")
+    for script in ("import sys, cotloop.cli; print('scipy.optimize' in sys.modules)",
+                   scoring):
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        assert out.stdout.strip() == "False"
 
 
 def test_remote_cap_below_one_exits_one(tmp_path, capsys):

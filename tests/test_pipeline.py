@@ -1,6 +1,7 @@
 """Pipeline: dataset IO, the closed-loop stage, SFT export, and evaluation."""
 
 import hashlib
+import itertools
 import json
 import sys
 import threading
@@ -167,6 +168,21 @@ def test_stage_backend_failure_manifest(emotion_sample):
     assert result.records == []
     assert result.failures[0]["sample_id"] == emotion_sample.id
     assert result.failures[0]["kind"] == "MockMiss"
+
+
+def test_stage_scores_out_of_range_answers_as_parse_failures(detection_sample):
+    class OutOfRangeRecon:
+        def __init__(self):
+            self.answers = itertools.cycle(["[1e999, 0, 1, 1]", f"[{10**400}, 0, 1, 1]"])
+
+        def generate(self, request):
+            return f"<answer>{next(self.answers)}</answer>"
+
+    result = run_closed_loop_stage(
+        [detection_sample], MockBackend({reasoning_prompt(detection_sample): "cot"}),
+        OutOfRangeRecon(), group_size=4, seed=0)
+    assert result.failures == []
+    assert result.records[0].breakdown.reason == "parse"
 
 
 def test_stage_resumes_from_torn_file(stage_world, tmp_path):

@@ -55,6 +55,13 @@ def test_parse_failure_scores_zero(emotion_sample):
     assert b.composite == 0.0 and not b.format_ok and b.reason == "parse"
 
 
+@pytest.mark.parametrize("answer", ["[1e999, 0, 1, 1]", f"[{10**400}, 0, 1, 1]"],
+                         ids=["float", "int"])
+def test_out_of_range_box_scores_parse(detection_sample, answer):
+    b = closed_loop_reward(detection_sample, CLEAN_COT, f"<answer>{answer}</answer>")
+    assert b.composite == 0.0 and b.reason == "parse"
+
+
 def test_short_cot_is_format_failure(emotion_sample):
     b = closed_loop_reward(emotion_sample, "tiny", answer_for(emotion_sample))
     assert b.composite == 0.0 and b.reason == "format"

@@ -4,13 +4,16 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cotloop.backends import CueWorld
 from cotloop.domain import Box, BoxSet, Distribution
 from cotloop.errors import DomainError
-from cotloop.similarity import (classification_similarity, detection_similarity,
-                                hungarian_match, iou, jsd, kld, mse)
+from cotloop.similarity import (MatchResult, classification_similarity,
+                                detection_similarity, hungarian_match, iou, jsd,
+                                kld, mse)
 
 from conftest import EXAMPLE_DISTRIBUTION
 
@@ -144,6 +147,36 @@ def brute_force_max_total_iou(gt, pred):
     return best
 
 
+def _assignments(g, ng, npd, left, used):
+    """Injective assignments of exactly `left` pairs over gt rows g.., in
+    (gt index, pred index) order with "unmatched" ranked after every pred."""
+    if g == ng:
+        if left == 0:
+            yield ()
+        return
+    if left > 0:
+        for p in range(npd):
+            if p not in used:
+                for rest in _assignments(g + 1, ng, npd, left - 1, used | {p}):
+                    yield ((g, p),) + rest
+    if ng - g > left:
+        yield from _assignments(g + 1, ng, npd, left, used)
+
+
+def brute_force_lexicographic_match(gt, pred):
+    """Independent oracle: the first assignment in lexicographic order whose
+    total IoU is within 1e-9 of the best."""
+    ng, npd = len(gt.boxes), len(pred.boxes)
+    scored = []
+    for pairs in _assignments(0, ng, npd, min(ng, npd), frozenset()):
+        ious = tuple(iou(gt.boxes[g], pred.boxes[p]) for g, p in pairs)
+        scored.append((pairs, ious, sum(ious)))
+    best = max(total for _, _, total in scored)
+    pairs, ious, _ = next(s for s in scored if s[2] >= best - 1e-9)
+    matched = {g for g, _ in pairs}
+    return MatchResult(pairs, ious, tuple(g for g in range(ng) if g not in matched))
+
+
 def random_boxset(rng, max_boxes=6):
     n = rng.randint(0, max_boxes)
     boxes = []
@@ -182,6 +215,7 @@ def test_hungarian_vs_brute_force_oracle():
         assert len(m.assignment) == min(len(gt), len(pred))
         assert m.total_iou == pytest.approx(
             brute_force_max_total_iou(gt, pred), abs=1e-9)
+        assert m == brute_force_lexicographic_match(gt, pred)
 
 
 def test_hungarian_lexicographic_tie_break():
@@ -196,6 +230,61 @@ def test_hungarian_lexicographic_tie_break():
     pred = BoxSet((Box(50, 50, 60, 60), Box(70, 70, 80, 80)))
     m = hungarian_match(gt, pred)
     assert m.assignment == ((0, 0), (1, 1))
+
+
+def scipy_hungarian_match(gt, pred, linear_sum_assignment, tol=1e-9):
+    """The earlier solver, kept as a differential oracle: scipy solves the
+    optimum, then one sub-problem per candidate pair fixes the tie-break."""
+    m = np.array([[iou(g, p) for p in pred.boxes] for g in gt.boxes])
+
+    def best_subtotal(rows, cols, needed):
+        if needed == 0:
+            return 0.0
+        if min(len(rows), len(cols)) < needed:
+            return None
+        sub = m[np.ix_(rows, cols)]
+        ri, ci = linear_sum_assignment(sub, maximize=True)
+        return float(sub[ri, ci].sum())
+
+    ng, npd = len(gt), len(pred)
+    k = min(ng, npd)
+    if k == 0:
+        return MatchResult((), (), tuple(range(ng)))
+    target = best_subtotal(list(range(ng)), list(range(npd)), k)
+    fixed, fixed_total, avail = [], 0.0, list(range(npd))
+    for g in range(ng):
+        if len(fixed) == k:
+            break
+        for p in avail:
+            rest = best_subtotal(list(range(g + 1, ng)), [c for c in avail if c != p],
+                                 k - len(fixed) - 1)
+            if rest is not None and fixed_total + m[g, p] + rest >= target - tol:
+                fixed.append((g, p))
+                fixed_total += m[g, p]
+                avail.remove(p)
+                break
+    matched = {g for g, _ in fixed}
+    return MatchResult(tuple(fixed), tuple(float(m[g, p]) for g, p in fixed),
+                       tuple(i for i in range(ng) if i not in matched))
+
+
+# Tie-heavy box pools: cue-world grid cells (IoU 1 or 0), duplicates with
+# half-overlaps and a degenerate box, and boxes disjoint from both.
+_GRID = sorted(CueWorld(kind="detection", num_samples=1, cues_per_sample=1,
+                        vocab_size=9, seed=0).cue_box.values(), key=Box.as_tuple)
+_TIE_POOLS = [_GRID,
+              [Box(0, 0, 10, 10), Box(5, 0, 15, 10), Box(0, 5, 10, 15), Box(3, 3, 3, 3)],
+              [Box(2000 + 20 * i, 0, 2010 + 20 * i, 10) for i in range(8)]]
+_tie_sets = st.sampled_from(_TIE_POOLS).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=8)).map(
+    lambda boxes: BoxSet(tuple(boxes)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gt=_tie_sets, pred=_tie_sets)
+def test_hungarian_matches_the_scipy_solver_on_ties(gt, pred):
+    lsa = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    assert hungarian_match(gt, pred) == scipy_hungarian_match(gt, pred, lsa)
 
 
 def test_hungarian_assignment_injective():

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import math
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -288,6 +289,16 @@ def test_validate_f_r1_detection():
     assert not validate_f_r1("<answer>[1,2,3,4]</answer>", DET)
 
 
+@pytest.mark.parametrize("number", ["1e999", "-1e999", "1" + "0" * 400, "-1" + "0" * 400],
+                         ids=["float", "negative-float", "int", "negative-int"])
+def test_out_of_range_numbers_fail_the_parse(number):
+    box = ParsedOutput.from_text(f"<answer>[{number}, 0, 1, 1]</answer>", DET)
+    dist = ParsedOutput.from_text(f"<answer>{{'a': {number}, 'b': 0.5}}</answer>",
+                                  Classification(("a", "b")))
+    for out in (box, dist):
+        assert out.answer is None and out.error == "number outside the float range"
+
+
 def test_parsed_output_captures_errors():
     out = ParsedOutput.from_text("no tags at all", CLS)
     assert out.answer is None and out.error
@@ -341,7 +352,12 @@ def _oracle_first_balanced(text, open_ch, close_ch):
 def _oracle_as_number(v):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise MalformedAnswer(f"non-numeric value: {v!r}")
-    return float(v)
+    try:
+        if math.isfinite(v):
+            return float(v)
+    except OverflowError:
+        pass
+    raise MalformedAnswer("number outside the float range")
 
 
 def _oracle_distribution(answer_raw, categories):
