@@ -1,13 +1,14 @@
 """Annotation similarity and divergence math.
 
 Classification similarity multiplies a KLD+MSE agreement factor by a
-probability-sum regularizer; detection similarity averages matched IoU
-over ground-truth boxes after one optimal-assignment solve, whose duals
-also settle ties. All logs are natural except log10 in the sum regularizer.
+probability-sum regularizer; detection similarity averages matched IoU over
+ground-truth boxes under the lexicographically first optimal assignment. All
+logs are natural except log10 in the sum regularizer.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -15,7 +16,7 @@ from .domain import Box, BoxSet, Distribution
 from .errors import DomainError
 
 CLAMP = 1e-10
-TIE_TOL = 1e-9  # a reduced cost this near 0 marks a pair some optimal assignment uses
+TIE_TOL = 1e-9  # an assignment total this near the optimum counts as optimal
 
 
 def _aligned(p: Distribution, q: Distribution) -> tuple[list[float], list[float]]:
@@ -79,75 +80,71 @@ class MatchResult:
         return sum(self.per_pair_iou)
 
 
-def _assign(cost: list[list[float]]) -> tuple[list[int], list[float], list[float]]:
-    """Min-cost perfect matching of a square matrix by shortest augmenting paths
-    (Jonker & Volgenant 1987; Crouse 2016): returns (row_of, u, v), where row_of[j]
-    is column j's row and u[i] + v[j] <= cost[i][j], with equality where matched."""
-    n = len(cost)
-    u, v = [0.0] * n, [0.0] * (n + 1)
-    row_of = [-1] * (n + 1)  # column n is the virtual root of each search
-    for i in range(n):
-        row_of[n], j0 = i, n
-        dist, prev, done = [math.inf] * n, [n] * n, [False] * (n + 1)
-        while row_of[j0] != -1:
-            done[j0] = True
-            r, delta, j1 = row_of[j0], math.inf, -1
-            for j in range(n):
-                if not done[j]:
-                    d = cost[r][j] - u[r] - v[j]
-                    if d < dist[j]:
-                        dist[j], prev[j] = d, j0
-                    if dist[j] < delta:
-                        delta, j1 = dist[j], j
-            for j in range(n + 1):
-                if done[j]:
-                    u[row_of[j]] += delta
-                    v[j] -= delta
-                elif j < n:
-                    dist[j] -= delta
-            j0 = j1
-        while j0 != n:
-            row_of[j0], j0 = row_of[prev[j0]], prev[j0]
-    return row_of[:n], u, v
+def _shift(cost: list[list[float]], col: list[int], u: list[float], g: int,
+           ends: list[int] | None, slack: float) -> float:
+    """Put row g on the first column j whose score[j], the least cost of the move with g
+    on j, is within `slack` of the best; the rows after g shift along a shortest path
+    (Jonker & Volgenant 1987) until a column in `ends` (default: a free one, else the
+    last) is filled. Updates col and the potentials -u in place; returns score[j] - best."""
+    ng, npd = len(col) - 1, len(cost[0]) - 1
+    free = sorted(set(range(npd)) - set(col))
+    # dist[i]: least cost of the rows' moves once row i leaves its column; at[x]: of
+    # emptying column x, whose row who[x] leaves for column to[who[x]].
+    dist, to, at, who, done, heap = [math.inf] * (ng + 1), {}, {}, {}, set(), []
+
+    def reach(x: int, d: float, a: int) -> None:
+        if x not in at:
+            at[x], who[x] = d, a
+            for i in range(g + 1, ng + 1):
+                e = cost[i][x] + d
+                if col[i] != x and i not in done and e < dist[i]:
+                    dist[i], to[i] = e, x
+                    heapq.heappush(heap, (e - u[i], i))
+
+    ends = ends or free or [npd]
+    for x in ends:
+        reach(x, 0.0, g)
+    while heap:
+        a = heapq.heappop(heap)[1]
+        if a not in done:
+            done.add(a)
+            for x in free if a == ng else [col[a]]:
+                reach(x, dist[a] - cost[a][x], a)
+    score = [cost[g][j] + at.get(j, math.inf) for j in range(npd + 1)]
+    best = min(score)
+    # As s - best, not s <= best + slack, so that the caller's slack never drops below 0.
+    i, j = g, next(j for j, s in enumerate(score) if s - best <= slack)
+    u[:], u[g] = dist, score[j]  # the distances are the potentials of the new matching
+    while True:  # walk the path: each row takes the next column
+        if i < ng:
+            col[i] = j
+        if j in ends:
+            return u[g] - best
+        i, j = who[j], to[who[j]]
 
 
 def hungarian_match(gt: BoxSet, pred: BoxSet) -> MatchResult:
     """Injective assignment maximizing total IoU, of size min(|gt|, |pred|).
 
-    Among all optimal assignments, returns the lexicographically smallest
-    by (gt_index, pred_index). Zero-IoU pairs may be assigned; they
-    contribute nothing to the total.
+    Among the assignments whose total is within TIE_TOL of the optimum,
+    returns the lexicographically smallest by (gt_index, pred_index).
+    Zero-IoU pairs may be assigned; they contribute nothing to the total.
     """
     ng, npd = len(gt), len(pred)
-    n = max(ng, npd)
-    ious = [[iou(g, p) for p in pred.boxes] for g in gt.boxes]
-    # A padded zero row or column stands for "unmatched", so a perfect
-    # matching of the square pairs exactly min(ng, npd) real boxes.
-    cost = [[-x for x in row] + [0.0] * (n - npd) for row in ious] + [[0.0] * n] * (n - ng)
-    row_of, u, v = _assign(cost)
-    col_of = sorted(range(n), key=row_of.__getitem__)
-    # Complementary slackness: the optimal assignments are the perfect matchings on tight pairs.
-    tight = [[abs(cost[i][j] - u[i] - v[j]) <= TIE_TOL for j in range(n)] for i in range(n)]
-
-    def reroute(r: int, i: int, free: int, seen: set[int]) -> bool:
-        """Move row r along tight pairs, shifting rows after i, until `free` is taken."""
-        for c in range(n):
-            if c not in seen and row_of[c] >= i and tight[r][c]:
-                seen.add(c)
-                if c == free or reroute(row_of[c], i, free, seen):
-                    row_of[c], col_of[r] = r, c
-                    return True
-        return False
-
-    # Each gt row in turn takes its smallest tight pred that later rows can make room for.
-    for i in range(ng):
-        for j in range(min(col_of[i], npd)):
-            if row_of[j] > i and tight[i][j] and reroute(row_of[j], i, col_of[i], {j}):
-                row_of[j], col_of[i] = i, j
-                break
-    pairs = tuple((i, col_of[i]) for i in range(ng) if col_of[i] < npd)
-    return MatchResult(pairs, tuple(ious[i][j] for i, j in pairs),
-                       tuple(i for i in range(ng) if col_of[i] >= npd))
+    # Column npd takes every unmatched row, and row ng every free column.
+    cost = [[-iou(g, p) for p in pred.boxes] + [0.0] for g in gt.boxes] + [[0.0] * npd + [math.inf]]
+    col, u = [-1] * (ng + 1), [0.0] * (ng + 1)
+    for r in reversed(range(ng)):  # insert each row at least cost, keeping the optimum
+        _shift(cost, col, u, r, None, 0.0)
+    # Then each row in turn takes its first option (preds in order, then "unmatched")
+    # whose best completion keeps the total within TIE_TOL of the optimum.
+    slack = TIE_TOL
+    for g in range(ng):
+        if not set(range(col[g])) <= set(col[:g]):  # a smaller pred is still open to g
+            slack -= _shift(cost, col, u, g, [col[g]], slack)
+    pairs = tuple((i, j) for i, j in enumerate(col[:ng]) if j < npd)
+    return MatchResult(pairs, tuple(-cost[i][j] for i, j in pairs),
+                       tuple(i for i, j in enumerate(col[:ng]) if j == npd))
 
 
 def detection_similarity(gt: BoxSet, pred: BoxSet) -> float:
@@ -160,6 +157,8 @@ def detection_similarity(gt: BoxSet, pred: BoxSet) -> float:
 
 def jsd(p: Distribution, q: Distribution) -> float:
     """Jensen-Shannon divergence with natural log; range [0, ln 2]."""
-    _aligned(p, q)  # raises on a category mismatch
-    mid = Distribution({c: (p.probs[c] + q.probs[c]) / 2 for c in p.probs})
+    pv_cats = set(p.probs)
+    if pv_cats != set(q.probs):
+        raise DomainError("distributions are over different category sets")
+    mid = Distribution({c: (p.probs[c] + q.probs[c]) / 2 for c in pv_cats})
     return 0.5 * kld(p, mid) + 0.5 * kld(q, mid)

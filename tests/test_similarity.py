@@ -1,8 +1,10 @@
 """Similarity and divergence math, checked against independent oracles."""
 
+import functools
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -163,25 +165,57 @@ def _assignments(g, ng, npd, left, used):
         yield from _assignments(g + 1, ng, npd, left, used)
 
 
-def brute_force_lexicographic_match(gt, pred):
+def brute_force_lexicographic_match(gt, pred, tol=1e-9):
     """Independent oracle: the first assignment in lexicographic order whose
-    total IoU is within 1e-9 of the best."""
+    total IoU is within `tol` of the best."""
     ng, npd = len(gt.boxes), len(pred.boxes)
     scored = []
     for pairs in _assignments(0, ng, npd, min(ng, npd), frozenset()):
         ious = tuple(iou(gt.boxes[g], pred.boxes[p]) for g, p in pairs)
         scored.append((pairs, ious, sum(ious)))
     best = max(total for _, _, total in scored)
-    pairs, ious, _ = next(s for s in scored if s[2] >= best - 1e-9)
+    pairs, ious, _ = next(s for s in scored if s[2] >= best - tol)
     matched = {g for g, _ in pairs}
     return MatchResult(pairs, ious, tuple(g for g in range(ng) if g not in matched))
 
 
-def random_boxset(rng, max_boxes=6):
+def subset_dp_lexicographic_match(gt, pred, tol=1e-9):
+    """Independent oracle for up to ~12 preds: best(g, used) is the largest total
+    over gt rows g.. with the preds in bitmask `used` taken; each row then takes
+    the first pred (or none) whose best completion is within `tol` of the optimum."""
+    ng, npd = len(gt.boxes), len(pred.boxes)
+    k = min(ng, npd)
+    m = [[iou(g, p) for p in pred.boxes] for g in gt.boxes]
+
+    @functools.lru_cache(maxsize=None)
+    def best(g, used):
+        taken = bin(used).count("1")
+        if g == ng:
+            return 0.0 if taken == k else -math.inf
+        out = best(g + 1, used) if ng - g - 1 >= k - taken else -math.inf
+        for p in range(npd):
+            if taken < k and not used >> p & 1:
+                out = max(out, m[g][p] + best(g + 1, used | 1 << p))
+        return out
+
+    target, total, used, pairs = best(0, 0), 0.0, 0, []
+    for g in range(ng):
+        for p in range(npd):
+            if (len(pairs) < k and not used >> p & 1
+                    and total + m[g][p] + best(g + 1, used | 1 << p) >= target - tol):
+                pairs.append((g, p))
+                total, used = total + m[g][p], used | 1 << p
+                break
+    matched = {g for g, _ in pairs}
+    return MatchResult(tuple(pairs), tuple(m[g][p] for g, p in pairs),
+                       tuple(g for g in range(ng) if g not in matched))
+
+
+def random_boxset(rng, max_boxes=6, span=80):
     n = rng.randint(0, max_boxes)
     boxes = []
     for _ in range(n):
-        x1, y1 = rng.uniform(0, 80), rng.uniform(0, 80)
+        x1, y1 = rng.uniform(0, span), rng.uniform(0, span)
         boxes.append(Box(x1, y1, x1 + rng.uniform(0, 30), y1 + rng.uniform(0, 30)))
     return BoxSet(tuple(boxes))
 
@@ -207,15 +241,30 @@ def test_hungarian_identity_and_empty():
     assert empty.unmatched_gt == (0, 1, 2)
 
 
+def tie_boxset(rng, max_boxes=6):
+    pool = rng.choice(_TIE_POOLS)
+    return BoxSet(tuple(rng.choice(pool) for _ in range(rng.randint(0, max_boxes))))
+
+
 def test_hungarian_vs_brute_force_oracle():
     rng = random.Random("hungarian-oracle")
-    for _ in range(300):
-        gt, pred = random_boxset(rng), random_boxset(rng)
+    for make in [random_boxset] * 300 + [tie_boxset] * 300:
+        gt, pred = make(rng), make(rng)
         m = hungarian_match(gt, pred)
         assert len(m.assignment) == min(len(gt), len(pred))
         assert m.total_iou == pytest.approx(
             brute_force_max_total_iou(gt, pred), abs=1e-9)
         assert m == brute_force_lexicographic_match(gt, pred)
+
+
+def test_hungarian_vs_subset_dp_oracle_up_to_ten_boxes():
+    # Larger sets than the brute force can enumerate: dense overlaps, where rows
+    # must shift along long paths, and the tie-heavy pools.
+    rng = random.Random("hungarian-dp-oracle")
+    dense = functools.partial(random_boxset, max_boxes=10, span=40)
+    for make in [dense, functools.partial(tie_boxset, max_boxes=10)] * 750:
+        gt, pred = make(rng), make(rng)
+        assert hungarian_match(gt, pred) == subset_dp_lexicographic_match(gt, pred)
 
 
 def test_hungarian_lexicographic_tie_break():
@@ -268,11 +317,14 @@ def scipy_hungarian_match(gt, pred, linear_sum_assignment, tol=1e-9):
                        tuple(i for i in range(ng) if i not in matched))
 
 
-# Tie-heavy box pools: cue-world grid cells (IoU 1 or 0), duplicates with
-# half-overlaps and a degenerate box, and boxes disjoint from both.
+# Tie-heavy box pools: cue-world grid cells (IoU 1 or 0), small cells with
+# boxes spanning several of them (IoU 1, 1/2, 1/4, 1/7 or 0), duplicates with
+# half-overlaps and a degenerate box, and boxes disjoint from all of these.
 _GRID = sorted(CueWorld(kind="detection", num_samples=1, cues_per_sample=1,
                         vocab_size=9, seed=0).cue_box.values(), key=Box.as_tuple)
+_CELLS = [Box(10 * a, 10 * b, 10 * a + 10, 10 * b + 10) for a in range(3) for b in range(3)]
 _TIE_POOLS = [_GRID,
+              _CELLS + [Box(0, 0, 20, 20), Box(5, 5, 15, 15), Box(0, 0, 10, 20)],
               [Box(0, 0, 10, 10), Box(5, 0, 15, 10), Box(0, 5, 10, 15), Box(3, 3, 3, 3)],
               [Box(2000 + 20 * i, 0, 2010 + 20 * i, 10) for i in range(8)]]
 _tie_sets = st.sampled_from(_TIE_POOLS).flatmap(
@@ -285,6 +337,58 @@ _tie_sets = st.sampled_from(_TIE_POOLS).flatmap(
 def test_hungarian_matches_the_scipy_solver_on_ties(gt, pred):
     lsa = pytest.importorskip("scipy.optimize").linear_sum_assignment
     assert hungarian_match(gt, pred) == scipy_hungarian_match(gt, pred, lsa)
+
+
+# Near ties in float: shifts of 1e-10..1.8e-9 move IoUs by about as much, so
+# totals differ from the optimum by amounts around TIE_TOL. A case whose answer
+# changes when the tolerance moves by 1e-12 depends on float rounding and is left out.
+_NEAR_BASE = [Box(0, 0, 1, 1), Box(0.5, 0, 1.5, 1), Box(0, 0.5, 1, 1.5), Box(3, 3, 4, 4)]
+
+
+def near_tie_cases(seed, count, max_boxes=5):
+    rng = random.Random(seed)
+
+    def boxes():
+        out = []
+        for _ in range(rng.randint(0, max_boxes)):
+            b, d = rng.choice(_NEAR_BASE), rng.randint(0, 6) * rng.choice([1e-10, 2e-10, 3e-10])
+            out.append(Box(b.x1 + d, b.y1, b.x2 + d, b.y2))
+        return BoxSet(tuple(out))
+
+    for _ in range(count):
+        gt, pred = boxes(), boxes()
+        expected = brute_force_lexicographic_match(gt, pred, 1e-9 - 1e-12)
+        if expected == brute_force_lexicographic_match(gt, pred, 1e-9 + 1e-12):
+            yield gt, pred, expected
+
+
+def test_hungarian_near_float_ties_match_the_brute_force_oracle():
+    cases = list(near_tie_cases("near-ties", 400))
+    assert len(cases) > 350
+    for gt, pred, expected in cases:
+        assert hungarian_match(gt, pred) == expected
+
+
+def test_hungarian_near_float_ties_match_the_scipy_solver():
+    lsa = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    for gt, pred, _ in near_tie_cases("near-ties-scipy", 200):
+        assert hungarian_match(gt, pred) == scipy_hungarian_match(gt, pred, lsa)
+
+
+def test_hungarian_wide_and_tall_inputs_finish_fast():
+    # Few gt boxes against a dense detector output, and the reverse. Two gt boxes
+    # match preds far down the list; everything else is disjoint, so every other
+    # pair ties at IoU 0 and the smallest free pred index wins.
+    preds = [Box(20 * i, 1000, 20 * i + 10, 1010) for i in range(1500)]
+    gt = BoxSet((preds[1200], Box(0, 0, 5, 5), preds[700]))
+    start = time.perf_counter()
+    m = hungarian_match(gt, BoxSet(tuple(preds)))
+    assert m.assignment == ((0, 1200), (1, 0), (2, 700))
+    assert m.per_pair_iou == (1.0, 0.0, 1.0)
+    tall = hungarian_match(BoxSet(tuple(preds[:300])), BoxSet((preds[250], Box(0, 0, 5, 5))))
+    assert tall.assignment == ((0, 1), (250, 0))
+    assert tall.unmatched_gt == tuple(i for i in range(300) if i not in (0, 250))
+    assert time.perf_counter() - start < 10.0
 
 
 def test_hungarian_assignment_injective():
