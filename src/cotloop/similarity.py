@@ -99,7 +99,8 @@ def _shift(cost: list[list[float]], col: list[int], u: list[float], g: int,
                 e = cost[i][x] + d
                 if col[i] != x and i not in done and e < dist[i]:
                     dist[i], to[i] = e, x
-                    heapq.heappush(heap, (e - u[i], i))
+                    if col[i] not in at:  # else settling row i would reach nothing new
+                        heapq.heappush(heap, (e - u[i], i))
 
     ends = ends or free or [npd]
     for x in ends:
