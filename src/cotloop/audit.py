@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -129,13 +129,11 @@ def corrupt_dataset(samples: Sequence[Sample], fraction: float,
 
 def run_noise_audit(samples: Sequence[Sample], fraction: float, reason_backend,
                     recon_backend, group_size: int, tau: float = DEFAULT_TAU,
-                    seed: int = 0,
-                    records_path: Optional[str] = None) -> tuple[AuditReport, StageResult]:
+                    seed: int = 0) -> tuple[AuditReport, StageResult]:
     """Corrupt, score the mixed run, and bin rewards separately."""
     mixed, corrupted_ids = corrupt_dataset(samples, fraction, seed)
     stage = run_closed_loop_stage(mixed, reason_backend, recon_backend,
-                                  group_size=group_size, seed=seed,
-                                  records_path=records_path)
+                                  group_size=group_size, seed=seed)
     clean_rewards = [r.reward for r in stage.records
                      if r.sample_id not in corrupted_ids]
     corrupted_rewards = [r.reward for r in stage.records

@@ -243,6 +243,10 @@ DEFAULT_TEMPLATE_BANK = (
 )
 
 
+# Width and height of a detection world's square image.
+WORLD_IMAGE_SIZE = 1200.0
+
+
 class CueWorld:
     """Deterministic stand-in environment closing the loop at desk scale.
 
@@ -252,8 +256,7 @@ class CueWorld:
     """
 
     def __init__(self, kind: str = "classification", num_samples: int = 50,
-                 cues_per_sample: int = 4, vocab_size: int = 24, seed: int = 0,
-                 image_size: float = 1200.0):
+                 cues_per_sample: int = 4, vocab_size: int = 24, seed: int = 0):
         if cues_per_sample > vocab_size:
             raise ValueError("cues_per_sample cannot exceed vocab_size")
         self.kind = kind
@@ -270,9 +273,9 @@ class CueWorld:
             self.task = Classification(categories=self.vocab)
             self.cue_box = {}
         elif kind == "detection":
-            self.task = Detection(image_width=image_size, image_height=image_size)
+            self.task = Detection(image_width=WORLD_IMAGE_SIZE, image_height=WORLD_IMAGE_SIZE)
             per_row = math.ceil(math.sqrt(len(self.vocab)))
-            spacing = image_size / per_row
+            spacing = WORLD_IMAGE_SIZE / per_row
             side = 0.9 * spacing
             self.cue_box = {
                 cue: Box(
@@ -321,17 +324,16 @@ class CueWorld:
 
 
 def synthetic_reason(sample: SyntheticSample, template_id: int,
-                     cue_subset: Sequence[str],
-                     bank: Sequence[str] = DEFAULT_TEMPLATE_BANK) -> str:
+                     cue_subset: Sequence[str]) -> str:
     """Render a leak-free narrative CoT naming exactly the chosen cue tags."""
-    if not 0 <= template_id < len(bank):
+    if not 0 <= template_id < len(DEFAULT_TEMPLATE_BANK):
         raise TemplateError(f"unknown template id: {template_id}")
     subset = sorted(cue_subset)
     if subset:
         phrase = " and ".join(f"the {c}" for c in subset)
     else:
         phrase = "an otherwise unremarkable backdrop"
-    return bank[template_id].replace("{cues}", phrase)
+    return DEFAULT_TEMPLATE_BANK[template_id].replace("{cues}", phrase)
 
 
 def synthetic_reconstruct(world: CueWorld, cot: str) -> str:
@@ -350,11 +352,9 @@ class SyntheticReasonBackend:
 
     _rng_stream = "reason"
 
-    def __init__(self, world: CueWorld, fidelity: float = 1.0,
-                 bank: Sequence[str] = DEFAULT_TEMPLATE_BANK):
+    def __init__(self, world: CueWorld, fidelity: float = 1.0):
         self.world = world
         self.fidelity = fidelity
-        self.bank = tuple(bank)
 
     def _draw(self, request: GenerationRequest) -> tuple[list[str], str]:
         """Seeded cue-subset draw: (mentioned cues, narrative naming them)."""
@@ -365,8 +365,8 @@ class SyntheticReasonBackend:
             subset = sorted(sample.cue_set)
         else:
             subset = [c for c in sorted(sample.cue_set) if rng.random() < self.fidelity]
-        template_id = rng.randrange(len(self.bank))
-        return subset, synthetic_reason(sample, template_id, subset, self.bank)
+        template_id = rng.randrange(len(DEFAULT_TEMPLATE_BANK))
+        return subset, synthetic_reason(sample, template_id, subset)
 
     def generate(self, request: GenerationRequest) -> str:
         return self._draw(request)[1]

@@ -31,16 +31,27 @@ from .errors import (BackendError, CotloopError, DomainError, InvalidSetting,
 from .grpo import export_curve, train_toy_policy
 from .pipeline import (annotation_from_json, evaluate_predictions, export_sft_corpus,
                        load_dataset, load_predictions, load_records,
-                       run_closed_loop_stage, run_rft_reward_eval, save_dataset)
+                       run_closed_loop_stage, run_rft_reward_eval, sample_text_fields,
+                       save_dataset)
 from .reward import DEFAULT_TAU, filter_high_subset, histogram_bins, reward_histogram
 
 USAGE_EXIT = 64
 # Flags that `ingest --task <kind>` cannot do without.
 INGEST_NEEDS = {"classification": ("categories",), "detection": ("width", "height")}
+# Keys a config file may give, and the stages its backends block may name.
+CONFIG_KEYS = ("world", "backends", "group_size", "seed", "tau")
+BACKEND_STAGES = ("reason", "recon", "r1")
 # Settings a config world block may give.
 WORLD_KEYS = ("kind", "num_samples", "cues_per_sample", "vocab_size", "seed")
 # Keys a backend spec of each kind cannot do without.
 BACKEND_NEEDS = {"mock": ("responses",), "remote": ("endpoint", "model")}
+# Keys a backend spec of each kind may give.
+BACKEND_KEYS = {
+    "synthetic": ("kind", "fidelity"),
+    "mock": ("kind", "responses"),
+    "remote": ("kind", "endpoint", "model", "auth_env", "timeout", "max_attempts",
+               "backoff_base", "max_in_flight", "ledger_path"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,6 +84,16 @@ def _mapping(value, where: str) -> dict:
     return value
 
 
+def _known(block: dict, keys, where: str) -> dict:
+    """`block` if it gives no key outside `keys`; InvalidSetting otherwise, so
+    that a misspelt setting is refused rather than left at its default."""
+    unknown = sorted(str(key) for key in block if key not in keys)
+    if unknown:
+        raise InvalidSetting(f"{where}: unknown key(s) {', '.join(unknown)} "
+                             f"(known: {', '.join(keys)})")
+    return block
+
+
 def _load_config(path):
     if not path:
         return {}
@@ -81,7 +102,7 @@ def _load_config(path):
             config = yaml.safe_load(f) or {}
         except yaml.YAMLError as e:
             raise InvalidSetting(f"{path}: not a YAML file: {' '.join(str(e).split())}") from None
-    return _mapping(config, path)
+    return _known(_mapping(config, path), CONFIG_KEYS, path)
 
 
 def _resolve(flag_value, config, key, default):
@@ -124,8 +145,8 @@ def _build_world(config: dict, flags: Optional[dict] = None,
     config, then CueWorld's default; a given `seed` replaces the default seed."""
     if "world" not in config and flags is None:
         return None
-    block = _mapping(config.get("world", {}), "world")
-    settings = {key: block[key] for key in WORLD_KEYS if key in block}
+    block = _known(_mapping(config.get("world", {}), "world"), WORLD_KEYS, "world")
+    settings = dict(block)
     settings.update((key, value) for key, value in (flags or {}).items() if value is not None)
     if seed is not None:
         settings.setdefault("seed", seed)
@@ -136,9 +157,13 @@ def _build_world(config: dict, flags: Optional[dict] = None,
 
 
 def _build_backend(config: dict, stage: str, world, default: Optional[dict] = None):
-    backends = _mapping(config.get("backends", {}), "backends")
+    backends = _known(_mapping(config.get("backends", {}), "backends"), BACKEND_STAGES,
+                      "backends")
     spec = _mapping(backends.get(stage, default or {}), f"backends.{stage}")
     kind = spec.get("kind", "synthetic")
+    if not isinstance(kind, str) or kind not in BACKEND_KEYS:
+        raise InvalidSetting(f"backends.{stage}: unknown backend kind: {kind!r}")
+    _known(spec, BACKEND_KEYS[kind], f"backends.{stage}")
     missing = [key for key in BACKEND_NEEDS.get(kind, ()) if key not in spec]
     if missing:
         raise InvalidSetting(f"backends.{stage}: a {kind} backend needs {', '.join(missing)}")
@@ -156,15 +181,13 @@ def _build_backend(config: dict, stage: str, world, default: Optional[dict] = No
                 return MockBackend(json.load(f))
             except (ValueError, TypeError) as e:
                 raise InvalidSetting(f"{spec['responses']}: not a JSON mapping: {e}") from None
-    if kind == "remote":
-        return RemoteBackend(endpoint=spec["endpoint"], model=spec["model"],
-                             auth_env=spec.get("auth_env", "COTLOOP_API_KEY"),
-                             timeout=spec.get("timeout", 120.0),
-                             max_attempts=spec.get("max_attempts", 3),
-                             backoff_base=spec.get("backoff_base", 1.0),
-                             max_in_flight=spec.get("max_in_flight", 4),
-                             ledger_path=spec.get("ledger_path"))
-    raise CotloopError(f"unknown backend kind: {kind!r}")
+    return RemoteBackend(endpoint=spec["endpoint"], model=spec["model"],
+                         auth_env=spec.get("auth_env", "COTLOOP_API_KEY"),
+                         timeout=spec.get("timeout", 120.0),
+                         max_attempts=spec.get("max_attempts", 3),
+                         backoff_base=spec.get("backoff_base", 1.0),
+                         max_in_flight=spec.get("max_in_flight", 4),
+                         ledger_path=spec.get("ledger_path"))
 
 
 def _dataset_or_world(args, config, world):
@@ -195,12 +218,11 @@ def _cmd_ingest(args):
                     annotation = BoxSet((mask_to_box(obj["mask"]),))
                 else:
                     annotation = annotation_from_json(obj)
-                violations = validate_annotation(annotation, task, ground_truth=True)
+                violations = validate_annotation(annotation, task)
                 if violations:
                     raise DomainError("; ".join(violations))
-                samples.append(Sample(id=str(obj["id"]), image_ref=str(obj["image_ref"]),
-                                      task=task, annotation=annotation,
-                                      target_desc=obj.get("target_desc")))
+                samples.append(Sample(task=task, annotation=annotation,
+                                      **sample_text_fields(obj)))
             except (ValueError, LookupError, TypeError, AttributeError, CotloopError) as e:
                 raise MalformedLine(args.input, n, e) from e
     save_dataset(samples, task, args.output)

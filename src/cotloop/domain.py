@@ -85,7 +85,7 @@ class Distribution:
 
     Reconstructed distributions need not sum to 1 (the similarity
     function penalizes the deviation); ground truths are checked at
-    dataset load via :func:`validate_annotation` with ``ground_truth=True``.
+    ingest and dataset load via :func:`validate_annotation`.
     """
 
     probs: dict[str, float]
@@ -139,10 +139,14 @@ class Sample:
     target_desc: Optional[str] = None
 
 
-def validate_annotation(a: Annotation, task: TaskKind, ground_truth: bool = False) -> list[str]:
-    """Return every violated invariant; an empty list means the annotation is valid.
+def validate_annotation(a: Annotation, task: TaskKind) -> list[str]:
+    """Return every way a ground-truth annotation breaks its task's contract;
+    an empty list means it is valid.
 
-    Violations are data, not faults: this never raises.
+    A distribution covers exactly the task's categories with finite
+    probabilities in [0, 1] that sum to 1 within GT_SUM_TOL; a box set holds
+    at least one box. Model answers are checked by the `textproto` parsers
+    instead. Violations are data, not faults: this never raises.
     """
     violations: list[str] = []
     if isinstance(task, Classification):
@@ -161,13 +165,15 @@ def validate_annotation(a: Annotation, task: TaskKind, ground_truth: bool = Fals
         for cat, p in a.probs.items():
             if not _finite(p) or p < 0 or p > 1:
                 violations.append(f"probability out of range for {cat!r}: {p}")
-        if ground_truth and not violations:
+        if not violations:
             total = a.total()
             if abs(total - 1.0) > GT_SUM_TOL:
                 violations.append(f"ground-truth distribution sums to {total}, not 1")
     elif isinstance(task, Detection):
         if not isinstance(a, BoxSet):
             violations.append("variant mismatch: detection task needs a BoxSet")
+        elif not a.boxes:
+            violations.append("ground truth has no boxes")
     else:
         violations.append(f"unknown task kind: {task!r}")
     return violations

@@ -22,6 +22,8 @@ from .errors import DomainError
 from .reward import closed_loop_reward
 
 ADV_EPS = 1e-8
+# Seeded distractor cues per sample that the toy policy may wrongly include.
+TOY_DISTRACTORS = 3
 
 
 def compute_group_advantages(rewards: Sequence[float]) -> list[float]:
@@ -132,17 +134,15 @@ class ToyPolicy:
                 raise DomainError("policy logits diverged")
 
 
-def build_toy_policy(world: CueWorld, distractors: int = 3,
-                     bank: Sequence[str] = DEFAULT_TEMPLATE_BANK,
-                     learning_rate: float = 0.5) -> ToyPolicy:
+def build_toy_policy(world: CueWorld, learning_rate: float = 0.5) -> ToyPolicy:
     """Factored buckets per sample: one template bucket plus one
     include/exclude bucket per candidate cue (true cues + seeded
     distractors). A policy draw assembles template + cue subset from
     the per-bucket choices."""
     logits: dict[str, dict[str, float]] = {}
     for sample in world.samples:
-        pool = world.distractor_pool(sample, distractors)
-        logits[f"{sample.id}|template"] = {f"t{t}": 0.0 for t in range(len(bank))}
+        pool = world.distractor_pool(sample, TOY_DISTRACTORS)
+        logits[f"{sample.id}|template"] = {f"t{t}": 0.0 for t in range(len(DEFAULT_TEMPLATE_BANK))}
         for cue in pool:
             logits[f"{sample.id}|cue|{cue}"] = {"in": 0.0, "out": 0.0}
     return ToyPolicy(logits=logits, learning_rate=learning_rate)

@@ -158,18 +158,27 @@ def _sample_to_json(s: Sample) -> dict:
     return line
 
 
-def _sample_fields(obj: dict) -> dict:
+def sample_text_fields(obj: dict) -> dict:
+    """The `id`, `image_ref` and `target_desc` Sample fields of a dataset or
+    ingest line. `target_desc` is a string or null (or absent); TypeError
+    otherwise."""
+    target_desc = obj.get("target_desc")
+    if target_desc is not None and not isinstance(target_desc, str):
+        raise TypeError(f"target_desc must be a string or null, "
+                        f"got {type(target_desc).__name__}")
     return {"id": str(obj["id"]), "image_ref": str(obj["image_ref"]),
-            "annotation": annotation_from_json(obj["annotation"]),
-            "target_desc": obj.get("target_desc")}
+            "target_desc": target_desc}
+
+
+def _sample_fields(obj: dict) -> dict:
+    return {**sample_text_fields(obj), "annotation": annotation_from_json(obj["annotation"])}
 
 
 def save_dataset(samples: Sequence[Sample], task, path: str) -> None:
     _write_jsonl(path, DATASET, map(_sample_to_json, samples), task=_task_to_json(task))
 
 
-def load_dataset(path: str, task_hint: Optional[str] = None,
-                 skip_invalid: bool = False) -> tuple[list[Sample], list[str]]:
+def load_dataset(path: str, skip_invalid: bool = False) -> tuple[list[Sample], list[str]]:
     """Load and validate a dataset file.
 
     Returns (samples, error report). Malformed lines are collected, not
@@ -179,14 +188,12 @@ def load_dataset(path: str, task_hint: Optional[str] = None,
     errors: list[str] = []
     header, rows = _read_jsonl(path, DATASET, _sample_fields, errors)
     task = _task_from_json(header.get("task", {}))
-    if task_hint is not None and task_name(task) != task_hint:
-        raise HeaderMismatch(f"dataset task is {task_name(task)}, expected {task_hint}")
 
     samples: list[Sample] = []
     seen_ids: set[str] = set()
     for n, fields in rows:
         sample = Sample(task=task, **fields)
-        violations = validate_annotation(sample.annotation, task, ground_truth=True)
+        violations = validate_annotation(sample.annotation, task)
         if violations:
             errors.append(f"line {n} ({sample.id}): " + "; ".join(violations))
             continue
@@ -486,8 +493,15 @@ class EvalReport:
     parse_failures: int = 0
 
 
+def _prediction(obj: dict) -> tuple[str, str]:
+    raw = obj["raw"]
+    if not isinstance(raw, str):
+        raise TypeError(f"raw must be a string, got {type(raw).__name__}")
+    return str(obj["id"]), raw
+
+
 def load_predictions(path: str) -> dict[str, str]:
-    _, rows = _read_jsonl(path, PREDICTIONS, lambda obj: (str(obj["id"]), obj["raw"]))
+    _, rows = _read_jsonl(path, PREDICTIONS, _prediction)
     return dict(pred for _, pred in rows)
 
 

@@ -61,13 +61,13 @@ def think_answer_reward(sample: Sample, raw_model_output: str) -> RewardBreakdow
                           reason=reason)
 
 
-def reward_histogram(rewards: Sequence[float],
-                     edges: Sequence[float] = HISTOGRAM_EDGES) -> tuple[list[int], list[float]]:
+def reward_histogram(rewards: Sequence[float]) -> tuple[list[int], list[float]]:
     """Bin rewards into [0,.25), [.25,.5), [.5,.75), [.75,1.0].
 
     Only the top bin is right-inclusive, so reward 1.0 and the tau=0.75
     cutoff land together. Returns (counts, percentages).
     """
+    edges = HISTOGRAM_EDGES
     counts = [0] * (len(edges) - 1)
     for r in rewards:
         if not 0.0 <= r <= 1.0:

@@ -4,9 +4,12 @@ This module owns the prompt format. Each shipped template is read and checked
 once, and `read_slot` reads a rendered prompt back through its template: that
 is how a reconstruction backend gets the CoT, in process or behind an endpoint.
 
-Everything here is pure string work. Low-level parsers raise
-MalformedAnswer; ParsedOutput.from_text captures the failure as a value
-so scoring never aborts on bad model text.
+Everything here is pure string work. The answer parsers own the contract
+of a model answer: a distribution covers exactly the task's categories with
+finite probabilities in [0, 1] (it need not sum to 1), and a box answer is
+one or more 4-number tuples. They raise MalformedAnswer; ParsedOutput.from_text
+captures the failure as a value so scoring never aborts on bad model text.
+Ground-truth annotations are checked by `domain.validate_annotation` instead.
 
 Answer literals in the canonical shapes `render` writes (a map of quoted
 keys to plain numbers; a list of plain numbers or a list of such lists;
@@ -30,8 +33,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from .domain import (Annotation, Box, BoxSet, Classification, Distribution,
-                     TaskKind, validate_annotation)
+from .domain import Annotation, Box, BoxSet, Classification, Distribution, TaskKind
 from .errors import MalformedAnswer, MissingVariable, TemplateError
 
 # ast.literal_eval converts its parse tree under an interpreter-wide depth
@@ -226,8 +228,8 @@ def _as_number(v) -> float:
 def parse_distribution_answer(answer_raw: str, categories) -> Distribution:
     """Parse a map literal into a Distribution over exactly the task's categories.
 
-    Quoting style and key order are free; the category set is not.
-    No sum constraint is enforced here.
+    Quoting style and key order are free; the category set is not. Every
+    probability must lie in [0, 1]; no sum constraint is enforced here.
     """
     obj = _scan_map(answer_raw)
     if obj is None:
@@ -241,8 +243,8 @@ def parse_distribution_answer(answer_raw: str, categories) -> Distribution:
     if missing or extra:
         raise MalformedAnswer(f"category set mismatch: missing={missing} extra={extra}")
     for cat, v in got.items():
-        if v < 0:
-            raise MalformedAnswer(f"negative probability for {cat!r}: {v}")
+        if not 0.0 <= v <= 1.0:
+            raise MalformedAnswer(f"probability out of range for {cat!r}: {v}")
     return Distribution(got)
 
 
@@ -393,8 +395,4 @@ class ParsedOutput:
             answer = parse_answer_for_task(answer_raw, task)
         except MalformedAnswer as e:
             return cls(think=think, answer_raw=answer_raw, answer=None, error=str(e))
-        violations = validate_annotation(answer, task)
-        if violations:
-            return cls(think=think, answer_raw=answer_raw, answer=None,
-                       error="; ".join(violations))
         return cls(think=think, answer_raw=answer_raw, answer=answer)

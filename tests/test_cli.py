@@ -143,18 +143,29 @@ def gen_cot(tmp, *args):
     return ["gen-cot", "--records", str(tmp / "records.jsonl"), *args]
 
 
+def eval_with_lines(tmp, kind="classification", gt=(), pred=(), ref=None):
+    """eval argv for a 2-sample `kind` world's ground truth followed by the `gt`
+    lines, predictions of the `pred` lines, and a reference of the `ref` lines
+    when given."""
+    world = CueWorld(kind=kind, num_samples=2, cues_per_sample=2, vocab_size=4, seed=0)
+    paths = tmp / "gt.jsonl", tmp / "preds.jsonl", tmp / "ref.jsonl"
+    save_dataset([s.as_sample() for s in world.samples], world.task, str(paths[0]))
+    save_predictions({}, str(paths[1]))
+    save_predictions({}, str(paths[2]))
+    for path, lines in zip(paths, (gt, pred, ref or ())):
+        with open(path, "a", encoding="utf-8") as f:
+            f.writelines(json.dumps(line) + "\n" for line in lines)
+    argv = ["eval", "--pred", str(paths[1]), "--gt", str(paths[0])]
+    return argv if ref is None else argv + ["--reference", str(paths[2])]
+
+
 def eval_with_an_invalid_gt_line(tmp):
     """eval argv for a ground-truth dataset whose line 4 lacks a category."""
     world = CueWorld(kind="classification", num_samples=2, cues_per_sample=2,
                      vocab_size=4, seed=0)
-    gt = tmp / "gt.jsonl"
-    save_dataset([s.as_sample() for s in world.samples], world.task, str(gt))
     probs = {c: 1.0 for c in world.vocab[:3]}
-    with open(gt, "a", encoding="utf-8") as f:
-        f.write(json.dumps({"id": "broken", "image_ref": "x",
-                            "annotation": {"probs": probs}}) + "\n")
-    save_predictions({}, str(tmp / "preds.jsonl"))
-    return ["eval", "--pred", str(tmp / "preds.jsonl"), "--gt", str(gt)]
+    return eval_with_lines(tmp, gt=[{"id": "broken", "image_ref": "x",
+                                     "annotation": {"probs": probs}}])
 
 
 NO_ANNOTATION = {"id": "b", "image_ref": "img://b"}
@@ -175,6 +186,24 @@ BAD_INPUT = {
     "remote-max-attempts-0": (lambda t: gen_cot(t, *edited_config(
         t, lambda cfg: cfg.update(backends={"reason": remote_spec(max_attempts=0),
                                             "recon": remote_spec()}))), 1, "max_attempts"),
+    "unknown-backend-kind": (lambda t: gen_cot(t, *edited_config(
+        t, lambda cfg: cfg.update(backends={"reason": {"kind": "local"}}))), 1,
+        "backends.reason: unknown backend kind: 'local'"),
+    "synthetic-backend-unknown-key": (lambda t: gen_cot(t, *edited_config(
+        t, lambda cfg: cfg.update(backends={"reason": {"kind": "synthetic",
+                                                       "fidelty": 0.5}}))), 1,
+        "backends.reason: unknown key(s) fidelty"),
+    "remote-backend-unknown-key": (lambda t: gen_cot(t, *edited_config(
+        t, lambda cfg: cfg.update(backends={"reason": remote_spec(max_inflight=8),
+                                            "recon": remote_spec()}))), 1,
+        "backends.reason: unknown key(s) max_inflight"),
+    "config-unknown-key": (lambda t: gen_cot(t, *edited_config(
+        t, lambda cfg: cfg.update(group_sise=4))), 1, "config.yaml: unknown key(s) group_sise"),
+    "backends-unknown-stage": (lambda t: gen_cot(t, *edited_config(
+        t, lambda cfg: cfg.update(backends={"reasn": {"kind": "synthetic"}}))), 1,
+        "backends: unknown key(s) reasn"),
+    "world-unknown-key": (lambda t: gen_cot(t, *edited_config(
+        t, lambda cfg: cfg["world"].update(vocab=48))), 1, "world: unknown key(s) vocab"),
     "mock-responses-not-json": (lambda t: gen_cot(t, *edited_config(
         t, lambda cfg: cfg.update(backends={"reason": mock_spec(t, "not json")}))), 1,
         "not a JSON mapping"),
@@ -201,6 +230,27 @@ BAD_INPUT = {
         "--categories", "a,b"), 1, "raw.jsonl: line 1: ground-truth distribution sums to 0.6"),
     "eval-invalid-gt-line": (eval_with_an_invalid_gt_line, 1,
                              "line 4 (broken): missing categories"),
+    "ingest-detection-without-boxes": (lambda t: ingest(
+        t, "detection", [{**NO_ANNOTATION, "boxes": []}], "--width", "3", "--height", "3"),
+        1, "raw.jsonl: line 1: ground truth has no boxes"),
+    "eval-gt-line-without-boxes": (lambda t: eval_with_lines(
+        t, "detection", gt=[{**NO_ANNOTATION, "annotation": {"boxes": []}}]), 1,
+        "line 4 (b): ground truth has no boxes"),
+    "ingest-target-desc-not-a-string": (lambda t: ingest(
+        t, "classification", [{**NO_ANNOTATION, "probs": {"x": 1.0, "y": 0.0},
+                               "target_desc": 7}], "--categories", "x,y"), 1,
+        "raw.jsonl: line 1: target_desc must be a string or null, got int"),
+    "eval-gt-target-desc-not-a-string": (lambda t: eval_with_lines(
+        t, "detection", gt=[{**NO_ANNOTATION, "annotation": {"boxes": [[0, 0, 1, 1]]},
+                             "target_desc": 7}]), 1,
+        "line 4: target_desc must be a string or null, got int"),
+    "eval-pred-raw-not-a-string": (lambda t: eval_with_lines(
+        t, pred=[{"id": "syn-0000", "raw": 5}]), 1,
+        "preds.jsonl: line 2: raw must be a string, got int"),
+    "eval-reference-raw-null": (lambda t: eval_with_lines(
+        t, pred=[{"id": "syn-0000", "raw": "<answer>{}</answer>"}],
+        ref=[{"id": "syn-0000", "raw": None}]), 1,
+        "ref.jsonl: line 2: raw must be a string, got NoneType"),
     "ingest-line-not-utf8": (lambda t: ingest(
         t, "detection", [{**NO_ANNOTATION, "boxes": [[0, 0, 1, 1]]}, b"\xff"],
         "--width", "3", "--height", "3"), 1, "raw.jsonl: line 2"),

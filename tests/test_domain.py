@@ -84,7 +84,7 @@ def test_mask_to_box_contains_and_touches(mask):
 
 def test_validate_annotation_example_distribution(emotion_task):
     dist = Distribution(dict(EXAMPLE_DISTRIBUTION))
-    assert validate_annotation(dist, emotion_task, ground_truth=True) == []
+    assert validate_annotation(dist, emotion_task) == []
 
 
 def test_validate_annotation_variant_mismatch(emotion_task, detection_task):
@@ -110,9 +110,7 @@ def test_validate_annotation_category_set(emotion_task):
 
 def test_validate_annotation_gt_sum(emotion_task):
     half = {k: v / 2 for k, v in EXAMPLE_DISTRIBUTION.items()}
-    assert validate_annotation(Distribution(half), emotion_task) == []
-    violations = validate_annotation(Distribution(half), emotion_task,
-                                     ground_truth=True)
+    violations = validate_annotation(Distribution(half), emotion_task)
     assert any("sums to" in v for v in violations)
 
 

@@ -121,7 +121,7 @@ def tiny_world():
 
 
 def test_build_toy_policy_buckets(tiny_world):
-    policy = build_toy_policy(tiny_world, distractors=3)
+    policy = build_toy_policy(tiny_world)
     s = tiny_world.samples[0]
     assert f"{s.id}|template" in policy.logits
     for cue in tiny_world.distractor_pool(s, 3):

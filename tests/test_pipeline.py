@@ -91,14 +91,6 @@ def test_dataset_duplicate_ids(tmp_path, class_samples, emotion_task):
     assert any("duplicate" in e for e in exc.value.failures)
 
 
-def test_dataset_task_hint(tmp_path, class_samples, emotion_task):
-    path = tmp_path / "data.jsonl"
-    save_dataset(class_samples, emotion_task, str(path))
-    load_dataset(str(path), task_hint="classification")
-    with pytest.raises(HeaderMismatch):
-        load_dataset(str(path), task_hint="detection")
-
-
 # --- prompt construction ------------------------------------------------------------
 
 def test_reasoning_prompt_injects_ground_truth(emotion_sample, detection_sample):

@@ -55,6 +55,14 @@ def test_parse_failure_scores_zero(emotion_sample):
     assert b.composite == 0.0 and not b.format_ok and b.reason == "parse"
 
 
+def test_probability_above_one_scores_parse():
+    from cotloop.domain import Classification
+    sample = Sample(id="s", image_ref="i", task=Classification(("a", "b")),
+                    annotation=Distribution({"a": 1.0, "b": 0.0}))
+    b = closed_loop_reward(sample, CLEAN_COT, "<answer>{'a': 1.5, 'b': 0.0}</answer>")
+    assert b.composite == 0.0 and not b.format_ok and b.reason == "parse"
+
+
 @pytest.mark.parametrize("answer", ["[1e999, 0, 1, 1]", f"[{10**400}, 0, 1, 1]"],
                          ids=["float", "int"])
 def test_out_of_range_box_scores_parse(detection_sample, answer):

@@ -180,6 +180,11 @@ def test_answer_parsing_survives_concurrent_threads():
         sys.setswitchinterval(switch)
 
 
+def test_parse_distribution_answer_refuses_a_probability_above_one():
+    with pytest.raises(MalformedAnswer, match=r"probability out of range for 'a': 1.5"):
+        parse_distribution_answer("{'a': 1.5, 'b': 0.0}", ("a", "b"))
+
+
 def test_parse_distribution_answer_no_sum_constraint():
     d = parse_distribution_answer("{'a': 0.9, 'b': 0.9}", ("a", "b"))
     assert d.total() == pytest.approx(1.8)
@@ -375,8 +380,8 @@ def _oracle_distribution(answer_raw, categories):
     if missing or extra:
         raise MalformedAnswer(f"category set mismatch: missing={missing} extra={extra}")
     for cat, v in got.items():
-        if v < 0:
-            raise MalformedAnswer(f"negative probability for {cat!r}: {v}")
+        if not 0 <= v <= 1:
+            raise MalformedAnswer(f"probability out of range for {cat!r}: {v}")
     return Distribution(got)
 
 
