@@ -203,10 +203,13 @@ def _dataset_or_world(args, config, world):
 
 def _cmd_ingest(args):
     config = _load_config(args.config)
-    if args.task == "classification":
-        task = Classification(categories=tuple(args.categories.split(",")))
-    else:
-        task = Detection(image_width=args.width, image_height=args.height)
+    try:
+        if args.task == "classification":
+            task = Classification(categories=tuple(args.categories.split(",")))
+        else:
+            task = Detection(image_width=args.width, image_height=args.height)
+    except ValueError as e:
+        raise InvalidSetting(f"ingest --task {args.task}: {e}") from None
     samples = []
     with _open(args.input) as f:
         for n, raw in enumerate(f, start=1):

@@ -6,6 +6,7 @@ convention (area = width * height, unit-square mask cells).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -40,8 +41,8 @@ class Detection:
     image_height: float
 
     def __post_init__(self):
-        if self.image_width <= 0 or self.image_height <= 0:
-            raise ValueError("image dimensions must be positive")
+        if not (0 < self.image_width < math.inf and 0 < self.image_height < math.inf):
+            raise ValueError("image dimensions must be positive and finite")
 
 
 TaskKind = Union[Classification, Detection]

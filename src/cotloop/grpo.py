@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Optional, Sequence
 
-from .backends import CueWorld, DEFAULT_TEMPLATE_BANK, synthetic_reason, synthetic_reconstruct
-from .domain import Annotation, RewardBreakdown, ScoredRecord
+from .backends import (CueWorld, DEFAULT_TEMPLATE_BANK, SyntheticSample, synthetic_reason,
+                       synthetic_reconstruct)
+from .domain import Annotation, RewardBreakdown, Sample, ScoredRecord
 from .errors import DomainError
 from .reward import closed_loop_reward
 
@@ -83,6 +85,13 @@ def select_best_of_group(sample_id: str,
 
 # --- toy policy --------------------------------------------------------------
 
+def _draw(choices: Sequence[str], cum: Sequence[float], rand) -> str:
+    """One weighted draw, with `rand` a bound `Random.random`: the expression
+    `Random.choices(choices, cum_weights=cum)` evaluates for each draw, so it
+    takes the same RNG stream and returns the same choice."""
+    return choices[bisect_right(cum, rand() * (cum[-1] + 0.0), 0, len(cum) - 1)]
+
+
 @dataclass
 class ToyPolicy:
     """Tabular softmax policy: per-bucket logits over discrete choices."""
@@ -107,7 +116,7 @@ class ToyPolicy:
 
     def sample_choices(self, bucket: str, rng: random.Random, k: int) -> list[str]:
         choices, cum = self.cum_weights(bucket)
-        return rng.choices(choices, cum_weights=cum, k=k)
+        return [_draw(choices, cum, rng.random) for _ in range(k)]
 
     def update(self, bucket: str, chosen: Sequence[str],
                advantages: Sequence[float]) -> None:
@@ -154,6 +163,37 @@ class ToyTrainResult:
     policy: Optional[ToyPolicy] = None
 
 
+@dataclass
+class _ToyPlan:
+    """One sample's buckets in policy order, the cue each cue bucket names,
+    and the composite reward of every draw scored so far."""
+
+    sample: SyntheticSample
+    target: Sample
+    buckets: list[str]
+    cues: list[str]
+    template: int
+    cache: dict[tuple[str, ...], float]
+
+    @classmethod
+    def build(cls, sample: SyntheticSample, policy: ToyPolicy) -> "_ToyPlan":
+        buckets = [b for b in policy.logits if b.startswith(f"{sample.id}|")]
+        return cls(sample=sample, target=sample.as_sample(), buckets=buckets,
+                   cues=[b.rsplit("|", 1)[1] for b in buckets],
+                   template=buckets.index(f"{sample.id}|template"), cache={})
+
+    def reward(self, world: CueWorld, draw: tuple[str, ...]) -> float:
+        """A draw maps one-to-one onto (template, cue subset), so the cache
+        misses once per distinct CoT."""
+        composite = self.cache.get(draw)
+        if composite is None:
+            subset = sorted(cue for cue, c in zip(self.cues, draw) if c == "in")
+            cot = synthetic_reason(self.sample, int(draw[self.template][1:]), subset)
+            composite = self.cache[draw] = closed_loop_reward(
+                self.target, cot, synthetic_reconstruct(world, cot)).composite
+        return composite
+
+
 def train_toy_policy(world: CueWorld, steps: int, group_size: int, seed: int,
                      learning_rate: float = 0.5,
                      minibatch_size: Optional[int] = None) -> ToyTrainResult:
@@ -164,6 +204,12 @@ def train_toy_policy(world: CueWorld, steps: int, group_size: int, seed: int,
     By default every step visits the whole dataset (full batch), which
     keeps the per-step mean reward low-variance; pass a smaller
     minibatch_size to trade smoothness for speed.
+
+    Each member draws one choice per bucket, in policy order, by bisecting
+    the bucket's cumulative weights (one `ToyPolicy.cum_weights` table per
+    bucket per sample-step): the stream `Random.choices` takes. Each sample
+    caches the reward of every draw (the tuple of its choices) it has
+    scored, so a CoT is built and scored only for a new draw.
     """
     if steps < 1:
         raise DomainError("steps must be >= 1")
@@ -174,40 +220,23 @@ def train_toy_policy(world: CueWorld, steps: int, group_size: int, seed: int,
     policy = build_toy_policy(world, learning_rate=learning_rate)
     # String seeds hash deterministically across processes (unlike tuples).
     rng = random.Random(f"toy-train|{seed}")
-    samples = list(world.samples)
-    buckets = {s.id: [b for b in policy.logits if b.startswith(f"{s.id}|")]
-               for s in samples}
+    rand = rng.random
+    plans = [_ToyPlan.build(s, policy) for s in world.samples]
     result = ToyTrainResult(policy=policy)
-    reward_cache: dict[tuple, RewardBreakdown] = {}
-    batch_size = len(samples) if minibatch_size is None else min(
-        minibatch_size, len(samples))
+    batch_size = len(plans) if minibatch_size is None else min(minibatch_size, len(plans))
     for _ in range(steps):
-        batch = rng.sample(samples, batch_size)
         step_best: list[float] = []
-        for sample in batch:
+        for plan in rng.sample(plans, batch_size):
             # Logits change only after all G draws: one softmax per bucket.
-            tables = [(b, *policy.cum_weights(b)) for b in buckets[sample.id]]
-            draws: list[dict[str, str]] = []
-            members = []
-            for _g in range(group_size):
-                draw = {b: rng.choices(choices, cum_weights=cum)[0]
-                        for b, choices, cum in tables}
-                draws.append(draw)
-                template_id = int(draw[f"{sample.id}|template"][1:])
-                subset = sorted(b.rsplit("|", 1)[1] for b, c in draw.items()
-                                if c == "in")
-                cot = synthetic_reason(sample, template_id, subset)
-                key = (sample.id, template_id, tuple(subset))
-                if key not in reward_cache:
-                    reward_cache[key] = closed_loop_reward(
-                        sample.as_sample(), cot, synthetic_reconstruct(world, cot))
-                members.append(GroupMember(cot=cot, reconstruction=None,
-                                           breakdown=reward_cache[key]))
-            group = Group.build(sample.id, members)
-            if any(group.advantages):  # all-zero advantages update nothing
-                for b in buckets[sample.id]:
-                    policy.update(b, [d[b] for d in draws], group.advantages)
-            step_best.append(max(group.rewards))
+            tables = [policy.cum_weights(b) for b in plan.buckets]
+            draws = [tuple([_draw(choices, cum, rand) for choices, cum in tables])
+                     for _g in range(group_size)]
+            rewards = [plan.reward(world, d) for d in draws]
+            advantages = compute_group_advantages(rewards)
+            if any(advantages):  # all-zero advantages update nothing
+                for i, b in enumerate(plan.buckets):
+                    policy.update(b, [d[i] for d in draws], advantages)
+            step_best.append(max(rewards))
         result.curve.append(sum(step_best) / len(step_best))
     return result
 

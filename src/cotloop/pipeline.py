@@ -127,13 +127,27 @@ def _task_to_json(task) -> dict:
             "image_height": task.image_height}
 
 
-def _task_from_json(obj: dict):
-    if obj.get("kind") == "classification":
-        return Classification(categories=tuple(obj["categories"]))
-    if obj.get("kind") == "detection":
-        return Detection(image_width=obj["image_width"],
-                         image_height=obj["image_height"])
-    raise HeaderMismatch(f"unknown task kind in header: {obj.get('kind')!r}")
+def _task_from_json(obj, path: str):
+    """The task of a dataset header's `task` block; `HeaderMismatch` when the
+    block names no known kind or does not make a valid task of it."""
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if kind not in ("classification", "detection"):
+        raise HeaderMismatch(f"{path}: unknown task kind in header: {kind!r}")
+    try:
+        if kind == "classification":
+            categories = obj["categories"]
+            if not (isinstance(categories, list)
+                    and all(isinstance(c, str) for c in categories)):
+                raise TypeError("categories must be a list of strings")
+            return Classification(categories=tuple(categories))
+        dims = obj["image_width"], obj["image_height"]
+        if not all(isinstance(d, (int, float)) and not isinstance(d, bool) for d in dims):
+            raise TypeError(f"image dimensions must be numbers, got {list(dims)!r}")
+        return Detection(*dims)
+    except KeyError as e:
+        raise HeaderMismatch(f"{path}: {kind} task in header has no {e.args[0]!r}") from None
+    except (TypeError, ValueError) as e:
+        raise HeaderMismatch(f"{path}: {kind} task in header: {e}") from None
 
 
 def annotation_to_json(a: Annotation) -> dict:
@@ -187,7 +201,7 @@ def load_dataset(path: str, skip_invalid: bool = False) -> tuple[list[Sample], l
     """
     errors: list[str] = []
     header, rows = _read_jsonl(path, DATASET, _sample_fields, errors)
-    task = _task_from_json(header.get("task", {}))
+    task = _task_from_json(header.get("task", {}), path)
 
     samples: list[Sample] = []
     seen_ids: set[str] = set()

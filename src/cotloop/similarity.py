@@ -26,9 +26,7 @@ def _aligned(p: Distribution, q: Distribution) -> tuple[list[float], list[float]
     return [p.probs[c] for c in cats], [q.probs[c] for c in cats]
 
 
-def kld(p: Distribution, q: Distribution) -> float:
-    """Kullback-Leibler divergence sum p*ln(p/q), operands clamped at 1e-10."""
-    pv, qv = _aligned(p, q)
+def _kld(pv: list[float], qv: list[float]) -> float:
     total = 0.0
     for a, b in zip(pv, qv):
         a = max(a, CLAMP)
@@ -37,10 +35,18 @@ def kld(p: Distribution, q: Distribution) -> float:
     return total
 
 
+def _mse(pv: list[float], qv: list[float]) -> float:
+    return sum((a - b) ** 2 for a, b in zip(pv, qv)) / len(pv)
+
+
+def kld(p: Distribution, q: Distribution) -> float:
+    """Kullback-Leibler divergence sum p*ln(p/q), operands clamped at 1e-10."""
+    return _kld(*_aligned(p, q))
+
+
 def mse(p: Distribution, q: Distribution) -> float:
     """Mean squared error over the shared category set."""
-    pv, qv = _aligned(p, q)
-    return sum((a - b) ** 2 for a, b in zip(pv, qv)) / len(pv)
+    return _mse(*_aligned(p, q))
 
 
 def classification_similarity(gt: Distribution, pred: Distribution) -> float:
@@ -49,7 +55,8 @@ def classification_similarity(gt: Distribution, pred: Distribution) -> float:
     The prediction is deliberately not renormalized: the regularizer
     exp(-|log10(sum)|) is the penalty for a mis-normalized prediction.
     """
-    phi = math.exp(-(kld(gt, pred) + mse(gt, pred)))
+    gv, pv = _aligned(gt, pred)
+    phi = math.exp(-(_kld(gv, pv) + _mse(gv, pv)))
     total = max(pred.total(), CLAMP)
     # KLD against an over-mass prediction can be negative, pushing the raw
     # product above 1; the score is capped to stay in (0, 1].

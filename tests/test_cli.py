@@ -168,6 +168,16 @@ def eval_with_an_invalid_gt_line(tmp):
                                      "annotation": {"probs": probs}}])
 
 
+def eval_with_gt_task(tmp, task):
+    """eval argv for a ground-truth dataset of no lines whose header's task
+    block is `task`."""
+    argv = eval_with_lines(tmp)
+    gt = tmp / "gt.jsonl"
+    header = json.loads(gt.read_text(encoding="utf-8").splitlines()[0])
+    gt.write_text(json.dumps({**header, "task": task}) + "\n", encoding="utf-8")
+    return argv
+
+
 NO_ANNOTATION = {"id": "b", "image_ref": "img://b"}
 
 # case -> (argv for a tmp dir, exit code, text of the last stderr line)
@@ -254,6 +264,24 @@ BAD_INPUT = {
     "ingest-line-not-utf8": (lambda t: ingest(
         t, "detection", [{**NO_ANNOTATION, "boxes": [[0, 0, 1, 1]]}, b"\xff"],
         "--width", "3", "--height", "3"), 1, "raw.jsonl: line 2"),
+    "eval-gt-task-without-categories": (lambda t: eval_with_gt_task(
+        t, {"kind": "classification"}), 1,
+        "gt.jsonl: classification task in header has no 'categories'"),
+    "eval-gt-task-width-not-a-number": (lambda t: eval_with_gt_task(
+        t, {"kind": "detection", "image_width": "a", "image_height": 3}), 1,
+        "gt.jsonl: detection task in header: image dimensions must be numbers, got ['a', 3]"),
+    "eval-gt-task-duplicate-categories": (lambda t: eval_with_gt_task(
+        t, {"kind": "classification", "categories": ["a", "a"]}), 1,
+        "gt.jsonl: classification task in header: category names must be unique"),
+    "ingest-duplicate-categories": (lambda t: ingest(
+        t, "classification", [{**NO_ANNOTATION, "probs": {"a": 1.0}}], "--categories", "a,a"),
+        1, "ingest --task classification: category names must be unique"),
+    "ingest-width-0": (lambda t: ingest(
+        t, "detection", [{**NO_ANNOTATION, "boxes": [[0, 0, 1, 1]]}], "--width", "0",
+        "--height", "3"), 1, "ingest --task detection: image dimensions must be positive"),
+    "ingest-height-nan": (lambda t: ingest(
+        t, "detection", [{**NO_ANNOTATION, "boxes": [[0, 0, 1, 1]]}], "--width", "3",
+        "--height", "nan"), 1, "ingest --task detection: image dimensions must be positive"),
     "ingest-without-categories": (lambda t: ingest(t, "classification", []), 64,
                                   "--categories"),
     "ingest-without-height": (lambda t: ingest(t, "detection", [], "--width", "3"), 64,

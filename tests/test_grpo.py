@@ -3,16 +3,18 @@
 import hashlib
 import math
 import random
+from itertools import accumulate
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from cotloop.backends import CueWorld
+from cotloop.backends import CueWorld, synthetic_reason, synthetic_reconstruct
 from cotloop.domain import make_breakdown
 from cotloop.errors import DomainError
-from cotloop.grpo import (Group, GroupMember, ToyPolicy, build_toy_policy,
-                          compute_group_advantages, export_curve,
+from cotloop.grpo import (Group, GroupMember, ToyPolicy, ToyTrainResult, _draw,
+                          build_toy_policy, compute_group_advantages, export_curve,
                           select_best_of_group, smooth_curve, train_toy_policy)
+from cotloop.reward import closed_loop_reward
 
 
 def member(reward):
@@ -90,13 +92,25 @@ def test_policy_update_signs():
     assert p.logits["b"] == before
 
 
+# Weights with zeros (zero-probability choices, repeated cumulative values),
+# ints and floats; one-choice tables included.
+_WEIGHTS = st.lists(st.one_of(st.just(0), st.just(0.0), st.integers(0, 5), st.floats(0, 10)),
+                    min_size=1, max_size=6).filter(lambda w: sum(w) > 0)
+
+
 @given(logits=st.lists(st.floats(-30, 30), min_size=1, max_size=6),
-       seed=st.integers(0, 2**32))
-def test_cumulative_draws_take_the_weighted_stream(logits, seed):
+       weights=_WEIGHTS, seed=st.integers(0, 2**32))
+def test_cumulative_draws_take_the_weighted_stream(logits, weights, seed):
     p = ToyPolicy(logits={"b": {f"c{i}": v for i, v in enumerate(logits)}})
     probs = p.probs("b")
     expected = random.Random(seed).choices(list(probs), weights=list(probs.values()), k=20)
     assert p.sample_choices("b", random.Random(seed), 20) == expected
+
+    pop, cum = [f"c{i}" for i in range(len(weights))], list(accumulate(weights))
+    rng = random.Random(seed)
+    drawn = [_draw(pop, cum, rng.random) for _ in range(20)]
+    assert drawn == random.Random(seed).choices(pop, cum_weights=cum, k=20)
+    assert all(weights[pop.index(c)] > 0 for c in drawn)
 
 
 def test_policy_bandit_convergence():
@@ -197,3 +211,70 @@ def test_toy_curve_is_byte_stable():
     world = CueWorld(num_samples=20, cues_per_sample=4, vocab_size=24, seed=0)
     curve = train_toy_policy(world, steps=40, group_size=8, seed=0).curve
     assert hashlib.sha256(repr(curve).encode()).hexdigest() == GOLDEN_TOY_CURVE_SHA256
+
+
+def _oracle_train_toy_policy(world, steps, group_size, seed, learning_rate=0.5,
+                             minibatch_size=None):
+    """The trainer before its per-sample draw tables: `Random.choices` per
+    bucket and member, a dict per draw, a reward cache keyed by (sample id,
+    template, cue subset) and a `Group` per sample-step."""
+    policy = build_toy_policy(world, learning_rate=learning_rate)
+    rng = random.Random(f"toy-train|{seed}")
+    samples = list(world.samples)
+    buckets = {s.id: [b for b in policy.logits if b.startswith(f"{s.id}|")]
+               for s in samples}
+    result = ToyTrainResult(policy=policy)
+    reward_cache = {}
+    batch_size = len(samples) if minibatch_size is None else min(
+        minibatch_size, len(samples))
+    for _ in range(steps):
+        batch = rng.sample(samples, batch_size)
+        step_best = []
+        for sample in batch:
+            tables = [(b, *policy.cum_weights(b)) for b in buckets[sample.id]]
+            draws = []
+            members = []
+            for _g in range(group_size):
+                draw = {b: rng.choices(choices, cum_weights=cum)[0]
+                        for b, choices, cum in tables}
+                draws.append(draw)
+                template_id = int(draw[f"{sample.id}|template"][1:])
+                subset = sorted(b.rsplit("|", 1)[1] for b, c in draw.items()
+                                if c == "in")
+                cot = synthetic_reason(sample, template_id, subset)
+                key = (sample.id, template_id, tuple(subset))
+                if key not in reward_cache:
+                    reward_cache[key] = closed_loop_reward(
+                        sample.as_sample(), cot, synthetic_reconstruct(world, cot))
+                members.append(GroupMember(cot=cot, reconstruction=None,
+                                           breakdown=reward_cache[key]))
+            group = Group.build(sample.id, members)
+            if any(group.advantages):
+                for b in buckets[sample.id]:
+                    policy.update(b, [d[b] for d in draws], group.advantages)
+            step_best.append(max(group.rewards))
+        result.curve.append(sum(step_best) / len(step_best))
+    return result
+
+
+@st.composite
+def _toy_settings(draw):
+    samples, vocab = draw(st.integers(2, 12)), draw(st.integers(6, 16))
+    world = dict(kind=draw(st.sampled_from(["classification", "detection"])),
+                 num_samples=samples, cues_per_sample=draw(st.integers(1, min(4, vocab - 3))),
+                 vocab_size=vocab, seed=draw(st.integers(0, 2**16)))
+    train = dict(steps=draw(st.integers(1, 6)), group_size=draw(st.integers(2, 8)),
+                 seed=draw(st.integers(0, 2**16)),
+                 minibatch_size=draw(st.none() | st.integers(1, samples)))
+    return world, train
+
+
+@settings(deadline=None)
+@given(_toy_settings())
+def test_trainer_matches_the_pre_table_oracle(toy):
+    world_kw, train_kw = toy
+    world = CueWorld(**world_kw)
+    got = train_toy_policy(world, **train_kw)
+    want = _oracle_train_toy_policy(world, **train_kw)
+    assert repr(got.curve) == repr(want.curve)
+    assert got.policy.logits == want.policy.logits

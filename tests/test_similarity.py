@@ -94,6 +94,24 @@ def test_classification_similarity_sum_regularizer():
     assert classification_similarity(gt, half) == pytest.approx(expected, abs=1e-12)
 
 
+@given(st.integers(min_value=1, max_value=8).flatmap(
+    lambda n: st.tuples(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
+                        st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))),
+       st.randoms(use_true_random=False))
+def test_classification_similarity_is_its_public_kld_and_mse(pair, rnd):
+    # One alignment feeds both sums; the score stays bit-equal to the formula
+    # over the public `kld` and `mse`, whatever order the categories come in.
+    ps, qs = pair
+    cats = [f"c{i}" for i in range(len(ps))]
+    rnd.shuffle(cats)
+    gt = Distribution(dict(zip(cats, ps)))
+    rnd.shuffle(cats)
+    pred = Distribution(dict(zip(cats, qs)))
+    phi = math.exp(-(kld(gt, pred) + mse(gt, pred)))
+    expected = min(1.0, phi * math.exp(-abs(math.log10(max(pred.total(), 1e-10)))))
+    assert classification_similarity(gt, pred) == expected
+
+
 def test_classification_similarity_below_one_when_different():
     gt = dist2((0.5, 0.5))
     assert classification_similarity(gt, dist2((0.5001, 0.4999))) < 1.0
