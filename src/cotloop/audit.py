@@ -6,15 +6,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .domain import Box, BoxSet, Classification, Detection, Distribution, Sample
 from .errors import CorruptionInfeasible, DomainError
 from .pipeline import StageResult, run_closed_loop_stage
 from .reward import DEFAULT_TAU, histogram_bins, reward_histogram
 from .similarity import iou
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_BOX_ATTEMPTS = 10_000
 MIN_SIDE_FRACTION = 0.05
@@ -31,6 +32,8 @@ def corrupt_classification(sample: Sample, rng: np.random.Generator) -> Sample:
         raise DomainError("corrupt_classification needs a classification sample")
     if task.num_categories < 2:
         raise DomainError("cannot change the argmax of a single-category task")
+    import numpy as np
+
     original_argmax = sample.annotation.argmax(task.categories)
     while True:
         draw = rng.dirichlet(np.ones(task.num_categories))
@@ -109,12 +112,17 @@ class AuditReport:
 
 def corrupt_dataset(samples: Sequence[Sample], fraction: float,
                     seed: int) -> tuple[list[Sample], set[str]]:
-    """Corrupt floor(fraction*M) uniformly chosen samples; order preserved."""
+    """Corrupt floor(fraction*M) uniformly chosen samples; order preserved.
+
+    numpy, which draws the corrupt labels, is imported here on first use so
+    that importing the package does not load it."""
     if not 0 < fraction < 1:
         raise DomainError(f"corruption fraction must be in (0,1): {fraction}")
     n = int(fraction * len(samples))
     picker = random.Random(f"audit-pick|{seed}")
     chosen = set(picker.sample([s.id for s in samples], n))
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     corrupted: list[Sample] = []
     for s in samples:

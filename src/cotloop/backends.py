@@ -18,16 +18,16 @@ import re
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
-
-import requests
-from requests.adapters import HTTPAdapter
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .domain import Annotation, Box, BoxSet, Classification, Detection, Distribution, Sample
 from .errors import (AuthFailure, BadPayload, InvalidSetting, MockMiss, RemoteUnavailable,
-                     TemplateError, Timeout)
+                     RequestRejected, TemplateError, Timeout)
 from .render import render_annotation
 from .textproto import load_template, read_slot, task_name
+
+if TYPE_CHECKING:
+    import requests
 
 
 @dataclass(frozen=True)
@@ -67,13 +67,21 @@ def _require(name: str, value, ok: bool, want: str) -> None:
 class RemoteBackend:
     """Chat-completion client with bounded concurrency and retry/backoff.
 
-    `max_in_flight` (default 4) caps how many requests this backend has
-    open at once; the stages run as many GRPO groups at once as the caps of
-    their backends add up to (see `pipeline._run_groups`). A session built
-    here pools up to `max_in_flight` connections per host; one passed in is
-    used as given. A `max_in_flight` or `max_attempts` that is not an
-    integer >= 1, a `timeout` <= 0 or a negative `backoff_base` raises
-    InvalidSetting.
+    `max_in_flight` (default 4) caps how many posts this backend has open
+    at once; a request waiting out its backoff holds no slot. The stages run
+    as many GRPO groups at once as the caps of their backends add up to (see
+    `pipeline._run_groups`). A session built here pools up to
+    `max_in_flight` connections per host; one passed in is used as given.
+    `requests` is imported here, on the constructing thread, so that a run
+    without a remote backend never loads it. A `max_in_flight` or
+    `max_attempts` that is not an integer >= 1, a `timeout` <= 0 or a
+    negative `backoff_base` raises InvalidSetting.
+
+    Timeouts, connection errors, replies without a usable text and every
+    status >= 400 but those below are retried with exponential backoff.
+    401 and 403 raise AuthFailure and the statuses in `REJECTED` raise
+    RequestRejected, both on the first post: sending the same request
+    again cannot succeed.
 
     The credential is read from the environment variable named at
     construction, never from config files. Every answered request is
@@ -81,6 +89,9 @@ class RemoteBackend:
     ledger when a path is given. Lines are appended as requests complete,
     so with several in flight the seed maps a line back to its group member.
     """
+
+    # Bad request, not found, payload too large, unprocessable content.
+    REJECTED = frozenset({400, 404, 413, 422})
 
     def __init__(self, endpoint: str, model: str, auth_env: str = "COTLOOP_API_KEY",
                  timeout: float = 120.0, max_attempts: int = 3,
@@ -104,7 +115,10 @@ class RemoteBackend:
         self.backoff_base = backoff_base
         self.max_in_flight = max_in_flight
         self.ledger_path = ledger_path
+        import requests
+        self._requests = requests
         if session is None:
+            from requests.adapters import HTTPAdapter
             session = requests.Session()
             for prefix in ("http://", "https://"):
                 session.mount(prefix, HTTPAdapter(pool_maxsize=max_in_flight))
@@ -161,36 +175,40 @@ class RemoteBackend:
             raise BadPayload(f"malformed reply: content is {type(content).__name__}")
         return payload, content
 
+    def _post(self, request: GenerationRequest, body: dict, headers: dict) -> str:
+        """The reply text of one post, holding a `max_in_flight` slot only
+        while the post is open; the backend error it ended in otherwise."""
+        requests = self._requests
+        with self._gate:
+            start = time.monotonic()
+            try:
+                resp = self._session.post(self.endpoint, json=body,
+                                          headers=headers, timeout=self.timeout)
+            except requests.Timeout as e:
+                raise Timeout(str(e)) from None
+            except requests.RequestException as e:
+                raise RemoteUnavailable(str(e)) from None
+        if resp.status_code in (401, 403):
+            raise AuthFailure(f"endpoint rejected credential: {resp.status_code}")
+        if resp.status_code in self.REJECTED:
+            raise RequestRejected(f"HTTP {resp.status_code}")
+        if resp.status_code >= 400:
+            raise RemoteUnavailable(f"HTTP {resp.status_code}")
+        payload, content = self._reply(resp)
+        self._log(request, time.monotonic() - start, payload.get("usage", {}))
+        return content
+
     def generate(self, request: GenerationRequest) -> str:
         headers = self._headers()
         body = self._body(request)
         last_error: Exception = RemoteUnavailable("no attempt made")
-        with self._gate:
-            for attempt in range(self.max_attempts):
-                if attempt:
-                    self._sleep(self.backoff_base * 2 ** (attempt - 1))
-                start = time.monotonic()
-                try:
-                    resp = self._session.post(self.endpoint, json=body,
-                                              headers=headers, timeout=self.timeout)
-                except requests.Timeout as e:
-                    last_error = Timeout(str(e))
-                    continue
-                except requests.RequestException as e:
-                    last_error = RemoteUnavailable(str(e))
-                    continue
-                if resp.status_code in (401, 403):
-                    raise AuthFailure(f"endpoint rejected credential: {resp.status_code}")
-                if resp.status_code >= 400:
-                    last_error = RemoteUnavailable(f"HTTP {resp.status_code}")
-                    continue
-                try:
-                    payload, content = self._reply(resp)
-                except BadPayload as e:
-                    last_error = e
-                    continue
-                self._log(request, time.monotonic() - start, payload.get("usage", {}))
-                return content
+        for attempt in range(self.max_attempts):
+            if attempt:
+                self._sleep(self.backoff_base * 2 ** (attempt - 1))
+            try:
+                return self._post(request, body, headers)
+            except (Timeout, RemoteUnavailable, BadPayload) as e:
+                last_error = e
         raise last_error
 
 

@@ -17,8 +17,6 @@ import os
 import sys
 from typing import Optional
 
-import yaml
-
 from . import __version__
 from .audit import run_noise_audit
 from .backends import (CueWorld, MockBackend, RemoteBackend,
@@ -97,6 +95,7 @@ def _known(block: dict, keys, where: str) -> dict:
 def _load_config(path):
     if not path:
         return {}
+    import yaml  # only a run with --config pays for loading PyYAML
     with _open(path) as f:
         try:
             config = yaml.safe_load(f) or {}
@@ -482,3 +481,7 @@ def cli_dispatch(argv=None) -> int:
 
 def main() -> None:
     raise SystemExit(cli_dispatch())
+
+
+if __name__ == "__main__":
+    main()

@@ -26,6 +26,8 @@ class Classification:
             raise ValueError("category list must be non-empty")
         if len(set(self.categories)) != len(self.categories):
             raise ValueError("category names must be unique")
+        if "" in self.categories:
+            raise ValueError("category names must be non-empty")
         object.__setattr__(self, "categories", tuple(self.categories))
 
     @property

@@ -49,6 +49,10 @@ class AuthFailure(BackendError):
     """Remote endpoint rejected the credential."""
 
 
+class RequestRejected(BackendError):
+    """Remote endpoint refused the request itself (HTTP 400, 404, 413, 422); not retried."""
+
+
 class Timeout(BackendError):
     """Remote request exceeded its deadline after all retries."""
 

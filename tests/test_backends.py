@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import threading
 
 import pytest
 import requests
@@ -15,7 +16,7 @@ from cotloop.backends import (CueWorld, DEFAULT_TEMPLATE_BANK,
                               synthetic_reconstruct)
 from cotloop.domain import Classification, Detection
 from cotloop.errors import (AuthFailure, BadPayload, InvalidSetting, MockMiss,
-                            RemoteUnavailable, TemplateError, Timeout)
+                            RemoteUnavailable, RequestRejected, TemplateError, Timeout)
 from cotloop.reward import closed_loop_reward, think_answer_reward
 from cotloop.textproto import detect_leak, load_template, read_slot, validate_f_r1
 from cotloop.pipeline import reconstruction_prompt
@@ -138,6 +139,60 @@ def test_remote_bad_payload_is_retried_then_raised(monkeypatch, payload):
         backend.generate(req())
     assert len(session.calls) == 3
     assert sleeps == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("status", [400, 404, 413, 422])
+def test_remote_fails_fast_on_a_rejected_request(monkeypatch, status):
+    monkeypatch.setenv("COTLOOP_API_KEY", "k")
+    sleeps = []
+    session = FakeSession([FakeResponse(status_code=status), FakeResponse(content="late")])
+    backend = make_remote(session, sleeps)
+    with pytest.raises(RequestRejected, match=f"^HTTP {status}$"):
+        backend.generate(req())
+    assert len(session.calls) == 1
+    assert sleeps == []
+
+
+@pytest.mark.parametrize("status", [408, 429, 503])
+def test_remote_retries_a_transient_status(monkeypatch, status):
+    monkeypatch.setenv("COTLOOP_API_KEY", "k")
+    sleeps = []
+    session = FakeSession([FakeResponse(status_code=status), FakeResponse(content="hello")])
+    assert make_remote(session, sleeps).generate(req()) == "hello"
+    assert len(session.calls) == 2
+    assert sleeps == [1.0]
+
+
+def test_remote_frees_its_slot_during_backoff(monkeypatch):
+    """With one slot, request a is answered 503 and its backoff waits for
+    request b's reply: b must get the slot while a is in backoff."""
+    monkeypatch.setenv("COTLOOP_API_KEY", "k")
+    in_backoff, b_answered = threading.Event(), threading.Event()
+    waits = []
+
+    def sleep(seconds):
+        in_backoff.set()
+        waits.append(b_answered.wait(timeout=5))
+
+    replies = {"a": [FakeResponse(status_code=503), FakeResponse(content="A")],
+               "b": [FakeResponse(content="B")]}
+
+    class PromptSession:
+        def post(self, url, json=None, headers=None, timeout=None):
+            return replies[json["messages"][0]["content"][-1]["text"]].pop(0)
+
+    backend = RemoteBackend(endpoint="https://api.example.test/v1/chat", model="test-model",
+                            max_in_flight=1, session=PromptSession(), sleep=sleep)
+    results = {}
+    first = threading.Thread(target=lambda: results.update(a=backend.generate(req("a"))))
+    first.start()
+    assert in_backoff.wait(timeout=5)
+    results["b"] = backend.generate(req("b"))
+    b_answered.set()
+    first.join(timeout=5)
+    assert not first.is_alive()
+    assert results == {"a": "A", "b": "B"}
+    assert waits == [True]
 
 
 @pytest.mark.parametrize("setting, value", [

@@ -1,18 +1,22 @@
 """CLI: exit codes, fixture outputs, manifests, and idempotence."""
 
+import functools
 import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 import yaml
 
 import cotloop
+from cotloop import cli
 from cotloop.cli import _build_backend, cli_dispatch
 from cotloop.domain import make_breakdown, ScoredRecord
-from cotloop.pipeline import save_dataset, save_predictions, save_records
-from cotloop.backends import CueWorld
+from cotloop.pipeline import (run_closed_loop_stage, save_dataset, save_predictions,
+                              save_records)
+from cotloop.backends import CueWorld, RemoteBackend
 
 from conftest import CLASS_BIN_COUNTS, rewards_with_bin_counts
 
@@ -79,24 +83,66 @@ def test_remote_backoff_base_is_checked_and_passed(tmp_path, capsys):
     assert _build_backend(backends, "reason", None).backoff_base == 0.25
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
+def python_with_src(*args, **kw):
+    """A fresh interpreter run with the package's source tree on its path."""
     src = os.path.dirname(os.path.dirname(cotloop.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120, **kw)
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
     scoring = ("import sys; from cotloop import Box, BoxSet, detection_similarity\n"
                "a, b = Box(0, 0, 2, 2), Box(4, 4, 6, 6)\n"
                "assert detection_similarity(BoxSet((a, b)), BoxSet((b, a))) == 1.0\n"
                "print('scipy' in sys.modules)")
     for script in ("import sys, cotloop.cli; print('scipy.optimize' in sys.modules)",
                    scoring):
-        out = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, timeout=120, check=True)
+        out = python_with_src("-c", script, check=True)
         assert out.stdout.strip() == "False"
+
+
+def test_python_dash_m_runs_the_cli():
+    out = python_with_src("-m", "cotloop.cli", "--help")
+    assert out.returncode == 0
+    assert out.stdout.startswith("usage: cotloop")
+    out = python_with_src("-m", "cotloop.cli", "ingest")
+    assert out.returncode == 64
+    assert "the following arguments are required" in out.stderr
+
+
+def test_a_rejected_request_fails_its_sample_and_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COTLOOP_API_KEY", "k")
+
+    class RejectingSession:
+        posts = 0
+
+        def post(self, url, json=None, headers=None, timeout=None):
+            self.posts += 1
+            return types.SimpleNamespace(status_code=404)
+
+    session, stages = RejectingSession(), []
+
+    def stage(*args, **kw):
+        stages.append(run_closed_loop_stage(*args, **kw))
+        return stages[-1]
+
+    monkeypatch.setattr(cli, "RemoteBackend", functools.partial(
+        RemoteBackend, session=session, sleep=lambda seconds: pytest.fail("slept")))
+    monkeypatch.setattr(cli, "run_closed_loop_stage", stage)
+    config = edited_config(tmp_path, lambda cfg: cfg.update(
+        backends={"reason": remote_spec(), "recon": remote_spec()}))
+    assert cli_dispatch(gen_cot(tmp_path, *config)) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "8 sample(s) failed after retries"
+    assert session.posts == 8  # one post per sample: the first reasoning call
+    assert [f["kind"] for f in stages[0].failures] == ["RequestRejected"] * 8
+    assert {f["error"] for f in stages[0].failures} == {"HTTP 404"}
 
 
 def test_remote_cap_below_one_exits_one(tmp_path, capsys):
     config = write_world_config(tmp_path / "config.yaml")
-    cfg = yaml.safe_load(open(config))
+    cfg = yaml.safe_load((tmp_path / "config.yaml").read_text())
     remote = {"kind": "remote", "endpoint": "http://localhost:9/v1/chat",
               "model": "m", "max_in_flight": 0}
     cfg["backends"] = {"reason": remote, "recon": remote}
@@ -110,7 +156,8 @@ def test_remote_cap_below_one_exits_one(tmp_path, capsys):
 
 def edited_config(tmp, edit):
     """--config for the world config as changed in place by `edit`."""
-    cfg = yaml.safe_load(open(write_world_config(tmp / "config.yaml")))
+    write_world_config(tmp / "config.yaml")
+    cfg = yaml.safe_load((tmp / "config.yaml").read_text())
     edit(cfg)
     (tmp / "config.yaml").write_text(yaml.safe_dump(cfg))
     return ["--config", str(tmp / "config.yaml")]
@@ -276,6 +323,16 @@ BAD_INPUT = {
     "ingest-duplicate-categories": (lambda t: ingest(
         t, "classification", [{**NO_ANNOTATION, "probs": {"a": 1.0}}], "--categories", "a,a"),
         1, "ingest --task classification: category names must be unique"),
+    "ingest-trailing-comma-category": (lambda t: ingest(
+        t, "classification", [{**NO_ANNOTATION, "probs": {"a": 0.5, "": 0.5}}],
+        "--categories", "a,"), 1,
+        "ingest --task classification: category names must be non-empty"),
+    "ingest-empty-categories": (lambda t: ingest(
+        t, "classification", [{**NO_ANNOTATION, "probs": {"": 1.0}}], "--categories", ""),
+        1, "ingest --task classification: category names must be non-empty"),
+    "eval-gt-task-empty-category": (lambda t: eval_with_gt_task(
+        t, {"kind": "classification", "categories": ["a", ""]}), 1,
+        "gt.jsonl: classification task in header: category names must be non-empty"),
     "ingest-width-0": (lambda t: ingest(
         t, "detection", [{**NO_ANNOTATION, "boxes": [[0, 0, 1, 1]]}], "--width", "0",
         "--height", "3"), 1, "ingest --task detection: image dimensions must be positive"),

@@ -1,8 +1,12 @@
-"""The declared runtime dependencies are exactly the third-party imports."""
+"""The declared runtime dependencies are exactly the third-party imports, and
+none of them loads before the code that uses it runs."""
 
 import ast
+import json
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
@@ -29,3 +33,39 @@ def test_declared_dependencies_match_imports():
         declared = tomllib.load(f)["project"]["dependencies"]
     names = {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower() for d in declared}
     assert {IMPORT_NAME.get(n, n) for n in names} == _third_party_imports()
+
+
+COLD_START = """
+import json, os, sys, tempfile
+import cotloop, cotloop.cli
+
+def loaded():
+    return sorted(m for m in ("numpy", "requests", "yaml", "scipy") if m in sys.modules)
+
+steps = [loaded()]
+from cotloop.backends import CueWorld, RemoteBackend
+RemoteBackend(endpoint="http://localhost:9/v1/chat", model="m")
+steps.append(loaded())
+from cotloop import audit
+world = CueWorld(num_samples=2, cues_per_sample=2, vocab_size=4)
+audit.corrupt_dataset([s.as_sample() for s in world.samples], 0.5, seed=0)
+steps.append(loaded())
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "config.yaml")
+    with open(path, "w") as f:
+        f.write("seed: 3\\n")
+    assert cotloop.cli._load_config(path) == {"seed": 3}
+steps.append(loaded())
+print(json.dumps(steps))
+"""
+
+
+def test_each_heavy_dependency_loads_where_it_is_first_used():
+    """Importing the CLI loads none of numpy, requests, PyYAML or scipy; a
+    remote backend loads requests, label corruption numpy, and --config PyYAML."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", COLD_START], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert json.loads(out.stdout) == [[], ["requests"], ["numpy", "requests"],
+                                      ["numpy", "requests", "yaml"]]

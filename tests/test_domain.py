@@ -21,6 +21,8 @@ def test_classification_requires_unique_nonempty_categories():
         Classification(categories=())
     with pytest.raises(ValueError):
         Classification(categories=("a", "a"))
+    with pytest.raises(ValueError, match="non-empty"):
+        Classification(categories=("a", ""))
     assert Classification(categories=("a", "b")).num_categories == 2
 
 
