@@ -1,8 +1,8 @@
 """Operator surface: subcommands wiring configuration to pipeline stages.
 
-Precedence is flag > config file > default, and the effective settings
-are printed at startup. Every run with an output path writes a manifest
-(config snapshot, seeds, version, input digests) next to it.
+Precedence is flag > config file > default; the run settings are printed at
+startup. Each run with an output path writes a manifest next to it: version,
+command, args, config snapshot, the run `settings` it ran with, input digests.
 
 Exit codes: 0 success, 1 validation error, 2 backend exhaustion,
 64 usage error.
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -39,17 +40,16 @@ INGEST_NEEDS = {"classification": ("categories",), "detection": ("width", "heigh
 # Keys a config file may give, and the stages its backends block may name.
 CONFIG_KEYS = ("world", "backends", "group_size", "seed", "tau")
 BACKEND_STAGES = ("reason", "recon", "r1")
-# Settings a config world block may give.
-WORLD_KEYS = ("kind", "num_samples", "cues_per_sample", "vocab_size", "seed")
-# Keys a backend spec of each kind cannot do without.
-BACKEND_NEEDS = {"mock": ("responses",), "remote": ("endpoint", "model")}
-# Keys a backend spec of each kind may give.
-BACKEND_KEYS = {
-    "synthetic": ("kind", "fidelity"),
-    "mock": ("kind", "responses"),
-    "remote": ("kind", "endpoint", "model", "auth_env", "timeout", "max_attempts",
-               "backoff_base", "max_in_flight", "ledger_path"),
-}
+# The run settings and their defaults; a command resolves those it has a flag for.
+RUN_DEFAULTS = {"group_size": 8, "seed": 0, "tau": DEFAULT_TAU}
+# The `--world-*` flag of each world setting; only train-toy has --world-seed.
+WORLD_FLAGS = {"num_samples": "world_samples", "cues_per_sample": "world_cues",
+               "vocab_size": "world_vocab", "seed": "world_seed"}
+SYNTHETIC_BACKENDS = {"reason": SyntheticReasonBackend, "recon": SyntheticReconBackend,
+                      "r1": SyntheticR1Backend}
+# Constructor parameters no config block sets: a synthetic backend's world, and
+# the session and clock a caller may hand a remote backend.
+NOT_CONFIG = ("world", "session", "sleep")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,27 +104,32 @@ def _load_config(path):
     return _known(_mapping(config, path), CONFIG_KEYS, path)
 
 
-def _resolve(flag_value, config, key, default):
-    """Flag > config > default; returns (value, source)."""
-    if flag_value is not None:
-        return flag_value, "flag"
-    if key in config:
-        return config[key], "config"
-    return default, "default"
-
-
-def _print_settings(settings: dict) -> None:
-    for k, (v, source) in settings.items():
-        print(f"setting {k}={v} ({source})", file=sys.stderr)
+def _settings(args: argparse.Namespace, config: dict) -> dict:
+    """The run settings the command has a flag for, each resolved flag > config >
+    default and printed with its source. The stage runs with the returned dict,
+    and the manifest records it."""
+    settings = {}
+    for key, default in RUN_DEFAULTS.items():
+        if not hasattr(args, key):
+            continue
+        if getattr(args, key) is not None:
+            settings[key], source = getattr(args, key), "flag"
+        elif key in config:
+            settings[key], source = config[key], "config"
+        else:
+            settings[key], source = default, "default"
+        print(f"setting {key}={settings[key]} ({source})", file=sys.stderr)
+    return settings
 
 
 def _write_manifest(output_path: str, args: argparse.Namespace, config: dict,
-                    inputs: list[str]) -> None:
+                    settings: dict, inputs: list[str]) -> None:
     manifest = {
         "version": __version__,
         "command": getattr(args, "command", None),
         "args": {k: v for k, v in vars(args).items() if k != "func"},
         "config": config,
+        "settings": settings,
         "input_digests": {p: _sha256(p) for p in inputs if p and os.path.exists(p)},
     }
     with open(output_path + ".manifest.json", "w", encoding="utf-8") as f:
@@ -132,21 +137,16 @@ def _write_manifest(output_path: str, args: argparse.Namespace, config: dict,
         f.write("\n")
 
 
-def _world_flags(args, seed: Optional[int]) -> dict:
-    return {"num_samples": args.world_samples, "cues_per_sample": args.world_cues,
-            "vocab_size": args.world_vocab, "seed": seed}
-
-
-def _build_world(config: dict, flags: Optional[dict] = None,
-                 seed: Optional[int] = None) -> Optional[CueWorld]:
-    """The world of the `--world-*` `flags` and the config's world block, or None
-    when there are neither. Each setting resolves flag (None: not given), then
-    config, then CueWorld's default; a given `seed` replaces the default seed."""
-    if "world" not in config and flags is None:
+def _build_world(args, config: dict, seed: Optional[int] = None) -> Optional[CueWorld]:
+    """The world of the command's `--world-*` flags over the config's world block,
+    or None for a command without such flags whose config has none. Each setting
+    resolves flag, config, then `seed` for the seed, then CueWorld's default."""
+    if "world" not in config and not hasattr(args, "world_samples"):
         return None
-    block = _known(_mapping(config.get("world", {}), "world"), WORLD_KEYS, "world")
-    settings = dict(block)
-    settings.update((key, value) for key, value in (flags or {}).items() if value is not None)
+    settings = dict(_known(_mapping(config.get("world", {}), "world"),
+                           tuple(inspect.signature(CueWorld).parameters), "world"))
+    settings.update((key, getattr(args, flag)) for key, flag in WORLD_FLAGS.items()
+                    if getattr(args, flag, None) is not None)
     if seed is not None:
         settings.setdefault("seed", seed)
     try:
@@ -156,46 +156,60 @@ def _build_world(config: dict, flags: Optional[dict] = None,
 
 
 def _build_backend(config: dict, stage: str, world, default: Optional[dict] = None):
+    """The backend of the config's spec for `stage` (else `default`), built by
+    passing the checked spec to the class of its kind."""
     backends = _known(_mapping(config.get("backends", {}), "backends"), BACKEND_STAGES,
                       "backends")
-    spec = _mapping(backends.get(stage, default or {}), f"backends.{stage}")
-    kind = spec.get("kind", "synthetic")
-    if not isinstance(kind, str) or kind not in BACKEND_KEYS:
-        raise InvalidSetting(f"backends.{stage}: unknown backend kind: {kind!r}")
-    _known(spec, BACKEND_KEYS[kind], f"backends.{stage}")
-    missing = [key for key in BACKEND_NEEDS.get(kind, ()) if key not in spec]
+    where = f"backends.{stage}"
+    spec = dict(_mapping(backends.get(stage, default or {}), where))
+    kind = spec.pop("kind", "synthetic")
+    # Built per call: a test may replace the module's RemoteBackend.
+    classes = {"synthetic": SYNTHETIC_BACKENDS[stage], "mock": MockBackend,
+               "remote": RemoteBackend}
+    if not isinstance(kind, str) or kind not in classes:
+        raise InvalidSetting(f"{where}: unknown backend kind: {kind!r}")
+    cls = classes[kind]
+    # Only the constructor's signature names a backend's settings and their defaults.
+    params = {k: p for k, p in inspect.signature(cls).parameters.items() if k not in NOT_CONFIG}
+    _known(spec, ("kind", *params), where)
+    missing = [k for k, p in params.items() if p.default is p.empty and k not in spec]
     if missing:
-        raise InvalidSetting(f"backends.{stage}: a {kind} backend needs {', '.join(missing)}")
+        raise InvalidSetting(f"{where}: a {kind} backend needs {', '.join(missing)}")
     if kind == "synthetic":
         if world is None:
-            raise CotloopError("synthetic backend requires a world block in config")
-        if stage == "reason":
-            return SyntheticReasonBackend(world, fidelity=spec.get("fidelity", 1.0))
-        if stage == "recon":
-            return SyntheticReconBackend(world)
-        return SyntheticR1Backend(world, fidelity=spec.get("fidelity", 1.0))
-    if kind == "mock":
+            raise InvalidSetting("synthetic backend requires a world block in config")
+        spec["world"] = world
+    elif kind == "mock":
         with _open(spec["responses"]) as f:
             try:
-                return MockBackend(json.load(f))
+                return cls(json.load(f))
             except (ValueError, TypeError) as e:
                 raise InvalidSetting(f"{spec['responses']}: not a JSON mapping: {e}") from None
-    return RemoteBackend(endpoint=spec["endpoint"], model=spec["model"],
-                         auth_env=spec.get("auth_env", "COTLOOP_API_KEY"),
-                         timeout=spec.get("timeout", 120.0),
-                         max_attempts=spec.get("max_attempts", 3),
-                         backoff_base=spec.get("backoff_base", 1.0),
-                         max_in_flight=spec.get("max_in_flight", 4),
-                         ledger_path=spec.get("ledger_path"))
+    return cls(**spec)
 
 
-def _dataset_or_world(args, config, world):
+def _dataset_or_world(args, world, *backends):
+    """The samples of `--dataset`, else of the world. A dataset run through
+    synthetic backends may only name samples of their world."""
     if getattr(args, "dataset", None):
         samples, _ = load_dataset(args.dataset, skip_invalid=args.skip_invalid)
+        if any(isinstance(b, tuple(SYNTHETIC_BACKENDS.values())) for b in backends):
+            unknown = [s.id for s in samples if s.id not in world.by_id]
+            if unknown:
+                raise InvalidSetting(f"{args.dataset}: {len(unknown)} sample id(s) not in "
+                                     f"the config world, first {', '.join(unknown[:5])}")
         return samples
     if world is not None:
         return [s.as_sample() for s in world.samples]
-    raise CotloopError("either --dataset or a world block in config is required")
+    raise InvalidSetting("either --dataset or a world block in config is required")
+
+
+def _exit_code(failures) -> int:
+    """The exit code of a stage run: 2, said on stderr, when samples failed."""
+    if failures:
+        print(f"{len(failures)} sample(s) failed after retries", file=sys.stderr)
+        return 2
+    return 0
 
 
 # --- subcommand handlers -----------------------------------------------------
@@ -228,30 +242,24 @@ def _cmd_ingest(args):
             except (ValueError, LookupError, TypeError, AttributeError, CotloopError) as e:
                 raise MalformedLine(args.input, n, e) from e
     save_dataset(samples, task, args.output)
-    _write_manifest(args.output, args, config, [args.input])
+    _write_manifest(args.output, args, config, {}, [args.input])
     print(f"ingested {len(samples)} samples -> {args.output}")
     return 0
 
 
 def _cmd_gen_cot(args):
     config = _load_config(args.config)
-    group_size, gs_src = _resolve(args.group_size, config, "group_size", 8)
-    seed, seed_src = _resolve(args.seed, config, "seed", 0)
-    _print_settings({"group_size": (group_size, gs_src), "seed": (seed, seed_src)})
-    world = _build_world(config)
+    settings = _settings(args, config)
+    world = _build_world(args, config)
     reason = _build_backend(config, "reason", world)
     recon = _build_backend(config, "recon", world)
-    samples = _dataset_or_world(args, config, world)
-    result = run_closed_loop_stage(samples, reason, recon, group_size=group_size,
-                                   seed=seed, records_path=args.records)
-    _write_manifest(args.records, args, config,
+    samples = _dataset_or_world(args, world, reason, recon)
+    result = run_closed_loop_stage(samples, reason, recon, records_path=args.records,
+                                   **settings)
+    _write_manifest(args.records, args, config, settings,
                     [args.config or "", args.dataset or ""])
     print(f"scored {len(result.records)} samples -> {args.records}")
-    if result.failures:
-        print(f"{len(result.failures)} sample(s) failed after retries",
-              file=sys.stderr)
-        return 2
-    return 0
+    return _exit_code(result.failures)
 
 
 def _cmd_filter(args):
@@ -267,43 +275,37 @@ def _cmd_filter(args):
 
 def _cmd_export_sft(args):
     config = _load_config(args.config)
+    settings = _settings(args, config)
     records = load_records(args.records)
     samples, _ = load_dataset(args.dataset, skip_invalid=args.skip_invalid)
-    kept = export_sft_corpus(records, samples, tau=args.tau, path=args.output)
-    _write_manifest(args.output, args, config, [args.records, args.dataset])
+    kept = export_sft_corpus(records, samples, path=args.output, **settings)
+    _write_manifest(args.output, args, config, settings, [args.records, args.dataset])
     print(f"exported {kept} SFT lines -> {args.output}")
     return 0
 
 
 def _cmd_rft_eval(args):
     config = _load_config(args.config)
-    group_size, gs_src = _resolve(args.group_size, config, "group_size", 8)
-    seed, seed_src = _resolve(args.seed, config, "seed", 0)
-    _print_settings({"group_size": (group_size, gs_src), "seed": (seed, seed_src)})
-    world = _build_world(config)
+    settings = _settings(args, config)
+    world = _build_world(args, config)
     r1 = _build_backend(config, "r1", world)
-    samples = _dataset_or_world(args, config, world)
-    result = run_rft_reward_eval(samples, r1, group_size=group_size, seed=seed,
-                                 bookkeeping_path=args.output)
+    samples = _dataset_or_world(args, world, r1)
+    result = run_rft_reward_eval(samples, r1, bookkeeping_path=args.output, **settings)
     if args.output:
-        _write_manifest(args.output, args, config,
+        _write_manifest(args.output, args, config, settings,
                         [args.config or "", args.dataset or ""])
     print(f"mean reward {result.mean_reward:.6f} over {len(result.per_sample_mean)} samples")
-    if result.failures:
-        print(f"{len(result.failures)} sample(s) failed after retries",
-              file=sys.stderr)
-        return 2
-    return 0
+    return _exit_code(result.failures)
 
 
 def _cmd_train_toy(args):
     config = _load_config(args.config)
-    world = _build_world(config, _world_flags(args, args.world_seed))
-    result = train_toy_policy(world, steps=args.steps, group_size=args.group_size,
-                              seed=args.seed, learning_rate=args.lr,
-                              minibatch_size=args.minibatch)
+    settings = _settings(args, config)
+    world = _build_world(args, config)
+    result = train_toy_policy(world, steps=args.steps, learning_rate=args.lr,
+                              minibatch_size=args.minibatch, **settings)
     export_curve(result.curve, args.output)
-    _write_manifest(args.output, args, config, [args.config or ""])
+    _write_manifest(args.output, args, config, settings, [args.config or ""])
     print(f"wrote reward curve ({len(result.curve)} steps) -> {args.output}")
     print(f"first {result.curve[0]:.4f}  last {result.curve[-1]:.4f}")
     return 0
@@ -327,23 +329,20 @@ def _cmd_eval(args):
 
 def _cmd_audit(args):
     config = _load_config(args.config)
-    tau, tau_src = _resolve(args.tau, config, "tau", DEFAULT_TAU)
-    seed, seed_src = _resolve(args.seed, config, "seed", 0)
-    _print_settings({"tau": (tau, tau_src), "seed": (seed, seed_src)})
-    world = _build_world(config, _world_flags(args, None), seed)
+    settings = _settings(args, config)
+    world = _build_world(args, config, settings["seed"])
     reason = _build_backend(config, "reason", world, {"fidelity": 0.9})
     recon = _build_backend(config, "recon", world)
     samples = [s.as_sample() for s in world.samples]
-    report, _ = run_noise_audit(samples, fraction=args.fraction,
-                                reason_backend=reason, recon_backend=recon,
-                                group_size=args.group_size, tau=tau, seed=seed)
+    report, stage = run_noise_audit(samples, fraction=args.fraction, reason_backend=reason,
+                                    recon_backend=recon, **settings)
     text = report.render()
     print(text)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:
             f.write(text + "\n")
-        _write_manifest(args.output, args, config, [args.config or ""])
-    return 0
+        _write_manifest(args.output, args, config, settings, [args.config or ""])
+    return _exit_code(stage.failures)
 
 
 def _cmd_report(args):
@@ -402,7 +401,7 @@ def build_parser() -> _Parser:
     p.add_argument("--records", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--tau", type=float, default=DEFAULT_TAU)
+    p.add_argument("--tau", type=float)
     p.add_argument("--skip-invalid", action="store_true")
     p.add_argument("--config")
     p.set_defaults(func=_cmd_export_sft)
@@ -418,8 +417,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train-toy", help="train the toy policy; write the reward curve")
     p.add_argument("--steps", type=int, default=300)
-    p.add_argument("--group-size", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--group-size", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--lr", type=float, default=0.5)
     p.add_argument("--minibatch", type=int, default=None,
                    help="samples per step (default: full dataset)")
@@ -443,7 +442,7 @@ def build_parser() -> _Parser:
     p.add_argument("--fraction", type=float, default=0.3)
     p.add_argument("--tau", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--group-size", type=int, default=8)
+    p.add_argument("--group-size", type=int)
     p.add_argument("--world-samples", type=int)
     p.add_argument("--world-cues", type=int)
     p.add_argument("--world-vocab", type=int)

@@ -21,8 +21,8 @@ from cotloop.backends import CueWorld, RemoteBackend
 from conftest import CLASS_BIN_COUNTS, rewards_with_bin_counts
 
 
-def write_records(path, rewards):
-    records = [ScoredRecord(sample_id=f"s{i}", cot="narrative " * 3,
+def write_records(path, rewards, ids=None):
+    records = [ScoredRecord(sample_id=ids[i] if ids else f"s{i}", cot="narrative " * 3,
                             reconstruction=None, reward=r,
                             breakdown=make_breakdown(r, False, True))
                for i, r in enumerate(rewards)]
@@ -190,6 +190,14 @@ def gen_cot(tmp, *args):
     return ["gen-cot", "--records", str(tmp / "records.jsonl"), *args]
 
 
+def world_dataset(tmp, num_samples):
+    """Path of a dataset of the config world's samples, `num_samples` of them."""
+    world = CueWorld(kind="classification", num_samples=num_samples, cues_per_sample=4,
+                     vocab_size=24, seed=0)
+    save_dataset([s.as_sample() for s in world.samples], world.task, str(tmp / "world.jsonl"))
+    return str(tmp / "world.jsonl")
+
+
 def eval_with_lines(tmp, kind="classification", gt=(), pred=(), ref=None):
     """eval argv for a 2-sample `kind` world's ground truth followed by the `gt`
     lines, predictions of the `pred` lines, and a reference of the `ref` lines
@@ -339,6 +347,17 @@ BAD_INPUT = {
     "ingest-height-nan": (lambda t: ingest(
         t, "detection", [{**NO_ANNOTATION, "boxes": [[0, 0, 1, 1]]}], "--width", "3",
         "--height", "nan"), 1, "ingest --task detection: image dimensions must be positive"),
+    "synthetic-recon-fidelity": (lambda t: gen_cot(t, *edited_config(
+        t, lambda cfg: cfg.update(backends={"recon": {"kind": "synthetic",
+                                                      "fidelity": 0.5}}))), 1,
+        "backends.recon: unknown key(s) fidelity (known: kind)"),
+    "gen-cot-dataset-ids-outside-world": (lambda t: gen_cot(
+        t, "--dataset", world_dataset(t, 20), *edited_config(t, lambda cfg: None)), 1,
+        "world.jsonl: 12 sample id(s) not in the config world, first syn-0008, syn-0009, "
+        "syn-0010, syn-0011, syn-0012"),
+    "rft-eval-dataset-ids-outside-world": (lambda t: [
+        "rft-eval", "--dataset", world_dataset(t, 9), *edited_config(t, lambda cfg: None)], 1,
+        "world.jsonl: 1 sample id(s) not in the config world, first syn-0008"),
     "ingest-without-categories": (lambda t: ingest(t, "classification", []), 64,
                                   "--categories"),
     "ingest-without-height": (lambda t: ingest(t, "detection", [], "--width", "3"), 64,
@@ -353,6 +372,60 @@ def test_bad_input_exits_with_a_typed_error(tmp_path, capsys, case):
     assert message in capsys.readouterr().err.splitlines()[-1]
     assert not (tmp_path / "records.jsonl").exists()
     assert not (tmp_path / "data.jsonl").exists()
+
+
+def export_sft(tmp, output):
+    """export-sft argv for records of rewards 0, 1/8, ..., 7/8 over the config world."""
+    dataset = world_dataset(tmp, 8)
+    write_records(tmp / "records.jsonl", [i / 8 for i in range(8)],
+                  [f"syn-{i:04d}" for i in range(8)])
+    return ["export-sft", "--records", str(tmp / "records.jsonl"), "--dataset", dataset,
+            "--output", output]
+
+
+# command -> (argv for a tmp dir and an output path, the run settings --config may give)
+CONFIG_RUNS = {
+    "gen-cot": (lambda t, out: ["gen-cot", "--records", out], ("group_size", "seed")),
+    "rft-eval": (lambda t, out: ["rft-eval", "--output", out], ("group_size", "seed")),
+    "audit": (lambda t, out: ["audit", "--output", out], ("group_size", "seed", "tau")),
+    "train-toy": (lambda t, out: ["train-toy", "--steps", "3", "--output", out],
+                  ("group_size", "seed")),
+    "export-sft": (export_sft, ("tau",)),
+}
+# A value of each run setting other than its default.
+SETTING_VALUES = {"group_size": 2, "seed": 3, "tau": 0.5}
+
+
+@pytest.mark.parametrize("command, key", [(command, key) for command, (_, keys)
+                                          in CONFIG_RUNS.items() for key in keys])
+def test_a_config_setting_runs_as_its_flag(tmp_path, capsys, command, key):
+    """A run setting given in --config writes the output and stdout of the same
+    value given as a flag, and the manifest records it."""
+    make_argv, _ = CONFIG_RUNS[command]
+    value, runs = SETTING_VALUES[key], {}
+    for source in ("config", "flag"):
+        run = tmp_path / source
+        run.mkdir()
+        config = edited_config(run, lambda cfg: cfg.update({key: value} if source == "config"
+                                                           else {}))
+        flag = ["--" + key.replace("_", "-"), str(value)] if source == "flag" else []
+        assert cli_dispatch(make_argv(tmp_path, str(run / "out")) + config + flag) == 0
+        out, err = capsys.readouterr()
+        assert f"setting {key}={value} ({source})" in err.splitlines()
+        manifest = json.loads((run / "out.manifest.json").read_text())
+        assert manifest["settings"][key] == value
+        runs[source] = (run / "out").read_bytes(), out.replace(str(run), "<run>")
+    assert runs["config"] == runs["flag"]
+
+
+def test_audit_exits_two_when_samples_fail(tmp_path, capsys):
+    config = edited_config(tmp_path, lambda cfg: cfg.update(
+        backends={"reason": mock_spec(tmp_path, "{}")}))
+    assert cli_dispatch(["audit", "--group-size", "2", *config]) == 2
+    out, err = capsys.readouterr()
+    assert err.splitlines()[-1] == "8 sample(s) failed after retries"
+    assert out.endswith("corrupted below tau:   0.0% of 0\n"
+                        "clean at/above tau:    0.0% of 0\n")
 
 
 # --- filter ------------------------------------------------------------------------
