@@ -5,8 +5,8 @@ corrupted samples."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 from .domain import Box, BoxSet, Classification, Detection, Distribution, Sample
 from .errors import CorruptionInfeasible, DomainError
@@ -14,42 +14,36 @@ from .pipeline import StageResult, run_closed_loop_stage
 from .reward import DEFAULT_TAU, histogram_bins, reward_histogram
 from .similarity import iou
 
-if TYPE_CHECKING:
-    import numpy as np
-
 MAX_BOX_ATTEMPTS = 10_000
 MIN_SIDE_FRACTION = 0.05
 
 
-def corrupt_classification(sample: Sample, rng: np.random.Generator) -> Sample:
+def corrupt_classification(sample: Sample, rng: random.Random) -> Sample:
     """Replace the label with a uniform-simplex draw whose argmax differs.
 
-    Argmax ties in the original break to the first category in task order
-    before comparison.
+    One `rng.expovariate(1.0)` per category, normalised, is uniform on the
+    simplex (Dirichlet(1, ..., 1)). Argmax ties in the original break to the
+    first category in task order before comparison.
     """
     task = sample.task
     if not isinstance(task, Classification):
         raise DomainError("corrupt_classification needs a classification sample")
     if task.num_categories < 2:
         raise DomainError("cannot change the argmax of a single-category task")
-    import numpy as np
-
     original_argmax = sample.annotation.argmax(task.categories)
     while True:
-        draw = rng.dirichlet(np.ones(task.num_categories))
-        draw = draw / draw.sum()
-        probs = {c: float(p) for c, p in zip(task.categories, draw)}
-        corrupted = Distribution(probs)
+        draw = [rng.expovariate(1.0) for _ in task.categories]
+        total = sum(draw)
+        corrupted = Distribution({c: p / total for c, p in zip(task.categories, draw)})
         if corrupted.argmax(task.categories) != original_argmax:
-            return Sample(id=sample.id, image_ref=sample.image_ref, task=task,
-                          annotation=corrupted, target_desc=sample.target_desc)
+            return replace(sample, annotation=corrupted)
 
 
-def corrupt_detection(sample: Sample, rng: np.random.Generator) -> Sample:
+def corrupt_detection(sample: Sample, rng: random.Random) -> Sample:
     """Replace the label with a random box overlapping none of the originals.
 
-    Rejection sampling with a size floor (5% of the shorter image side)
-    avoids degenerate slivers; gives up after 10,000 attempts.
+    Rejection sampling of `rng.uniform` boxes with a size floor (5% of the
+    shorter image side, so no slivers); gives up after 10,000 attempts.
     """
     task = sample.task
     if not isinstance(task, Detection):
@@ -64,9 +58,7 @@ def corrupt_detection(sample: Sample, rng: np.random.Generator) -> Sample:
         y = rng.uniform(0, h - bh)
         candidate = Box(x, y, x + bw, y + bh)
         if all(iou(candidate, b) == 0.0 for b in originals):
-            return Sample(id=sample.id, image_ref=sample.image_ref, task=task,
-                          annotation=BoxSet((candidate,)),
-                          target_desc=sample.target_desc)
+            return replace(sample, annotation=BoxSet((candidate,)))
     raise CorruptionInfeasible(
         f"no zero-overlap box found for sample {sample.id} "
         f"after {MAX_BOX_ATTEMPTS} attempts")
@@ -114,16 +106,14 @@ def corrupt_dataset(samples: Sequence[Sample], fraction: float,
                     seed: int) -> tuple[list[Sample], set[str]]:
     """Corrupt floor(fraction*M) uniformly chosen samples; order preserved.
 
-    numpy, which draws the corrupt labels, is imported here on first use so
-    that importing the package does not load it."""
+    The picks and the corrupt labels come from two string-seeded
+    `random.Random` streams, `audit-pick|{seed}` and `audit-label|{seed}`."""
     if not 0 < fraction < 1:
         raise DomainError(f"corruption fraction must be in (0,1): {fraction}")
     n = int(fraction * len(samples))
     picker = random.Random(f"audit-pick|{seed}")
     chosen = set(picker.sample([s.id for s in samples], n))
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
+    rng = random.Random(f"audit-label|{seed}")
     corrupted: list[Sample] = []
     for s in samples:
         if s.id not in chosen:

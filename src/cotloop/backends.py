@@ -365,12 +365,15 @@ class SyntheticReasonBackend:
     """Reasoning-stage provider over a cue world.
 
     `fidelity` is the per-cue probability that a true cue is mentioned;
-    1.0 is the scripted full-cue policy with closed-loop reward 1.
+    1.0 is the scripted full-cue policy with closed-loop reward 1. A
+    `fidelity` that is not a number in [0, 1] raises InvalidSetting.
     """
 
     _rng_stream = "reason"
 
     def __init__(self, world: CueWorld, fidelity: float = 1.0):
+        _require("fidelity", fidelity, isinstance(fidelity, (int, float))
+                 and not isinstance(fidelity, bool) and 0 <= fidelity <= 1, "a number in [0, 1]")
         self.world = world
         self.fidelity = fidelity
 

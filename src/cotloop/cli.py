@@ -23,13 +23,11 @@ from .audit import run_noise_audit
 from .backends import (CueWorld, MockBackend, RemoteBackend,
                        SyntheticR1Backend, SyntheticReasonBackend,
                        SyntheticReconBackend)
-from .domain import (BoxSet, Classification, Detection, Sample, mask_to_box,
-                     validate_annotation)
-from .errors import (BackendError, CotloopError, DomainError, InvalidSetting,
-                     MalformedLine, MissingFile)
+from .domain import BoxSet, Classification, Detection, Sample, mask_to_box
+from .errors import BackendError, CotloopError, InvalidSetting, MalformedLine, MissingFile
 from .grpo import export_curve, train_toy_policy
-from .pipeline import (annotation_from_json, evaluate_predictions, export_sft_corpus,
-                       load_dataset, load_predictions, load_records,
+from .pipeline import (annotation_from_json, check_sample, evaluate_predictions,
+                       export_sft_corpus, load_dataset, load_predictions, load_records,
                        run_closed_loop_stage, run_rft_reward_eval, sample_text_fields,
                        save_dataset)
 from .reward import DEFAULT_TAU, filter_high_subset, histogram_bins, reward_histogram
@@ -107,7 +105,9 @@ def _load_config(path):
 def _settings(args: argparse.Namespace, config: dict) -> dict:
     """The run settings the command has a flag for, each resolved flag > config >
     default and printed with its source. The stage runs with the returned dict,
-    and the manifest records it."""
+    and the manifest records it. A config value must have the type of its
+    default, as a flag value does (an int serves for a float); any other value,
+    a bool included, raises InvalidSetting."""
     settings = {}
     for key, default in RUN_DEFAULTS.items():
         if not hasattr(args, key):
@@ -115,7 +115,11 @@ def _settings(args: argparse.Namespace, config: dict) -> dict:
         if getattr(args, key) is not None:
             settings[key], source = getattr(args, key), "flag"
         elif key in config:
-            settings[key], source = config[key], "config"
+            value, number = config[key], isinstance(default, float)
+            if isinstance(value, bool) or not isinstance(value, (int, float) if number else int):
+                raise InvalidSetting(f"{key} must be {'a number' if number else 'an integer'}, "
+                                     f"got {value!r}")
+            settings[key], source = value, "config"
         else:
             settings[key], source = default, "default"
         print(f"setting {key}={settings[key]} ({source})", file=sys.stderr)
@@ -223,7 +227,7 @@ def _cmd_ingest(args):
             task = Detection(image_width=args.width, image_height=args.height)
     except ValueError as e:
         raise InvalidSetting(f"ingest --task {args.task}: {e}") from None
-    samples = []
+    samples, seen_ids = [], set()
     with _open(args.input) as f:
         for n, raw in enumerate(f, start=1):
             if not raw.strip():
@@ -234,11 +238,9 @@ def _cmd_ingest(args):
                     annotation = BoxSet((mask_to_box(obj["mask"]),))
                 else:
                     annotation = annotation_from_json(obj)
-                violations = validate_annotation(annotation, task)
-                if violations:
-                    raise DomainError("; ".join(violations))
-                samples.append(Sample(task=task, annotation=annotation,
-                                      **sample_text_fields(obj)))
+                sample = Sample(task=task, annotation=annotation, **sample_text_fields(obj))
+                check_sample(sample, seen_ids)
+                samples.append(sample)
             except (ValueError, LookupError, TypeError, AttributeError, CotloopError) as e:
                 raise MalformedLine(args.input, n, e) from e
     save_dataset(samples, task, args.output)

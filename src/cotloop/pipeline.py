@@ -192,6 +192,17 @@ def save_dataset(samples: Sequence[Sample], task, path: str) -> None:
     _write_jsonl(path, DATASET, map(_sample_to_json, samples), task=_task_to_json(task))
 
 
+def check_sample(sample: Sample, seen_ids: set[str]) -> None:
+    """Add a ground-truth sample's id to `seen_ids`. DomainError, leaving the
+    set as it is, when its annotation breaks its task or the id is taken."""
+    violations = validate_annotation(sample.annotation, sample.task)
+    if violations:
+        raise DomainError("; ".join(violations))
+    if sample.id in seen_ids:
+        raise DomainError(f"duplicate id {sample.id!r}")
+    seen_ids.add(sample.id)
+
+
 def load_dataset(path: str, skip_invalid: bool = False) -> tuple[list[Sample], list[str]]:
     """Load and validate a dataset file.
 
@@ -207,14 +218,11 @@ def load_dataset(path: str, skip_invalid: bool = False) -> tuple[list[Sample], l
     seen_ids: set[str] = set()
     for n, fields in rows:
         sample = Sample(task=task, **fields)
-        violations = validate_annotation(sample.annotation, task)
-        if violations:
-            errors.append(f"line {n} ({sample.id}): " + "; ".join(violations))
+        try:
+            check_sample(sample, seen_ids)
+        except DomainError as e:
+            errors.append(f"line {n} ({sample.id}): {e}")
             continue
-        if sample.id in seen_ids:
-            errors.append(f"line {n}: duplicate id {sample.id!r}")
-            continue
-        seen_ids.add(sample.id)
         samples.append(sample)
     if errors and not skip_invalid:
         raise ValidationFailure(errors)

@@ -1,6 +1,7 @@
 """Label-corruption audit: corruption validity, separation, reproducibility."""
 
-import numpy as np
+import random
+
 import pytest
 
 from cotloop.audit import (AuditReport, corrupt_classification,
@@ -18,7 +19,7 @@ from cotloop.similarity import iou
 
 def test_corrupt_classification_changes_argmax(emotion_sample):
     for seed in range(10):
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
         corrupted = corrupt_classification(emotion_sample, rng)
         cats = emotion_sample.task.categories
         assert corrupted.annotation.argmax(cats) != \
@@ -28,8 +29,8 @@ def test_corrupt_classification_changes_argmax(emotion_sample):
 
 
 def test_corrupt_classification_deterministic(emotion_sample):
-    a = corrupt_classification(emotion_sample, np.random.default_rng(5))
-    b = corrupt_classification(emotion_sample, np.random.default_rng(5))
+    a = corrupt_classification(emotion_sample, random.Random(5))
+    b = corrupt_classification(emotion_sample, random.Random(5))
     assert a.annotation.probs == b.annotation.probs
 
 
@@ -38,7 +39,7 @@ def test_corrupt_classification_single_category():
     s = Sample(id="s", image_ref="x", task=task,
                annotation=Distribution({"only": 1.0}))
     with pytest.raises(DomainError):
-        corrupt_classification(s, np.random.default_rng(0))
+        corrupt_classification(s, random.Random(0))
 
 
 # --- corrupt_detection ------------------------------------------------------------
@@ -51,7 +52,7 @@ def det_sample(boxes, w=100, h=100):
 def test_corrupt_detection_zero_overlap():
     s = det_sample([Box(10, 10, 50, 50)])
     for seed in range(10):
-        corrupted = corrupt_detection(s, np.random.default_rng(seed))
+        corrupted = corrupt_detection(s, random.Random(seed))
         box = corrupted.annotation.boxes[0]
         assert iou(box, Box(10, 10, 50, 50)) == 0.0
         assert 0 <= box.x1 <= box.x2 <= 100
@@ -61,15 +62,15 @@ def test_corrupt_detection_zero_overlap():
 
 def test_corrupt_detection_deterministic():
     s = det_sample([Box(10, 10, 50, 50)])
-    a = corrupt_detection(s, np.random.default_rng(7))
-    b = corrupt_detection(s, np.random.default_rng(7))
+    a = corrupt_detection(s, random.Random(7))
+    b = corrupt_detection(s, random.Random(7))
     assert a.annotation.boxes == b.annotation.boxes
 
 
 def test_corrupt_detection_infeasible():
     s = det_sample([Box(0, 0, 100, 100)])  # box covers the whole image
     with pytest.raises(CorruptionInfeasible):
-        corrupt_detection(s, np.random.default_rng(0))
+        corrupt_detection(s, random.Random(0))
 
 
 # --- corrupt_dataset ---------------------------------------------------------------

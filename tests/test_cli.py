@@ -358,6 +358,24 @@ BAD_INPUT = {
     "rft-eval-dataset-ids-outside-world": (lambda t: [
         "rft-eval", "--dataset", world_dataset(t, 9), *edited_config(t, lambda cfg: None)], 1,
         "world.jsonl: 1 sample id(s) not in the config world, first syn-0008"),
+    "audit-config-tau-not-a-number": (lambda t: ["audit", *edited_config(
+        t, lambda cfg: cfg.update(tau="x"))], 1, "tau must be a number, got 'x'"),
+    "train-toy-config-group-size-a-string": (lambda t: [
+        "train-toy", "--steps", "3", "--output", str(t / "curve.tsv"),
+        *edited_config(t, lambda cfg: cfg.update(group_size="2"))], 1,
+        "group_size must be an integer, got '2'"),
+    "gen-cot-config-seed-a-list": (lambda t: gen_cot(t, *edited_config(
+        t, lambda cfg: cfg.update(seed=[1]))), 1, "seed must be an integer, got [1]"),
+    "gen-cot-config-group-size-a-bool": (lambda t: gen_cot(t, *edited_config(
+        t, lambda cfg: cfg.update(group_size=True))), 1,
+        "group_size must be an integer, got True"),
+    "synthetic-reason-fidelity-not-a-number": (lambda t: gen_cot(t, *edited_config(
+        t, lambda cfg: cfg.update(backends={"reason": {"kind": "synthetic",
+                                                       "fidelity": "x"}}))), 1,
+        "fidelity must be a number in [0, 1], got 'x'"),
+    "ingest-duplicate-id": (lambda t: ingest(
+        t, "classification", [{**NO_ANNOTATION, "id": "a", "probs": {"x": 1.0}}] * 2,
+        "--categories", "x"), 1, "raw.jsonl: line 2: duplicate id 'a'"),
     "ingest-without-categories": (lambda t: ingest(t, "classification", []), 64,
                                   "--categories"),
     "ingest-without-height": (lambda t: ingest(t, "detection", [], "--width", "3"), 64,

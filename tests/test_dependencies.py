@@ -60,12 +60,46 @@ print(json.dumps(steps))
 """
 
 
-def test_each_heavy_dependency_loads_where_it_is_first_used():
-    """Importing the CLI loads none of numpy, requests, PyYAML or scipy; a
-    remote backend loads requests, label corruption numpy, and --config PyYAML."""
+def run_python(code, *args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", COLD_START], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
-    assert json.loads(out.stdout) == [[], ["requests"], ["numpy", "requests"],
-                                      ["numpy", "requests", "yaml"]]
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+
+
+def test_each_heavy_dependency_loads_where_it_is_first_used():
+    """Importing the CLI loads none of numpy, requests, PyYAML or scipy; a
+    remote backend loads requests and --config PyYAML; label corruption loads
+    nothing, and numpy is loaded at no step."""
+    out = run_python(COLD_START)
+    assert json.loads(out.stdout) == [[], ["requests"], ["requests"], ["requests", "yaml"]]
+
+
+AUDIT_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from cotloop.cli import cli_dispatch
+
+runs = []
+for config in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        runs.append([cli_dispatch(["audit", "--config", config]), out.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def test_the_audit_runs_without_numpy(tmp_path, capsys):
+    """The audit CLI needs no numpy, on either task kind, and reports the text
+    of a run that could import it."""
+    from cotloop.cli import cli_dispatch
+
+    configs, expected = [], []
+    for kind in ("classification", "detection"):
+        config = tmp_path / f"{kind}.yaml"
+        config.write_text(f"world: {{kind: {kind}, num_samples: 10, cues_per_sample: 4, "
+                          "vocab_size: 24, seed: 0}\ngroup_size: 2\n")
+        configs.append(str(config))
+        expected.append([cli_dispatch(["audit", "--config", str(config)]),
+                         capsys.readouterr().out])
+    assert json.loads(run_python(AUDIT_WITHOUT_NUMPY, *configs).stdout) == expected
+    assert [code for code, _ in expected] == [0, 0]

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import sys
 from itertools import accumulate
 
 import pytest
@@ -110,7 +111,10 @@ def test_cumulative_draws_take_the_weighted_stream(logits, weights, seed):
     rng = random.Random(seed)
     drawn = [_draw(pop, cum, rng.random) for _ in range(20)]
     assert drawn == random.Random(seed).choices(pop, cum_weights=cum, k=20)
-    assert all(weights[pop.index(c)] > 0 for c in drawn)
+    # Below the smallest normal float, rand() * total can round up to total, and
+    # Random.choices itself then draws a zero-weight last choice.
+    if cum[-1] >= sys.float_info.min:
+        assert all(weights[pop.index(c)] > 0 for c in drawn)
 
 
 def test_policy_bandit_convergence():
