@@ -59,8 +59,9 @@ class MockBackend:
             raise MockMiss(f"no canned response for prompt: {request.prompt[:80]!r}")
 
 
-def _require(name: str, value, ok: bool, want: str) -> None:
-    if not ok:
+def require(name: str, value, ok: bool, want: str) -> None:
+    """InvalidSetting unless `ok`; a bool is never a valid setting value."""
+    if not ok or isinstance(value, bool):
         raise InvalidSetting(f"{name} must be {want}, got {value!r}")
 
 
@@ -99,14 +100,14 @@ class RemoteBackend:
                  ledger_path: Optional[str] = None,
                  session: Optional[requests.Session] = None,
                  sleep: Callable[[float], None] = time.sleep):
-        _require("max_in_flight", max_in_flight,
-                 isinstance(max_in_flight, int) and max_in_flight >= 1, "an integer >= 1")
-        _require("max_attempts", max_attempts,
-                 isinstance(max_attempts, int) and max_attempts >= 1, "an integer >= 1")
-        _require("timeout", timeout,
-                 isinstance(timeout, (int, float)) and timeout > 0, "a number > 0")
-        _require("backoff_base", backoff_base,
-                 isinstance(backoff_base, (int, float)) and backoff_base >= 0, "a number >= 0")
+        require("max_in_flight", max_in_flight,
+                isinstance(max_in_flight, int) and max_in_flight >= 1, "an integer >= 1")
+        require("max_attempts", max_attempts,
+                isinstance(max_attempts, int) and max_attempts >= 1, "an integer >= 1")
+        require("timeout", timeout,
+                isinstance(timeout, (int, float)) and timeout > 0, "a number > 0")
+        require("backoff_base", backoff_base,
+                isinstance(backoff_base, (int, float)) and backoff_base >= 0, "a number >= 0")
         self.endpoint = endpoint
         self.model = model
         self.auth_env = auth_env
@@ -364,16 +365,15 @@ def synthetic_reconstruct(world: CueWorld, cot: str) -> str:
 class SyntheticReasonBackend:
     """Reasoning-stage provider over a cue world.
 
-    `fidelity` is the per-cue probability that a true cue is mentioned;
-    1.0 is the scripted full-cue policy with closed-loop reward 1. A
-    `fidelity` that is not a number in [0, 1] raises InvalidSetting.
+    `fidelity`, a number in [0, 1], is the per-cue probability that a true cue
+    is mentioned; 1.0 is the scripted full-cue policy with closed-loop reward 1.
     """
 
     _rng_stream = "reason"
 
     def __init__(self, world: CueWorld, fidelity: float = 1.0):
-        _require("fidelity", fidelity, isinstance(fidelity, (int, float))
-                 and not isinstance(fidelity, bool) and 0 <= fidelity <= 1, "a number in [0, 1]")
+        require("fidelity", fidelity,
+                isinstance(fidelity, (int, float)) and 0 <= fidelity <= 1, "a number in [0, 1]")
         self.world = world
         self.fidelity = fidelity
 

@@ -22,7 +22,7 @@ from . import __version__
 from .audit import run_noise_audit
 from .backends import (CueWorld, MockBackend, RemoteBackend,
                        SyntheticR1Backend, SyntheticReasonBackend,
-                       SyntheticReconBackend)
+                       SyntheticReconBackend, require)
 from .domain import BoxSet, Classification, Detection, Sample, mask_to_box
 from .errors import BackendError, CotloopError, InvalidSetting, MalformedLine, MissingFile
 from .grpo import export_curve, train_toy_policy
@@ -105,9 +105,8 @@ def _load_config(path):
 def _settings(args: argparse.Namespace, config: dict) -> dict:
     """The run settings the command has a flag for, each resolved flag > config >
     default and printed with its source. The stage runs with the returned dict,
-    and the manifest records it. A config value must have the type of its
-    default, as a flag value does (an int serves for a float); any other value,
-    a bool included, raises InvalidSetting."""
+    and the manifest records it. A config value must have its flag's type (an
+    int serves for a float); any other value raises InvalidSetting."""
     settings = {}
     for key, default in RUN_DEFAULTS.items():
         if not hasattr(args, key):
@@ -115,11 +114,10 @@ def _settings(args: argparse.Namespace, config: dict) -> dict:
         if getattr(args, key) is not None:
             settings[key], source = getattr(args, key), "flag"
         elif key in config:
-            value, number = config[key], isinstance(default, float)
-            if isinstance(value, bool) or not isinstance(value, (int, float) if number else int):
-                raise InvalidSetting(f"{key} must be {'a number' if number else 'an integer'}, "
-                                     f"got {value!r}")
-            settings[key], source = value, "config"
+            number = isinstance(default, float)
+            require(key, config[key], isinstance(config[key], (int, float) if number else int),
+                    "a number" if number else "an integer")
+            settings[key], source = config[key], "config"
         else:
             settings[key], source = default, "default"
         print(f"setting {key}={settings[key]} ({source})", file=sys.stderr)
@@ -239,8 +237,7 @@ def _cmd_ingest(args):
                 else:
                     annotation = annotation_from_json(obj)
                 sample = Sample(task=task, annotation=annotation, **sample_text_fields(obj))
-                check_sample(sample, seen_ids)
-                samples.append(sample)
+                samples.append(check_sample(sample, seen_ids))
             except (ValueError, LookupError, TypeError, AttributeError, CotloopError) as e:
                 raise MalformedLine(args.input, n, e) from e
     save_dataset(samples, task, args.output)

@@ -29,12 +29,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .backends import GenerationRequest
+from .backends import GenerationRequest, require
 from .domain import (Annotation, Box, BoxSet, Classification, Detection,
                      Distribution, RewardBreakdown, Sample, ScoredRecord,
                      validate_annotation)
-from .errors import (BackendError, DomainError, HeaderMismatch, InvalidSetting,
-                     MalformedLine, MissingFile, ValidationFailure)
+from .errors import (BackendError, DomainError, HeaderMismatch, MalformedLine, MissingFile,
+                     ValidationFailure)
 from .grpo import GroupMember, compute_group_advantages, select_best_of_group
 from .render import render_annotation
 from .reward import DEFAULT_TAU, closed_loop_reward, think_answer_reward
@@ -192,15 +192,16 @@ def save_dataset(samples: Sequence[Sample], task, path: str) -> None:
     _write_jsonl(path, DATASET, map(_sample_to_json, samples), task=_task_to_json(task))
 
 
-def check_sample(sample: Sample, seen_ids: set[str]) -> None:
-    """Add a ground-truth sample's id to `seen_ids`. DomainError, leaving the
-    set as it is, when its annotation breaks its task or the id is taken."""
+def check_sample(sample: Sample, seen_ids: set[str]) -> Sample:
+    """`sample`, its id added to `seen_ids`. DomainError, leaving the set as it
+    is, when a ground-truth annotation breaks its task or the id is taken."""
     violations = validate_annotation(sample.annotation, sample.task)
     if violations:
         raise DomainError("; ".join(violations))
     if sample.id in seen_ids:
         raise DomainError(f"duplicate id {sample.id!r}")
     seen_ids.add(sample.id)
+    return sample
 
 
 def load_dataset(path: str, skip_invalid: bool = False) -> tuple[list[Sample], list[str]]:
@@ -217,13 +218,10 @@ def load_dataset(path: str, skip_invalid: bool = False) -> tuple[list[Sample], l
     samples: list[Sample] = []
     seen_ids: set[str] = set()
     for n, fields in rows:
-        sample = Sample(task=task, **fields)
         try:
-            check_sample(sample, seen_ids)
+            samples.append(check_sample(Sample(task=task, **fields), seen_ids))
         except DomainError as e:
-            errors.append(f"line {n} ({sample.id}): {e}")
-            continue
-        samples.append(sample)
+            errors.append(f"line {n} ({fields['id']}): {e}")
     if errors and not skip_invalid:
         raise ValidationFailure(errors)
     return samples, errors
@@ -303,8 +301,8 @@ def r1_prompt(sample: Sample) -> str:
 
 def _require_group_size(group_size) -> None:
     """Both stages call this before they read or write any file."""
-    if not isinstance(group_size, int) or group_size < 1:
-        raise InvalidSetting(f"group_size must be an integer >= 1, got {group_size!r}")
+    require("group_size", group_size,
+            isinstance(group_size, int) and group_size >= 1, "an integer >= 1")
 
 
 def _derive_seed(seed: int, sample_id: str, g: int) -> int:

@@ -201,7 +201,8 @@ def test_remote_frees_its_slot_during_backoff(monkeypatch):
         ("max_attempts", 0), ("max_attempts", -1), ("max_attempts", 1.5),
         ("max_attempts", "3"), ("timeout", 0), ("timeout", -1.0), ("timeout", "5"),
         ("timeout", None), ("backoff_base", -0.5), ("backoff_base", "1"),
-        ("backoff_base", float("nan")))),
+        ("backoff_base", float("nan")), ("max_in_flight", True), ("max_attempts", True),
+        ("timeout", True), ("backoff_base", False))),
 ])
 def test_remote_rejects_a_cap_that_is_not_a_positive_int(setting, value):
     with pytest.raises(InvalidSetting, match=setting):

@@ -369,7 +369,7 @@ def test_rft_eval_partial_fidelity_between(stage_world):
     assert 0.0 < mid.mean_reward < 1.0
 
 
-@pytest.mark.parametrize("group_size", [0, -1, 2.5, "4"])
+@pytest.mark.parametrize("group_size", [0, -1, 2.5, "4", True])
 @pytest.mark.parametrize("stage", ["closed-loop", "rft"])
 def test_stages_refuse_a_group_size_below_one(stage_world, tmp_path, stage, group_size):
     samples = [s.as_sample() for s in stage_world.samples]
