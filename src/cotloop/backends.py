@@ -342,8 +342,7 @@ class CueWorld:
         return tuple(sorted(sample.cue_set)) + tuple(rng.sample(others, extra))
 
 
-def synthetic_reason(sample: SyntheticSample, template_id: int,
-                     cue_subset: Sequence[str]) -> str:
+def synthetic_reason(template_id: int, cue_subset: Sequence[str]) -> str:
     """Render a leak-free narrative CoT naming exactly the chosen cue tags."""
     if not 0 <= template_id < len(DEFAULT_TEMPLATE_BANK):
         raise TemplateError(f"unknown template id: {template_id}")
@@ -387,7 +386,7 @@ class SyntheticReasonBackend:
         else:
             subset = [c for c in sorted(sample.cue_set) if rng.random() < self.fidelity]
         template_id = rng.randrange(len(DEFAULT_TEMPLATE_BANK))
-        return subset, synthetic_reason(sample, template_id, subset)
+        return subset, synthetic_reason(template_id, subset)
 
     def generate(self, request: GenerationRequest) -> str:
         return self._draw(request)[1]

@@ -4,7 +4,7 @@ Precedence is flag > config file > default; the run settings are printed at
 startup. Each run with an output path writes a manifest next to it: version,
 command, args, config snapshot, the run `settings` it ran with, input digests.
 
-Exit codes: 0 success, 1 validation error, 2 backend exhaustion,
+Exit codes: 0 success, 1 validation or file error, 2 backend exhaustion,
 64 usage error.
 """
 
@@ -361,6 +361,7 @@ def _cmd_report(args):
             f.write("bin_low\tbin_high\tcount\tpercent\n")
             for (_, lo, hi), c, p in zip(bins, counts, pcts):
                 f.write(f"{lo}\t{hi}\t{c}\t{p:.4f}\n")
+        _write_manifest(args.output, args, {}, {}, [args.records])
         print(f"wrote plot data -> {args.output}")
     return 0
 
@@ -472,7 +473,7 @@ def cli_dispatch(argv=None) -> int:
     except BackendError as e:
         print(f"backend error: {e}", file=sys.stderr)
         return 2
-    except CotloopError as e:
+    except (CotloopError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -207,7 +207,7 @@ class RewardBreakdown:
 
     Invariant: composite == similarity when no leak and format ok,
     otherwise composite == 0. ``reason`` names the first failed gate
-    (leak | format | parse) or "similarity" when the gates passed.
+    (leak | parse | format) or "similarity" when the gates passed.
     """
 
     similarity: float
@@ -225,11 +225,13 @@ class RewardBreakdown:
 
 
 def make_breakdown(similarity: float, leak_detected: bool, format_ok: bool,
-                   reason: Optional[str] = None,
+                   parsed: bool = True,
                    leak_evidence: Sequence[str] = ()) -> RewardBreakdown:
+    """The reason is the first failed gate in the order leak, parse (`parsed`
+    false), format, else "similarity"."""
     gates_pass = (not leak_detected) and format_ok
-    if reason is None:
-        reason = "leak" if leak_detected else ("format" if not format_ok else "similarity")
+    reason = ("leak" if leak_detected else "parse" if not parsed
+              else "format" if not format_ok else "similarity")
     return RewardBreakdown(
         similarity=similarity,
         leak_detected=leak_detected,

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .backends import (CueWorld, DEFAULT_TEMPLATE_BANK, SyntheticSample, synthetic_reason,
                        synthetic_reconstruct)
-from .domain import Annotation, RewardBreakdown, Sample, ScoredRecord
+from .domain import Sample, ScoredRecord
 from .errors import DomainError
 from .reward import closed_loop_reward
 
@@ -31,11 +31,11 @@ TOY_DISTRACTORS = 3
 def compute_group_advantages(rewards: Sequence[float]) -> list[float]:
     """Group-standardized rewards: (r - mean) / (population std + 1e-8).
 
-    All-equal groups get all-zero advantages.
+    All-equal groups, a group of one among them, get all-zero advantages.
     """
+    if not rewards:
+        raise DomainError("an advantage group needs at least one member")
     g = len(rewards)
-    if g < 2:
-        raise DomainError(f"advantage groups need at least 2 members, got {g}")
     mean = sum(rewards) / g
     var = sum((r - mean) ** 2 for r in rewards) / g
     if var == 0.0:
@@ -45,42 +45,29 @@ def compute_group_advantages(rewards: Sequence[float]) -> list[float]:
 
 
 @dataclass(frozen=True)
-class GroupMember:
-    cot: str
-    reconstruction: Optional[Annotation]
-    breakdown: RewardBreakdown
-
-
-@dataclass(frozen=True)
 class Group:
     """G scored completions for one sample, with normalized advantages."""
 
     sample_id: str
-    members: tuple[GroupMember, ...]
+    members: tuple[ScoredRecord, ...]
     advantages: tuple[float, ...]
 
     @classmethod
-    def build(cls, sample_id: str, members: Sequence[GroupMember]) -> "Group":
-        rewards = [m.breakdown.composite for m in members]
+    def build(cls, sample_id: str, members: Sequence[ScoredRecord]) -> "Group":
         return cls(sample_id=sample_id, members=tuple(members),
-                   advantages=tuple(compute_group_advantages(rewards)))
+                   advantages=tuple(compute_group_advantages([m.reward for m in members])))
 
     @property
     def rewards(self) -> list[float]:
-        return [m.breakdown.composite for m in self.members]
+        return [m.reward for m in self.members]
 
 
-def select_best_of_group(sample_id: str,
-                         members: Sequence[GroupMember]) -> tuple[int, ScoredRecord]:
-    """Highest-reward member; ties break to the lowest index."""
+def select_best_of_group(members: Sequence[ScoredRecord]) -> tuple[int, ScoredRecord]:
+    """(index, member) of the highest-reward member; ties break to the lowest index."""
     if not members:
         raise DomainError("cannot select from an empty group")
-    best = max(range(len(members)), key=lambda i: (members[i].breakdown.composite, -i))
-    m = members[best]
-    record = ScoredRecord(sample_id=sample_id, cot=m.cot,
-                          reconstruction=m.reconstruction,
-                          reward=m.breakdown.composite, breakdown=m.breakdown)
-    return best, record
+    best = max(range(len(members)), key=lambda i: (members[i].reward, -i))
+    return best, members[best]
 
 
 # --- toy policy --------------------------------------------------------------
@@ -168,7 +155,6 @@ class _ToyPlan:
     """One sample's buckets in policy order, the cue each cue bucket names,
     and the composite reward of every draw scored so far."""
 
-    sample: SyntheticSample
     target: Sample
     buckets: list[str]
     cues: list[str]
@@ -178,7 +164,7 @@ class _ToyPlan:
     @classmethod
     def build(cls, sample: SyntheticSample, policy: ToyPolicy) -> "_ToyPlan":
         buckets = [b for b in policy.logits if b.startswith(f"{sample.id}|")]
-        return cls(sample=sample, target=sample.as_sample(), buckets=buckets,
+        return cls(target=sample.as_sample(), buckets=buckets,
                    cues=[b.rsplit("|", 1)[1] for b in buckets],
                    template=buckets.index(f"{sample.id}|template"), cache={})
 
@@ -188,7 +174,7 @@ class _ToyPlan:
         composite = self.cache.get(draw)
         if composite is None:
             subset = sorted(cue for cue, c in zip(self.cues, draw) if c == "in")
-            cot = synthetic_reason(self.sample, int(draw[self.template][1:]), subset)
+            cot = synthetic_reason(int(draw[self.template][1:]), subset)
             composite = self.cache[draw] = closed_loop_reward(
                 self.target, cot, synthetic_reconstruct(world, cot)).composite
         return composite

@@ -35,11 +35,11 @@ from .domain import (Annotation, Box, BoxSet, Classification, Detection,
                      validate_annotation)
 from .errors import (BackendError, DomainError, HeaderMismatch, MalformedLine, MissingFile,
                      ValidationFailure)
-from .grpo import GroupMember, compute_group_advantages, select_best_of_group
+from .grpo import compute_group_advantages, select_best_of_group
 from .render import render_annotation
-from .reward import DEFAULT_TAU, closed_loop_reward, think_answer_reward
+from .reward import DEFAULT_TAU, closed_loop_reward, filter_high_subset, think_answer_reward
 from .similarity import hungarian_match, jsd
-from .textproto import ParsedOutput, load_template, render_prompt, task_name
+from .textproto import ParsedOutput, as_number, load_template, render_prompt, task_name
 
 log = logging.getLogger(__name__)
 
@@ -158,9 +158,9 @@ def annotation_to_json(a: Annotation) -> dict:
 
 def annotation_from_json(obj: dict) -> Annotation:
     if "probs" in obj:
-        return Distribution({str(k): float(v) for k, v in obj["probs"].items()})
+        return Distribution({str(k): as_number(v) for k, v in obj["probs"].items()})
     if "boxes" in obj:
-        return BoxSet(tuple(Box(*map(float, b)) for b in obj["boxes"]))
+        return BoxSet(tuple(Box(*map(as_number, b)) for b in obj["boxes"]))
     raise ValueError(f"unknown annotation shape: {sorted(obj)}")
 
 
@@ -399,7 +399,7 @@ def run_closed_loop_stage(samples: Sequence[Sample], reason_backend, recon_backe
     def member_for(sample: Sample):
         prompt = reasoning_prompt(sample)
 
-        def member(member_seed: int) -> GroupMember:
+        def member(member_seed: int) -> ScoredRecord:
             cot = reason_backend.generate(GenerationRequest(
                 sample_id=sample.id, image_ref=sample.image_ref,
                 prompt=prompt, seed=member_seed))
@@ -409,14 +409,14 @@ def run_closed_loop_stage(samples: Sequence[Sample], reason_backend, recon_backe
                 seed=member_seed))
             parsed = ParsedOutput.from_text(recon_text, sample.task)
             breakdown = closed_loop_reward(sample, cot, recon_text, parsed=parsed)
-            return GroupMember(cot=cot, reconstruction=parsed.answer, breakdown=breakdown)
+            return ScoredRecord(sample.id, cot, parsed.answer, breakdown.composite, breakdown)
         return member
 
     def scored() -> Iterator[ScoredRecord]:
         for sample, members in _run_groups(samples, group_size, seed, member_for,
                                            result.failures,
                                            (reason_backend, recon_backend), done):
-            _, record = select_best_of_group(sample.id, members)
+            _, record = select_best_of_group(members)
             result.records.append(record)
             yield record
 
@@ -444,7 +444,7 @@ def export_sft_corpus(records: Sequence[ScoredRecord], samples: Sequence[Sample]
     unknown = sorted({r.sample_id for r in records} - set(by_id))
     if unknown:
         raise DomainError(f"records for unknown sample ids: {unknown[:5]}")
-    kept = [(r, by_id[r.sample_id]) for r in records if r.reward >= tau]
+    kept = [(r, by_id[r.sample_id]) for r in filter_high_subset(records, tau)[0]]
     _write_jsonl(path, SFT, (
         {"image_ref": sample.image_ref, "prompt": r1_prompt(sample),
          "target": (f"<think>{r.cot}</think>"
@@ -484,8 +484,7 @@ def run_rft_reward_eval(samples: Sequence[Sample], r1_backend, group_size: int,
         for sample, members in _run_groups(samples, group_size, seed, member_for,
                                            result.failures, (r1_backend,)):
             rewards = [reward for _, reward in members]
-            advantages = (compute_group_advantages(rewards)
-                          if len(rewards) >= 2 else [0.0] * len(rewards))
+            advantages = compute_group_advantages(rewards)
             mean = sum(rewards) / len(rewards)
             result.per_sample_mean[sample.id] = mean
             totals.append(mean)

@@ -38,14 +38,7 @@ def closed_loop_reward(sample: Sample, cot: str, reconstruction_text: str, *,
     leak, evidence = detect_leak(cot, sample.task)
     format_ok = validate_f_cot(cot, parsed.answer)
     similarity = _similarity(sample, parsed.answer) if parsed.answer is not None else 0.0
-    reason = None
-    if leak:
-        reason = "leak"
-    elif parsed.answer is None:
-        reason = "parse"
-    elif not format_ok:
-        reason = "format"
-    return make_breakdown(similarity, leak, format_ok, reason=reason,
+    return make_breakdown(similarity, leak, format_ok, parsed=parsed.answer is not None,
                           leak_evidence=evidence)
 
 
@@ -54,11 +47,8 @@ def think_answer_reward(sample: Sample, raw_model_output: str) -> RewardBreakdow
     parsed = ParsedOutput.from_text(raw_model_output, sample.task)
     format_ok = parsed.answer is not None and think_precedes_answer(raw_model_output)
     similarity = _similarity(sample, parsed.answer) if parsed.answer is not None else 0.0
-    reason = None
-    if not format_ok:
-        reason = "parse" if parsed.answer is None else "format"
     return make_breakdown(similarity, leak_detected=False, format_ok=format_ok,
-                          reason=reason)
+                          parsed=parsed.answer is not None)
 
 
 def reward_histogram(rewards: Sequence[float]) -> tuple[list[int], list[float]]:

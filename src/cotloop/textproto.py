@@ -214,7 +214,9 @@ def _first_balanced(text: str, open_ch: str, close_ch: str) -> str:
     raise MalformedAnswer(f"unbalanced {open_ch} literal")
 
 
-def _as_number(v) -> float:
+def as_number(v) -> float:
+    """`v` as a float if it is a non-bool int or float within the float range;
+    MalformedAnswer otherwise."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise MalformedAnswer(f"non-numeric value: {v!r}")
     try:
@@ -236,7 +238,7 @@ def parse_distribution_answer(answer_raw: str, categories) -> Distribution:
         obj = _evaluated(answer_raw, "{", "}", "map")
     if not isinstance(obj, dict):
         raise MalformedAnswer("answer literal is not a map")
-    got = {str(k): _as_number(v) for k, v in obj.items()}
+    got = {str(k): as_number(v) for k, v in obj.items()}
     want = set(categories)
     missing = sorted(want - set(got))
     extra = sorted(set(got) - want)
@@ -269,7 +271,7 @@ def parse_box_answer(answer_raw: str) -> tuple[BoxSet, bool]:
     for t in tuples:
         if not isinstance(t, (list, tuple)) or len(t) != 4:
             raise MalformedAnswer(f"box tuple must have 4 numbers, got {t!r}")
-        x1, y1, x2, y2 = (_as_number(v) for v in t)
+        x1, y1, x2, y2 = (as_number(v) for v in t)
         cx1, cy1 = max(x1, 0.0), max(y1, 0.0)
         cx2, cy2 = max(x2, 0.0), max(y2, 0.0)
         nx1, nx2 = min(cx1, cx2), max(cx1, cx2)

@@ -333,23 +333,22 @@ def test_synthetic_reason_is_leak_free(class_world, det_world):
     for world in (class_world, det_world):
         for s in world.samples[:4]:
             for tid in range(len(DEFAULT_TEMPLATE_BANK)):
-                cot = synthetic_reason(s, tid, sorted(s.cue_set))
+                cot = synthetic_reason(tid, sorted(s.cue_set))
                 assert all(c in cot for c in s.cue_set)
                 assert not detect_leak(cot, world.task)[0]
                 assert len(cot.strip()) >= 15
 
 
-def test_synthetic_reason_edge_cases(class_world):
-    s = class_world.samples[0]
-    assert len(synthetic_reason(s, 0, []).strip()) >= 15
+def test_synthetic_reason_edge_cases():
+    assert len(synthetic_reason(0, []).strip()) >= 15
     with pytest.raises(TemplateError):
-        synthetic_reason(s, 99, [])
+        synthetic_reason(99, [])
 
 
 def test_closed_loop_fixed_point(class_world, det_world):
     for world in (class_world, det_world):
         for s in world.samples:
-            cot = synthetic_reason(s, 0, sorted(s.cue_set))
+            cot = synthetic_reason(0, sorted(s.cue_set))
             recon = synthetic_reconstruct(world, cot)
             b = closed_loop_reward(s.as_sample(), cot, recon)
             assert b.composite == pytest.approx(1.0, abs=1e-12), s.id
@@ -360,7 +359,7 @@ def test_partial_cues_score_monotonically(class_world):
     cues = sorted(s.cue_set)
     rewards = []
     for k in (0, 2, 4):
-        cot = synthetic_reason(s, 0, cues[:k])
+        cot = synthetic_reason(0, cues[:k])
         recon = synthetic_reconstruct(class_world, cot)
         rewards.append(closed_loop_reward(s.as_sample(), cot, recon).composite)
     assert rewards[0] < rewards[2] and rewards[1] < rewards[2]
@@ -375,7 +374,7 @@ def test_random_subsets_leave_training_headroom(class_world):
         pool = class_world.distractor_pool(s, 3)
         for _ in range(10):
             subset = [c for c in pool if rng.random() < 0.5]
-            cot = synthetic_reason(s, 0, subset)
+            cot = synthetic_reason(0, subset)
             recon = synthetic_reconstruct(class_world, cot)
             total += closed_loop_reward(s.as_sample(), cot, recon).composite
             n += 1
@@ -397,7 +396,7 @@ def test_reason_backend_determinism_and_fidelity(class_world):
 def test_recon_backend_reads_cot_not_category_list(request, world):
     world = request.getfixturevalue(world)
     s = world.samples[0].as_sample()
-    cot = synthetic_reason(world.samples[0], 0, [])
+    cot = synthetic_reason(0, [])
     prompt = reconstruction_prompt(s, cot)
     # The prompt lists every category (classification) or names the true
     # cues in its target (detection); only the CoT segment may be scanned.

@@ -1,6 +1,7 @@
 """CLI: exit codes, fixture outputs, manifests, and idempotence."""
 
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -233,6 +234,21 @@ def eval_with_gt_task(tmp, task):
     return argv
 
 
+def eval_with_a_string_probability(tmp):
+    """eval argv for a ground-truth dataset whose line 4 gives a probability as
+    the string "1" and is valid otherwise."""
+    world = CueWorld(kind="classification", num_samples=2, cues_per_sample=2,
+                     vocab_size=4, seed=0)
+    probs = {c: 0.0 for c in world.task.categories}
+    probs[world.task.categories[0]] = "1"
+    return eval_with_lines(tmp, gt=[{**NO_ANNOTATION, "annotation": {"probs": probs}}])
+
+
+def a_directory(tmp):
+    (tmp / "a-directory").mkdir()
+    return str(tmp / "a-directory")
+
+
 NO_ANNOTATION = {"id": "b", "image_ref": "img://b"}
 
 # case -> (argv for a tmp dir, exit code, text of the last stderr line)
@@ -376,6 +392,32 @@ BAD_INPUT = {
     "ingest-duplicate-id": (lambda t: ingest(
         t, "classification", [{**NO_ANNOTATION, "id": "a", "probs": {"x": 1.0}}] * 2,
         "--categories", "x"), 1, "raw.jsonl: line 2: duplicate id 'a'"),
+    "ingest-box-coordinate-a-string": (lambda t: ingest(
+        t, "detection", [{"id": "b", "image_ref": "y", "boxes": [["1", 2, True, 4]]}],
+        "--width", "10", "--height", "10"), 1, "raw.jsonl: line 1: non-numeric value: '1'"),
+    "ingest-probability-a-bool": (lambda t: ingest(
+        t, "classification", [{**NO_ANNOTATION, "probs": {"p": True, "q": "0"}}],
+        "--categories", "p,q"), 1, "raw.jsonl: line 1: non-numeric value: True"),
+    "ingest-coordinate-beyond-float-range": (lambda t: ingest(
+        t, "detection", [{**NO_ANNOTATION, "boxes": [[0, 0, 10**400, 4]]}],
+        "--width", "10", "--height", "10"), 1,
+        "raw.jsonl: line 1: number outside the float range"),
+    "eval-gt-probability-a-string": (eval_with_a_string_probability, 1,
+                                     "line 4: non-numeric value: '1'"),
+    "gen-cot-records-a-directory": (lambda t: [
+        "gen-cot", "--records", a_directory(t), *edited_config(t, lambda cfg: None)], 1,
+        "Is a directory"),
+    "gen-cot-records-in-a-missing-directory": (lambda t: [
+        "gen-cot", "--records", str(t / "nodir" / "r.jsonl"),
+        *edited_config(t, lambda cfg: None)], 1, "No such file or directory"),
+    "report-records-a-directory": (lambda t: ["report", "--records", a_directory(t)], 1,
+                                   "Is a directory"),
+    "train-toy-output-in-a-missing-directory": (lambda t: [
+        "train-toy", "--steps", "2", "--world-samples", "3", "--output",
+        str(t / "nodir" / "c.tsv")], 1, "No such file or directory"),
+    "audit-output-in-a-missing-directory": (lambda t: [
+        "audit", "--output", str(t / "nodir" / "a.txt"), *edited_config(t, lambda cfg: None)],
+        1, "No such file or directory"),
     "ingest-without-categories": (lambda t: ingest(t, "classification", []), 64,
                                   "--categories"),
     "ingest-without-height": (lambda t: ingest(t, "detection", [], "--width", "3"), 64,
@@ -484,6 +526,10 @@ def test_gen_cot_and_export_sft(tmp_path, capsys):
     assert cli_dispatch(["report", "--records", str(records),
                          "--output", str(tmp_path / "plot.tsv")]) == 0
     assert "reasons:" in capsys.readouterr().out
+    manifest = json.loads((tmp_path / "plot.tsv.manifest.json").read_text())
+    assert manifest["command"] == "report"
+    assert manifest["input_digests"] == {
+        str(records): hashlib.sha256(records.read_bytes()).hexdigest()}
 
 
 @pytest.fixture

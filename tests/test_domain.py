@@ -1,5 +1,6 @@
 """Domain model: geometry utilities, validation, and gated breakdowns."""
 
+import itertools
 import math
 
 import pytest
@@ -147,6 +148,25 @@ def test_make_breakdown_reasons():
     assert make_breakdown(0.9, False, False).reason == "format"
     assert make_breakdown(0.9, False, True).reason == "similarity"
     assert make_breakdown(0.9, True, False).composite == 0.0
+
+
+def _reference_reason(leak: bool, parsed: bool, format_ok: bool) -> str:
+    """The closed-loop reward's gate ladder, written out step by step."""
+    if leak:
+        return "leak"
+    if not parsed:
+        return "parse"
+    if not format_ok:
+        return "format"
+    return "similarity"
+
+
+@pytest.mark.parametrize("leak, parsed, format_ok",
+                         list(itertools.product((False, True), repeat=3)))
+def test_make_breakdown_reason_is_the_first_failed_gate(leak, parsed, format_ok):
+    b = make_breakdown(0.9, leak, format_ok, parsed=parsed)
+    assert b.reason == _reference_reason(leak, parsed, format_ok)
+    assert b.composite == (0.9 if format_ok and not leak else 0.0)
 
 
 def test_scored_record_reward_must_match(emotion_task):

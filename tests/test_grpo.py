@@ -10,18 +10,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cotloop.backends import CueWorld, synthetic_reason, synthetic_reconstruct
-from cotloop.domain import make_breakdown
+from cotloop.domain import ScoredRecord, make_breakdown
 from cotloop.errors import DomainError
-from cotloop.grpo import (Group, GroupMember, ToyPolicy, ToyTrainResult, _draw,
+from cotloop.grpo import (Group, ToyPolicy, ToyTrainResult, _draw,
                           build_toy_policy, compute_group_advantages, export_curve,
                           select_best_of_group, smooth_curve, train_toy_policy)
 from cotloop.reward import closed_loop_reward
 
 
 def member(reward):
-    return GroupMember(cot="a sufficiently descriptive narrative text",
-                       reconstruction=None,
-                       breakdown=make_breakdown(reward, False, True))
+    return ScoredRecord(sample_id="s", cot="a sufficiently descriptive narrative text",
+                        reconstruction=None, reward=reward,
+                        breakdown=make_breakdown(reward, False, True))
 
 
 # --- advantages -----------------------------------------------------------------
@@ -36,8 +36,9 @@ def test_advantages_reference_example():
 
 def test_advantages_constant_and_small_group():
     assert compute_group_advantages([0.3, 0.3, 0.3]) == [0.0, 0.0, 0.0]
+    assert compute_group_advantages([0.5]) == [0.0]
     with pytest.raises(DomainError):
-        compute_group_advantages([0.5])
+        compute_group_advantages([])
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2,
@@ -63,14 +64,14 @@ def test_group_build_carries_advantages():
 
 
 def test_select_best_of_group_tie_break():
-    idx, record = select_best_of_group("s", [member(0.2), member(0.9), member(0.9)])
+    idx, record = select_best_of_group([member(0.2), member(0.9), member(0.9)])
     assert idx == 1
     assert record.reward == 0.9
     assert record.sample_id == "s"
 
 
 def test_select_best_all_zero_still_retained():
-    idx, record = select_best_of_group("s", [member(0.0), member(0.0)])
+    idx, record = select_best_of_group([member(0.0), member(0.0)])
     assert idx == 0 and record.reward == 0.0
 
 
@@ -180,7 +181,7 @@ def test_best_of_group_grows_with_group_size(tiny_world):
             best = 0.0
             for _ in range(g_size):
                 subset = [c for c in pool if rng.random() < 0.5]
-                cot = synthetic_reason(s, 0, subset)
+                cot = synthetic_reason(0, subset)
                 recon = synthetic_reconstruct(tiny_world, cot)
                 best = max(best, closed_loop_reward(s.as_sample(), cot, recon).composite)
             total += best
@@ -245,13 +246,14 @@ def _oracle_train_toy_policy(world, steps, group_size, seed, learning_rate=0.5,
                 template_id = int(draw[f"{sample.id}|template"][1:])
                 subset = sorted(b.rsplit("|", 1)[1] for b, c in draw.items()
                                 if c == "in")
-                cot = synthetic_reason(sample, template_id, subset)
+                cot = synthetic_reason(template_id, subset)
                 key = (sample.id, template_id, tuple(subset))
                 if key not in reward_cache:
                     reward_cache[key] = closed_loop_reward(
                         sample.as_sample(), cot, synthetic_reconstruct(world, cot))
-                members.append(GroupMember(cot=cot, reconstruction=None,
-                                           breakdown=reward_cache[key]))
+                breakdown = reward_cache[key]
+                members.append(ScoredRecord(sample.id, cot, None, breakdown.composite,
+                                            breakdown))
             group = Group.build(sample.id, members)
             if any(group.advantages):
                 for b in buckets[sample.id]:
