@@ -1,8 +1,12 @@
 """Operator surface: subcommands wiring configuration to pipeline stages.
 
-Precedence is flag > config file > default; the run settings are printed at
-startup. Each run with an output path writes a manifest next to it: version,
-command, args, config snapshot, the run `settings` it ran with, input digests.
+`cli_dispatch` runs every command one way: load `--config` (else `{}`); resolve
+and print the run settings, flag > config file > default; check that the
+output's directory exists; call the handler with (args, config, settings), which
+returns its stage's failures or None; write a manifest beside the output
+(version, command, args, config, settings, digests of the input-file flags
+given); exit 2 when samples failed. The output is gen-cot's `--records`, else
+`--output`.
 
 Exit codes: 0 success, 1 validation or file error, 2 backend exhaustion,
 64 usage error.
@@ -11,6 +15,7 @@ Exit codes: 0 success, 1 validation or file error, 2 backend exhaustion,
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import inspect
 import json
@@ -33,6 +38,8 @@ from .pipeline import (annotation_from_json, check_sample, evaluate_predictions,
 from .reward import DEFAULT_TAU, filter_high_subset, histogram_bins, reward_histogram
 
 USAGE_EXIT = 64
+# The flags that name a file a command reads; its manifest records their digests.
+INPUT_FLAGS = ("config", "input", "records", "dataset")
 # Flags that `ingest --task <kind>` cannot do without.
 INGEST_NEEDS = {"classification": ("categories",), "detection": ("width", "height")}
 # Keys a config file may give, and the stages its backends block may name.
@@ -125,14 +132,15 @@ def _settings(args: argparse.Namespace, config: dict) -> dict:
 
 
 def _write_manifest(output_path: str, args: argparse.Namespace, config: dict,
-                    settings: dict, inputs: list[str]) -> None:
+                    settings: dict) -> None:
+    inputs = (getattr(args, flag, None) for flag in INPUT_FLAGS)
     manifest = {
         "version": __version__,
         "command": getattr(args, "command", None),
         "args": {k: v for k, v in vars(args).items() if k != "func"},
         "config": config,
         "settings": settings,
-        "input_digests": {p: _sha256(p) for p in inputs if p and os.path.exists(p)},
+        "input_digests": {p: _sha256(p) for p in inputs if p and p != output_path},
     }
     with open(output_path + ".manifest.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, sort_keys=True, indent=2)
@@ -206,18 +214,9 @@ def _dataset_or_world(args, world, *backends):
     raise InvalidSetting("either --dataset or a world block in config is required")
 
 
-def _exit_code(failures) -> int:
-    """The exit code of a stage run: 2, said on stderr, when samples failed."""
-    if failures:
-        print(f"{len(failures)} sample(s) failed after retries", file=sys.stderr)
-        return 2
-    return 0
-
-
 # --- subcommand handlers -----------------------------------------------------
 
-def _cmd_ingest(args):
-    config = _load_config(args.config)
+def _cmd_ingest(args, config, settings):
     try:
         if args.task == "classification":
             task = Classification(categories=tuple(args.categories.split(",")))
@@ -241,76 +240,56 @@ def _cmd_ingest(args):
             except (ValueError, LookupError, TypeError, AttributeError, CotloopError) as e:
                 raise MalformedLine(args.input, n, e) from e
     save_dataset(samples, task, args.output)
-    _write_manifest(args.output, args, config, {}, [args.input])
     print(f"ingested {len(samples)} samples -> {args.output}")
-    return 0
 
 
-def _cmd_gen_cot(args):
-    config = _load_config(args.config)
-    settings = _settings(args, config)
+def _cmd_gen_cot(args, config, settings):
     world = _build_world(args, config)
     reason = _build_backend(config, "reason", world)
     recon = _build_backend(config, "recon", world)
     samples = _dataset_or_world(args, world, reason, recon)
     result = run_closed_loop_stage(samples, reason, recon, records_path=args.records,
                                    **settings)
-    _write_manifest(args.records, args, config, settings,
-                    [args.config or "", args.dataset or ""])
     print(f"scored {len(result.records)} samples -> {args.records}")
-    return _exit_code(result.failures)
+    return result.failures
 
 
-def _cmd_filter(args):
+def _cmd_filter(args, config, settings):
     records = load_records(args.records)
-    kept, n_kept, n_total = filter_high_subset(records, args.tau)
+    kept, n_kept, n_total = filter_high_subset(records, settings["tau"])
     pct = 100.0 * n_kept / n_total if n_total else 0.0
     print(f"kept {n_kept} / {n_total} ({pct:.1f}%)")
     counts, pcts = reward_histogram([r.reward for r in records])
     for (label, _, _), c, p in zip(histogram_bins(), counts, pcts):
         print(f"{label}  {c:>8}  {p:5.1f}%")
-    return 0
 
 
-def _cmd_export_sft(args):
-    config = _load_config(args.config)
-    settings = _settings(args, config)
+def _cmd_export_sft(args, config, settings):
     records = load_records(args.records)
     samples, _ = load_dataset(args.dataset, skip_invalid=args.skip_invalid)
     kept = export_sft_corpus(records, samples, path=args.output, **settings)
-    _write_manifest(args.output, args, config, settings, [args.records, args.dataset])
     print(f"exported {kept} SFT lines -> {args.output}")
-    return 0
 
 
-def _cmd_rft_eval(args):
-    config = _load_config(args.config)
-    settings = _settings(args, config)
+def _cmd_rft_eval(args, config, settings):
     world = _build_world(args, config)
     r1 = _build_backend(config, "r1", world)
     samples = _dataset_or_world(args, world, r1)
     result = run_rft_reward_eval(samples, r1, bookkeeping_path=args.output, **settings)
-    if args.output:
-        _write_manifest(args.output, args, config, settings,
-                        [args.config or "", args.dataset or ""])
     print(f"mean reward {result.mean_reward:.6f} over {len(result.per_sample_mean)} samples")
-    return _exit_code(result.failures)
+    return result.failures
 
 
-def _cmd_train_toy(args):
-    config = _load_config(args.config)
-    settings = _settings(args, config)
+def _cmd_train_toy(args, config, settings):
     world = _build_world(args, config)
     result = train_toy_policy(world, steps=args.steps, learning_rate=args.lr,
                               minibatch_size=args.minibatch, **settings)
     export_curve(result.curve, args.output)
-    _write_manifest(args.output, args, config, settings, [args.config or ""])
     print(f"wrote reward curve ({len(result.curve)} steps) -> {args.output}")
     print(f"first {result.curve[0]:.4f}  last {result.curve[-1]:.4f}")
-    return 0
 
 
-def _cmd_eval(args):
+def _cmd_eval(args, config, settings):
     samples, _ = load_dataset(args.gt, skip_invalid=args.skip_invalid)
     predictions = load_predictions(args.pred)
     reference = load_predictions(args.reference) if args.reference else None
@@ -323,16 +302,13 @@ def _cmd_eval(args):
     if report.detection_score is not None:
         print(f"detection score (IoU@0.5 hit rate) {report.detection_score:.4f}")
     print(f"parse failures {report.parse_failures}")
-    return 0
 
 
-def _cmd_audit(args):
-    config = _load_config(args.config)
-    settings = _settings(args, config)
+def _cmd_audit(args, config, settings):
     world = _build_world(args, config, settings["seed"])
     reason = _build_backend(config, "reason", world, {"fidelity": 0.9})
     recon = _build_backend(config, "recon", world)
-    samples = [s.as_sample() for s in world.samples]
+    samples = _dataset_or_world(args, world, reason, recon)
     report, stage = run_noise_audit(samples, fraction=args.fraction, reason_backend=reason,
                                     recon_backend=recon, **settings)
     text = report.render()
@@ -340,11 +316,10 @@ def _cmd_audit(args):
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:
             f.write(text + "\n")
-        _write_manifest(args.output, args, config, settings, [args.config or ""])
-    return _exit_code(stage.failures)
+    return stage.failures
 
 
-def _cmd_report(args):
+def _cmd_report(args, config, settings):
     records = load_records(args.records)
     rewards = [r.reward for r in records]
     counts, pcts = reward_histogram(rewards)
@@ -361,9 +336,7 @@ def _cmd_report(args):
             f.write("bin_low\tbin_high\tcount\tpercent\n")
             for (_, lo, hi), c, p in zip(bins, counts, pcts):
                 f.write(f"{lo}\t{hi}\t{c}\t{p:.4f}\n")
-        _write_manifest(args.output, args, {}, {}, [args.records])
         print(f"wrote plot data -> {args.output}")
-    return 0
 
 
 # --- parser ------------------------------------------------------------------
@@ -394,7 +367,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("filter", help="threshold filter plus reward histogram")
     p.add_argument("--records", required=True)
-    p.add_argument("--tau", type=float, default=DEFAULT_TAU)
+    p.add_argument("--tau", type=float)
     p.set_defaults(func=_cmd_filter)
 
     p = sub.add_parser("export-sft", help="export the high-reward SFT corpus")
@@ -469,13 +442,24 @@ def cli_dispatch(argv=None) -> int:
     except SystemExit as e:
         return e.code if e.code is not None else 0
     try:
-        return args.func(args)
+        config = _load_config(getattr(args, "config", None))
+        settings = _settings(args, config)
+        output = args.records if args.command == "gen-cot" else getattr(args, "output", None)
+        if output and not os.path.exists(os.path.dirname(output) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), output)
+        failures = args.func(args, config, settings)
+        if output:
+            _write_manifest(output, args, config, settings)
     except BackendError as e:
         print(f"backend error: {e}", file=sys.stderr)
         return 2
     except (CotloopError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    if failures:
+        print(f"{len(failures)} sample(s) failed after retries", file=sys.stderr)
+        return 2
+    return 0
 
 
 def main() -> None:

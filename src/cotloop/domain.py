@@ -148,8 +148,9 @@ def validate_annotation(a: Annotation, task: TaskKind) -> list[str]:
 
     A distribution covers exactly the task's categories with finite
     probabilities in [0, 1] that sum to 1 within GT_SUM_TOL; a box set holds
-    at least one box. Model answers are checked by the `textproto` parsers
-    instead. Violations are data, not faults: this never raises.
+    at least one box, each inside the image. Model answers are checked by the
+    `textproto` parsers instead. Violations are data, not faults: this never
+    raises.
     """
     violations: list[str] = []
     if isinstance(task, Classification):
@@ -175,20 +176,31 @@ def validate_annotation(a: Annotation, task: TaskKind) -> list[str]:
     elif isinstance(task, Detection):
         if not isinstance(a, BoxSet):
             violations.append("variant mismatch: detection task needs a BoxSet")
-        elif not a.boxes:
+            return violations
+        if not a.boxes:
             violations.append("ground truth has no boxes")
+        for b in a.boxes:
+            if b.x2 > task.image_width or b.y2 > task.image_height:
+                violations.append(f"box {list(b.as_tuple())} lies outside the "
+                                  f"{task.image_width:g}x{task.image_height:g} image")
     else:
         violations.append(f"unknown task kind: {task!r}")
     return violations
 
 
 def mask_to_box(mask) -> Box:
-    """Tightest corner box enclosing every true cell of a dense binary grid.
+    """Tightest corner box enclosing every true cell of a dense binary grid: a
+    list of rows, each a list of cells that are 0, 1, True or False
+    (InvalidGeometry otherwise).
 
     Cell (row r, col c) occupies the continuous unit square
     [c, c+1] x [r, r+1], so a single true cell at (r, c) yields
     (c, r, c+1, r+1).
     """
+    if not isinstance(mask, list) or not all(
+            isinstance(row, list) and all(type(v) in (int, bool) and v in (0, 1) for v in row)
+            for row in mask):
+        raise InvalidGeometry("mask must be a list of rows of 0/1 or true/false cells")
     if not mask or not any(len(row) for row in mask):
         raise EmptyMask("mask grid is empty")
     rows = [(r, row) for r, row in enumerate(mask) if any(row)]

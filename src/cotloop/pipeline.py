@@ -383,7 +383,7 @@ def run_closed_loop_stage(samples: Sequence[Sample], reason_backend, recon_backe
 
     Records persist incrementally (one flushed line per sample), and a
     restarted run skips sample ids already present in the record file.
-    Backend failures go into the failure manifest; the stage completes.
+    Backend failures go into `StageResult.failures`; the stage completes.
     """
     _require_group_size(group_size)
     result = StageResult()

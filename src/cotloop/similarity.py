@@ -165,8 +165,6 @@ def detection_similarity(gt: BoxSet, pred: BoxSet) -> float:
 
 def jsd(p: Distribution, q: Distribution) -> float:
     """Jensen-Shannon divergence with natural log; range [0, ln 2]."""
-    pv_cats = set(p.probs)
-    if pv_cats != set(q.probs):
-        raise DomainError("distributions are over different category sets")
-    mid = Distribution({c: (p.probs[c] + q.probs[c]) / 2 for c in pv_cats})
-    return 0.5 * kld(p, mid) + 0.5 * kld(q, mid)
+    pv, qv = _aligned(p, q)
+    mid = [(a + b) / 2 for a, b in zip(pv, qv)]
+    return 0.5 * _kld(pv, mid) + 0.5 * _kld(qv, mid)

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import types
@@ -48,7 +49,8 @@ def test_unknown_subcommand_is_usage_error(capsys):
 def test_validation_error_exits_one(tmp_path, capsys):
     assert cli_dispatch(["filter", "--records",
                          str(tmp_path / "absent.jsonl")]) == 1
-    assert capsys.readouterr().err == f"error: no such file: {tmp_path / 'absent.jsonl'}\n"
+    assert capsys.readouterr().err == ("setting tau=0.75 (default)\n"
+                                       f"error: no such file: {tmp_path / 'absent.jsonl'}\n")
 
 
 def test_backend_exhaustion_exits_two(tmp_path, capsys):
@@ -244,6 +246,13 @@ def eval_with_a_string_probability(tmp):
     return eval_with_lines(tmp, gt=[{**NO_ANNOTATION, "annotation": {"probs": probs}}])
 
 
+def records_file(tmp):
+    """Path of a records file of rewards 0, 1/8, ..., 7/8 over the config world."""
+    write_records(tmp / "scored.jsonl", [i / 8 for i in range(8)],
+                  [f"syn-{i:04d}" for i in range(8)])
+    return str(tmp / "scored.jsonl")
+
+
 def a_directory(tmp):
     (tmp / "a-directory").mkdir()
     return str(tmp / "a-directory")
@@ -418,6 +427,26 @@ BAD_INPUT = {
     "audit-output-in-a-missing-directory": (lambda t: [
         "audit", "--output", str(t / "nodir" / "a.txt"), *edited_config(t, lambda cfg: None)],
         1, "No such file or directory"),
+    "report-output-in-a-missing-directory": (lambda t: [
+        "report", "--records", records_file(t), "--output", str(t / "nodir" / "p.tsv")], 1,
+        "No such file or directory"),
+    "ingest-mask-cell-a-string": (lambda t: ingest(
+        t, "detection", [{**NO_ANNOTATION, "mask": [["0", "0"], [0, 0]]}],
+        "--width", "10", "--height", "10"), 1,
+        "raw.jsonl: line 1: mask must be a list of rows of 0/1 or true/false cells"),
+    "ingest-mask-not-a-grid": (lambda t: ingest(
+        t, "detection", [{**NO_ANNOTATION, "mask": "abc"}], "--width", "10", "--height", "10"),
+        1, "raw.jsonl: line 1: mask must be a list of rows of 0/1 or true/false cells"),
+    "ingest-box-beyond-the-image": (lambda t: ingest(
+        t, "detection", [{**NO_ANNOTATION, "boxes": [[0, 0, 50, 50]]}],
+        "--width", "10", "--height", "10"), 1,
+        "raw.jsonl: line 1: box [0.0, 0.0, 50.0, 50.0] lies outside the 10x10 image"),
+    "ingest-mask-wider-than-the-image": (lambda t: ingest(
+        t, "detection", [{**NO_ANNOTATION, "mask": [[1, 1]]}], "--width", "1", "--height", "1"),
+        1, "raw.jsonl: line 1: box [0, 0, 2, 1] lies outside the 1x1 image"),
+    "eval-gt-box-beyond-the-image": (lambda t: eval_with_lines(
+        t, "detection", gt=[{**NO_ANNOTATION, "annotation": {"boxes": [[0, 0, 1300, 10]]}}]),
+        1, "line 4 (b): box [0.0, 0.0, 1300.0, 10.0] lies outside the 1200x1200 image"),
     "ingest-without-categories": (lambda t: ingest(t, "classification", []), 64,
                                   "--categories"),
     "ingest-without-height": (lambda t: ingest(t, "detection", [], "--width", "3"), 64,
@@ -429,17 +458,16 @@ BAD_INPUT = {
 def test_bad_input_exits_with_a_typed_error(tmp_path, capsys, case):
     make_argv, code, message = BAD_INPUT[case]
     assert cli_dispatch(make_argv(tmp_path)) == code  # an escaping exception fails the test
-    assert message in capsys.readouterr().err.splitlines()[-1]
+    out, err = capsys.readouterr()
+    assert message in err.splitlines()[-1]
+    assert out == ""  # no summary or report is printed before the error
     assert not (tmp_path / "records.jsonl").exists()
     assert not (tmp_path / "data.jsonl").exists()
 
 
 def export_sft(tmp, output):
     """export-sft argv for records of rewards 0, 1/8, ..., 7/8 over the config world."""
-    dataset = world_dataset(tmp, 8)
-    write_records(tmp / "records.jsonl", [i / 8 for i in range(8)],
-                  [f"syn-{i:04d}" for i in range(8)])
-    return ["export-sft", "--records", str(tmp / "records.jsonl"), "--dataset", dataset,
+    return ["export-sft", "--records", records_file(tmp), "--dataset", world_dataset(tmp, 8),
             "--output", output]
 
 
@@ -476,6 +504,45 @@ def test_a_config_setting_runs_as_its_flag(tmp_path, capsys, command, key):
         assert manifest["settings"][key] == value
         runs[source] = (run / "out").read_bytes(), out.replace(str(run), "<run>")
     assert runs["config"] == runs["flag"]
+
+
+# command -> argv for a tmp dir; each gives every input-file flag the command has
+MANIFEST_RUNS = {
+    "ingest": lambda t: ingest(t, "classification", [{**NO_ANNOTATION, "probs": {"x": 1.0}}],
+                               "--categories", "x", *edited_config(t, lambda cfg: None)),
+    "gen-cot": lambda t: gen_cot(t, "--dataset", world_dataset(t, 8),
+                                 *edited_config(t, lambda cfg: None)),
+    "export-sft": lambda t: export_sft(t, str(t / "sft.jsonl")) + edited_config(
+        t, lambda cfg: None),
+    "rft-eval": lambda t: ["rft-eval", "--dataset", world_dataset(t, 8), "--output",
+                           str(t / "book.jsonl"), *edited_config(t, lambda cfg: None)],
+    "train-toy": lambda t: ["train-toy", "--steps", "3", "--output", str(t / "curve.tsv"),
+                            *edited_config(t, lambda cfg: None)],
+    "audit": lambda t: ["audit", "--group-size", "2", "--output", str(t / "audit.txt"),
+                        *edited_config(t, lambda cfg: None)],
+    "report": lambda t: ["report", "--records", records_file(t), "--output",
+                         str(t / "plot.tsv")],
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_RUNS))
+def test_every_manifest_records_exactly_its_inputs(tmp_path, capsys, command):
+    """The manifest beside the output holds the settings the command printed and
+    the digest of every input-file flag it was given, the output excepted."""
+    argv = MANIFEST_RUNS[command](tmp_path)
+    assert cli_dispatch(argv) == 0
+    err = capsys.readouterr().err
+    given = {flag: argv[i + 1] for i, flag in enumerate(argv) if flag.startswith("--")}
+    output = given["--records" if command == "gen-cot" else "--output"]
+    manifest = json.loads(pathlib.Path(output + ".manifest.json").read_text(encoding="utf-8"))
+    assert manifest["command"] == command and os.path.exists(output)
+    printed = [line.rsplit(" (", 1)[0] for line in err.splitlines()
+               if line.startswith("setting ")]
+    assert sorted(printed) == sorted(f"setting {k}={v}" for k, v in manifest["settings"].items())
+    inputs = {given[f] for f in ("--config", "--input", "--records", "--dataset")
+              if f in given} - {output}
+    assert manifest["input_digests"] == {
+        p: hashlib.sha256(pathlib.Path(p).read_bytes()).hexdigest() for p in inputs}
 
 
 def test_audit_exits_two_when_samples_fail(tmp_path, capsys):
