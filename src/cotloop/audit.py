@@ -66,7 +66,8 @@ def corrupt_detection(sample: Sample, rng: random.Random) -> Sample:
 
 @dataclass
 class AuditReport:
-    """Clean/corrupted reward histograms and threshold separation."""
+    """Clean/corrupted reward histograms, threshold separation, and the count
+    of samples that failed and so scored no record."""
 
     seed: int
     corruption_fraction: float
@@ -79,6 +80,7 @@ class AuditReport:
     fraction_clean_at_or_above_tau: float = 0.0
     n_clean: int = 0
     n_corrupted: int = 0
+    n_failed: int = 0
 
     def render(self) -> str:
         lines = [
@@ -94,6 +96,7 @@ class AuditReport:
                          f"{self.corrupted_percentages[i]:>10.1f}%")
         lines += [
             "",
+            f"failed samples:        {self.n_failed}",
             f"corrupted below tau:   {self.fraction_corrupted_below_tau:.1%} "
             f"of {self.n_corrupted}",
             f"clean at/above tau:    {self.fraction_clean_at_or_above_tau:.1%} "
@@ -138,7 +141,8 @@ def run_noise_audit(samples: Sequence[Sample], fraction: float, reason_backend,
                          if r.sample_id in corrupted_ids]
     report = AuditReport(seed=seed, corruption_fraction=fraction, tau=tau,
                          n_clean=len(clean_rewards),
-                         n_corrupted=len(corrupted_rewards))
+                         n_corrupted=len(corrupted_rewards),
+                         n_failed=len(stage.failures))
     report.clean_counts, report.clean_percentages = reward_histogram(clean_rewards)
     report.corrupted_counts, report.corrupted_percentages = reward_histogram(
         corrupted_rewards)

@@ -2,11 +2,12 @@
 
 `cli_dispatch` runs every command one way: load `--config` (else `{}`); resolve
 and print the run settings, flag > config file > default; check that the
-output's directory exists; call the handler with (args, config, settings), which
-returns its stage's failures or None; write a manifest beside the output
-(version, command, args, config, settings, digests of the input-file flags
-given); exit 2 when samples failed. The output is gen-cot's `--records`, else
-`--output`.
+output's directory exists and that the output is none of the input files; call
+the handler with (args, config, settings), which returns its stage's failures or
+None; write a manifest beside the output (version, command, args, config,
+settings, digests of the input-file flags given); exit 2 when samples failed.
+The output is gen-cot's `--records` (which is also the file it resumes from),
+else `--output`.
 
 Exit codes: 0 success, 1 validation or file error, 2 backend exhaustion,
 64 usage error.
@@ -21,7 +22,7 @@ import inspect
 import json
 import os
 import sys
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import __version__
 from .audit import run_noise_audit
@@ -131,20 +132,38 @@ def _settings(args: argparse.Namespace, config: dict) -> dict:
     return settings
 
 
-def _write_manifest(output_path: str, args: argparse.Namespace, config: dict,
-                    settings: dict) -> None:
-    inputs = (getattr(args, flag, None) for flag in INPUT_FLAGS)
+def _inputs(args: argparse.Namespace, out_flag: str) -> Iterator[tuple[str, str]]:
+    """(flag, path) of each input-file flag given, but the output flag: gen-cot's
+    `--records` is its output and, on purpose, the file it resumes from."""
+    for flag in INPUT_FLAGS:
+        path = getattr(args, flag, None)
+        if path and flag != out_flag:
+            yield flag, path
+
+
+def _write_manifest(output_path: str, out_flag: str, args: argparse.Namespace,
+                    config: dict, settings: dict) -> None:
     manifest = {
         "version": __version__,
         "command": getattr(args, "command", None),
         "args": {k: v for k, v in vars(args).items() if k != "func"},
         "config": config,
         "settings": settings,
-        "input_digests": {p: _sha256(p) for p in inputs if p and p != output_path},
+        "input_digests": {p: _sha256(p) for _, p in _inputs(args, out_flag)},
     }
     with open(output_path + ".manifest.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, sort_keys=True, indent=2)
         f.write("\n")
+
+
+def _refuse_output_over_input(args: argparse.Namespace, output: str,
+                              out_flag: str) -> None:
+    """InvalidSetting when `output` names the same file as an input-file flag, so
+    that the run cannot write over its own input."""
+    target = os.path.realpath(output)
+    for flag, path in _inputs(args, out_flag):
+        if os.path.realpath(path) == target:
+            raise InvalidSetting(f"{output} is both the output and the --{flag} input")
 
 
 def _build_world(args, config: dict, seed: Optional[int] = None) -> Optional[CueWorld]:
@@ -444,12 +463,15 @@ def cli_dispatch(argv=None) -> int:
     try:
         config = _load_config(getattr(args, "config", None))
         settings = _settings(args, config)
-        output = args.records if args.command == "gen-cot" else getattr(args, "output", None)
+        out_flag = "records" if args.command == "gen-cot" else "output"
+        output = getattr(args, out_flag, None)
         if output and not os.path.exists(os.path.dirname(output) or "."):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), output)
+        if output:
+            _refuse_output_over_input(args, output, out_flag)
         failures = args.func(args, config, settings)
         if output:
-            _write_manifest(output, args, config, settings)
+            _write_manifest(output, out_flag, args, config, settings)
     except BackendError as e:
         print(f"backend error: {e}", file=sys.stderr)
         return 2

@@ -37,7 +37,8 @@ from .errors import (BackendError, DomainError, HeaderMismatch, MalformedLine, M
                      ValidationFailure)
 from .grpo import compute_group_advantages, select_best_of_group
 from .render import render_annotation
-from .reward import DEFAULT_TAU, closed_loop_reward, filter_high_subset, think_answer_reward
+from .reward import (DEFAULT_TAU, closed_loop_reward, filter_high_subset,
+                     score_reconstruction, think_answer_reward)
 from .similarity import hungarian_match, jsd
 from .textproto import ParsedOutput, as_number, load_template, render_prompt, task_name
 
@@ -381,9 +382,12 @@ def run_closed_loop_stage(samples: Sequence[Sample], reason_backend, recon_backe
                           records_path: Optional[str] = None) -> StageResult:
     """Generate G CoTs per sample, reconstruct, score, retain best-of-group.
 
-    Records persist incrementally (one flushed line per sample), and a
-    restarted run skips sample ids already present in the record file.
-    Backend failures go into `StageResult.failures`; the stage completes.
+    Each distinct reconstruction of a group is parsed and scored once; the
+    gates (leak, format) run per member, since members that share a
+    reconstruction may differ in their CoT. Records persist incrementally
+    (one flushed line per sample), and a restarted run skips sample ids
+    already present in the record file. Backend failures go into
+    `StageResult.failures`; the stage completes.
     """
     _require_group_size(group_size)
     result = StageResult()
@@ -398,6 +402,10 @@ def run_closed_loop_stage(samples: Sequence[Sample], reason_backend, recon_backe
 
     def member_for(sample: Sample):
         prompt = reasoning_prompt(sample)
+        # Reconstruction text -> score_reconstruction(sample, text), for this
+        # group only: similarity depends on the sample. A group's members run
+        # in order on one thread (`_run_groups`), so the dict needs no lock.
+        scores: dict[str, tuple[ParsedOutput, float]] = {}
 
         def member(member_seed: int) -> ScoredRecord:
             cot = reason_backend.generate(GenerationRequest(
@@ -407,9 +415,12 @@ def run_closed_loop_stage(samples: Sequence[Sample], reason_backend, recon_backe
                 sample_id=sample.id, image_ref=sample.image_ref,
                 prompt=reconstruction_prompt(sample, cot), temperature=0.0,
                 seed=member_seed))
-            parsed = ParsedOutput.from_text(recon_text, sample.task)
-            breakdown = closed_loop_reward(sample, cot, recon_text, parsed=parsed)
-            return ScoredRecord(sample.id, cot, parsed.answer, breakdown.composite, breakdown)
+            scored = scores.get(recon_text)
+            if scored is None:
+                scored = scores[recon_text] = score_reconstruction(sample, recon_text)
+            breakdown = closed_loop_reward(sample, cot, recon_text, scored=scored)
+            return ScoredRecord(sample.id, cot, scored[0].answer, breakdown.composite,
+                                breakdown)
         return member
 
     def scored() -> Iterator[ScoredRecord]:

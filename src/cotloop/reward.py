@@ -24,29 +24,38 @@ def _similarity(sample: Sample, reconstruction) -> float:
     return detection_similarity(sample.annotation, reconstruction)
 
 
+def score_reconstruction(sample: Sample, text: str) -> tuple[ParsedOutput, float]:
+    """(parsed output, similarity) of a model output: `text` parsed against the
+    sample's task, and its answer scored against the sample's ground truth. An
+    answer that does not parse scores 0. Nothing here depends on a CoT, so one
+    result serves every member of a group that returns the same text."""
+    parsed = ParsedOutput.from_text(text, sample.task)
+    similarity = _similarity(sample, parsed.answer) if parsed.answer is not None else 0.0
+    return parsed, similarity
+
+
 def closed_loop_reward(sample: Sample, cot: str, reconstruction_text: str, *,
-                       parsed: Optional[ParsedOutput] = None) -> RewardBreakdown:
+                       scored: Optional[tuple[ParsedOutput, float]] = None
+                       ) -> RewardBreakdown:
     """Score one (CoT, reconstruction) pair against the sample's ground truth.
 
     Similarity gated to 0 by leakage in the CoT or a failed format check;
     a reconstruction that does not parse is a format failure, never an
-    exception. A caller that has already parsed the reconstruction against
-    the sample's task passes it as `parsed`.
+    exception. A caller that already holds
+    `score_reconstruction(sample, reconstruction_text)` passes it as `scored`.
     """
-    if parsed is None:
-        parsed = ParsedOutput.from_text(reconstruction_text, sample.task)
+    parsed, similarity = (scored if scored is not None
+                          else score_reconstruction(sample, reconstruction_text))
     leak, evidence = detect_leak(cot, sample.task)
     format_ok = validate_f_cot(cot, parsed.answer)
-    similarity = _similarity(sample, parsed.answer) if parsed.answer is not None else 0.0
     return make_breakdown(similarity, leak, format_ok, parsed=parsed.answer is not None,
                           leak_evidence=evidence)
 
 
 def think_answer_reward(sample: Sample, raw_model_output: str) -> RewardBreakdown:
     """Score one raw think-answer output; format-gated, no leakage term."""
-    parsed = ParsedOutput.from_text(raw_model_output, sample.task)
+    parsed, similarity = score_reconstruction(sample, raw_model_output)
     format_ok = parsed.answer is not None and think_precedes_answer(raw_model_output)
-    similarity = _similarity(sample, parsed.answer) if parsed.answer is not None else 0.0
     return make_breakdown(similarity, leak_detected=False, format_ok=format_ok,
                           parsed=parsed.answer is not None)
 

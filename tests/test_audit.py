@@ -163,3 +163,4 @@ def test_audit_report_render(class_world):
     assert "label-noise audit" in text
     assert "[0.75-1.00]" in text
     assert "corrupted below tau" in text
+    assert report.n_failed == 0 and "failed samples:        0" in text.splitlines()

@@ -447,6 +447,15 @@ BAD_INPUT = {
     "eval-gt-box-beyond-the-image": (lambda t: eval_with_lines(
         t, "detection", gt=[{**NO_ANNOTATION, "annotation": {"boxes": [[0, 0, 1300, 10]]}}]),
         1, "line 4 (b): box [0.0, 0.0, 1300.0, 10.0] lies outside the 1200x1200 image"),
+    "report-output-is-its-records": (lambda t: [
+        "report", "--records", records_file(t), "--output", records_file(t)], 1,
+        "scored.jsonl is both the output and the --records input"),
+    "export-sft-output-is-its-records": (lambda t: export_sft(t, records_file(t)), 1,
+                                         "scored.jsonl is both the output and the "
+                                         "--records input"),
+    "export-sft-output-is-its-dataset": (lambda t: export_sft(
+        t, str(t / "." / "world.jsonl")), 1,
+        "world.jsonl is both the output and the --dataset input"),
     "ingest-without-categories": (lambda t: ingest(t, "classification", []), 64,
                                   "--categories"),
     "ingest-without-height": (lambda t: ingest(t, "detection", [], "--width", "3"), 64,
@@ -551,7 +560,8 @@ def test_audit_exits_two_when_samples_fail(tmp_path, capsys):
     assert cli_dispatch(["audit", "--group-size", "2", *config]) == 2
     out, err = capsys.readouterr()
     assert err.splitlines()[-1] == "8 sample(s) failed after retries"
-    assert out.endswith("corrupted below tau:   0.0% of 0\n"
+    assert out.endswith("failed samples:        8\n"
+                        "corrupted below tau:   0.0% of 0\n"
                         "clean at/above tau:    0.0% of 0\n")
 
 

@@ -15,7 +15,7 @@ from cotloop.backends import (CueWorld, GenerationRequest, MockBackend, RemoteBa
                               SyntheticReconBackend)
 from cotloop.domain import (Box, BoxSet, Classification, Distribution, Sample)
 from cotloop.errors import (CotloopError, DomainError, HeaderMismatch,
-                            InvalidSetting, MissingFile, ValidationFailure)
+                            InvalidSetting, MissingFile, MockMiss, ValidationFailure)
 from cotloop.pipeline import (evaluate_predictions, export_sft_corpus,
                               load_dataset, load_predictions, load_records,
                               r1_prompt, reasoning_prompt,
@@ -23,6 +23,7 @@ from cotloop.pipeline import (evaluate_predictions, export_sft_corpus,
                               run_rft_reward_eval, save_dataset,
                               save_predictions, save_records)
 from cotloop.render import render_annotation
+from cotloop.similarity import classification_similarity
 from cotloop.textproto import validate_f_r1, parse_think_answer, ParsedOutput
 
 from conftest import EMOTION_CATEGORIES, EXAMPLE_DISTRIBUTION
@@ -175,6 +176,107 @@ def test_stage_scores_out_of_range_answers_as_parse_failures(detection_sample):
         OutOfRangeRecon(), group_size=4, seed=0)
     assert result.failures == []
     assert result.records[0].breakdown.reason == "parse"
+
+
+CLEAN_COT = ("Soft lantern light washes over the porch while children "
+             "linger by the gate, their faces caught mid-laugh.")
+LEAKING_COT = "The scene is dominated by joy: 0.9 according to my reading of the light."
+
+
+class Scripted:
+    """A backend that returns its texts in turn, one per call; an Exception
+    in the list is raised at its turn instead."""
+
+    def __init__(self, texts):
+        self.texts = itertools.cycle(texts)
+
+    def generate(self, request):
+        text = next(self.texts)
+        if isinstance(text, Exception):
+            raise text
+        return text
+
+
+def answer_of(annotation, task):
+    return f"<answer>{render_annotation(annotation, task)}</answer>"
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counter of the calls to parsing, similarity, the closed-loop reward and
+    the leak gate, each counted where the stage reaches it."""
+    from cotloop import pipeline, reward, similarity
+    counter = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counter[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    from_text = ParsedOutput.from_text.__func__
+    monkeypatch.setattr(ParsedOutput, "from_text", classmethod(counted("parse", from_text)))
+    monkeypatch.setattr(reward, "classification_similarity",
+                        counted("similarity", reward.classification_similarity))
+    monkeypatch.setattr(similarity, "hungarian_match",
+                        counted("similarity", similarity.hungarian_match))
+    monkeypatch.setattr(pipeline, "closed_loop_reward",
+                        counted("reward", pipeline.closed_loop_reward))
+    monkeypatch.setattr(reward, "detect_leak", counted("leak", reward.detect_leak))
+    return counter
+
+
+@pytest.mark.parametrize("sample", ["emotion_sample", "detection_sample"])
+def test_stage_parses_and_scores_each_distinct_reconstruction_once_per_group(
+        request, calls, sample):
+    sample = request.getfixturevalue(sample)
+    other = Sample(id="other", image_ref="img://other", task=sample.task,
+                   annotation=sample.annotation)
+    exact = answer_of(sample.annotation, sample.task)
+    texts = [exact, exact + " ", exact, "no answer", exact + " ", exact]  # 3 distinct
+    result = run_closed_loop_stage([sample, other], Scripted([CLEAN_COT]),
+                                   Scripted(texts), group_size=6, seed=0)
+    assert [r.reward for r in result.records] == [pytest.approx(1.0)] * 2
+    # 3 distinct texts per group; "no answer" is parsed but has nothing to score.
+    assert calls == {"parse": 6, "similarity": 4, "reward": 12, "leak": 12}
+
+
+def test_stage_scores_a_shared_reconstruction_against_each_samples_truth(class_samples):
+    text = answer_of(class_samples[0].annotation, class_samples[0].task)
+    result = run_closed_loop_stage(class_samples[:2], Scripted([CLEAN_COT]),
+                                   Scripted([text]), group_size=2, seed=0)
+    answer = ParsedOutput.from_text(text, class_samples[0].task).answer
+    expected = [classification_similarity(s.annotation, answer) for s in class_samples[:2]]
+    assert [r.breakdown.similarity for r in result.records] == expected
+    assert expected[0] > 0.99 > expected[1]
+
+
+def test_stage_gates_each_member_that_shares_a_reconstruction(monkeypatch, emotion_sample):
+    from cotloop import pipeline
+    original, scored = pipeline.closed_loop_reward, []
+
+    def recording(sample, cot, text, **kwargs):
+        scored.append((cot, original(sample, cot, text, **kwargs)))
+        return scored[-1][1]
+    monkeypatch.setattr(pipeline, "closed_loop_reward", recording)
+    text = answer_of(emotion_sample.annotation, emotion_sample.task)
+    result = run_closed_loop_stage([emotion_sample], Scripted([LEAKING_COT, CLEAN_COT]),
+                                   Scripted([text]), group_size=4, seed=0)
+    assert [(cot, b.reason, b.composite) for cot, b in scored] == [
+        (LEAKING_COT, "leak", 0.0), (CLEAN_COT, "similarity", pytest.approx(1.0))] * 2
+    assert result.records[0].cot == CLEAN_COT
+
+
+def test_stage_fails_a_sample_whose_backend_fails_part_way_through_a_group(emotion_sample):
+    other = Sample(id="other", image_ref="img://other", task=emotion_sample.task,
+                   annotation=emotion_sample.annotation)
+    text = answer_of(emotion_sample.annotation, emotion_sample.task)
+    recon = Scripted([text, text, MockMiss("third member"), text, text, text, text])
+    result = run_closed_loop_stage([emotion_sample, other], Scripted([CLEAN_COT]), recon,
+                                   group_size=4, seed=0)
+    assert [r.sample_id for r in result.records] == ["other"]
+    assert result.failures == [{"sample_id": emotion_sample.id, "error": "third member",
+                                 "kind": "MockMiss"}]
 
 
 def test_stage_resumes_from_torn_file(stage_world, tmp_path):
