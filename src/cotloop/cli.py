@@ -37,6 +37,7 @@ from .pipeline import (annotation_from_json, check_sample, evaluate_predictions,
                        run_closed_loop_stage, run_rft_reward_eval, sample_text_fields,
                        save_dataset)
 from .reward import DEFAULT_TAU, filter_high_subset, histogram_bins, reward_histogram
+from .textproto import check_answer_keys
 
 USAGE_EXIT = 64
 # The flags that name a file a command reads; its manifest records their digests.
@@ -239,6 +240,7 @@ def _cmd_ingest(args, config, settings):
     try:
         if args.task == "classification":
             task = Classification(categories=tuple(args.categories.split(",")))
+            check_answer_keys(task.categories)
         else:
             task = Detection(image_width=args.width, image_height=args.height)
     except ValueError as e:

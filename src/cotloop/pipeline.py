@@ -12,13 +12,15 @@ All on-disk artifacts follow one file rule:
   `HeaderMismatch`; the stage then refuses to write over the file.
 - An unterminated final line that does not parse is an interrupted write:
   it is dropped with a logged warning. The stage resumes after the last
-  complete record, and a file holding only a torn header starts afresh.
+  complete record, cutting the torn line off and appending, and a file
+  holding only a torn header starts afresh.
 - Any other malformed line raises `MalformedLine` with its line number;
   dataset files report such lines per line instead (see `load_dataset`).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -40,7 +42,8 @@ from .render import render_annotation
 from .reward import (DEFAULT_TAU, closed_loop_reward, filter_high_subset,
                      score_reconstruction, think_answer_reward)
 from .similarity import hungarian_match, jsd
-from .textproto import ParsedOutput, as_number, load_template, render_prompt, task_name
+from .textproto import (ParsedOutput, as_number, check_answer_keys, load_template,
+                        render_prompt, task_name)
 
 log = logging.getLogger(__name__)
 
@@ -58,13 +61,38 @@ def _dumps(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
 
 
+def _write_lines(f, rows: Iterable[dict]) -> None:
+    for obj in rows:
+        f.write(_dumps(obj) + "\n")
+        f.flush()
+
+
 def _write_jsonl(path: str, fmt: str, rows: Iterable[dict], **header) -> None:
     """Write the header line, then one flushed line per row."""
     with open(path, "w", encoding="utf-8") as f:
-        for obj in itertools.chain([{"format": fmt, "version": FORMAT_VERSION, **header}],
-                                   rows):
-            f.write(_dumps(obj) + "\n")
-            f.flush()
+        _write_lines(f, itertools.chain(
+            [{"format": fmt, "version": FORMAT_VERSION, **header}], rows))
+
+
+def _append_jsonl(path: str, rows: Iterable[dict]) -> None:
+    """Append one flushed line per row to a file that `_read_jsonl` read, after
+    its last complete line. A final line that does not parse (a torn write) is
+    cut off first; one that parses but lacks its newline gets one. The lines
+    already there are never rewritten, so an interrupt loses none of them."""
+    with open(path, "rb") as f:
+        data = f.read()
+    end = data.rfind(b"\n") + 1
+    unterminated = end < len(data)
+    if unterminated:
+        try:
+            json.loads(data[end:])
+        except ValueError:
+            os.truncate(path, end)
+            unterminated = False
+    with open(path, "a", encoding="utf-8") as f:
+        if unterminated:
+            f.write("\n")
+        _write_lines(f, rows)
 
 
 def _read_jsonl(path: str, fmt: str, row: Callable[[dict], object],
@@ -140,7 +168,9 @@ def _task_from_json(obj, path: str):
             if not (isinstance(categories, list)
                     and all(isinstance(c, str) for c in categories)):
                 raise TypeError("categories must be a list of strings")
-            return Classification(categories=tuple(categories))
+            task = Classification(categories=tuple(categories))
+            check_answer_keys(task.categories)
+            return task
         dims = obj["image_width"], obj["image_height"]
         if not all(isinstance(d, (int, float)) and not isinstance(d, bool) for d in dims):
             raise TypeError(f"image dimensions must be numbers, got {list(dims)!r}")
@@ -271,12 +301,17 @@ def load_records(path: str) -> list[ScoredRecord]:
 
 # --- prompt construction -----------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
+def _category_list(categories: tuple[str, ...]) -> str:
+    return str(list(categories))
+
+
 def _prompt(sample: Sample, stage: str, **variables: str) -> str:
     """Render the `stage` template of the sample's task with `variables` and
-    the task-kind variables: the category list for classification, the
-    target for detection."""
+    the task-kind variables: the category list for classification (built once
+    per task), the target for detection."""
     if isinstance(sample.task, Classification):
-        variables["categories"] = str(list(sample.task.categories))
+        variables["categories"] = _category_list(sample.task.categories)
     else:
         variables["target"] = sample.target_desc or "the target object"
     return render_prompt(load_template(task_name(sample.task), stage), variables)
@@ -386,18 +421,16 @@ def run_closed_loop_stage(samples: Sequence[Sample], reason_backend, recon_backe
     gates (leak, format) run per member, since members that share a
     reconstruction may differ in their CoT. Records persist incrementally
     (one flushed line per sample), and a restarted run skips sample ids
-    already present in the record file. Backend failures go into
+    already present in the record file and appends after its last complete
+    line, never rewriting the lines it resumes. Backend failures go into
     `StageResult.failures`; the stage completes.
     """
     _require_group_size(group_size)
     result = StageResult()
-    resumed: list[dict] = []
+    header = None
     if records_path is not None:
-        # Complete lines are rewritten as read, then new records follow.
-        _, rows = _read_jsonl(records_path, RECORDS,
-                              lambda obj: (obj, record_from_json(obj)), missing_ok=True)
-        resumed = [obj for _, (obj, _) in rows]
-        result.records = [record for _, (_, record) in rows]
+        header, rows = _read_jsonl(records_path, RECORDS, record_from_json, missing_ok=True)
+        result.records = [record for _, record in rows]
     done = frozenset(r.sample_id for r in result.records)
 
     def member_for(sample: Sample):
@@ -434,9 +467,10 @@ def run_closed_loop_stage(samples: Sequence[Sample], reason_backend, recon_backe
     if records_path is None:
         for _ in scored():
             pass
-    else:
-        _write_jsonl(records_path, RECORDS,
-                     itertools.chain(resumed, map(record_to_json, scored())))
+    elif header is None:  # no file, or no complete line in it: start afresh
+        _write_jsonl(records_path, RECORDS, map(record_to_json, scored()))
+    else:  # new records follow the complete ones
+        _append_jsonl(records_path, map(record_to_json, scored()))
     return result
 
 

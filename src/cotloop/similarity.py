@@ -20,18 +20,19 @@ TIE_TOL = 1e-9  # an assignment total this near the optimum counts as optimal
 
 
 def _aligned(p: Distribution, q: Distribution) -> tuple[list[float], list[float]]:
-    if set(p.probs) != set(q.probs):
+    if p.probs.keys() != q.probs.keys():
         raise DomainError("distributions are over different category sets")
     cats = sorted(p.probs)
-    return [p.probs[c] for c in cats], [q.probs[c] for c in cats]
+    return list(map(p.probs.__getitem__, cats)), list(map(q.probs.__getitem__, cats))
 
 
 def _kld(pv: list[float], qv: list[float]) -> float:
-    total = 0.0
+    # `CLAMP if CLAMP > a else a` is `max(a, CLAMP)`, NaN included, without the call.
+    log, total = math.log, 0.0
     for a, b in zip(pv, qv):
-        a = max(a, CLAMP)
-        b = max(b, CLAMP)
-        total += a * math.log(a / b)
+        a = CLAMP if CLAMP > a else a
+        b = CLAMP if CLAMP > b else b
+        total += a * log(a / b)
     return total
 
 

@@ -103,3 +103,24 @@ def test_the_audit_runs_without_numpy(tmp_path, capsys):
                          capsys.readouterr().out])
     assert json.loads(run_python(AUDIT_WITHOUT_NUMPY, *configs).stdout) == expected
     assert [code for code, _ in expected] == [0, 0]
+
+
+NO_ANSWER_PATTERN_AT_SETUP = """
+import json
+import cotloop.cli
+from cotloop import textproto
+from cotloop.backends import CueWorld, SyntheticReasonBackend, SyntheticReconBackend
+
+world = CueWorld(num_samples=4, cues_per_sample=4, vocab_size=48, seed=0)
+SyntheticReasonBackend(world), SyntheticReconBackend(world)
+sizes = [textproto._map_re.cache_info().currsize]
+textproto.ParsedOutput.from_text("<answer>{}</answer>", world.task)
+sizes.append(textproto._map_re.cache_info().currsize)
+print(json.dumps(sizes))
+"""
+
+
+def test_setup_compiles_no_answer_pattern():
+    """A task's answer pattern is compiled on its first parse, so its cost
+    (milliseconds per task) stays out of importing the CLI and building a world."""
+    assert json.loads(run_python(NO_ANSWER_PATTERN_AT_SETUP).stdout) == [0, 1]

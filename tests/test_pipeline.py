@@ -10,6 +10,7 @@ from collections import Counter
 
 import pytest
 
+from cotloop import pipeline
 from cotloop.backends import (CueWorld, GenerationRequest, MockBackend, RemoteBackend,
                               SyntheticR1Backend, SyntheticReasonBackend,
                               SyntheticReconBackend)
@@ -292,6 +293,49 @@ def test_stage_resumes_from_torn_file(stage_world, tmp_path):
     resumed = run_stage(stage_world, torn)
     assert torn.read_bytes() == full
     assert len(resumed.records) == 8
+
+
+@pytest.mark.parametrize("torn", [False, True], ids=["complete-end", "torn-end"])
+def test_an_interrupted_resume_loses_no_complete_record(stage_world, tmp_path, monkeypatch,
+                                                         torn):
+    """Resume appends: an interrupt at any line write, Ctrl-C standing in for a
+    kill, keeps every complete line of the file it resumes, and a second resume
+    then writes the bytes of one uninterrupted run."""
+    full_path = tmp_path / "full.jsonl"
+    run_stage(stage_world, full_path)
+    full = full_path.read_bytes()
+    lines = full.decode().splitlines(keepends=True)
+    complete = "".join(lines[:5])  # the header and four records
+    start = complete + (lines[5][: len(lines[5]) // 2] if torn else "")
+    dumps = pipeline._dumps
+    for k in range(1, len(lines) + 1):  # every line write of a resume that rewrites the file
+        calls = itertools.count(1)
+
+        def interrupted(obj):
+            if next(calls) == k:
+                raise KeyboardInterrupt
+            return dumps(obj)
+        path = tmp_path / f"resumed-{k}.jsonl"
+        path.write_text(start)
+        monkeypatch.setattr(pipeline, "_dumps", interrupted)
+        try:
+            run_stage(stage_world, path)
+        except KeyboardInterrupt:
+            pass
+        monkeypatch.setattr(pipeline, "_dumps", dumps)
+        assert path.read_text().startswith(complete), k
+        run_stage(stage_world, path)
+        assert path.read_bytes() == full, k
+
+
+def test_stage_resumes_after_a_complete_line_without_its_newline(stage_world, tmp_path):
+    full_path = tmp_path / "full.jsonl"
+    run_stage(stage_world, full_path)
+    full = full_path.read_bytes()
+    path = tmp_path / "unterminated.jsonl"
+    path.write_bytes(full[: full.index(b"\n", full.index(b"\n") + 1)])  # header, one record
+    run_stage(stage_world, path)
+    assert path.read_bytes() == full
 
 
 def test_stage_skips_completed_samples(stage_world, tmp_path):

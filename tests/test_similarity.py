@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import struct
 import time
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from cotloop.backends import CueWorld
 from cotloop.domain import Box, BoxSet, Distribution
 from cotloop.errors import DomainError
-from cotloop.similarity import (MatchResult, classification_similarity,
+from cotloop.similarity import (MatchResult, _kld, classification_similarity,
                                 detection_similarity, hungarian_match, iou, jsd,
                                 kld, mse)
 
@@ -127,6 +128,65 @@ def test_classification_similarity_self_is_one(vals):
     total = sum(vals)
     d = Distribution({f"c{i}": v / total for i, v in enumerate(vals)})
     assert classification_similarity(d, d) == pytest.approx(1.0, abs=1e-9)
+
+
+# The KLD and classification similarity as they were before `_kld` dropped its
+# `max` calls and `_aligned` its sets, kept as oracles: the results must keep
+# their bit patterns (NaN payloads and signed zeros included) and their errors.
+
+def _oracle_kld(pv, qv):
+    total = 0.0
+    for a, b in zip(pv, qv):
+        a = max(a, 1e-10)
+        b = max(b, 1e-10)
+        total += a * math.log(a / b)
+    return total
+
+
+def _oracle_classification_similarity(gt, pred):
+    if set(gt.probs) != set(pred.probs):
+        raise DomainError("distributions are over different category sets")
+    cats = sorted(gt.probs)
+    gv, pv = [gt.probs[c] for c in cats], [pred.probs[c] for c in cats]
+    phi = math.exp(-(_oracle_kld(gv, pv) + sum((a - b) ** 2 for a, b in zip(gv, pv)) / len(gv)))
+    total = max(pred.total(), 1e-10)
+    return min(1.0, phi * math.exp(-abs(math.log10(total))))
+
+
+def _bits(fn, *args):
+    """The result's type and bit pattern, or the error's type and text."""
+    try:
+        v = fn(*args)
+    except Exception as e:
+        return type(e).__name__, str(e)
+    return type(v).__name__, struct.pack("<d", v) if isinstance(v, float) else v
+
+
+_edge_values = st.one_of(
+    st.floats(), st.integers(-3, 3),
+    st.sampled_from([0.0, -0.0, 1e-10, 1e-11, 5e-324, -1.0, math.inf, -math.inf, math.nan,
+                     -math.nan, struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0],
+                     10**400]))
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(st.lists(_edge_values, min_size=n, max_size=n),
+                        st.lists(_edge_values, min_size=n, max_size=n))))
+def test_kld_and_similarity_keep_their_bits(pair):
+    ps, qs = pair
+    cats = [f"c{i}" for i in range(len(ps))]
+    gt = Distribution(dict(zip(cats, ps)))
+    pred = Distribution(dict(zip(reversed(cats), qs)))
+    assert _bits(_kld, ps, qs) == _bits(_oracle_kld, ps, qs)
+    assert (_bits(classification_similarity, gt, pred)
+            == _bits(_oracle_classification_similarity, gt, pred))
+
+
+def test_similarity_refuses_other_category_sets_like_before():
+    gt, pred = dist2((0.5, 0.5)), Distribution({"a": 0.5, "c": 0.5})
+    assert (_bits(classification_similarity, gt, pred)
+            == _bits(_oracle_classification_similarity, gt, pred)
+            == ("DomainError", "distributions are over different category sets"))
 
 
 # --- iou ------------------------------------------------------------------------

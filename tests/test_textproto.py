@@ -11,14 +11,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cotloop import textproto
+from cotloop.backends import CueWorld
 from cotloop.domain import Box, BoxSet, Classification, Detection, Distribution
 from cotloop.errors import MalformedAnswer, MissingVariable, TemplateError
 from cotloop.render import render_annotation
 from cotloop.textproto import (PLACEHOLDER_RE, ParsedOutput, PromptTemplate,
-                               detect_leak, load_template, parse_box_answer,
-                               parse_distribution_answer, parse_think_answer,
-                               read_slot, render_prompt, validate_f_cot,
-                               validate_f_r1)
+                               check_answer_keys, detect_leak, load_template,
+                               parse_box_answer, parse_distribution_answer,
+                               parse_think_answer, read_slot, render_prompt,
+                               validate_f_cot, validate_f_r1)
 
 from conftest import EMOTION_CATEGORIES, EXAMPLE_DISTRIBUTION
 
@@ -510,6 +511,17 @@ def test_map_scanner_matches_literal_eval(answer, own_categories):
             == _outcome(_oracle_distribution, answer, categories))
 
 
+@pytest.mark.parametrize("values", [
+    ("-0", "-0.0"), ("-00", "+0"), ("0", "-0e5"), ("-.0", "1"), ("+1.0", "00"), ("1e-7", "1E-7"),
+    ("-1", "0.5"), ("0.5", "1.5"), ("1e999", "2"), ("2", "-1e999"), ("1e-999", "0.0"),
+    ("1" + "0" * 16, "0"), ("01", "0"), ("1.", ".5"), ("1e5", "-2"), ("0x1", "0"),
+])
+def test_task_order_maps_with_edge_values_match_literal_eval(values):
+    answer = "{'a': %s, \"b\":%s}" % values
+    assert (_outcome(parse_distribution_answer, answer, ("a", "b"))
+            == _outcome(_oracle_distribution, answer, ("a", "b")))
+
+
 @st.composite
 def _box_answers(draw):
     mode = draw(st.sampled_from([_CLEAN, _TRAPPY]))
@@ -540,7 +552,10 @@ def test_box_scanner_matches_literal_eval(answer):
     assert _outcome(parse_box_answer, answer) == _outcome(_oracle_boxes, answer)
 
 
-@pytest.mark.parametrize("shape", ["map", "box"])
+WORLD_48 = CueWorld(num_samples=6, cues_per_sample=4, vocab_size=48, seed=0)
+
+
+@pytest.mark.parametrize("shape", ["map", "map-48", "box"])
 def test_canonical_answers_take_the_scanner(shape, monkeypatch):
     def no_ast(_):
         raise AssertionError("canonical answer read with ast")
@@ -549,11 +564,124 @@ def test_canonical_answers_take_the_scanner(shape, monkeypatch):
         answer = render_annotation(Distribution(dict(EXAMPLE_DISTRIBUTION)), CLS)
         assert parse_distribution_answer(answer, EMOTION_CATEGORIES).probs == pytest.approx(
             EXAMPLE_DISTRIBUTION)
+    elif shape == "map-48":
+        for sample in WORLD_48.samples:
+            answer = render_annotation(sample.annotation, WORLD_48.task)
+            parsed = parse_distribution_answer(answer, WORLD_48.task.categories)
+            assert parsed.probs == pytest.approx(sample.annotation.probs, abs=1e-6)
     else:
         bs = BoxSet((Box(138, 182, 656, 428), Box(0.5, 1.25, 3.125, 9.0)))
         assert parse_box_answer(render_annotation(bs, DET)) == (bs, False)
         assert parse_box_answer(render_annotation(BoxSet(bs.boxes[:1]), DET))[0] == BoxSet(
             bs.boxes[:1])
+
+
+def test_a_map_out_of_task_order_reads_through_ast_to_the_same_value(monkeypatch):
+    evaluated = []
+
+    def counted(text):
+        evaluated.append(text)
+        return ast.literal_eval(text)
+    monkeypatch.setattr(textproto, "_literal_eval", counted)
+    categories = WORLD_48.task.categories
+    for sample in WORLD_48.samples:
+        probs = sample.annotation.probs
+        canonical = render_annotation(sample.annotation, WORLD_48.task)
+        reordered = "{" + ", ".join(f'"{c}":\t{probs[c]:.6f}' for c in reversed(categories)) + "}"
+        assert not evaluated
+        want = parse_distribution_answer(canonical, categories)
+        got = parse_distribution_answer(f"map: {reordered} done", categories)
+        assert evaluated == [reordered]
+        assert got.probs == want.probs and list(got.probs) == list(reversed(categories))
+        evaluated.clear()
+    wrong = render_annotation(WORLD_48.samples[0].annotation, WORLD_48.task).replace(
+        categories[0], "other")
+    with pytest.raises(MalformedAnswer, match="missing=\\['" + categories[0]):
+        parse_distribution_answer(wrong, categories)
+
+
+@given(names=st.lists(st.text(min_size=1, max_size=5), min_size=1, max_size=6, unique=True),
+       data=st.data())
+def test_accepted_category_names_round_trip_through_the_task_pattern(names, data):
+    """The names `check_answer_keys` accepts are the ones the task pattern takes:
+    their canonical answer parses without `ast`; the others are refused."""
+    try:
+        check_answer_keys(names)
+    except ValueError:
+        assert textproto._map_re(tuple(names)) is None
+        return
+    probs = {c: data.draw(st.floats(0.0, 1.0)) for c in names}
+    answer = render_annotation(Distribution(probs), Classification(tuple(names)))
+    assert textproto._map_re(tuple(names)).match(answer)
+    parsed = parse_distribution_answer(answer, names)
+    assert list(parsed.probs) == names
+    assert parsed.probs == pytest.approx(probs, abs=1e-6)
+
+
+# --- tag finder and renderer vs the code they replace -------------------------------
+# The lazy tag regexes and the per-call f-string renderer, kept as oracles.
+
+_ORACLE_ANSWER_RE = re.compile(r"<answer>(.*?)</answer>", re.IGNORECASE | re.DOTALL)
+_ORACLE_THINK_RE = re.compile(r"<think>(.*?)</think>", re.IGNORECASE | re.DOTALL)
+
+
+def _oracle_think_answer(text):
+    m_answer = _ORACLE_ANSWER_RE.search(text)
+    if m_answer is None:
+        raise MalformedAnswer("no <answer>...</answer> section found")
+    m_think = _ORACLE_THINK_RE.search(text)
+    return (m_think.group(1) if m_think else None), m_answer.group(1)
+
+
+def _oracle_think_precedes_answer(text):
+    m_think = _ORACLE_THINK_RE.search(text)
+    m_answer = _ORACLE_ANSWER_RE.search(text)
+    if m_think is None or m_answer is None:
+        return False
+    return m_think.start() <= m_answer.start() and bool(m_think.group(1).strip())
+
+
+# Tags in case variants, with U+017F (long s, which folds to "s") and U+212A
+# (Kelvin sign, which folds to "k") standing in for letters, broken tags and
+# text in between: runs of them nest, repeat and leave tags unclosed.
+_TAG_PIECES = ["<think>", "</think>", "<answer>", "</answer>", "<THINK>", "</Think>",
+               "<ANSWER>", "</AnSwEr>", "<thin\u212a>", "</thin\u212a>", "<an\u017fwer>",
+               "</AN\u017fWER>", "<think", "</answer", "<<answer>>", "</>", "<", ">", "/",
+               "think", "answer", " ", "\n", "x", "joy", "{'a': 1}"]
+
+
+@given(st.lists(st.sampled_from(_TAG_PIECES) | st.text(max_size=3), max_size=12).map("".join))
+def test_tag_finder_matches_the_lazy_regexes(text):
+    assert _outcome(parse_think_answer, text) == _outcome(_oracle_think_answer, text)
+    assert textproto.think_precedes_answer(text) == _oracle_think_precedes_answer(text)
+
+
+def test_tag_finder_folds_case_like_the_regexes():
+    text = "<THIN\u212a> seen </think><an\u017fwer>{'a': 1}</ANSWER>"
+    assert parse_think_answer(text) == (" seen ", "{'a': 1}") == _oracle_think_answer(text)
+    assert textproto.think_precedes_answer(text)
+
+
+def _oracle_render_distribution(dist, categories):
+    parts = ", ".join(f"'{c}': {dist.probs[c]:.6f}" for c in categories)
+    return "{" + parts + "}"
+
+
+_render_values = st.one_of(
+    st.floats(), st.integers(-10**6, 10**6), st.booleans(),
+    st.sampled_from([0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-7, 4.9999995e-7,
+                     5e-7, 0.0000005, 1 - 1e-7, 0.1234565, 10**400]))
+_render_names = st.lists(
+    st.sampled_from(["%", "%%", "a%s", "%(x)s", "%.6f", "joy", "b%", "%d%%"])
+    | st.text(min_size=1, max_size=4), min_size=1, max_size=6, unique=True)
+
+
+@given(names=_render_names, data=st.data())
+def test_render_distribution_matches_the_f_string(names, data):
+    dist = Distribution({c: data.draw(_render_values) for c in names})
+    task = Classification(tuple(names))
+    assert (_outcome(render_annotation, dist, task)
+            == _outcome(_oracle_render_distribution, dist, names))
 
 
 _LEAK_PIECES = (["joy", "Joy", "JOY", "fear", "sad", "a.b", "c+", "x y", "\u00e9", "\u00df",
