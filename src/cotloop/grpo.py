@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Optional, Sequence
 
-from .backends import (CueWorld, DEFAULT_TEMPLATE_BANK, SyntheticSample, synthetic_reason,
+from .backends import (CueWorld, DEFAULT_TEMPLATE_BANK, require, synthetic_reason,
                        synthetic_reconstruct)
 from .domain import Sample, ScoredRecord
 from .errors import DomainError
@@ -79,6 +79,14 @@ def _draw(choices: Sequence[str], cum: Sequence[float], rand) -> str:
     return choices[bisect_right(cum, rand() * (cum[-1] + 0.0), 0, len(cum) - 1)]
 
 
+def _softmax(values: Sequence[float]) -> list[float]:
+    """exp(v - max) / sum, in the order given: the policy's one softmax."""
+    m = max(values)
+    exps = [math.exp(v - m) for v in values]
+    z = sum(exps)
+    return [e / z for e in exps]
+
+
 @dataclass
 class ToyPolicy:
     """Tabular softmax policy: per-bucket logits over discrete choices."""
@@ -88,21 +96,13 @@ class ToyPolicy:
 
     def probs(self, bucket: str) -> dict[str, float]:
         ls = self.logits[bucket]
-        m = max(ls.values())
-        exps = {c: math.exp(v - m) for c, v in ls.items()}
-        z = sum(exps.values())
-        return {c: e / z for c, e in exps.items()}
-
-    def cum_weights(self, bucket: str) -> tuple[list[str], list[float]]:
-        """A bucket's choices and their cumulative probabilities: the
-        `cum_weights` that `random.choices` builds from the probabilities, so
-        a draw with them takes the same RNG stream."""
-        probs = self.probs(bucket)
-        choices = list(probs)
-        return choices, list(accumulate(probs[c] for c in choices))
+        return dict(zip(ls, _softmax(list(ls.values()))))
 
     def sample_choices(self, bucket: str, rng: random.Random, k: int) -> list[str]:
-        choices, cum = self.cum_weights(bucket)
+        """k draws with the cumulative weights `random.choices` builds from the
+        probabilities, so they take the same RNG stream."""
+        ls = self.logits[bucket]
+        choices, cum = list(ls), list(accumulate(_softmax(list(ls.values()))))
         return [_draw(choices, cum, rng.random) for _ in range(k)]
 
     def update(self, bucket: str, chosen: Sequence[str],
@@ -110,7 +110,8 @@ class ToyPolicy:
         """Score-function ascent on the group surrogate.
 
         For each member: raise the chosen logit by lr*a*(1-p), lower all
-        others by lr*a*p, using pre-update probabilities.
+        others by lr*a*p, using pre-update probabilities. Each logit adds
+        up its members' terms in member order, then takes that sum.
         """
         if len(chosen) != len(advantages):
             raise DomainError("chosen/advantages length mismatch")
@@ -118,13 +119,13 @@ class ToyPolicy:
         for c in chosen:
             if c not in ls:
                 raise DomainError(f"invalid choice id {c!r} for bucket {bucket!r}")
-        probs = self.probs(bucket)
         lr = self.learning_rate
-        grad = {c: 0.0 for c in ls}
-        for c, a in zip(chosen, advantages):
-            for k in grad:
-                grad[k] += lr * a * ((1.0 if k == c else 0.0) - probs[k])
-        for k, g in grad.items():
+        scaled = [lr * a for a in advantages]
+        for k, p in self.probs(bucket).items():
+            hit, miss = 1.0 - p, 0.0 - p
+            g = 0.0
+            for c, s in zip(chosen, scaled):
+                g += s * (hit if k == c else miss)
             ls[k] += g
             if not math.isfinite(ls[k]):
                 raise DomainError("policy logits diverged")
@@ -152,29 +153,44 @@ class ToyTrainResult:
 
 @dataclass
 class _ToyPlan:
-    """One sample's buckets in policy order, the cue each cue bucket names,
-    and the composite reward of every draw scored so far."""
+    """One sample's buckets in policy order: each bucket's name, its logits
+    dict and its choice list, and the cue each cue bucket names. A draw is a
+    tuple of choice indices, one per bucket; `cache` holds the composite
+    reward of every draw scored so far."""
 
     target: Sample
     buckets: list[str]
+    logits: list[dict[str, float]]
+    choices: list[list[str]]
     cues: list[str]
     template: int
-    cache: dict[tuple[str, ...], float]
+    cache: dict[tuple[int, ...], float]
 
     @classmethod
-    def build(cls, sample: SyntheticSample, policy: ToyPolicy) -> "_ToyPlan":
-        buckets = [b for b in policy.logits if b.startswith(f"{sample.id}|")]
-        return cls(target=sample.as_sample(), buckets=buckets,
-                   cues=[b.rsplit("|", 1)[1] for b in buckets],
-                   template=buckets.index(f"{sample.id}|template"), cache={})
+    def for_world(cls, world: CueWorld, policy: ToyPolicy) -> list["_ToyPlan"]:
+        """One plan per sample, in world order. The buckets are grouped by
+        sample id in one pass over the policy; a sample id holds no `|`."""
+        by_id: dict[str, list[str]] = {}
+        for b in policy.logits:
+            by_id.setdefault(b.split("|", 1)[0], []).append(b)
+        plans = []
+        for sample in world.samples:
+            buckets = by_id.get(sample.id, [])
+            logits = [policy.logits[b] for b in buckets]
+            plans.append(cls(target=sample.as_sample(), buckets=buckets, logits=logits,
+                             choices=[list(ls) for ls in logits],
+                             cues=[b.rsplit("|", 1)[1] for b in buckets],
+                             template=buckets.index(f"{sample.id}|template"), cache={}))
+        return plans
 
-    def reward(self, world: CueWorld, draw: tuple[str, ...]) -> float:
+    def reward(self, world: CueWorld, draw: tuple[int, ...]) -> float:
         """A draw maps one-to-one onto (template, cue subset), so the cache
-        misses once per distinct CoT."""
+        misses once per distinct CoT; only a miss maps indices to choices."""
         composite = self.cache.get(draw)
         if composite is None:
-            subset = sorted(cue for cue, c in zip(self.cues, draw) if c == "in")
-            cot = synthetic_reason(int(draw[self.template][1:]), subset)
+            picked = [choices[i] for choices, i in zip(self.choices, draw)]
+            subset = sorted(cue for cue, c in zip(self.cues, picked) if c == "in")
+            cot = synthetic_reason(int(picked[self.template][1:]), subset)
             composite = self.cache[draw] = closed_loop_reward(
                 self.target, cot, synthetic_reconstruct(world, cot)).composite
         return composite
@@ -191,12 +207,17 @@ def train_toy_policy(world: CueWorld, steps: int, group_size: int, seed: int,
     keeps the per-step mean reward low-variance; pass a smaller
     minibatch_size to trade smoothness for speed.
 
-    Each member draws one choice per bucket, in policy order, by bisecting
-    the bucket's cumulative weights (one `ToyPolicy.cum_weights` table per
-    bucket per sample-step): the stream `Random.choices` takes. Each sample
-    caches the reward of every draw (the tuple of its choices) it has
-    scored, so a CoT is built and scored only for a new draw.
+    Each member draws one choice index per bucket, in policy order, by
+    bisecting the bucket's cumulative weights with the expression `_draw`
+    evaluates: the stream `Random.choices` takes. The weights come from one
+    `_softmax` per bucket per sample-step, the one `ToyPolicy.probs` uses.
+    Each sample caches the reward of every draw (its tuple of indices) it
+    has scored, so a CoT is built and scored only for a new draw. A
+    learning rate that is not a finite number >= 0 raises InvalidSetting.
     """
+    require("learning_rate", learning_rate,
+            isinstance(learning_rate, (int, float)) and math.isfinite(learning_rate)
+            and learning_rate >= 0, "a finite number >= 0")
     if steps < 1:
         raise DomainError("steps must be >= 1")
     if group_size < 2:
@@ -207,21 +228,25 @@ def train_toy_policy(world: CueWorld, steps: int, group_size: int, seed: int,
     # String seeds hash deterministically across processes (unlike tuples).
     rng = random.Random(f"toy-train|{seed}")
     rand = rng.random
-    plans = [_ToyPlan.build(s, policy) for s in world.samples]
+    plans = _ToyPlan.for_world(world, policy)
     result = ToyTrainResult(policy=policy)
     batch_size = len(plans) if minibatch_size is None else min(minibatch_size, len(plans))
     for _ in range(steps):
         step_best: list[float] = []
         for plan in rng.sample(plans, batch_size):
             # Logits change only after all G draws: one softmax per bucket.
-            tables = [policy.cum_weights(b) for b in plan.buckets]
-            draws = [tuple([_draw(choices, cum, rand) for choices, cum in tables])
+            tables = []
+            for ls in plan.logits:
+                cum = list(accumulate(_softmax(list(ls.values()))))
+                tables.append((cum, cum[-1] + 0.0, len(cum) - 1))
+            draws = [tuple([bisect_right(cum, rand() * total, 0, hi)
+                            for cum, total, hi in tables])
                      for _g in range(group_size)]
             rewards = [plan.reward(world, d) for d in draws]
             advantages = compute_group_advantages(rewards)
             if any(advantages):  # all-zero advantages update nothing
-                for i, b in enumerate(plan.buckets):
-                    policy.update(b, [d[i] for d in draws], advantages)
+                for b, choices, picked in zip(plan.buckets, plan.choices, zip(*draws)):
+                    policy.update(b, [choices[i] for i in picked], advantages)
             step_best.append(max(rewards))
         result.curve.append(sum(step_best) / len(step_best))
     return result

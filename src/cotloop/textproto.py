@@ -340,6 +340,9 @@ def parse_answer_for_task(answer_raw: str, task: TaskKind) -> Annotation:
 
 # --- leakage detection -------------------------------------------------------
 
+# Every pattern below but `_DIRECTIONAL_RE`, the enumerator included, needs a
+# match of this (Unicode) `\d`: text without one skips them all.
+_DIGIT_RE = re.compile(r"\d")
 _ENUMERATOR_RE = re.compile(r"(?m)^\s*\d+[.)]\s*")
 _DECIMAL_01_RE = re.compile(r"(?<![\d.])(?:0?\.\d+|1\.0+)(?!\d)")
 _PERCENT_RE = re.compile(r"\b\d+(?:\.\d+)?\s*%")
@@ -367,8 +370,14 @@ def detect_leak(cot: str, task: TaskKind) -> tuple[bool, list[str]]:
 
     Line-initial list enumerators ("1.", "2)") are exempt in both tasks;
     spelled-out number words never count as leaks. Evidence lists the
-    matches pattern by pattern, category pairs in category order.
+    matches pattern by pattern, category pairs in category order. A CoT
+    without a digit can match only the directional pattern.
     """
+    if not _DIGIT_RE.search(cot):
+        if isinstance(task, Classification):
+            return False, []
+        evidence = [m.group(0) for m in _DIRECTIONAL_RE.finditer(cot)]
+        return bool(evidence), evidence
     text = _ENUMERATOR_RE.sub("", cot)
     evidence: list[str] = []
     if isinstance(task, Classification):

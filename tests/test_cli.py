@@ -306,6 +306,15 @@ BAD_INPUT = {
                                           "5"], 1, "cues_per_sample"),
     "train-toy-minibatch-0": (lambda t: ["train-toy", "--minibatch", "0", "--output",
                                          str(t / "curve.tsv")], 1, "minibatch"),
+    "train-toy-lr-nan": (lambda t: ["train-toy", "--lr=nan", "--output",
+                                    str(t / "curve.tsv")], 1,
+                         "learning_rate must be a finite number >= 0, got nan"),
+    "train-toy-lr-inf": (lambda t: ["train-toy", "--lr=inf", "--output",
+                                    str(t / "curve.tsv")], 1,
+                         "learning_rate must be a finite number >= 0, got inf"),
+    "train-toy-lr-negative": (lambda t: ["train-toy", "--lr=-0.5", "--output",
+                                         str(t / "curve.tsv")], 1,
+                              "learning_rate must be a finite number >= 0, got -0.5"),
     "ingest-line-without-probs": (lambda t: ingest(
         t, "classification", [{**NO_ANNOTATION, "probs": {"x": 1.0, "y": 0.0}},
                               NO_ANNOTATION], "--categories", "x,y"), 1, "raw.jsonl: line 2"),

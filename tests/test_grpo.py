@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import struct
 import sys
 from itertools import accumulate
 
@@ -11,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from cotloop.backends import CueWorld, synthetic_reason, synthetic_reconstruct
 from cotloop.domain import ScoredRecord, make_breakdown
-from cotloop.errors import DomainError
-from cotloop.grpo import (Group, ToyPolicy, ToyTrainResult, _draw,
+from cotloop.errors import DomainError, InvalidSetting
+from cotloop.grpo import (Group, ToyPolicy, ToyTrainResult, _draw, _ToyPlan,
                           build_toy_policy, compute_group_advantages, export_curve,
                           select_best_of_group, smooth_curve, train_toy_policy)
 from cotloop.reward import closed_loop_reward
@@ -159,6 +160,26 @@ def test_train_toy_policy_basic_contracts(tiny_world):
         train_toy_policy(tiny_world, steps=1, group_size=1, seed=0)
 
 
+@pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf, -0.5, True, "0.5"])
+def test_a_learning_rate_that_is_not_a_finite_number_at_least_0_is_refused(tiny_world, lr):
+    with pytest.raises(InvalidSetting, match="learning_rate"):
+        train_toy_policy(tiny_world, steps=1, group_size=2, seed=0, learning_rate=lr)
+
+
+def test_plans_group_the_buckets_of_the_per_sample_scan():
+    world = CueWorld(num_samples=120, cues_per_sample=2, vocab_size=8, seed=3)
+    policy = build_toy_policy(world)
+    plans = _ToyPlan.for_world(world, policy)
+    assert [p.target for p in plans] == [s.as_sample() for s in world.samples]
+    for sample, plan in zip(world.samples, plans):
+        buckets = [b for b in policy.logits if b.startswith(f"{sample.id}|")]
+        assert plan.buckets == buckets
+        assert all(ls is policy.logits[b] for ls, b in zip(plan.logits, buckets))
+        assert plan.choices == [list(policy.logits[b]) for b in buckets]
+        assert plan.cues == [b.rsplit("|", 1)[1] for b in buckets]
+        assert plan.template == buckets.index(f"{sample.id}|template")
+
+
 def test_training_improves_reward(tiny_world):
     res = train_toy_policy(tiny_world, steps=120, group_size=8, seed=0)
     smoothed = smooth_curve(res.curve, 20)
@@ -218,11 +239,90 @@ def test_toy_curve_is_byte_stable():
     assert hashlib.sha256(repr(curve).encode()).hexdigest() == GOLDEN_TOY_CURVE_SHA256
 
 
+# sha256 of repr((curve, sorted final logits)) on a detection world with
+# minibatches and learning rate 0.9: the off-default path, logits included.
+GOLDEN_TOY_DETECTION_SHA256 = (
+    "92701f329581ed9cfa01cb8c969e6901628215ef1f3173ee83c3cd394dcad070")
+
+
+def test_toy_detection_minibatch_run_is_byte_stable():
+    world = CueWorld(kind="detection", num_samples=20, cues_per_sample=4, vocab_size=24,
+                     seed=4)
+    res = train_toy_policy(world, steps=30, group_size=4, seed=9, learning_rate=0.9,
+                           minibatch_size=7)
+    logits = sorted((b, sorted(ls.items())) for b, ls in res.policy.logits.items())
+    digest = hashlib.sha256(repr((res.curve, logits)).encode()).hexdigest()
+    assert digest == GOLDEN_TOY_DETECTION_SHA256
+
+
+# `ToyPolicy.probs` and `ToyPolicy.update` as they were before the shared
+# softmax and the per-logit update: the trainer's oracle, and the update's.
+def _oracle_probs(ls):
+    m = max(ls.values())
+    exps = {c: math.exp(v - m) for c, v in ls.items()}
+    z = sum(exps.values())
+    return {c: e / z for c, e in exps.items()}
+
+
+def _oracle_update(policy, bucket, chosen, advantages):
+    if len(chosen) != len(advantages):
+        raise DomainError("chosen/advantages length mismatch")
+    ls = policy.logits[bucket]
+    for c in chosen:
+        if c not in ls:
+            raise DomainError(f"invalid choice id {c!r} for bucket {bucket!r}")
+    probs = _oracle_probs(ls)
+    lr = policy.learning_rate
+    grad = {c: 0.0 for c in ls}
+    for c, a in zip(chosen, advantages):
+        for k in grad:
+            grad[k] += lr * a * ((1.0 if k == c else 0.0) - probs[k])
+    for k, g in grad.items():
+        ls[k] += g
+        if not math.isfinite(ls[k]):
+            raise DomainError("policy logits diverged")
+
+
+def _bits(logits):
+    return {k: struct.pack("<d", v) for k, v in logits.items()}
+
+
+# Small values, and values that overflow a logit within one update.
+_UPDATE_FLOATS = st.one_of(st.floats(-50, 50), st.floats(-1e308, 1e308), st.sampled_from(
+    [0.0, -0.0, 5e-324, 3.0, 1e154, 1e300, 1e308, -1e308, math.inf, -math.inf]))
+
+
+@settings(max_examples=400)
+@given(logits=st.lists(st.floats(-3, 3) | _UPDATE_FLOATS.filter(math.isfinite),
+                      min_size=1, max_size=5),
+       lr=st.sampled_from([0.0, 0.01, 0.5, 1.7, 8.0, 1e300]), data=st.data())
+def test_update_matches_the_frozen_update(logits, lr, data):
+    names = [f"c{i}" for i in range(len(logits))]
+    g = data.draw(st.integers(0, 8))
+    ids = names + ["zz"] if data.draw(st.integers(0, 4)) == 0 else names  # an invalid id
+    chosen = data.draw(st.lists(st.sampled_from(ids), min_size=g, max_size=g))
+    extra = 1 if data.draw(st.integers(0, 4)) == 0 else 0  # a length mismatch
+    advantages = data.draw(st.lists(_UPDATE_FLOATS, min_size=g + extra, max_size=g + extra))
+    got = ToyPolicy(logits={"b": dict(zip(names, logits))}, learning_rate=lr)
+    want = ToyPolicy(logits={"b": dict(zip(names, logits))}, learning_rate=lr)
+    assert _bits(got.probs("b")) == _bits(_oracle_probs(want.logits["b"]))
+    outcomes = []
+    for policy, update in ((got, ToyPolicy.update), (want, _oracle_update)):
+        try:
+            update(policy, "b", chosen, advantages)
+            outcomes.append(None)
+        except DomainError as e:
+            outcomes.append(str(e))
+    assert outcomes[0] == outcomes[1]
+    assert _bits(got.logits["b"]) == _bits(want.logits["b"])
+
+
 def _oracle_train_toy_policy(world, steps, group_size, seed, learning_rate=0.5,
                              minibatch_size=None):
     """The trainer before its per-sample draw tables: `Random.choices` per
     bucket and member, a dict per draw, a reward cache keyed by (sample id,
-    template, cue subset) and a `Group` per sample-step."""
+    template, cue subset), a `Group` per sample-step, and the frozen
+    `_oracle_probs` and `_oracle_update`."""
     policy = build_toy_policy(world, learning_rate=learning_rate)
     rng = random.Random(f"toy-train|{seed}")
     samples = list(world.samples)
@@ -236,7 +336,10 @@ def _oracle_train_toy_policy(world, steps, group_size, seed, learning_rate=0.5,
         batch = rng.sample(samples, batch_size)
         step_best = []
         for sample in batch:
-            tables = [(b, *policy.cum_weights(b)) for b in buckets[sample.id]]
+            tables = []
+            for b in buckets[sample.id]:
+                probs = _oracle_probs(policy.logits[b])
+                tables.append((b, list(probs), list(accumulate(probs.values()))))
             draws = []
             members = []
             for _g in range(group_size):
@@ -257,7 +360,7 @@ def _oracle_train_toy_policy(world, steps, group_size, seed, learning_rate=0.5,
             group = Group.build(sample.id, members)
             if any(group.advantages):
                 for b in buckets[sample.id]:
-                    policy.update(b, [d[b] for d in draws], group.advantages)
+                    _oracle_update(policy, b, [d[b] for d in draws], group.advantages)
             step_best.append(max(group.rewards))
         result.curve.append(sum(step_best) / len(step_best))
     return result
@@ -271,6 +374,7 @@ def _toy_settings(draw):
                  vocab_size=vocab, seed=draw(st.integers(0, 2**16)))
     train = dict(steps=draw(st.integers(1, 6)), group_size=draw(st.integers(2, 8)),
                  seed=draw(st.integers(0, 2**16)),
+                 learning_rate=draw(st.sampled_from([0.0, 0.01, 0.5, 1.7, 8.0])),
                  minibatch_size=draw(st.none() | st.integers(1, samples)))
     return world, train
 

@@ -8,7 +8,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cotloop import textproto
 from cotloop.backends import CueWorld
@@ -700,6 +700,33 @@ def test_prefiltered_leak_gate_matches_the_category_loop(text, categories):
     task = Classification(categories=tuple(categories))
     assert detect_leak(text, task) == _oracle_detect_leak(text, task)
     assert detect_leak(text, DET) == _oracle_detect_leak(text, DET)
+
+
+_GATE_WORLDS = [CueWorld(kind=kind, num_samples=2, vocab_size=12, seed=1)
+                for kind in ("classification", "detection")]
+# Digits of other scripts, and `²`, which is no `\d`.
+_GATE_DIGITS = ["\u0663", "\uff15", "\u096d", "\u00b2"]
+# Enumerator, percent, pair, bracket and comma pieces, and the `x1` and
+# directional tokens in mixed case.
+_GATE_PIECES = ["\n", "\n ", " ", ".", ")", "%", ":", "=", " : ", "[", "]", ",", ", ", "-",
+                "x", "X", "y", "Y", "x1", "X2", "y1", "Top-Left", "top left", "LOWER-right",
+                "Upper Right", "bottom-RIGHT", "the "]
+_GATE_CUES = sorted({cue for world in _GATE_WORLDS for cue in world.vocab})
+# Texts with no digit, with digits of other scripts only, or with ASCII ones too.
+_gate_texts = st.sampled_from([[], _GATE_DIGITS, _GATE_DIGITS + ["0", "1", "2", "7", "42"]]
+                              ).flatmap(lambda digits: st.lists(
+    st.sampled_from(_GATE_PIECES) | st.sampled_from(_GATE_CUES)
+    | st.sampled_from(digits or _GATE_PIECES), max_size=12).map("".join))
+
+
+@example(text="\u0663%")               # an Arabic-Indic digit and a percent sign
+@example(text="at .\uff15 and x\u00b2")  # a fullwidth decimal; `²` is no digit
+@example(text="\n\u096d. Top-Left")     # a Devanagari enumerator
+@settings(max_examples=300)
+@given(text=_gate_texts)
+def test_digit_free_leak_gate_matches_the_pattern_table(text):
+    for world in _GATE_WORLDS:
+        assert detect_leak(text, world.task) == _oracle_detect_leak(text, world.task)
 
 
 LEAK_CORPUS_CLS = (
