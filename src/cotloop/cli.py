@@ -115,7 +115,8 @@ def _settings(args: argparse.Namespace, config: dict) -> dict:
     """The run settings the command has a flag for, each resolved flag > config >
     default and printed with its source. The stage runs with the returned dict,
     and the manifest records it. A config value must have its flag's type (an
-    int serves for a float); any other value raises InvalidSetting."""
+    int serves for a float), and tau from either source must be a finite number
+    in [0, 1]; any other value raises InvalidSetting."""
     settings = {}
     for key, default in RUN_DEFAULTS.items():
         if not hasattr(args, key):
@@ -129,6 +130,8 @@ def _settings(args: argparse.Namespace, config: dict) -> dict:
             settings[key], source = config[key], "config"
         else:
             settings[key], source = default, "default"
+        if key == "tau":  # rewards lie in [0, 1]
+            require(key, settings[key], 0.0 <= settings[key] <= 1.0, "a finite number in [0, 1]")
         print(f"setting {key}={settings[key]} ({source})", file=sys.stderr)
     return settings
 
@@ -433,6 +436,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("audit", help="label-noise audit on a synthetic world")
     p.add_argument("--config")
+    p.add_argument("--dataset")
+    p.add_argument("--skip-invalid", action="store_true")
     p.add_argument("--fraction", type=float, default=0.3)
     p.add_argument("--tau", type=float)
     p.add_argument("--seed", type=int)

@@ -64,7 +64,12 @@ class Box:
     y2: float
 
     def __post_init__(self):
-        coords = (self.x1, self.y1, self.x2, self.y2)
+        x1, y1, x2, y2 = coords = (self.x1, self.y1, self.x2, self.y2)
+        # Four floats in order, each finite and >= 0, pass at once; anything
+        # else (ints, bools, NaN, inf, negatives, other types) takes the checks below.
+        if (type(x1) is type(y1) is type(x2) is type(y2) is float
+                and 0.0 <= x1 <= x2 < math.inf and 0.0 <= y1 <= y2 < math.inf):
+            return
         if any(not _finite(c) or c < 0 for c in coords):
             raise InvalidGeometry(f"coordinates must be finite and >= 0: {coords}")
         if self.x2 < self.x1 or self.y2 < self.y1:

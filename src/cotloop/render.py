@@ -16,8 +16,12 @@ such maps do not parse at all; ingest and dataset load refuse such names
 from __future__ import annotations
 
 import functools
+import sys
 
 from .domain import Annotation, Box, BoxSet, Classification, Distribution, TaskKind
+
+
+_FLOAT_MAX = sys.float_info.max
 
 
 def _num(v: float) -> str:
@@ -38,7 +42,14 @@ def render_distribution(dist: Distribution, categories) -> str:
 
 
 def render_box(box: Box) -> str:
-    return "[" + ", ".join(_num(v) for v in box.as_tuple()) + "]"
+    t = box.as_tuple()
+    x1, y1, x2, y2 = t
+    # `%d` writes an integral value as `_num` does (-0.0 as 0). An int beyond the
+    # float range is left to `_num`, which refuses it; corners are ordered, so
+    # x2 and y2 bound the box.
+    if x1 % 1 == y1 % 1 == x2 % 1 == y2 % 1 == 0 and x2 <= _FLOAT_MAX >= y2:
+        return "[%d, %d, %d, %d]" % t
+    return "[" + ", ".join(map(_num, t)) + "]"
 
 
 def render_boxset(boxset: BoxSet) -> str:

@@ -4,6 +4,10 @@ Classification similarity multiplies a KLD+MSE agreement factor by a
 probability-sum regularizer; detection similarity averages matched IoU over
 ground-truth boxes under the lexicographically first optimal assignment. All
 logs are natural except log10 in the sum regularizer.
+
+The assignment's cost matrix (`_neg_ious`) reads each box's coordinates and
+area once and writes `iou`'s arithmetic out inline, operation for operation,
+so each entry is -iou(g, p) to the bit.
 """
 
 from __future__ import annotations
@@ -95,30 +99,40 @@ def _shift(cost: list[list[float]], col: list[int], u: list[float], g: int,
     (Jonker & Volgenant 1987) until a column in `ends` (default: a free one, else the
     last) is filled. Updates col and the potentials -u in place; returns score[j] - best."""
     ng, npd = len(col) - 1, len(cost[0]) - 1
-    free = sorted(set(range(npd)) - set(col))
     # dist[i]: least cost of the rows' moves once row i leaves its column; at[x]: of
     # emptying column x, whose row who[x] leaves for column to[who[x]].
     dist, to, at, who, done, heap = [math.inf] * (ng + 1), {}, {}, {}, set(), []
+    rows, push = range(g + 1, ng + 1), heapq.heappush
 
-    def reach(x: int, d: float, a: int) -> None:
-        if x not in at:
-            at[x], who[x] = d, a
-            for i in range(g + 1, ng + 1):
-                e = cost[i][x] + d
-                if col[i] != x and i not in done and e < dist[i]:
-                    dist[i], to[i] = e, x
-                    if col[i] not in at:  # else settling row i would reach nothing new
-                        heapq.heappush(heap, (e - u[i], i))
+    def reach(x: int, d: float, a: int) -> None:  # x not reached yet
+        at[x], who[x] = d, a
+        for i in rows:
+            e = cost[i][x] + d
+            if e < dist[i] and col[i] != x and i not in done:
+                dist[i], to[i] = e, x
+                if col[i] not in at:  # else settling row i would reach nothing new
+                    push(heap, (e - u[i], i))
 
-    ends = ends or free or [npd]
+    filling = ends is None
+    if filling:
+        taken = set(col)
+        ends = [x for x in range(npd) if x not in taken] or [npd]
     for x in ends:
         reach(x, 0.0, g)
     while heap:
         a = heapq.heappop(heap)[1]
-        if a not in done:
-            done.add(a)
-            for x in free if a == ng else [col[a]]:
+        if a in done:
+            continue
+        done.add(a)
+        if a < ng:  # row a leaves its column
+            x = col[a]
+            if x not in at:
                 reach(x, dist[a] - cost[a][x], a)
+        elif not filling:  # row ng holds the free columns (when filling, the ends: reached)
+            taken = set(col)
+            for x in range(npd):
+                if x not in taken:  # only row ng reaches a free column
+                    reach(x, dist[a] - cost[a][x], a)
     score = [cost[g][j] + at.get(j, math.inf) for j in range(npd + 1)]
     best = min(score)
     # As s - best, not s <= best + slack, so that the caller's slack never drops below 0.
@@ -132,6 +146,26 @@ def _shift(cost: list[list[float]], col: list[int], u: list[float], g: int,
         i, j = who[j], to[who[j]]
 
 
+def _neg_ious(gt: BoxSet, pred: BoxSet) -> list[list[float]]:
+    """-iou(g, p) for each gt box g (a row) and pred box p (a column). Each box's
+    coordinates and area are read once, and `iou`'s float operations run in its
+    order: `b if b < a else a` is min(a, b) and `b if b > a else a` is max(a, b),
+    NaN and -0.0 included."""
+    preds = [(p.x1, p.y1, p.x2, p.y2, p.area) for p in pred.boxes]
+    rows = []
+    for g in gt.boxes:
+        gx1, gy1, gx2, gy2, ga = g.x1, g.y1, g.x2, g.y2, g.area
+        row = []
+        for px1, py1, px2, py2, pa in preds:
+            ix = (px2 if px2 < gx2 else gx2) - (px1 if px1 > gx1 else gx1)
+            iy = (py2 if py2 < gy2 else gy2) - (py1 if py1 > gy1 else gy1)
+            inter = (ix if ix > 0.0 else 0.0) * (iy if iy > 0.0 else 0.0)
+            union = ga + pa - inter
+            row.append(-0.0 if union <= 0 else -(inter / union))
+        rows.append(row)
+    return rows
+
+
 def hungarian_match(gt: BoxSet, pred: BoxSet) -> MatchResult:
     """Injective assignment maximizing total IoU, of size min(|gt|, |pred|).
 
@@ -141,7 +175,10 @@ def hungarian_match(gt: BoxSet, pred: BoxSet) -> MatchResult:
     """
     ng, npd = len(gt), len(pred)
     # Column npd takes every unmatched row, and row ng every free column.
-    cost = [[-iou(g, p) for p in pred.boxes] + [0.0] for g in gt.boxes] + [[0.0] * npd + [math.inf]]
+    cost = _neg_ious(gt, pred)
+    for row in cost:
+        row.append(0.0)
+    cost.append([0.0] * npd + [math.inf])
     col, u = [-1] * (ng + 1), [0.0] * (ng + 1)
     for r in reversed(range(ng)):  # insert each row at least cost, keeping the optimum
         _shift(cost, col, u, r, None, 0.0)

@@ -18,15 +18,18 @@ numbers all at once. The pattern is compiled on a task's first parse, never
 at import or world build (about 9 ms for 48 categories, 0.17 s for 1,000, on
 a 2-vCPU host). A box answer in the canonical shape (a list of plain numbers
 or a list of such lists, spaces or tabs between tokens) is read by a strict
-list scanner. Any other literal (keys out of task order, int keys, escapes,
-implicit concatenation, `1_000`, hex, tuples, trailing commas, comments,
-newlines) is balanced naively and read with `ast.literal_eval`; the two give
-the same value or the same error, and only that fallback takes the
-interpreter-wide lock below. The fallback is slower: a 48-key map in reversed
-order parses in about 0.4 ms, in task order in about 45 us. A category name
-that holds a character no answer key may hold (`check_answer_keys`) gives its
-task no pattern. The leak gate runs its per-category pair patterns only on
-text that holds a `:`/`=` followed by a digit.
+list scanner; each of its boxes of four unsigned numbers in corner order is
+read with `float` and needs no normalization. Any other literal (keys out of
+task order, int keys, escapes, implicit concatenation, `1_000`, hex, tuples,
+trailing commas, comments, newlines) is balanced naively and read with
+`ast.literal_eval`; the two give the same value or the same error, and only
+that fallback takes the interpreter-wide lock below. The fallback is slower: a
+48-key map in reversed order parses in about 0.4 ms, in task order in about
+45 us. A category name that holds a character no answer key may hold
+(`check_answer_keys`) gives its task no pattern. The leak gate runs its
+per-category pair patterns only on text that holds a `:`/`=` followed by a
+digit, and its directional pattern only on text that holds a side word
+(`left` or `right` after `-` or a space).
 """
 
 from __future__ import annotations
@@ -213,18 +216,20 @@ def _numbers(inner: str) -> list:
     return [_number(t.strip(" \t")) for t in inner.split(",")] if inner else []
 
 
-def _scan_list(text: str) -> Optional[list]:
-    """The first list literal of `text` if it has a canonical shape, else None."""
+def _scan_list(text: str) -> Optional[list[str]]:
+    """The bodies of the number lists of the first list literal of `text` if it
+    has a canonical shape (one body for a flat list, one per inner list of a
+    nested one), else None. Either shape reads as the same list of tuples."""
     start = text.find("[")
     if start < 0:
         return None
     m = _LIST_RE.match(text, start)
     if m is not None:
-        return _numbers(m.group(0)[1:-1])
+        return [m.group(0)[1:-1]]
     m = _NESTED_RE.match(text, start)
     if m is None:
         return None
-    return [_numbers(inner) for inner in _INNER_RE.findall(m.group(0), 1)]
+    return _INNER_RE.findall(m.group(0), 1)
 
 
 def _evaluated(answer_raw: str, open_ch: str, close_ch: str, what: str):
@@ -306,18 +311,31 @@ def parse_box_answer(answer_raw: str) -> tuple[BoxSet, bool]:
     coordinates clamped to 0; the second return value flags whether any
     normalization happened.
     """
-    obj = _scan_list(answer_raw)
-    if obj is None:
+    bodies = _scan_list(answer_raw)
+    if bodies is None:
         obj = _evaluated(answer_raw, "[", "]", "box")
-    if not isinstance(obj, (list, tuple)):
-        raise MalformedAnswer("answer literal is not a list")
-    if len(obj) > 0 and all(isinstance(x, (list, tuple)) for x in obj):
-        tuples = obj
+        if not isinstance(obj, (list, tuple)):
+            raise MalformedAnswer("answer literal is not a list")
+        if len(obj) > 0 and all(isinstance(x, (list, tuple)) for x in obj):
+            tuples = obj
+        else:
+            tuples = [obj]
     else:
-        tuples = [obj]
+        tuples = bodies
     boxes = []
     normalized = False
     for t in tuples:
+        if bodies is not None:
+            # `float` of an unsigned `_NUM` run is the value `_number` and
+            # `as_number` give. Four such values, finite and in corner order,
+            # are their own normalization; any other body takes the path below.
+            values = t.split(",")
+            if len(values) == 4 and "-" not in t:
+                x1, y1, x2, y2 = map(float, values)
+                if 0.0 <= x1 <= x2 < math.inf and 0.0 <= y1 <= y2 < math.inf:
+                    boxes.append(Box(x1, y1, x2, y2))
+                    continue
+            t = _numbers(t)
         if not isinstance(t, (list, tuple)) or len(t) != 4:
             raise MalformedAnswer(f"box tuple must have 4 numbers, got {t!r}")
         x1, y1, x2, y2 = (as_number(v) for v in t)
@@ -353,6 +371,9 @@ _COORD_RUN_RE = re.compile(
 _XY_TOKEN_RE = re.compile(r"\b[xy][12]\b", re.IGNORECASE)
 _DIRECTIONAL_RE = re.compile(
     r"\b(?:top|bottom|upper|lower)[-\s](?:left|right)\b", re.IGNORECASE)
+# The tail of `_DIRECTIONAL_RE`, with the same flags: every match of it holds a
+# match of this, which a scan finds faster (it starts with a character class).
+_SIDE_RE = re.compile(r"[-\s](?:left|right)\b", re.IGNORECASE)
 # The common tail of every category-value pair pattern, with the same flags:
 # text it does not occur in holds no pair, so the per-category scans are skipped.
 _PAIR_VALUE_RE = re.compile(r"[:=]\s*\d", re.IGNORECASE)
@@ -371,10 +392,12 @@ def detect_leak(cot: str, task: TaskKind) -> tuple[bool, list[str]]:
     Line-initial list enumerators ("1.", "2)") are exempt in both tasks;
     spelled-out number words never count as leaks. Evidence lists the
     matches pattern by pattern, category pairs in category order. A CoT
-    without a digit can match only the directional pattern.
+    without a digit can match only the directional pattern, and only text
+    with a side word ("left" or "right" after a hyphen or space, any case)
+    can match that.
     """
     if not _DIGIT_RE.search(cot):
-        if isinstance(task, Classification):
+        if isinstance(task, Classification) or not _SIDE_RE.search(cot):
             return False, []
         evidence = [m.group(0) for m in _DIRECTIONAL_RE.finditer(cot)]
         return bool(evidence), evidence
@@ -390,7 +413,8 @@ def detect_leak(cot: str, task: TaskKind) -> tuple[bool, list[str]]:
         evidence += [m.group(0) for m in _BRACKET_TUPLE_RE.finditer(text)]
         evidence += [m.group(0) for m in _COORD_RUN_RE.finditer(text)]
         evidence += [m.group(0) for m in _XY_TOKEN_RE.finditer(text)]
-        evidence += [m.group(0) for m in _DIRECTIONAL_RE.finditer(text)]
+        if _SIDE_RE.search(text):
+            evidence += [m.group(0) for m in _DIRECTIONAL_RE.finditer(text)]
     return bool(evidence), evidence
 
 

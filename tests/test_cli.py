@@ -410,6 +410,19 @@ BAD_INPUT = {
         "world.jsonl: 1 sample id(s) not in the config world, first syn-0008"),
     "audit-config-tau-not-a-number": (lambda t: ["audit", *edited_config(
         t, lambda cfg: cfg.update(tau="x"))], 1, "tau must be a number, got 'x'"),
+    # Rewards lie in [0, 1]: any other tau keeps nothing or everything.
+    "filter-tau-nan": (lambda t: ["filter", "--records", records_file(t), "--tau", "nan"], 1,
+                       "tau must be a finite number in [0, 1], got nan"),
+    "export-sft-tau-nan": (lambda t: export_sft(t, str(t / "data.jsonl")) + ["--tau", "nan"],
+                           1, "tau must be a finite number in [0, 1], got nan"),
+    "audit-tau-above-1": (lambda t: ["audit", "--tau", "1.5", *edited_config(
+        t, lambda cfg: None)], 1, "tau must be a finite number in [0, 1], got 1.5"),
+    "audit-config-tau-negative": (lambda t: ["audit", *edited_config(
+        t, lambda cfg: cfg.update(tau=-0.1))], 1,
+        "tau must be a finite number in [0, 1], got -0.1"),
+    "audit-dataset-ids-outside-world": (lambda t: [
+        "audit", "--dataset", world_dataset(t, 9), *edited_config(t, lambda cfg: None)], 1,
+        "world.jsonl: 1 sample id(s) not in the config world, first syn-0008"),
     "train-toy-config-group-size-a-string": (lambda t: [
         "train-toy", "--steps", "3", "--output", str(t / "curve.tsv"),
         *edited_config(t, lambda cfg: cfg.update(group_size="2"))], 1,
@@ -540,7 +553,8 @@ def test_a_config_setting_runs_as_its_flag(tmp_path, capsys, command, key):
     assert runs["config"] == runs["flag"]
 
 
-# command -> argv for a tmp dir; each gives every input-file flag the command has
+# command (and its case) -> argv for a tmp dir; each gives every input-file flag the
+# command has
 MANIFEST_RUNS = {
     "ingest": lambda t: ingest(t, "classification", [{**NO_ANNOTATION, "probs": {"x": 1.0}}],
                                "--categories", "x", *edited_config(t, lambda cfg: None)),
@@ -554,6 +568,9 @@ MANIFEST_RUNS = {
                             *edited_config(t, lambda cfg: None)],
     "audit": lambda t: ["audit", "--group-size", "2", "--output", str(t / "audit.txt"),
                         *edited_config(t, lambda cfg: None)],
+    "audit --dataset": lambda t: ["audit", "--group-size", "2", "--dataset",
+                                  world_dataset(t, 8), "--output", str(t / "audit.txt"),
+                                  *edited_config(t, lambda cfg: None)],
     "report": lambda t: ["report", "--records", records_file(t), "--output",
                          str(t / "plot.tsv")],
 }
@@ -565,6 +582,7 @@ def test_every_manifest_records_exactly_its_inputs(tmp_path, capsys, command):
     the digest of every input-file flag it was given, the output excepted."""
     argv = MANIFEST_RUNS[command](tmp_path)
     assert cli_dispatch(argv) == 0
+    command = command.split()[0]
     err = capsys.readouterr().err
     given = {flag: argv[i + 1] for i, flag in enumerate(argv) if flag.startswith("--")}
     output = given["--records" if command == "gen-cot" else "--output"]
@@ -725,6 +743,23 @@ def test_audit_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "label-noise audit" in out
     assert out_path.exists()
+
+
+@pytest.mark.parametrize("kind", ["classification", "detection"])
+def test_audit_of_a_dataset_of_its_world_writes_the_world_run(tmp_path, capsys, kind):
+    config = edited_config(tmp_path, lambda cfg: cfg["world"].update(kind=kind))
+    world = CueWorld(kind=kind, num_samples=8, cues_per_sample=4, vocab_size=24, seed=0)
+    dataset = str(tmp_path / "world.jsonl")
+    save_dataset([s.as_sample() for s in world.samples], world.task, dataset)
+    runs = {}
+    for name, extra in [("world", []), ("dataset", ["--dataset", dataset]),
+                        ("skip-invalid", ["--dataset", dataset, "--skip-invalid"])]:
+        out = tmp_path / f"{name}.txt"
+        assert cli_dispatch(["audit", "--group-size", "2", "--output", str(out), *config,
+                             *extra]) == 0
+        runs[name] = out.read_bytes(), capsys.readouterr().out
+    assert runs["dataset"] == runs["world"] == runs["skip-invalid"]
+    assert b"label-noise audit" in runs["world"][0]
 
 
 def test_audit_world_flags_override_the_config_world(tmp_path, capsys):

@@ -4,7 +4,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cotloop.domain import (Box, BoxSet, Classification, Detection,
                             Distribution, RewardBreakdown, Sample,
@@ -43,6 +43,46 @@ def test_box_invariants():
         Box(0, 0, float("inf"), 5)
     assert Box(0, 0, 4, 3).area == 12
     assert Box(5, 5, 5, 5).area == 0  # degenerate boxes are valid data
+
+
+# `Box.__post_init__` as it was before its fast path, kept as the oracle.
+def _oracle_box_check(x1, y1, x2, y2):
+    def finite(x):
+        return isinstance(x, (int, float)) and x == x and abs(x) != float("inf")
+    coords = (x1, y1, x2, y2)
+    if any(not finite(c) or c < 0 for c in coords):
+        raise InvalidGeometry(f"coordinates must be finite and >= 0: {coords}")
+    if x2 < x1 or y2 < y1:
+        raise InvalidGeometry(f"corner ordering violated: {coords}")
+    return coords
+
+
+def _box_outcome(fn, *coords):
+    """The coordinates as stored (repr keeps -0.0 and types apart), or the error."""
+    try:
+        return repr(fn(*coords))
+    except Exception as e:
+        return type(e).__name__, str(e)
+
+
+_box_values = st.one_of(
+    st.floats(), st.integers(-3, 10**6), st.booleans(), st.integers(0, 10**400),
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                     1.7976931348623157e308, "1", None, 1j]))
+
+
+@example(values=[0.0, math.inf, 0.0, 1.0], ordered=True)
+@example(values=[0.0, 1.0, -0.0, math.nan], ordered=True)
+@given(st.lists(_box_values, min_size=4, max_size=4), st.booleans())
+def test_box_check_matches_the_parent(values, ordered):
+    if ordered:  # most draws would fail the ordering check otherwise
+        try:
+            (a, b), (c, d) = sorted(values[:2]), sorted(values[2:])
+            values = [a, c, b, d]
+        except TypeError:
+            pass
+    assert (_box_outcome(lambda *c: Box(*c).as_tuple(), *values)
+            == _box_outcome(_oracle_box_check, *values))
 
 
 # --- mask_to_box ---------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Similarity and divergence math, checked against independent oracles."""
 
 import functools
+import hashlib
+import heapq
 import itertools
 import math
 import random
@@ -14,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from cotloop.backends import CueWorld
 from cotloop.domain import Box, BoxSet, Distribution
 from cotloop.errors import DomainError
-from cotloop.similarity import (MatchResult, _kld, classification_similarity,
+from cotloop.pipeline import evaluate_predictions
+from cotloop.similarity import (MatchResult, _kld, _neg_ious, classification_similarity,
                                 detection_similarity, hungarian_match, iou, jsd,
                                 kld, mse)
 
@@ -480,6 +483,119 @@ def test_hungarian_assignment_injective():
         assert len(set(prs)) == len(prs)
 
 
+# --- hungarian matching vs the parent's code -----------------------------------------
+# `iou`, `_shift` and `hungarian_match` as they were before the tuple cost matrix
+# and the reach skips, kept as the oracle. Results must keep their bit patterns,
+# and errors their type and text: two huge boxes that overlap have an IoU of
+# NaN (inf - inf in the union), which the matcher does not survive.
+
+def _oracle_iou(a, b):
+    ix = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
+    iy = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
+    inter = ix * iy
+    union = a.area + b.area - inter
+    if union <= 0:
+        return 0.0
+    return inter / union
+
+
+def _oracle_shift(cost, col, u, g, ends, slack):
+    ng, npd = len(col) - 1, len(cost[0]) - 1
+    free = sorted(set(range(npd)) - set(col))
+    dist, to, at, who, done, heap = [math.inf] * (ng + 1), {}, {}, {}, set(), []
+
+    def reach(x, d, a):
+        if x not in at:
+            at[x], who[x] = d, a
+            for i in range(g + 1, ng + 1):
+                e = cost[i][x] + d
+                if col[i] != x and i not in done and e < dist[i]:
+                    dist[i], to[i] = e, x
+                    if col[i] not in at:
+                        heapq.heappush(heap, (e - u[i], i))
+
+    ends = ends or free or [npd]
+    for x in ends:
+        reach(x, 0.0, g)
+    while heap:
+        a = heapq.heappop(heap)[1]
+        if a not in done:
+            done.add(a)
+            for x in free if a == ng else [col[a]]:
+                reach(x, dist[a] - cost[a][x], a)
+    score = [cost[g][j] + at.get(j, math.inf) for j in range(npd + 1)]
+    best = min(score)
+    i, j = g, next(j for j, s in enumerate(score) if s - best <= slack)
+    u[:], u[g] = dist, score[j]
+    while True:
+        if i < ng:
+            col[i] = j
+        if j in ends:
+            return u[g] - best
+        i, j = who[j], to[who[j]]
+
+
+def _oracle_hungarian_match(gt, pred):
+    ng, npd = len(gt), len(pred)
+    cost = ([[-_oracle_iou(g, p) for p in pred.boxes] + [0.0] for g in gt.boxes]
+            + [[0.0] * npd + [math.inf]])
+    col, u = [-1] * (ng + 1), [0.0] * (ng + 1)
+    for r in reversed(range(ng)):
+        _oracle_shift(cost, col, u, r, None, 0.0)
+    slack = 1e-9
+    for g in range(ng):
+        if not set(range(col[g])) <= set(col[:g]):
+            slack -= _oracle_shift(cost, col, u, g, [col[g]], slack)
+    pairs = tuple((i, j) for i, j in enumerate(col[:ng]) if j < npd)
+    return MatchResult(pairs, tuple(-cost[i][j] for i, j in pairs),
+                       tuple(i for i, j in enumerate(col[:ng]) if j == npd))
+
+
+def _match_bits(fn, gt, pred):
+    try:
+        m = fn(gt, pred)
+    except Exception as e:
+        return type(e).__name__, str(e)
+    return m.assignment, [struct.pack("<d", v) for v in m.per_pair_iou], m.unmatched_gt
+
+
+# Boxes from a few corners and sides: ints, -0.0, zero sides, fractions,
+# and sides of 1e200, whose areas overflow to inf; and boxes whose corners are
+# zeros of both signs, which no sum of a corner and a side gives.
+_corner = st.sampled_from([0, 1, 5, 0.0, -0.0, 0.5, 2.25, 3.0, 7.75, 1e-300, 1e200])
+_side = st.sampled_from([0, 0.0, 1, 2.5, 4.0, 6.125, 1e-300, 1e200])
+_hyp_box = st.builds(lambda x, y, w, h: Box(x, y, x + w, y + h), _corner, _corner, _side, _side
+                     ) | st.sampled_from([Box(0.0, 0.0, -0.0, 1.0), Box(0.0, 0.0, 1.0, -0.0),
+                                          Box(-0.0, 0, -0.0, 2), Box(0, -0.0, 3, -0.0)])
+_hyp_boxset = st.lists(_hyp_box, max_size=5).map(lambda b: BoxSet(tuple(b)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gt=_hyp_boxset, pred=_hyp_boxset)
+def test_hungarian_matches_the_parent(gt, pred):
+    assert _match_bits(hungarian_match, gt, pred) == _match_bits(_oracle_hungarian_match, gt, pred)
+
+
+def test_hungarian_matches_the_parent_on_seeded_and_near_tie_sets():
+    rng = random.Random("hungarian-parent")
+    sets = [(random_boxset(rng, span=span), random_boxset(rng, span=span))
+            for span in (5, 20, 80) for _ in range(150)]
+    sets += [(tie_boxset(rng), tie_boxset(rng)) for _ in range(150)]
+    sets += [(gt, pred) for gt, pred, _ in near_tie_cases("near-ties-parent", 150)]
+    for gt, pred in sets:
+        assert _match_bits(hungarian_match, gt, pred) == _match_bits(_oracle_hungarian_match,
+                                                                     gt, pred)
+
+
+@settings(max_examples=300)
+@given(gt=_hyp_boxset, pred=_hyp_boxset)
+def test_the_cost_matrix_is_minus_iou_bit_for_bit(gt, pred):
+    def bits(v):
+        return struct.pack("<d", v)
+    assert [[bits(v) for v in row] for row in _neg_ious(gt, pred)] == [
+        [bits(-iou(g, p)) for p in pred.boxes] for g in gt.boxes]
+
+
 # --- detection similarity ----------------------------------------------------------
 
 def test_detection_similarity_values():
@@ -535,3 +651,63 @@ def test_jsd_symmetric_and_bounded(ps, qs):
     a, b = jsd(p, q), jsd(q, p)
     assert abs(a - b) <= 1e-12
     assert -1e-12 <= a <= math.log(2) + 1e-8
+
+
+# --- fractional-IoU golden ------------------------------------------------------------
+# The detection goldens elsewhere only see IoUs of 0 or 1 (cue boxes tile a grid
+# and reconstructions reuse them). These pin the IoU arithmetic and the matcher
+# on float boxes: overlapping, with a zero side, near ties, and predictions
+# whose area overflows to inf; and an eval report on shifted, partly clamped
+# predictions.
+
+def _golden_boxset(rng, kind):
+    boxes = []
+    for _ in range(rng.randint(1, 5)):
+        if kind == "near-tie":
+            b, d = rng.choice(_NEAR_BASE), rng.randint(0, 6) * rng.choice([1e-10, 2e-10, 3e-10])
+            boxes.append(Box(b.x1 + d, b.y1, b.x2 + d, b.y2))
+            continue
+        x1, y1 = rng.uniform(0, 20), rng.uniform(0, 20)
+        w, h = rng.uniform(0, 15), rng.uniform(0, 15)
+        if kind == "huge":  # an area of inf when both sides are huge
+            w, h = w * rng.choice([1.0, 1e200]), h * rng.choice([1.0, 1e200])
+        if kind == "degenerate":
+            w, h = rng.choice([(0.0, h), (w, 0.0), (0.0, 0.0), (w, h)])
+        boxes.append(Box(x1, y1, x1 + w, y1 + h))
+    return BoxSet(tuple(boxes))
+
+
+FRACTIONAL_IOU_GOLDEN_SHA256 = "856f79300eaf1d6bc011732f48a0d337a5996e896e47651c9e2133d885bc04ca"
+
+
+def test_fractional_ious_are_byte_stable():
+    rng = random.Random("fractional-iou-golden")
+    out = []
+    for kind in ("overlapping", "degenerate", "near-tie", "huge"):
+        for _ in range(60):
+            gt = _golden_boxset(rng, "overlapping" if kind == "huge" else kind)
+            pred = _golden_boxset(rng, kind)
+            out.append((repr(hungarian_match(gt, pred)), repr(detection_similarity(gt, pred))))
+    assert sum("0." in m for m, _ in out) > 100  # fractional IoUs, not just 0 and 1
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == FRACTIONAL_IOU_GOLDEN_SHA256
+
+
+EVAL_SHIFTED_GOLDEN_SHA256 = "e5bfd9743772d61991e23793df8c3c9ecfa705bc82afc2b517efa1708c837d43"
+
+
+def test_eval_on_shifted_predictions_is_byte_stable():
+    world = CueWorld(kind="detection", num_samples=40, cues_per_sample=3, vocab_size=16, seed=4)
+    samples = [s.as_sample() for s in world.samples]
+    rng = random.Random("eval-shifted-golden")
+    predictions = {}
+    for s in samples:
+        boxes = list(s.annotation.boxes)
+        rng.shuffle(boxes)
+        rows = []
+        for b in boxes[:rng.randint(1, len(boxes))]:
+            dx, dy = rng.uniform(-60, 60), rng.uniform(-60, 60)
+            rows.append(f"[{b.x1 + dx:.3f}, {b.y1 + dy:.3f}, {b.x2 + dx:.3f}, {b.y2 + dy:.3f}]")
+        predictions[s.id] = f"<answer>[{', '.join(rows)}]</answer>"
+    report = evaluate_predictions(predictions, samples)
+    assert 0.0 < report.detection_score < 1.0
+    assert hashlib.sha256(repr(report).encode()).hexdigest() == EVAL_SHIFTED_GOLDEN_SHA256

@@ -14,7 +14,7 @@ from cotloop import textproto
 from cotloop.backends import CueWorld
 from cotloop.domain import Box, BoxSet, Classification, Detection, Distribution
 from cotloop.errors import MalformedAnswer, MissingVariable, TemplateError
-from cotloop.render import render_annotation
+from cotloop.render import render_annotation, render_box
 from cotloop.textproto import (PLACEHOLDER_RE, ParsedOutput, PromptTemplate,
                                check_answer_keys, detect_leak, load_template,
                                parse_box_answer, parse_distribution_answer,
@@ -684,6 +684,114 @@ def test_render_distribution_matches_the_f_string(names, data):
             == _outcome(_oracle_render_distribution, dist, names))
 
 
+# --- box render, box parse vs the parent's code ------------------------------------
+# `render_box` and `parse_box_answer` as they were before their fast paths,
+# kept as oracles. The parse oracle reads lists with the same canonical
+# patterns and converts every number with `_number` and `_oracle_as_number`.
+
+def _oracle_num(v):
+    if float(v).is_integer():
+        return str(int(v))
+    return f"{v:.6f}".rstrip("0").rstrip(".")
+
+
+def _oracle_render_box(box):
+    return "[" + ", ".join(_oracle_num(v) for v in box.as_tuple()) + "]"
+
+
+def _oracle_scan_list(text):
+    start = text.find("[")
+    if start < 0:
+        return None
+    m = textproto._LIST_RE.match(text, start)
+    if m is not None:
+        return textproto._numbers(m.group(0)[1:-1])
+    m = textproto._NESTED_RE.match(text, start)
+    if m is None:
+        return None
+    return [textproto._numbers(inner) for inner in textproto._INNER_RE.findall(m.group(0), 1)]
+
+
+def _oracle_parse_box_answer(answer_raw):
+    obj = _oracle_scan_list(answer_raw)
+    if obj is None:
+        return _oracle_boxes(answer_raw)
+    tuples = obj if len(obj) > 0 and all(isinstance(x, list) for x in obj) else [obj]
+    boxes, normalized = [], False
+    for t in tuples:
+        if len(t) != 4:
+            raise MalformedAnswer(f"box tuple must have 4 numbers, got {t!r}")
+        x1, y1, x2, y2 = (_oracle_as_number(v) for v in t)
+        cx1, cy1 = max(x1, 0.0), max(y1, 0.0)
+        cx2, cy2 = max(x2, 0.0), max(y2, 0.0)
+        nx1, nx2 = min(cx1, cx2), max(cx1, cx2)
+        ny1, ny2 = min(cy1, cy2), max(cy1, cy2)
+        if (nx1, ny1, nx2, ny2) != (x1, y1, x2, y2):
+            normalized = True
+        boxes.append(Box(nx1, ny1, nx2, ny2))
+    return BoxSet(tuple(boxes)), normalized
+
+
+# Ints (2**53 + 1 is no float; 10**400 is beyond the float range), integral
+# floats up to 1e300, signed zeros, bools, fractions, subnormals and 1e-7, which
+# renders as 0.
+_box_render_values = st.one_of(
+    st.integers(0, 10**6), st.integers(0, 2**64), st.booleans(),
+    st.integers(0, 10**300).map(float), st.floats(0, 1e6), st.floats(0, 1e-300),
+    st.sampled_from([0.0, -0.0, 2**53 - 1, 2**53, 2**53 + 1, float(2**53 + 2), 1e-7, 0.5,
+                     5e-324, 2.2250738585072014e-308, 1e300, 1.7976931348623157e308,
+                     10**308, 10**400]))
+
+
+@example(values=[0, 10**400, 0, 1])      # `_num` refuses an int beyond the float range
+@example(values=[0.5, 1.5, 2.5, 0.5])    # four equal fractional parts
+@given(st.lists(_box_render_values, min_size=4, max_size=4))
+def test_render_box_matches_the_parent(values):
+    (x1, x2), (y1, y2) = sorted(values[:2]), sorted(values[2:])
+    box = Box(x1, y1, x2, y2)
+    assert _outcome(render_box, box) == _outcome(_oracle_render_box, box)
+
+
+# Number runs the box scanner takes (and some it leaves to `ast`): signed
+# zeros and ints, exponents, bare decimal points, 16- and 17-digit ints.
+_BOX_TOKENS = ["0", "-0", "+0", "-00", "0.0", "-0.0", "+0.0", "-0e5", "1", "+1", "-1", "12",
+               "7.25", "-3.5", "1e3", "1E-3", "1e-5", ".5", "-.5", "5.", "1e999", "-1e999",
+               "1234567890123456", "9007199254740993", "12345678901234567", "0.1", "999.999"]
+_box_tokens = st.sampled_from(_BOX_TOKENS) | st.floats(0, 2000).map(repr) | st.integers(
+    -50, 2000).map(str)
+
+
+@st.composite
+def _box_parse_answers(draw):
+    sep = lambda: draw(st.sampled_from([",", ", ", " ,", "\t,\t", " , "]))  # noqa: E731
+
+    def flat():
+        nums = draw(st.lists(_box_tokens, max_size=5))
+        tail = draw(st.sampled_from(["", "", "", ","]))
+        return "[" + draw(st.sampled_from(["", " ", "\t"])) + "".join(
+            (sep() if i else "") + x for i, x in enumerate(nums)) + tail + "]"
+    if draw(st.booleans()):
+        body = flat()
+    else:
+        body = "[" + sep().join(flat() for _ in range(draw(st.integers(1, 3)))) + draw(
+            st.sampled_from(["", "", ","])) + "]"
+    return draw(st.sampled_from(["", "box: "])) + body + draw(st.sampled_from(["", " done"]))
+
+
+@example(answer="[]")
+@example(answer="[[]]")
+@example(answer="[-0, 0, 0, 0]")
+@example(answer="[0, 0, -0.0, 1]")
+@example(answer="[[1, 2, 3, 4],]")
+@example(answer="[4, 3, 2, 1]")
+@example(answer="[0, 0, 1e999, 1]")
+@example(answer="[1234567890123456, 0, 12345678901234567, 1]")
+@settings(max_examples=400)
+@given(answer=_box_parse_answers())
+def test_parse_box_answer_matches_the_parent(answer):
+    assert _outcome(parse_box_answer, answer) == _outcome(_oracle_parse_box_answer, answer)
+
+
 _LEAK_PIECES = (["joy", "Joy", "JOY", "fear", "sad", "a.b", "c+", "x y", "\u00e9", "\u00df",
                  "SS", ":", "=", " : ", "= ", ": ", " ", "\u00a0", "\n", "\n1. ", "\n 2) ",
                  "0", "7", "0.5", ".25", "1.00", "42", "9 %", "\u0663", "\uff11",
@@ -706,11 +814,14 @@ _GATE_WORLDS = [CueWorld(kind=kind, num_samples=2, vocab_size=12, seed=1)
                 for kind in ("classification", "detection")]
 # Digits of other scripts, and `²`, which is no `\d`.
 _GATE_DIGITS = ["\u0663", "\uff15", "\u096d", "\u00b2"]
-# Enumerator, percent, pair, bracket and comma pieces, and the `x1` and
-# directional tokens in mixed case.
+# Enumerator, percent, pair, bracket and comma pieces, the `x1` and directional
+# tokens in mixed case, and the directional words apart, with `ı` and `İ` (which
+# fold to `i`) and the separators the side-word prefilter must see as `\s`.
 _GATE_PIECES = ["\n", "\n ", " ", ".", ")", "%", ":", "=", " : ", "[", "]", ",", ", ", "-",
                 "x", "X", "y", "Y", "x1", "X2", "y1", "Top-Left", "top left", "LOWER-right",
-                "Upper Right", "bottom-RIGHT", "the "]
+                "Upper Right", "bottom-RIGHT", "the ", "top", "ToP", "lower", "LoWeR", "left",
+                "LEFT", "lEft", "right", "RiGhT", "r\u0131ght", "R\u0130GHT", "\u0131", "\u0130",
+                "\t", "\u00a0", "\u2028", "leftover", "_"]
 _GATE_CUES = sorted({cue for world in _GATE_WORLDS for cue in world.vocab})
 # Texts with no digit, with digits of other scripts only, or with ASCII ones too.
 _gate_texts = st.sampled_from([[], _GATE_DIGITS, _GATE_DIGITS + ["0", "1", "2", "7", "42"]]
@@ -722,6 +833,8 @@ _gate_texts = st.sampled_from([[], _GATE_DIGITS, _GATE_DIGITS + ["0", "1", "2", 
 @example(text="\u0663%")               # an Arabic-Indic digit and a percent sign
 @example(text="at .\uff15 and x\u00b2")  # a fullwidth decimal; `²` is no digit
 @example(text="\n\u096d. Top-Left")     # a Devanagari enumerator
+@example(text="top\u00a0r\u0130ght")     # a no-break space; `İ` folds to `i`
+@example(text="Upper\u2028LEFT, lower\tr\u0131ght")  # a line separator and a tab
 @settings(max_examples=300)
 @given(text=_gate_texts)
 def test_digit_free_leak_gate_matches_the_pattern_table(text):
