@@ -5,9 +5,10 @@ probability-sum regularizer; detection similarity averages matched IoU over
 ground-truth boxes under the lexicographically first optimal assignment. All
 logs are natural except log10 in the sum regularizer.
 
-The assignment's cost matrix (`_neg_ious`) reads each box's coordinates and
-area once and writes `iou`'s arithmetic out inline, operation for operation,
-so each entry is -iou(g, p) to the bit.
+One function, `_neg_ious`, holds the IoU arithmetic: it builds the
+assignment's cost matrix (-IoU per gt/pred pair) reading each box's
+coordinates and area once, and `iou` is its one-pair case negated back
+(negation is exact, so both agree to the bit).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .domain import Box, BoxSet, Distribution
 from .errors import DomainError
@@ -68,15 +70,29 @@ def classification_similarity(gt: Distribution, pred: Distribution) -> float:
     return min(1.0, phi * math.exp(-abs(math.log10(total))))
 
 
+def _neg_ious(gt: Sequence[Box], pred: Sequence[Box]) -> list[list[float]]:
+    """-iou(g, p) for each gt box g (a row) and pred box p (a column). Each box's
+    coordinates and area are read once; `b if b < a else a` is min(a, b) and
+    `b if b > a else a` is max(a, b), NaN and -0.0 included."""
+    preds = [(p.x1, p.y1, p.x2, p.y2, p.area) for p in pred]
+    rows = []
+    for g in gt:
+        gx1, gy1, gx2, gy2, ga = g.x1, g.y1, g.x2, g.y2, g.area
+        row = []
+        for px1, py1, px2, py2, pa in preds:
+            ix = (px2 if px2 < gx2 else gx2) - (px1 if px1 > gx1 else gx1)
+            iy = (py2 if py2 < gy2 else gy2) - (py1 if py1 > gy1 else gy1)
+            inter = (ix if ix > 0.0 else 0.0) * (iy if iy > 0.0 else 0.0)
+            union = ga + pa - inter
+            row.append(-0.0 if union <= 0 else -(inter / union))
+        rows.append(row)
+    return rows
+
+
 def iou(a: Box, b: Box) -> float:
-    """Intersection over union under the continuous-area convention."""
-    ix = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
-    iy = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
-    inter = ix * iy
-    union = a.area + b.area - inter
-    if union <= 0:
-        return 0.0
-    return inter / union
+    """Intersection over union under the continuous-area convention; 0 when
+    the union is not positive."""
+    return -_neg_ious((a,), (b,))[0][0]
 
 
 @dataclass(frozen=True)
@@ -146,26 +162,6 @@ def _shift(cost: list[list[float]], col: list[int], u: list[float], g: int,
         i, j = who[j], to[who[j]]
 
 
-def _neg_ious(gt: BoxSet, pred: BoxSet) -> list[list[float]]:
-    """-iou(g, p) for each gt box g (a row) and pred box p (a column). Each box's
-    coordinates and area are read once, and `iou`'s float operations run in its
-    order: `b if b < a else a` is min(a, b) and `b if b > a else a` is max(a, b),
-    NaN and -0.0 included."""
-    preds = [(p.x1, p.y1, p.x2, p.y2, p.area) for p in pred.boxes]
-    rows = []
-    for g in gt.boxes:
-        gx1, gy1, gx2, gy2, ga = g.x1, g.y1, g.x2, g.y2, g.area
-        row = []
-        for px1, py1, px2, py2, pa in preds:
-            ix = (px2 if px2 < gx2 else gx2) - (px1 if px1 > gx1 else gx1)
-            iy = (py2 if py2 < gy2 else gy2) - (py1 if py1 > gy1 else gy1)
-            inter = (ix if ix > 0.0 else 0.0) * (iy if iy > 0.0 else 0.0)
-            union = ga + pa - inter
-            row.append(-0.0 if union <= 0 else -(inter / union))
-        rows.append(row)
-    return rows
-
-
 def hungarian_match(gt: BoxSet, pred: BoxSet) -> MatchResult:
     """Injective assignment maximizing total IoU, of size min(|gt|, |pred|).
 
@@ -175,7 +171,7 @@ def hungarian_match(gt: BoxSet, pred: BoxSet) -> MatchResult:
     """
     ng, npd = len(gt), len(pred)
     # Column npd takes every unmatched row, and row ng every free column.
-    cost = _neg_ious(gt, pred)
+    cost = _neg_ious(gt.boxes, pred.boxes)
     for row in cost:
         row.append(0.0)
     cost.append([0.0] * npd + [math.inf])

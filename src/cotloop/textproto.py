@@ -28,8 +28,7 @@ that fallback takes the interpreter-wide lock below. The fallback is slower: a
 45 us. A category name that holds a character no answer key may hold
 (`check_answer_keys`) gives its task no pattern. The leak gate runs its
 per-category pair patterns only on text that holds a `:`/`=` followed by a
-digit, and its directional pattern only on text that holds a side word
-(`left` or `right` after `-` or a space).
+digit.
 """
 
 from __future__ import annotations
@@ -371,9 +370,6 @@ _COORD_RUN_RE = re.compile(
 _XY_TOKEN_RE = re.compile(r"\b[xy][12]\b", re.IGNORECASE)
 _DIRECTIONAL_RE = re.compile(
     r"\b(?:top|bottom|upper|lower)[-\s](?:left|right)\b", re.IGNORECASE)
-# The tail of `_DIRECTIONAL_RE`, with the same flags: every match of it holds a
-# match of this, which a scan finds faster (it starts with a character class).
-_SIDE_RE = re.compile(r"[-\s](?:left|right)\b", re.IGNORECASE)
 # The common tail of every category-value pair pattern, with the same flags:
 # text it does not occur in holds no pair, so the per-category scans are skipped.
 _PAIR_VALUE_RE = re.compile(r"[:=]\s*\d", re.IGNORECASE)
@@ -392,12 +388,10 @@ def detect_leak(cot: str, task: TaskKind) -> tuple[bool, list[str]]:
     Line-initial list enumerators ("1.", "2)") are exempt in both tasks;
     spelled-out number words never count as leaks. Evidence lists the
     matches pattern by pattern, category pairs in category order. A CoT
-    without a digit can match only the directional pattern, and only text
-    with a side word ("left" or "right" after a hyphen or space, any case)
-    can match that.
+    without a digit can match only the directional pattern.
     """
     if not _DIGIT_RE.search(cot):
-        if isinstance(task, Classification) or not _SIDE_RE.search(cot):
+        if isinstance(task, Classification):
             return False, []
         evidence = [m.group(0) for m in _DIRECTIONAL_RE.finditer(cot)]
         return bool(evidence), evidence
@@ -413,8 +407,7 @@ def detect_leak(cot: str, task: TaskKind) -> tuple[bool, list[str]]:
         evidence += [m.group(0) for m in _BRACKET_TUPLE_RE.finditer(text)]
         evidence += [m.group(0) for m in _COORD_RUN_RE.finditer(text)]
         evidence += [m.group(0) for m in _XY_TOKEN_RE.finditer(text)]
-        if _SIDE_RE.search(text):
-            evidence += [m.group(0) for m in _DIRECTIONAL_RE.finditer(text)]
+        evidence += [m.group(0) for m in _DIRECTIONAL_RE.finditer(text)]
     return bool(evidence), evidence
 
 

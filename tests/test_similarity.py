@@ -17,7 +17,7 @@ from cotloop.backends import CueWorld
 from cotloop.domain import Box, BoxSet, Distribution
 from cotloop.errors import DomainError
 from cotloop.pipeline import evaluate_predictions
-from cotloop.similarity import (MatchResult, _kld, _neg_ious, classification_similarity,
+from cotloop.similarity import (MatchResult, _kld, classification_similarity,
                                 detection_similarity, hungarian_match, iou, jsd,
                                 kld, mse)
 
@@ -588,12 +588,9 @@ def test_hungarian_matches_the_parent_on_seeded_and_near_tie_sets():
 
 
 @settings(max_examples=300)
-@given(gt=_hyp_boxset, pred=_hyp_boxset)
-def test_the_cost_matrix_is_minus_iou_bit_for_bit(gt, pred):
-    def bits(v):
-        return struct.pack("<d", v)
-    assert [[bits(v) for v in row] for row in _neg_ious(gt, pred)] == [
-        [bits(-iou(g, p)) for p in pred.boxes] for g in gt.boxes]
+@given(a=_hyp_box, b=_hyp_box)
+def test_iou_matches_the_parent(a, b):
+    assert struct.pack("<d", iou(a, b)) == struct.pack("<d", _oracle_iou(a, b))
 
 
 # --- detection similarity ----------------------------------------------------------

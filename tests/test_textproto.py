@@ -816,7 +816,7 @@ _GATE_WORLDS = [CueWorld(kind=kind, num_samples=2, vocab_size=12, seed=1)
 _GATE_DIGITS = ["\u0663", "\uff15", "\u096d", "\u00b2"]
 # Enumerator, percent, pair, bracket and comma pieces, the `x1` and directional
 # tokens in mixed case, and the directional words apart, with `ı` and `İ` (which
-# fold to `i`) and the separators the side-word prefilter must see as `\s`.
+# fold to `i`) and the separators the directional pattern must see as `\s`.
 _GATE_PIECES = ["\n", "\n ", " ", ".", ")", "%", ":", "=", " : ", "[", "]", ",", ", ", "-",
                 "x", "X", "y", "Y", "x1", "X2", "y1", "Top-Left", "top left", "LOWER-right",
                 "Upper Right", "bottom-RIGHT", "the ", "top", "ToP", "lower", "LoWeR", "left",
