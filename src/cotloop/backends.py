@@ -23,8 +23,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 from .domain import Annotation, Box, BoxSet, Classification, Detection, Distribution, Sample
 from .errors import (AuthFailure, BadPayload, InvalidSetting, MockMiss, RemoteUnavailable,
                      RequestRejected, TemplateError, Timeout)
-from .render import render_annotation
-from .textproto import load_template, read_slot, task_name
+from .textproto import format_answer, load_template, read_slot, task_name
 
 if TYPE_CHECKING:
     import requests
@@ -356,9 +355,7 @@ def synthetic_reason(template_id: int, cue_subset: Sequence[str]) -> str:
 
 def synthetic_reconstruct(world: CueWorld, cot: str) -> str:
     """Apply the world rule to the cues mentioned in a CoT; render as an answer string."""
-    cues = world.extract_cues(cot)
-    annotation = world.rule(cues)
-    return f"<answer>{render_annotation(annotation, world.task)}</answer>"
+    return format_answer(world.rule(world.extract_cues(cot)), world.task)
 
 
 class SyntheticReasonBackend:
@@ -418,5 +415,4 @@ class SyntheticR1Backend(SyntheticReasonBackend):
 
     def generate(self, request: GenerationRequest) -> str:
         subset, think = self._draw(request)
-        answer = render_annotation(self.world.rule(subset), self.world.task)
-        return f"<think>{think}</think><answer>{answer}</answer>"
+        return format_answer(self.world.rule(subset), self.world.task, think)

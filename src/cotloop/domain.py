@@ -43,8 +43,17 @@ class Detection:
     image_height: float
 
     def __post_init__(self):
-        if not (0 < self.image_width < math.inf and 0 < self.image_height < math.inf):
+        w, h = self.image_width, self.image_height
+        if not (0 < w < math.inf and 0 < h < math.inf):
             raise ValueError("image dimensions must be positive and finite")
+        # Ground-truth boxes lie inside the image, so a finite image area keeps
+        # their areas finite, and no IoU against one is NaN (inf - inf).
+        try:
+            area = float(w) * float(h)
+        except OverflowError:  # an int beyond the float range
+            area = math.inf
+        if area == math.inf:
+            raise ValueError("image area (width x height) must be a finite float")
 
 
 TaskKind = Union[Classification, Detection]

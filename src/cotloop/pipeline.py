@@ -38,12 +38,11 @@ from .domain import (Annotation, Box, BoxSet, Classification, Detection,
 from .errors import (BackendError, DomainError, HeaderMismatch, MalformedLine, MissingFile,
                      ValidationFailure)
 from .grpo import compute_group_advantages, select_best_of_group
-from .render import render_annotation
 from .reward import (DEFAULT_TAU, closed_loop_reward, filter_high_subset,
                      score_reconstruction, think_answer_reward)
 from .similarity import hungarian_match, jsd
-from .textproto import (ParsedOutput, as_number, check_answer_keys, load_template,
-                        render_prompt, task_name)
+from .textproto import (ParsedOutput, as_number, check_answer_keys, format_answer,
+                        load_template, render_annotation, render_prompt, task_name)
 
 log = logging.getLogger(__name__)
 
@@ -480,8 +479,9 @@ def export_sft_corpus(records: Sequence[ScoredRecord], samples: Sequence[Sample]
                       tau: float = DEFAULT_TAU, *, path: str) -> int:
     """Filter at tau and write one think-answer training line per kept record.
 
-    The target wraps the record's CoT in <think> tags and the sample's
-    ground-truth annotation, canonically rendered, in <answer> tags. Records
+    The target is `textproto.format_answer` of the sample's ground-truth
+    annotation with the record's CoT as its think: the CoT in <think> tags,
+    then the annotation, canonically rendered, in <answer> tags. Records
     of sample ids missing from `samples` raise DomainError, and no file is
     written.
     """
@@ -492,8 +492,7 @@ def export_sft_corpus(records: Sequence[ScoredRecord], samples: Sequence[Sample]
     kept = [(r, by_id[r.sample_id]) for r in filter_high_subset(records, tau)[0]]
     _write_jsonl(path, SFT, (
         {"image_ref": sample.image_ref, "prompt": r1_prompt(sample),
-         "target": (f"<think>{r.cot}</think>"
-                    f"<answer>{render_annotation(sample.annotation, sample.task)}</answer>")}
+         "target": format_answer(sample.annotation, sample.task, r.cot)}
         for r, sample in kept))
     return len(kept)
 
@@ -565,8 +564,15 @@ def _prediction(obj: dict) -> tuple[str, str]:
 
 
 def load_predictions(path: str) -> dict[str, str]:
+    """The raw output of each sample id; `MalformedLine` at a line whose id an
+    earlier line has."""
     _, rows = _read_jsonl(path, PREDICTIONS, _prediction)
-    return dict(pred for _, pred in rows)
+    preds: dict[str, str] = {}
+    for n, (sid, raw) in rows:
+        if sid in preds:
+            raise MalformedLine(path, n, ValueError(f"duplicate id {sid!r}"))
+        preds[sid] = raw
+    return preds
 
 
 def save_predictions(preds: dict[str, str], path: str) -> None:

@@ -1,8 +1,15 @@
-"""Prompt rendering, think/answer parsing, leak detection, format gates.
+"""Prompt and answer text: rendering, parsing, leak detection, format gates.
 
-This module owns the prompt format. Each shipped template is read and checked
-once, and `read_slot` reads a rendered prompt back through its template: that
-is how a reconstruction backend gets the CoT, in process or behind an endpoint.
+This module owns the text the loop exchanges with a model. Each shipped
+template is read and checked once, and `read_slot` reads a rendered prompt
+back through its template: that is how a reconstruction backend gets the CoT,
+in process or behind an endpoint. `format_answer` writes every
+`<think>`/`<answer>` output the loop makes, with the annotation in its
+canonical form, which round-trips through the answer parsers to within 1e-6:
+classification is a single-quoted map in task category order with 6-decimal
+fixed-point values, written with one `%` format per category tuple (built on
+first use and cached; a `%` in a name is escaped); detection is a bracketed
+integer-or-decimal 4-tuple, or a list of them for multiple boxes.
 
 Everything here is pure string work. The answer parsers own the contract
 of a model answer: a distribution covers exactly the task's categories with
@@ -37,6 +44,7 @@ import ast
 import functools
 import math
 import re
+import sys
 import threading
 from dataclasses import dataclass
 from importlib import resources
@@ -122,6 +130,60 @@ def read_slot(template: PromptTemplate, prompt: str, name: str) -> str:
     if start < 0 or end < start + len(left):
         return prompt
     return prompt[start + len(left):end]
+
+
+# --- answer text -------------------------------------------------------------
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def _num(v: float) -> str:
+    if float(v).is_integer():
+        return str(int(v))
+    return f"{v:.6f}".rstrip("0").rstrip(".")
+
+
+@functools.lru_cache(maxsize=64)
+def _distribution_format(categories: tuple[str, ...]) -> str:
+    """The `%` format of a map over `categories`: one `%.6f` per category."""
+    return "{" + ", ".join(f"'{c.replace('%', '%%')}': %.6f" for c in categories) + "}"
+
+
+def render_distribution(dist: Distribution, categories) -> str:
+    categories = tuple(categories)
+    return _distribution_format(categories) % tuple(map(dist.probs.__getitem__, categories))
+
+
+def render_box(box: Box) -> str:
+    t = box.as_tuple()
+    x1, y1, x2, y2 = t
+    # `%d` writes an integral value as `_num` does (-0.0 as 0). An int beyond the
+    # float range is left to `_num`, which refuses it; corners are ordered, so
+    # x2 and y2 bound the box.
+    if x1 % 1 == y1 % 1 == x2 % 1 == y2 % 1 == 0 and x2 <= _FLOAT_MAX >= y2:
+        return "[%d, %d, %d, %d]" % t
+    return "[" + ", ".join(map(_num, t)) + "]"
+
+
+def render_boxset(boxset: BoxSet) -> str:
+    if len(boxset) == 1:
+        return render_box(boxset.boxes[0])
+    return "[" + ", ".join(render_box(b) for b in boxset.boxes) + "]"
+
+
+def render_annotation(a: Annotation, task: TaskKind) -> str:
+    if isinstance(task, Classification):
+        assert isinstance(a, Distribution)
+        return render_distribution(a, task.categories)
+    assert isinstance(a, BoxSet)
+    return render_boxset(a)
+
+
+def format_answer(annotation: Annotation, task: TaskKind, think: Optional[str] = None) -> str:
+    """`annotation`, canonically rendered, in `<answer>` tags, after `think` in
+    `<think>` tags when it is given."""
+    answer = f"<answer>{render_annotation(annotation, task)}</answer>"
+    return answer if think is None else f"<think>{think}</think>{answer}"
 
 
 # --- think/answer extraction -------------------------------------------------

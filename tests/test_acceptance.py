@@ -21,7 +21,7 @@ from cotloop.domain import (Box, BoxSet, Classification, Detection,
                             Distribution, Sample, make_breakdown, ScoredRecord)
 from cotloop.grpo import smooth_curve, train_toy_policy
 from cotloop.pipeline import save_dataset
-from cotloop.render import render_annotation
+from cotloop.textproto import render_annotation
 from cotloop.reward import (closed_loop_reward, filter_high_subset,
                             reward_histogram)
 from cotloop.similarity import (classification_similarity,

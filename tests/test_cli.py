@@ -350,6 +350,15 @@ BAD_INPUT = {
         t, pred=[{"id": "syn-0000", "raw": "<answer>{}</answer>"}],
         ref=[{"id": "syn-0000", "raw": None}]), 1,
         "ref.jsonl: line 2: raw must be a string, got NoneType"),
+    "eval-pred-duplicate-id": (lambda t: eval_with_lines(
+        t, pred=[{"id": "syn-0000", "raw": "<answer>{}</answer>"}] * 2), 1,
+        "preds.jsonl: line 3: duplicate id 'syn-0000'"),
+    "eval-reference-duplicate-id": (lambda t: eval_with_lines(
+        t, pred=[{"id": "syn-0000", "raw": "<answer>{}</answer>"}],
+        ref=[{"id": "syn-0000", "raw": "<answer>{}</answer>"},
+             {"id": "syn-0001", "raw": "<answer>{}</answer>"},
+             {"id": "syn-0000", "raw": "<answer>{}</answer>"}]), 1,
+        "ref.jsonl: line 4: duplicate id 'syn-0000'"),
     "ingest-line-not-utf8": (lambda t: ingest(
         t, "detection", [{**NO_ANNOTATION, "boxes": [[0, 0, 1, 1]]}, b"\xff"],
         "--width", "3", "--height", "3"), 1, "raw.jsonl: line 2"),
@@ -397,6 +406,14 @@ BAD_INPUT = {
     "ingest-height-nan": (lambda t: ingest(
         t, "detection", [{**NO_ANNOTATION, "boxes": [[0, 0, 1, 1]]}], "--width", "3",
         "--height", "nan"), 1, "ingest --task detection: image dimensions must be positive"),
+    "ingest-detection-image-area-overflows": (lambda t: ingest(
+        t, "detection", [{**NO_ANNOTATION, "boxes": [[0, 0, 1e200, 1e200]]}],
+        "--width", "1e201", "--height", "1e201"), 1,
+        "ingest --task detection: image area (width x height) must be a finite float"),
+    "eval-gt-task-image-area-overflows": (lambda t: eval_with_gt_task(
+        t, {"kind": "detection", "image_width": 10**400, "image_height": 3}), 1,
+        "gt.jsonl: detection task in header: image area (width x height) must be a finite "
+        "float"),
     "synthetic-recon-fidelity": (lambda t: gen_cot(t, *edited_config(
         t, lambda cfg: cfg.update(backends={"recon": {"kind": "synthetic",
                                                       "fidelity": 0.5}}))), 1,
@@ -721,7 +738,7 @@ def test_eval_identity_reports_zero_jsd(tmp_path, capsys):
     samples = [s.as_sample() for s in world.samples]
     gt = tmp_path / "gt.jsonl"
     save_dataset(samples, world.task, str(gt))
-    from cotloop.render import render_annotation
+    from cotloop.textproto import render_annotation
     preds = {s.id: "<answer>" + render_annotation(s.annotation, s.task)
              + "</answer>" for s in samples}
     pred_path = tmp_path / "preds.jsonl"

@@ -124,3 +124,25 @@ def test_setup_compiles_no_answer_pattern():
     """A task's answer pattern is compiled on its first parse, so its cost
     (milliseconds per task) stays out of importing the CLI and building a world."""
     assert json.loads(run_python(NO_ANSWER_PATTERN_AT_SETUP).stdout) == [0, 1]
+
+
+_ANSWER_TAG_RE = re.compile(r"</?(?:think|answer)>", re.IGNORECASE)
+
+
+def test_only_textproto_writes_answer_tags():
+    """No module but `textproto` holds a `<think>`/`<answer>` tag in a string
+    literal (docstrings aside): every output in the tags is `format_answer`'s."""
+    found = []
+    for path in sorted((ROOT / "src" / "cotloop").rglob("*.py")):
+        if path.name == "textproto.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                           ast.AsyncFunctionDef))
+                      and node.body and isinstance(node.body[0], ast.Expr)
+                      and isinstance(node.body[0].value, ast.Constant)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in docstrings and _ANSWER_TAG_RE.search(node.value)]
+    assert found == []

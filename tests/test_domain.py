@@ -32,6 +32,10 @@ def test_detection_requires_positive_dimensions():
         Detection(image_width=0, image_height=10)
     with pytest.raises(ValueError):
         Detection(image_width=10, image_height=-1)
+    for dims in [(1e201, 1e201), (1e308, 2), (10**400, 3), (3, 2**1024)]:
+        with pytest.raises(ValueError, match="image area"):  # beyond the float range
+            Detection(*dims)
+    Detection(1e154, 1e154)  # an area of 1e308 is finite
 
 
 def test_box_invariants():

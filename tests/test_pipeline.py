@@ -23,7 +23,7 @@ from cotloop.pipeline import (evaluate_predictions, export_sft_corpus,
                               reconstruction_prompt, run_closed_loop_stage,
                               run_rft_reward_eval, save_dataset,
                               save_predictions, save_records)
-from cotloop.render import render_annotation
+from cotloop.textproto import render_annotation
 from cotloop.similarity import classification_similarity
 from cotloop.textproto import validate_f_r1, parse_think_answer, ParsedOutput
 

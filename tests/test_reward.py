@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from cotloop.domain import (Box, BoxSet, Distribution, Sample, ScoredRecord,
                             make_breakdown)
 from cotloop.errors import DomainError
-from cotloop.render import render_annotation
+from cotloop.textproto import render_annotation
 from cotloop.reward import (closed_loop_reward, filter_high_subset,
                             reward_histogram, think_answer_reward)
 

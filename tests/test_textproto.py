@@ -14,11 +14,11 @@ from cotloop import textproto
 from cotloop.backends import CueWorld
 from cotloop.domain import Box, BoxSet, Classification, Detection, Distribution
 from cotloop.errors import MalformedAnswer, MissingVariable, TemplateError
-from cotloop.render import render_annotation, render_box
 from cotloop.textproto import (PLACEHOLDER_RE, ParsedOutput, PromptTemplate,
-                               check_answer_keys, detect_leak, load_template,
-                               parse_box_answer, parse_distribution_answer,
-                               parse_think_answer, read_slot, render_prompt,
+                               check_answer_keys, detect_leak, format_answer,
+                               load_template, parse_answer_for_task, parse_box_answer,
+                               parse_distribution_answer, parse_think_answer, read_slot,
+                               render_annotation, render_box, render_prompt,
                                validate_f_cot, validate_f_r1)
 
 from conftest import EMOTION_CATEGORIES, EXAMPLE_DISTRIBUTION
@@ -334,6 +334,56 @@ def test_render_parse_closure_detection():
     for orig, got in zip(bs.boxes, parsed.boxes):
         for a, b in zip(orig.as_tuple(), got.as_tuple()):
             assert b == pytest.approx(a, abs=1e-6)
+
+
+# Text near the tags: pieces of them, other case, and the Kelvin sign, which
+# the case-insensitive tag patterns read as a `k`.
+_NEAR_TAG_TEXT = st.lists(
+    st.sampled_from(["<", ">", "/", "think", "answer", "THINK", "Answer", "thin\u212a",
+                     "<think", "answer>", "</", " ", "\n", "[1, 2, 3, 4]", "{'a': 1}"])
+    | st.text(max_size=4), max_size=8).map("".join)
+_TAG_TEXT_RE = re.compile(r"</?(?:think|answer)>", re.IGNORECASE)
+
+
+def _holds_no_tag(text):
+    return not _TAG_TEXT_RE.search(text)
+
+
+def _accepted_names(names):
+    try:
+        check_answer_keys(names)
+    except ValueError:
+        return False
+    return all(map(_holds_no_tag, names))
+
+
+_box_corners = st.lists(st.integers(0, 10**6) | st.floats(0, 1e6), min_size=4, max_size=4)
+
+
+@st.composite
+def _annotated_tasks(draw):
+    """(annotation, task): a distribution over names holding no tag text, or a box set."""
+    if draw(st.booleans()):
+        names = draw(st.lists(_NEAR_TAG_TEXT.filter(bool), min_size=1, max_size=5,
+                              unique=True).filter(_accepted_names))
+        return (Distribution({c: draw(st.floats(0.0, 1.0)) for c in names}),
+                Classification(tuple(names)))
+    boxes = []
+    for x1, x2, y1, y2 in draw(st.lists(_box_corners, min_size=1, max_size=4)):
+        boxes.append(Box(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2)))
+    return BoxSet(tuple(boxes)), DET
+
+
+@settings(max_examples=300)
+@given(pair=_annotated_tasks(), think=st.none() | _NEAR_TAG_TEXT.filter(_holds_no_tag))
+def test_format_answer_round_trips_through_parsed_output(pair, think):
+    """The tags `format_answer` writes give back the think as it was and the
+    answer its rendering parses to."""
+    annotation, task = pair
+    parsed = ParsedOutput.from_text(format_answer(annotation, task, think), task)
+    assert parsed.error is None
+    assert parsed.think == think
+    assert parsed.answer == parse_answer_for_task(render_annotation(annotation, task), task)
 
 
 # --- answer scanner and leak prefilter vs the code they replace -----------------------
