@@ -14,57 +14,46 @@ integer-or-decimal 4-tuple, or a list of them for multiple boxes.
 Everything here is pure string work. The answer parsers own the contract
 of a model answer: a distribution covers exactly the task's categories with
 finite probabilities in [0, 1] (it need not sum to 1), and a box answer is
-one or more 4-number tuples. They raise MalformedAnswer; ParsedOutput.from_text
+one or more 4-number lists. They raise MalformedAnswer; ParsedOutput.from_text
 captures the failure as a value so scoring never aborts on bad model text.
 Ground-truth annotations are checked by `domain.validate_annotation` instead.
 
-An answer map is first matched against its task's own pattern: the task's
-keys in task order, each quoted either way and followed by one run of number
-characters, spaces or tabs between tokens; the runs are then checked as
-numbers all at once. The pattern is compiled on a task's first parse, never
-at import or world build (about 9 ms for 48 categories, 0.17 s for 1,000, on
-a 2-vCPU host). A box answer in the canonical shape (a list of plain numbers
-or a list of such lists, spaces or tabs between tokens) is read by a strict
-list scanner; each of its boxes of four unsigned numbers in corner order is
-read with `float` and needs no normalization. Any other literal (keys out of
-task order, int keys, escapes, implicit concatenation, `1_000`, hex, tuples,
-trailing commas, comments, newlines) is balanced naively and read with
-`ast.literal_eval`; the two give the same value or the same error, and only
-that fallback takes the interpreter-wide lock below. The fallback is slower: a
-48-key map in reversed order parses in about 0.4 ms, in task order in about
-45 us. A category name that holds a character no answer key may hold
-(`check_answer_keys`) gives its task no pattern. The leak gate runs its
-per-category pair patterns only on text that holds a `:`/`=` followed by a
-digit.
+An answer body is read as the first literal of one grammar, a subset of
+Python's literal syntax, with the value Python gives it: a map of quoted keys
+(either quote style, in any order) to numbers, or a flat list of numbers, or a
+list of such lists. Tokens may be separated by spaces, tabs, newlines, carriage
+returns and form feeds, and a trailing comma may close a literal. A number is
+ASCII: a decimal with an optional exponent, or an int of 0s or without a
+leading zero; it is read with `float`, and an int-form -0 as 0.0. A key holds
+no quote, backslash, brace, angle bracket, control character or surrogate
+(`check_answer_keys`, which `ingest` and a dataset load apply to category
+names). Anything else (int keys, escapes, implicit concatenation, `1_000`,
+hex, tuples, comments, line continuations) is refused. Every path is regular
+expressions and `float`: no parser state is shared between threads.
+
+A map in task order is first matched against its task's own pattern, one run
+of number characters per key, the runs then checked as numbers all at once;
+any other map takes the general scanner, which takes about twice as long
+(about 60 us for 48 keys, against about 29 us in task order, on a 2-vCPU
+host). The task's pattern is compiled on its first parse, never at import or
+world build (about 9 ms for 48 categories, 0.17 s for 1,000). A box of four
+unsigned numbers in corner order is built with no normalization. The leak gate
+runs its per-category pair patterns only on text that holds a `:`/`=`
+followed by a digit.
 """
 
 from __future__ import annotations
 
-import ast
 import functools
 import math
 import re
 import sys
-import threading
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
 from .domain import Annotation, Box, BoxSet, Classification, Distribution, TaskKind
 from .errors import MalformedAnswer, MissingVariable, TemplateError
-
-# ast.literal_eval converts its parse tree under an interpreter-wide depth
-# counter: in CPython 3.11.7 and earlier (gh-106905) a thread switch inside the
-# conversion, such as a finalizer run by the garbage collector, raises
-# SystemError in another thread. GRPO groups parse answers on worker threads;
-# the lock guards the `ast` fallback only, not the answer patterns.
-_LITERAL_LOCK = threading.Lock()
-
-
-def _literal_eval(text: str):
-    with _LITERAL_LOCK:
-        return ast.literal_eval(text)
-
 
 PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
@@ -224,36 +213,46 @@ def parse_think_answer(text: str) -> tuple[Optional[str], str]:
 
 # --- answer-body parsers -----------------------------------------------------
 
-# The answer patterns (see the module docstring) match only text that
-# `ast.literal_eval` reads as the same object: ASCII digits (`\d` would take
-# other scripts' digits); an int is 0s or has no leading zero, at most 16 digits
-# (longer ones overflow `float` or the int-string limit there); keys hold no
-# character of `_KEY_FORBIDDEN_RE`, so a match ends where `_first_balanced` ends
-# and the source is valid Python.
-_WS = r"[ \t]*"
+# The answer grammar (see the module docstring). Digits are ASCII (`\d` would
+# take other scripts' digits), and keys hold no character of `_KEY_FORBIDDEN`,
+# so each literal is valid Python and a match ends where the literal ends. Each
+# whitespace run sits between two tokens that it cannot be part of, so a failed
+# match backtracks over it once, not once per split.
+_WS = r"[ \t\n\r\f]*"
 _NUM = (r"[-+]?(?:(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
-        r"|[0-9]+[eE][-+]?[0-9]+|0+|[1-9][0-9]{0,15})")
-# A quote, backslash or brace would end or change a quoted key, and a control
-# character or a surrogate is not valid in its source.
-_KEY_FORBIDDEN_RE = re.compile(r"['\"\\{}\x00-\x1f\x7f\ud800-\udfff]")
-# A map pattern takes each value as a run of number characters; all the runs of
-# a match are then checked at once against `_NUM`.
+        r"|[0-9]+[eE][-+]?[0-9]+|0+|[1-9][0-9]*)")
+# A quote, backslash or brace would end or change a quoted key, a control
+# character or a surrogate is not valid in its source, and `<` or `>` could
+# close the `<answer>` tag around it.
+_KEY_FORBIDDEN = r"'\"\\{}<>\x00-\x1f\x7f\ud800-\udfff"
+_KEY_FORBIDDEN_RE = re.compile(f"[{_KEY_FORBIDDEN}]")
+_KEY = f"[^{_KEY_FORBIDDEN}]*"
+_PAIR = rf"""(?:'{_KEY}'|"{_KEY}"){_WS}:{_WS}{_NUM}"""
+_MAP_RE = re.compile(rf"\{{{_WS}(?:{_PAIR}{_WS}(?:,{_WS}{_PAIR}{_WS})*(?:,{_WS})?)?\}}")
+# A run of number characters. In a literal of the grammar, each number token is
+# one run: a token ends at the next non-number character.
+_RUN = r"[-+.0-9eE]+"
+# The keys and number tokens of a `_MAP_RE` match, pair by pair: in a match, a
+# key ends at the next quote.
+_PAIR_RE = re.compile(rf"""['"]({_KEY})['"]{_WS}:{_WS}({_RUN})""")
+# A task's map pattern takes each value as a run; all the runs of a match are
+# then checked at once against `_NUM`.
 _NUM_RUNS_RE = re.compile(rf"{_NUM}(?:,{_NUM})*")
-_LIST = rf"\[{_WS}(?:{_NUM}(?:{_WS},{_WS}{_NUM})*{_WS})?\]"
+_LIST = rf"\[{_WS}(?:{_NUM}{_WS}(?:,{_WS}{_NUM}{_WS})*(?:,{_WS})?)?\]"
 _LIST_RE = re.compile(_LIST)
-_NESTED_RE = re.compile(rf"\[{_WS}{_LIST}(?:{_WS},{_WS}{_LIST})*{_WS}\]")
+_NESTED_RE = re.compile(rf"\[{_WS}{_LIST}{_WS}(?:,{_WS}{_LIST}{_WS})*(?:,{_WS})?\]")
 _INNER_RE = re.compile(r"\[([^\[\]]*)\]")
 
 
 def check_answer_keys(categories) -> None:
     """ValueError when a category name holds a character that an answer map's
-    key may not hold (a quote, backslash, brace, control character or
-    surrogate). The task would have no answer pattern, and most such names
-    make every canonical answer of the task fail to parse."""
+    key may not hold (a quote, backslash, brace, angle bracket, control
+    character or surrogate): no answer of the task could be read."""
     bad = [c for c in categories if _KEY_FORBIDDEN_RE.search(c)]
     if bad:
-        raise ValueError(f"category names {bad!r} hold a quote, backslash, brace, "
-                         "control character or surrogate, which an answer map cannot carry")
+        raise ValueError(f"category names {bad!r} hold a quote, backslash, brace, angle "
+                         "bracket, control character or surrogate, which an answer map "
+                         "cannot carry")
 
 
 @functools.lru_cache(maxsize=64)
@@ -262,25 +261,26 @@ def _map_re(categories: tuple[str, ...]) -> Optional[re.Pattern]:
     None when a name cannot be a key."""
     if any(_KEY_FORBIDDEN_RE.search(c) for c in categories):
         return None
-    pairs = rf"{_WS},{_WS}".join(rf"""(?:'{key}'|"{key}"){_WS}:{_WS}([-+.0-9eE]+)"""
+    pairs = rf"{_WS},{_WS}".join(rf"""(?:'{key}'|"{key}"){_WS}:{_WS}({_RUN})"""
                                  for key in map(re.escape, categories))
     return re.compile(rf"\{{{_WS}{pairs}{_WS}\}}")
 
 
-def _number(token: str):
-    """The int or float `ast.literal_eval` makes of a `_NUM` token."""
-    return float(token) if "." in token or "e" in token or "E" in token else int(token)
-
-
-def _numbers(inner: str) -> list:
-    inner = inner.strip(" \t")
-    return [_number(t.strip(" \t")) for t in inner.split(",")] if inner else []
+def _floats(tokens) -> list[float]:
+    """The values Python gives `_NUM` tokens as literals, as floats: `float` of
+    each, except 0.0 for an int-form -0 (the int 0); MalformedAnswer when one
+    lies outside the float range. `int` is never called, so a token of any
+    length is read."""
+    values = [0.0 if not t.lstrip("-0") else float(t) for t in tokens]
+    if not all(map(math.isfinite, values)):
+        raise MalformedAnswer("number outside the float range")
+    return values
 
 
 def _scan_list(text: str) -> Optional[list[str]]:
-    """The bodies of the number lists of the first list literal of `text` if it
-    has a canonical shape (one body for a flat list, one per inner list of a
-    nested one), else None. Either shape reads as the same list of tuples."""
+    """The bodies of the number lists of the first list literal of `text` in
+    the answer grammar (one body for a flat list, one per inner list of a
+    nested one), else None. Either shape reads as the same list of boxes."""
     start = text.find("[")
     if start < 0:
         return None
@@ -291,30 +291,6 @@ def _scan_list(text: str) -> Optional[list[str]]:
     if m is None:
         return None
     return _INNER_RE.findall(m.group(0), 1)
-
-
-def _evaluated(answer_raw: str, open_ch: str, close_ch: str, what: str):
-    """The first naively balanced `open_ch` literal of `answer_raw`, evaluated."""
-    literal = _first_balanced(answer_raw, open_ch, close_ch)
-    try:
-        return _literal_eval(literal)
-    except (ValueError, SyntaxError) as e:
-        raise MalformedAnswer(f"unparseable {what} literal: {e}") from e
-
-
-def _first_balanced(text: str, open_ch: str, close_ch: str) -> str:
-    start = text.find(open_ch)
-    if start < 0:
-        raise MalformedAnswer(f"no {open_ch}...{close_ch} literal found")
-    depth = 0
-    for i in range(start, len(text)):
-        if text[i] == open_ch:
-            depth += 1
-        elif text[i] == close_ch:
-            depth -= 1
-            if depth == 0:
-                return text[start:i + 1]
-    raise MalformedAnswer(f"unbalanced {open_ch} literal")
 
 
 def as_number(v) -> float:
@@ -334,26 +310,29 @@ def parse_distribution_answer(answer_raw: str, categories) -> Distribution:
     """Parse a map literal into a Distribution over exactly the task's categories.
 
     Quoting style and key order are free (a map in task order is read by the
-    task's pattern, any other by `ast`); the category set is not. Every
-    probability must lie in [0, 1]; no sum constraint is enforced here.
+    task's pattern, any other by the map scanner); the category set is not.
+    Every probability must lie in [0, 1]; no sum constraint is enforced here.
     """
     categories = tuple(categories)
-    map_re = _map_re(categories)
     start = answer_raw.find("{")
-    m = map_re.match(answer_raw, start) if map_re is not None and start >= 0 else None
+    if start < 0:
+        raise MalformedAnswer("no {...} literal found")
+    map_re = _map_re(categories)
+    m = map_re.match(answer_raw, start) if map_re is not None else None
     runs = m.groups() if m is not None else ()
     joined = ",".join(runs)
-    # `float` of a `_NUM` run is the value `ast` and `as_number` give, except for
-    # an int run with a minus sign (int -0 makes 0.0, not -0.0). Such a run, and
-    # a value outside [0, 1], take the `ast` path, which words the error.
+    # `float` of a `_NUM` run is the value `_floats` gives, except for an int
+    # run with a minus sign. Such a run, and a value outside [0, 1], take the
+    # scanner, which words the error.
     if _NUM_RUNS_RE.fullmatch(joined) and not joined.startswith("-") and ",-" not in joined:
         values = list(map(float, runs))
         if 0.0 <= min(values) and max(values) <= 1.0:
             return Distribution(dict(zip(categories, values)))
-    obj = _evaluated(answer_raw, "{", "}", "map")
-    if not isinstance(obj, dict):
-        raise MalformedAnswer("answer literal is not a map")
-    got = {str(k): as_number(v) for k, v in obj.items()}
+    m = _MAP_RE.match(answer_raw, start)
+    if m is None:
+        raise MalformedAnswer("unparseable map literal")
+    pairs = _PAIR_RE.findall(m.group(0))
+    got = dict(zip([key for key, _ in pairs], _floats([token for _, token in pairs])))
     want = set(categories)
     missing = sorted(want - set(got))
     extra = sorted(set(got) - want)
@@ -366,7 +345,7 @@ def parse_distribution_answer(answer_raw: str, categories) -> Distribution:
 
 
 def parse_box_answer(answer_raw: str) -> tuple[BoxSet, bool]:
-    """Parse one [x1,y1,x2,y2] tuple, or a list of them, into a BoxSet.
+    """Parse one [x1,y1,x2,y2] list, or a list of them, into a BoxSet.
 
     Swapped corners are auto-normalized (min/max) and negative
     coordinates clamped to 0; the second return value flags whether any
@@ -374,32 +353,23 @@ def parse_box_answer(answer_raw: str) -> tuple[BoxSet, bool]:
     """
     bodies = _scan_list(answer_raw)
     if bodies is None:
-        obj = _evaluated(answer_raw, "[", "]", "box")
-        if not isinstance(obj, (list, tuple)):
-            raise MalformedAnswer("answer literal is not a list")
-        if len(obj) > 0 and all(isinstance(x, (list, tuple)) for x in obj):
-            tuples = obj
-        else:
-            tuples = [obj]
-    else:
-        tuples = bodies
+        raise MalformedAnswer("unparseable box literal")
     boxes = []
     normalized = False
-    for t in tuples:
-        if bodies is not None:
-            # `float` of an unsigned `_NUM` run is the value `_number` and
-            # `as_number` give. Four such values, finite and in corner order,
-            # are their own normalization; any other body takes the path below.
-            values = t.split(",")
-            if len(values) == 4 and "-" not in t:
-                x1, y1, x2, y2 = map(float, values)
-                if 0.0 <= x1 <= x2 < math.inf and 0.0 <= y1 <= y2 < math.inf:
-                    boxes.append(Box(x1, y1, x2, y2))
-                    continue
-            t = _numbers(t)
-        if not isinstance(t, (list, tuple)) or len(t) != 4:
-            raise MalformedAnswer(f"box tuple must have 4 numbers, got {t!r}")
-        x1, y1, x2, y2 = (as_number(v) for v in t)
+    for body in bodies:
+        tokens = body.split(",")
+        if not tokens[-1].strip():  # a trailing comma, or an empty list
+            tokens.pop()
+        if len(tokens) != 4:
+            raise MalformedAnswer(f"box tuple must have 4 numbers, got [{body.strip()}]")
+        # `float` of an unsigned token is the value `_floats` gives. Four such
+        # values, finite and in corner order, are their own normalization.
+        if "-" not in body:
+            x1, y1, x2, y2 = map(float, tokens)
+            if 0.0 <= x1 <= x2 < math.inf and 0.0 <= y1 <= y2 < math.inf:
+                boxes.append(Box(x1, y1, x2, y2))
+                continue
+        x1, y1, x2, y2 = _floats(map(str.strip, tokens))
         cx1, cy1 = max(x1, 0.0), max(y1, 0.0)
         cx2, cy2 = max(x2, 0.0), max(y2, 0.0)
         nx1, nx2 = min(cx1, cx2), max(cx1, cx2)
@@ -479,20 +449,18 @@ MIN_NARRATIVE_CHARS = 15
 
 
 def _is_bare_literal(text: str) -> bool:
-    stripped = text.strip()
-    if not stripped or stripped[0] not in "{[(":
-        return False
-    try:
-        _literal_eval(stripped)
-        return True
-    except (ValueError, SyntaxError):
-        return False
+    """Whether all of `text` is one literal of the answer grammar."""
+    return text[:1] in "{[" and any(r.fullmatch(text) for r in (_MAP_RE, _LIST_RE, _NESTED_RE))
 
 
 def validate_f_cot(cot: str, reconstruction: Optional[Annotation]) -> bool:
-    """Closed-loop format gate: descriptive narrative + parsed reconstruction."""
+    """Closed-loop format gate: descriptive narrative + parsed reconstruction.
+    A narrative holding a `<think>`/`<answer>` tag fails: its SFT target would
+    not read back as written."""
     narrative = cot.strip()
     if len(narrative) < MIN_NARRATIVE_CHARS:
+        return False
+    if "<" in narrative and any(r.search(narrative) for pair in _TAG_RES.values() for r in pair):
         return False
     if _is_bare_literal(narrative):
         return False

@@ -382,7 +382,7 @@ BAD_INPUT = {
         t, "classification", [{**NO_ANNOTATION, "probs": {"": 1.0}}], "--categories", ""),
         1, "ingest --task classification: category names must be non-empty"),
     # Names an answer map's key cannot carry: every canonical answer of the task
-    # (and so every SFT target) would fail to parse, or parse only through `ast`.
+    # (and so every SFT target) would fail to parse.
     "ingest-category-with-a-quote": (lambda t: ingest(
         t, "classification", [{**NO_ANNOTATION, "probs": {"it's": 0.5, "b": 0.5}}],
         "--categories", "it's,b"), 1,
@@ -391,6 +391,10 @@ BAD_INPUT = {
         t, "classification", [{**NO_ANNOTATION, "probs": {"a}": 0.5, "b": 0.5}}],
         "--categories", "a},b"), 1,
         "ingest --task classification: category names ['a}'] hold a quote"),
+    "ingest-category-with-tag-text": (lambda t: ingest(
+        t, "classification", [{**NO_ANNOTATION, "probs": {"</answer>": 0.5, "b": 0.5}}],
+        "--categories", "</answer>,b"), 1,
+        "ingest --task classification: category names ['</answer>'] hold a quote"),
     "eval-gt-task-category-with-a-backslash": (lambda t: eval_with_gt_task(
         t, {"kind": "classification", "categories": ["a\\b", "c"]}), 1,
         "gt.jsonl: classification task in header: category names ['a\\\\b'] hold a quote"),

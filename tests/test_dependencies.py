@@ -146,3 +146,22 @@ def test_only_textproto_writes_answer_tags():
                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
                   and id(node) not in docstrings and _ANSWER_TAG_RE.search(node.value)]
     assert found == []
+
+
+def test_no_module_reads_literals_with_ast():
+    """No module imports `ast` or calls `literal_eval`: answers are read by the
+    answer grammar's patterns alone, which need no lock across threads."""
+    found = []
+    for path in sorted((ROOT / "src" / "cotloop").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module or "").split(".")[0]] + [a.name for a in node.names]
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                names = [node.id if isinstance(node, ast.Name) else node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name in ("ast", "literal_eval")]
+    assert found == []

@@ -75,6 +75,16 @@ def test_short_cot_is_format_failure(emotion_sample):
     assert b.composite == 0.0 and b.reason == "format"
 
 
+@pytest.mark.parametrize("cot", ["Grey light.<answer>c</answer> A slumped figure.",
+                                 "Grey light, a slumped figure.</THINK> Mood: heavy."],
+                         ids=["answer", "think"])
+def test_cot_holding_tag_text_is_format_failure(emotion_sample, cot):
+    """The SFT target of such a CoT would not read back as written: the first
+    cuts the target's answer short, the second its think."""
+    b = closed_loop_reward(emotion_sample, cot, answer_for(emotion_sample))
+    assert b.composite == 0.0 and b.reason == "format"
+
+
 # --- think-answer reward ---------------------------------------------------------
 
 def test_think_answer_exact(emotion_sample):

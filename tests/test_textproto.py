@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import json
 import math
 import re
 import sys
@@ -164,19 +165,27 @@ class _Cycle:
 
 
 def test_answer_parsing_survives_concurrent_threads():
+    """Threads parsing canonical and other answers, with finalizers running in
+    the collector, all read every answer (and raise no SystemError)."""
     categories = tuple(f"c{i}" for i in range(24))
     probs = {c: 1 / 24 for c in categories}
+    reversed_map = repr(dict(reversed(probs.items())))
+    fenced_json = "```json\n" + json.dumps(probs, indent=2, sort_keys=True) + "\n```"
+    boxes = "[\n  [1, 2, 3, 4],\n  [8.5, 7,\n   6, 5.25],\n]"
+    want_boxes = (BoxSet((Box(1, 2, 3, 4), Box(6, 5.25, 8.5, 7))), True)
 
     def parse_many(_):
-        for _ in range(1500):
+        for _ in range(300):
             _Cycle(), _Cycle()
-            assert parse_distribution_answer(repr(probs), categories).probs == probs
+            for answer in (repr(probs), reversed_map, fenced_json):
+                assert parse_distribution_answer(answer, categories).probs == probs
+            assert parse_box_answer(boxes) == want_boxes
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with ThreadPoolExecutor(3) as pool:
-            list(pool.map(parse_many, range(3), timeout=120))
+        with ThreadPoolExecutor(8) as pool:
+            assert len(list(pool.map(parse_many, range(8), timeout=120))) == 8
     finally:
         sys.setswitchinterval(switch)
 
@@ -279,6 +288,9 @@ def test_validate_f_cot():
     assert not validate_f_cot(narrative, None)
     assert not validate_f_cot("[0,0,1,1]", BoxSet((Box(0, 0, 1, 1),)))
     assert not validate_f_cot("too short", dist)
+    # A literal of the answer grammar is no narrative, however it is laid out.
+    assert not validate_f_cot(" {\n  'joy': 0.5,\n  'fear': 0.5,\n}\n", dist)
+    assert not validate_f_cot("[[1, 2, 3, 4],\n [5, 6, 7, 8]]", dist)
 
 
 def test_validate_f_r1_classification():
@@ -310,6 +322,9 @@ def test_parsed_output_captures_errors():
     assert out.answer is None and out.error
     out = ParsedOutput.from_text("<answer>{'anger': 1.0}</answer>", CLS)
     assert out.answer is None and "mismatch" in out.error
+    for unhashable_key in ("{{}}", "{[]: 1}"):  # `ast` raised TypeError on these
+        out = ParsedOutput.from_text(f"<answer>{unhashable_key}</answer>", CLS)
+        assert out.answer is None and out.error
     good = "<answer>" + render_annotation(
         Distribution(dict(EXAMPLE_DISTRIBUTION)), CLS) + "</answer>"
     out = ParsedOutput.from_text(good, CLS)
@@ -388,7 +403,8 @@ def test_format_answer_round_trips_through_parsed_output(pair, think):
 
 # --- answer scanner and leak prefilter vs the code they replace -----------------------
 # The parsers and leak gate as they were before the scanner and the prefilter,
-# kept as the oracles of the differential tests below.
+# kept as the oracles of the differential tests below. The answer oracles read
+# with `ast.literal_eval`, which takes more than the answer grammar does.
 
 def _oracle_first_balanced(text, open_ch, close_ch):
     start = text.find(open_ch)
@@ -494,6 +510,17 @@ def _outcome(fn, *args):
     return repr(result)
 
 
+def _assert_agrees(got, want, in_grammar):
+    """A parser's outcome against its `ast` oracle's: a refusal wherever the
+    oracle refuses, never a different value, and the oracle's value (and
+    normalization flag) on every input in the answer grammar."""
+    refused = isinstance(got, tuple) and got[0] == "MalformedAnswer"
+    if isinstance(want, tuple):
+        assert refused, (got, want)
+    elif in_grammar or not refused:
+        assert got == want
+
+
 # Tokens that look like the canonical shapes but that a naive regex reads
 # differently from `ast.literal_eval`.
 _TRAP_NUMBERS = ["01", "00", "007", "0012.5", "012e3", "1_000", "0x1F", "0o7", "1e5",
@@ -511,19 +538,20 @@ _plain_numbers = st.one_of(
 _key_text = st.one_of(st.sampled_from(EMOTION_CATEGORIES), st.text(max_size=6),
                       st.sampled_from(["a{b", "}", "a}b", "[x]", "it's", 'say "hi"']))
 _plain_keys = st.one_of(_key_text.map(lambda k: f"'{k}'"), _key_text.map(lambda k: f'"{k}"'))
-# Half the answers are drawn near the canonical shapes, so both the scanner and
-# the fallback are exercised; the other half mix in every trap above.
+# Half the answers are drawn in the answer grammar, where the parsers must give
+# the oracle's value; the other half mix in every trap above.
 _clean_key_text = st.sampled_from(EMOTION_CATEGORIES) | st.text(
-    st.characters(blacklist_categories=("Cc", "Cs"), blacklist_characters="'\"\\{}"),
+    st.characters(blacklist_categories=("Cc", "Cs"), blacklist_characters="'\"\\{}<>"),
     max_size=6)
-_CLEAN = {"ws": st.sampled_from(["", " ", "\t"]),
+_CLEAN = {"ws": st.sampled_from(["", " ", "\t", "\n", "\r\n  ", " \f"]),
           "num": st.one_of(
+              st.floats(min_value=0, max_value=1).map(repr),
               st.floats(min_value=-1e6, max_value=1e6).map(lambda x: f"{x:.6f}"),
               st.floats(allow_nan=False, allow_infinity=False).map(repr),
               st.integers(min_value=-10**15, max_value=10**15).map(str)),
           "key": _clean_key_text.map(lambda k: f"'{k}'") | _clean_key_text.map(
               lambda k: f'"{k}"'),
-          "tail": st.just("")}
+          "tail": st.sampled_from(["", ","])}
 _TRAPPY = {"ws": st.sampled_from(_WHITESPACE),
            "num": st.one_of(_plain_numbers, st.sampled_from(_TRAP_NUMBERS)),
            "key": st.one_of(_plain_keys, _key_text.map(repr), st.sampled_from(
@@ -534,6 +562,7 @@ _TRAPPY = {"ws": st.sampled_from(_WHITESPACE),
 
 @st.composite
 def _map_answers(draw):
+    """(answer, whether it is drawn in the answer grammar)."""
     mode = draw(st.sampled_from([_CLEAN, _TRAPPY]))
     n = draw(st.integers(0, 5))
     keys = [draw(mode["key"]) for _ in range(n)]
@@ -544,7 +573,8 @@ def _map_answers(draw):
     body = "{" + ws() + "".join((ws() + "," + ws() if i else "") + p
                                 for i, p in enumerate(pairs)) + draw(mode["tail"]) + ws() + "}"
     prefix = draw(st.sampled_from(["", "map: ", "[1] {", "}{"]))
-    return prefix + body + draw(st.sampled_from(["", " done", "}", " {'x': 1}", "\n"]))
+    return (prefix + body + draw(st.sampled_from(["", " done", "}", " {'x': 1}", "\n"])),
+            mode is _CLEAN)
 
 
 def _categories_of(answer):
@@ -554,11 +584,12 @@ def _categories_of(answer):
         return EMOTION_CATEGORIES
 
 
-@given(answer=_map_answers(), own_categories=st.booleans())
-def test_map_scanner_matches_literal_eval(answer, own_categories):
+@given(drawn=_map_answers(), own_categories=st.booleans())
+def test_map_scanner_matches_literal_eval(drawn, own_categories):
+    answer, in_grammar = drawn
     categories = _categories_of(answer) if own_categories else EMOTION_CATEGORIES
-    assert (_outcome(parse_distribution_answer, answer, categories)
-            == _outcome(_oracle_distribution, answer, categories))
+    _assert_agrees(_outcome(parse_distribution_answer, answer, categories),
+                   _outcome(_oracle_distribution, answer, categories), in_grammar)
 
 
 @pytest.mark.parametrize("values", [
@@ -568,12 +599,14 @@ def test_map_scanner_matches_literal_eval(answer, own_categories):
 ])
 def test_task_order_maps_with_edge_values_match_literal_eval(values):
     answer = "{'a': %s, \"b\":%s}" % values
-    assert (_outcome(parse_distribution_answer, answer, ("a", "b"))
-            == _outcome(_oracle_distribution, answer, ("a", "b")))
+    in_grammar = "01" not in values and "0x1" not in values
+    _assert_agrees(_outcome(parse_distribution_answer, answer, ("a", "b")),
+                   _outcome(_oracle_distribution, answer, ("a", "b")), in_grammar)
 
 
 @st.composite
 def _box_answers(draw):
+    """(answer, whether it is drawn in the answer grammar)."""
     mode = draw(st.sampled_from([_CLEAN, _TRAPPY]))
     ws = lambda: draw(mode["ws"])                      # noqa: E731
 
@@ -594,22 +627,37 @@ def _box_answers(draw):
             inner.append(draw(mode["num"]))            # mixed nesting
         body = "[" + ws() + (ws() + "," + ws()).join(inner) + draw(mode["tail"]) + ws() + "]"
     prefix = draw(st.sampled_from(["", "box: ", "]["]))
-    return prefix + body + draw(st.sampled_from(["", " done", "]", " [9]"]))
+    return prefix + body + draw(st.sampled_from(["", " done", "]", " [9]"])), mode is _CLEAN
 
 
-@given(answer=_box_answers())
-def test_box_scanner_matches_literal_eval(answer):
-    assert _outcome(parse_box_answer, answer) == _outcome(_oracle_boxes, answer)
+@given(drawn=_box_answers())
+def test_box_scanner_matches_literal_eval(drawn):
+    answer, in_grammar = drawn
+    _assert_agrees(_outcome(parse_box_answer, answer), _outcome(_oracle_boxes, answer),
+                   in_grammar)
 
 
 WORLD_48 = CueWorld(num_samples=6, cues_per_sample=4, vocab_size=48, seed=0)
 
 
+class _Refuse:
+    """Stands in for a pattern, or a function, that an input must not reach."""
+
+    def __init__(self, what):
+        self.what = what
+
+    def __call__(self, *args):
+        raise AssertionError(f"canonical answer read by {self.what}")
+
+    match = __call__
+
+
 @pytest.mark.parametrize("shape", ["map", "map-48", "box"])
 def test_canonical_answers_take_the_scanner(shape, monkeypatch):
-    def no_ast(_):
-        raise AssertionError("canonical answer read with ast")
-    monkeypatch.setattr(textproto, "_literal_eval", no_ast)
+    """A canonical map takes its task's pattern, not the general map scanner; a
+    canonical box list needs no normalization."""
+    monkeypatch.setattr(textproto, "_MAP_RE", _Refuse("the general map scanner"))
+    monkeypatch.setattr(textproto, "_floats", _Refuse("the box normalization"))
     if shape == "map":
         answer = render_annotation(Distribution(dict(EXAMPLE_DISTRIBUTION)), CLS)
         assert parse_distribution_answer(answer, EMOTION_CATEGORIES).probs == pytest.approx(
@@ -626,24 +674,35 @@ def test_canonical_answers_take_the_scanner(shape, monkeypatch):
             bs.boxes[:1])
 
 
-def test_a_map_out_of_task_order_reads_through_ast_to_the_same_value(monkeypatch):
-    evaluated = []
+class _Recorded:
+    """A pattern that records the text of each of its matches."""
 
-    def counted(text):
-        evaluated.append(text)
-        return ast.literal_eval(text)
-    monkeypatch.setattr(textproto, "_literal_eval", counted)
+    def __init__(self, pattern):
+        self.pattern, self.matched = pattern, []
+
+    def match(self, text, pos=0):
+        m = self.pattern.match(text, pos)
+        self.matched.append(m and m.group(0))
+        return m
+
+
+def test_a_map_out_of_task_order_reads_through_the_scanner_to_the_same_value(monkeypatch):
+    scanner = _Recorded(textproto._MAP_RE)
+    monkeypatch.setattr(textproto, "_MAP_RE", scanner)
     categories = WORLD_48.task.categories
     for sample in WORLD_48.samples:
         probs = sample.annotation.probs
         canonical = render_annotation(sample.annotation, WORLD_48.task)
         reordered = "{" + ", ".join(f'"{c}":\t{probs[c]:.6f}' for c in reversed(categories)) + "}"
-        assert not evaluated
+        fenced = "```json\n" + json.dumps({c: float(f"{probs[c]:.6f}") for c in reversed(
+            categories)}, indent=2) + "\n```"
         want = parse_distribution_answer(canonical, categories)
-        got = parse_distribution_answer(f"map: {reordered} done", categories)
-        assert evaluated == [reordered]
-        assert got.probs == want.probs and list(got.probs) == list(reversed(categories))
-        evaluated.clear()
+        assert not scanner.matched
+        for answer, literal in ((f"map: {reordered} done", reordered), (fenced, fenced[8:-4])):
+            got = parse_distribution_answer(answer, categories)
+            assert scanner.matched == [literal]
+            assert got.probs == want.probs and list(got.probs) == list(reversed(categories))
+            scanner.matched.clear()
     wrong = render_annotation(WORLD_48.samples[0].annotation, WORLD_48.task).replace(
         categories[0], "other")
     with pytest.raises(MalformedAnswer, match="missing=\\['" + categories[0]):
@@ -654,7 +713,7 @@ def test_a_map_out_of_task_order_reads_through_ast_to_the_same_value(monkeypatch
        data=st.data())
 def test_accepted_category_names_round_trip_through_the_task_pattern(names, data):
     """The names `check_answer_keys` accepts are the ones the task pattern takes:
-    their canonical answer parses without `ast`; the others are refused."""
+    their canonical answer matches it; the others are refused."""
     try:
         check_answer_keys(names)
     except ValueError:
@@ -735,9 +794,9 @@ def test_render_distribution_matches_the_f_string(names, data):
 
 
 # --- box render, box parse vs the parent's code ------------------------------------
-# `render_box` and `parse_box_answer` as they were before their fast paths,
-# kept as oracles. The parse oracle reads lists with the same canonical
-# patterns and converts every number with `_number` and `_oracle_as_number`.
+# `render_box` as it was before its fast path, kept as an oracle. The parse
+# is checked against the `ast` oracle above, which the list scanner that came
+# before the answer grammar matched on every list it read.
 
 def _oracle_num(v):
     if float(v).is_integer():
@@ -747,39 +806,6 @@ def _oracle_num(v):
 
 def _oracle_render_box(box):
     return "[" + ", ".join(_oracle_num(v) for v in box.as_tuple()) + "]"
-
-
-def _oracle_scan_list(text):
-    start = text.find("[")
-    if start < 0:
-        return None
-    m = textproto._LIST_RE.match(text, start)
-    if m is not None:
-        return textproto._numbers(m.group(0)[1:-1])
-    m = textproto._NESTED_RE.match(text, start)
-    if m is None:
-        return None
-    return [textproto._numbers(inner) for inner in textproto._INNER_RE.findall(m.group(0), 1)]
-
-
-def _oracle_parse_box_answer(answer_raw):
-    obj = _oracle_scan_list(answer_raw)
-    if obj is None:
-        return _oracle_boxes(answer_raw)
-    tuples = obj if len(obj) > 0 and all(isinstance(x, list) for x in obj) else [obj]
-    boxes, normalized = [], False
-    for t in tuples:
-        if len(t) != 4:
-            raise MalformedAnswer(f"box tuple must have 4 numbers, got {t!r}")
-        x1, y1, x2, y2 = (_oracle_as_number(v) for v in t)
-        cx1, cy1 = max(x1, 0.0), max(y1, 0.0)
-        cx2, cy2 = max(x2, 0.0), max(y2, 0.0)
-        nx1, nx2 = min(cx1, cx2), max(cx1, cx2)
-        ny1, ny2 = min(cy1, cy2), max(cy1, cy2)
-        if (nx1, ny1, nx2, ny2) != (x1, y1, x2, y2):
-            normalized = True
-        boxes.append(Box(nx1, ny1, nx2, ny2))
-    return BoxSet(tuple(boxes)), normalized
 
 
 # Ints (2**53 + 1 is no float; 10**400 is beyond the float range), integral
@@ -802,8 +828,8 @@ def test_render_box_matches_the_parent(values):
     assert _outcome(render_box, box) == _outcome(_oracle_render_box, box)
 
 
-# Number runs the box scanner takes (and some it leaves to `ast`): signed
-# zeros and ints, exponents, bare decimal points, 16- and 17-digit ints.
+# Number tokens of the answer grammar: signed zeros and ints, exponents, bare
+# decimal points, 16- and 17-digit ints, and some beyond the float range.
 _BOX_TOKENS = ["0", "-0", "+0", "-00", "0.0", "-0.0", "+0.0", "-0e5", "1", "+1", "-1", "12",
                "7.25", "-3.5", "1e3", "1E-3", "1e-5", ".5", "-.5", "5.", "1e999", "-1e999",
                "1234567890123456", "9007199254740993", "12345678901234567", "0.1", "999.999"]
@@ -813,7 +839,7 @@ _box_tokens = st.sampled_from(_BOX_TOKENS) | st.floats(0, 2000).map(repr) | st.i
 
 @st.composite
 def _box_parse_answers(draw):
-    sep = lambda: draw(st.sampled_from([",", ", ", " ,", "\t,\t", " , "]))  # noqa: E731
+    sep = lambda: draw(st.sampled_from([",", ", ", " ,", "\t,\t", " , ", ",\n  "]))  # noqa: E731
 
     def flat():
         nums = draw(st.lists(_box_tokens, max_size=5))
@@ -839,7 +865,8 @@ def _box_parse_answers(draw):
 @settings(max_examples=400)
 @given(answer=_box_parse_answers())
 def test_parse_box_answer_matches_the_parent(answer):
-    assert _outcome(parse_box_answer, answer) == _outcome(_oracle_parse_box_answer, answer)
+    _assert_agrees(_outcome(parse_box_answer, answer), _outcome(_oracle_boxes, answer),
+                   in_grammar=True)
 
 
 _LEAK_PIECES = (["joy", "Joy", "JOY", "fear", "sad", "a.b", "c+", "x y", "\u00e9", "\u00df",
