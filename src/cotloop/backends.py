@@ -169,7 +169,7 @@ class RemoteBackend:
         try:
             payload = resp.json()
             content = payload["choices"][0]["message"]["content"]
-        except (ValueError, LookupError, TypeError) as e:
+        except (ValueError, LookupError, TypeError, RecursionError) as e:
             raise BadPayload(f"malformed reply: {type(e).__name__}: {e}") from None
         if not isinstance(content, str):
             raise BadPayload(f"malformed reply: content is {type(content).__name__}")

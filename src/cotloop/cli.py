@@ -22,6 +22,7 @@ import inspect
 import json
 import os
 import sys
+from collections import Counter
 from typing import Iterator, Optional
 
 from . import __version__
@@ -106,7 +107,7 @@ def _load_config(path):
     with _open(path) as f:
         try:
             config = yaml.safe_load(f) or {}
-        except yaml.YAMLError as e:
+        except (yaml.YAMLError, RecursionError) as e:
             raise InvalidSetting(f"{path}: not a YAML file: {' '.join(str(e).split())}") from None
     return _known(_mapping(config, path), CONFIG_KEYS, path)
 
@@ -216,7 +217,7 @@ def _build_backend(config: dict, stage: str, world, default: Optional[dict] = No
         with _open(spec["responses"]) as f:
             try:
                 return cls(json.load(f))
-            except (ValueError, TypeError) as e:
+            except (ValueError, TypeError, RecursionError) as e:
                 raise InvalidSetting(f"{spec['responses']}: not a JSON mapping: {e}") from None
     return cls(**spec)
 
@@ -261,7 +262,8 @@ def _cmd_ingest(args, config, settings):
                     annotation = annotation_from_json(obj)
                 sample = Sample(task=task, annotation=annotation, **sample_text_fields(obj))
                 samples.append(check_sample(sample, seen_ids))
-            except (ValueError, LookupError, TypeError, AttributeError, CotloopError) as e:
+            except (ValueError, LookupError, TypeError, AttributeError, RecursionError,
+                    CotloopError) as e:
                 raise MalformedLine(args.input, n, e) from e
     save_dataset(samples, task, args.output)
     print(f"ingested {len(samples)} samples -> {args.output}")
@@ -351,9 +353,7 @@ def _cmd_report(args, config, settings):
     print(f"{'bin':<14}{'count':>8}{'percent':>9}")
     for (label, _, _), c, p in zip(bins, counts, pcts):
         print(f"{label:<14}{c:>8}{p:>8.1f}%")
-    reasons: dict[str, int] = {}
-    for r in records:
-        reasons[r.breakdown.reason] = reasons.get(r.breakdown.reason, 0) + 1
+    reasons = Counter(r.breakdown.reason for r in records)
     print("reasons: " + ", ".join(f"{k}={v}" for k, v in sorted(reasons.items())))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:
@@ -369,24 +369,30 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="cotloop",
                      description="Closed-loop chain-of-thought curation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    # The flags several subcommands share, each group declared once.
+    config, run, data, world = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    config.add_argument("--config")
+    run.add_argument("--group-size", type=int)
+    run.add_argument("--seed", type=int)
+    data.add_argument("--dataset")
+    data.add_argument("--skip-invalid", action="store_true")
+    world.add_argument("--world-samples", type=int)
+    world.add_argument("--world-cues", type=int)
+    world.add_argument("--world-vocab", type=int)
 
-    p = sub.add_parser("ingest", help="convert raw label files into a dataset file")
+    p = sub.add_parser("ingest", parents=[config],
+                       help="convert raw label files into a dataset file")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--task", choices=["classification", "detection"], required=True)
     p.add_argument("--categories", help="comma-separated category names")
     p.add_argument("--width", type=float, help="image width for detection")
     p.add_argument("--height", type=float, help="image height for detection")
-    p.add_argument("--config")
     p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("gen-cot", help="run the closed-loop generation stage")
-    p.add_argument("--config")
-    p.add_argument("--dataset")
+    p = sub.add_parser("gen-cot", parents=[config, data, run],
+                       help="run the closed-loop generation stage")
     p.add_argument("--records", required=True)
-    p.add_argument("--group-size", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--skip-invalid", action="store_true")
     p.set_defaults(func=_cmd_gen_cot)
 
     p = sub.add_parser("filter", help="threshold filter plus reward histogram")
@@ -394,37 +400,28 @@ def build_parser() -> _Parser:
     p.add_argument("--tau", type=float)
     p.set_defaults(func=_cmd_filter)
 
-    p = sub.add_parser("export-sft", help="export the high-reward SFT corpus")
+    p = sub.add_parser("export-sft", parents=[config],
+                       help="export the high-reward SFT corpus")
     p.add_argument("--records", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--tau", type=float)
     p.add_argument("--skip-invalid", action="store_true")
-    p.add_argument("--config")
     p.set_defaults(func=_cmd_export_sft)
 
-    p = sub.add_parser("rft-eval", help="score think-answer outputs per sample")
-    p.add_argument("--config")
-    p.add_argument("--dataset")
+    p = sub.add_parser("rft-eval", parents=[config, data, run],
+                       help="score think-answer outputs per sample")
     p.add_argument("--output", help="bookkeeping file for an external trainer")
-    p.add_argument("--group-size", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--skip-invalid", action="store_true")
     p.set_defaults(func=_cmd_rft_eval)
 
-    p = sub.add_parser("train-toy", help="train the toy policy; write the reward curve")
+    p = sub.add_parser("train-toy", parents=[config, run, world],
+                       help="train the toy policy; write the reward curve")
     p.add_argument("--steps", type=int, default=300)
-    p.add_argument("--group-size", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--lr", type=float, default=0.5)
     p.add_argument("--minibatch", type=int, default=None,
                    help="samples per step (default: full dataset)")
-    p.add_argument("--world-samples", type=int)
-    p.add_argument("--world-cues", type=int)
-    p.add_argument("--world-vocab", type=int)
     p.add_argument("--world-seed", type=int)
     p.add_argument("--output", required=True)
-    p.add_argument("--config")
     p.set_defaults(func=_cmd_train_toy)
 
     p = sub.add_parser("eval", help="evaluate a predictions file against ground truth")
@@ -434,17 +431,10 @@ def build_parser() -> _Parser:
     p.add_argument("--skip-invalid", action="store_true")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("audit", help="label-noise audit on a synthetic world")
-    p.add_argument("--config")
-    p.add_argument("--dataset")
-    p.add_argument("--skip-invalid", action="store_true")
+    p = sub.add_parser("audit", parents=[config, data, run, world],
+                       help="label-noise audit on a synthetic world")
     p.add_argument("--fraction", type=float, default=0.3)
     p.add_argument("--tau", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--group-size", type=int)
-    p.add_argument("--world-samples", type=int)
-    p.add_argument("--world-cues", type=int)
-    p.add_argument("--world-vocab", type=int)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_audit)
 

@@ -114,12 +114,8 @@ class Distribution:
         return sum(self.probs.values())
 
     def argmax(self, categories: Sequence[str]) -> str:
-        # Ties broken by first category in task order.
-        best = None
-        for c in categories:
-            if best is None or self.probs[c] > self.probs[best]:
-                best = c
-        return best
+        # Ties broken by first category in task order: max keeps the first of equal keys.
+        return max(categories, key=self.probs.__getitem__)
 
     def __hash__(self):
         return hash(tuple(sorted(self.probs.items())))

@@ -42,7 +42,8 @@ from .reward import (DEFAULT_TAU, closed_loop_reward, filter_high_subset,
                      score_reconstruction, think_answer_reward)
 from .similarity import hungarian_match, jsd
 from .textproto import (ParsedOutput, as_number, check_answer_keys, format_answer,
-                        load_template, render_annotation, render_prompt, task_name)
+                        holds_tag_text, load_template, render_annotation, render_prompt,
+                        task_name)
 
 log = logging.getLogger(__name__)
 
@@ -85,7 +86,7 @@ def _append_jsonl(path: str, rows: Iterable[dict]) -> None:
     if unterminated:
         try:
             json.loads(data[end:])
-        except ValueError:
+        except (ValueError, RecursionError):
             os.truncate(path, end)
             unterminated = False
     with open(path, "a", encoding="utf-8") as f:
@@ -117,7 +118,7 @@ def _read_jsonl(path: str, fmt: str, row: Callable[[dict], object],
     if tail:
         try:
             json.loads(tail)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             log.warning("%s: dropped torn line %d (interrupted write)", path, len(lines) + 1)
         else:
             lines.append(tail)
@@ -127,7 +128,7 @@ def _read_jsonl(path: str, fmt: str, row: Callable[[dict], object],
         raise HeaderMismatch(f"{path}: no header line, expected {fmt}")
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise HeaderMismatch(f"{path}: unparseable header: {e}") from None
     found = (header.get("format"), header.get("version")) if isinstance(header, dict) else None
     if found != (fmt, FORMAT_VERSION):
@@ -477,19 +478,30 @@ def run_closed_loop_stage(samples: Sequence[Sample], reason_backend, recon_backe
 
 def export_sft_corpus(records: Sequence[ScoredRecord], samples: Sequence[Sample],
                       tau: float = DEFAULT_TAU, *, path: str) -> int:
-    """Filter at tau and write one think-answer training line per kept record.
+    """Filter at tau and write one think-answer training line per kept record;
+    returns the number of lines written.
 
     The target is `textproto.format_answer` of the sample's ground-truth
     annotation with the record's CoT as its think: the CoT in <think> tags,
-    then the annotation, canonically rendered, in <answer> tags. Records
-    of sample ids missing from `samples` raise DomainError, and no file is
-    written.
+    then the annotation, canonically rendered, in <answer> tags. A kept record
+    whose CoT holds `<think>`/`<answer>` tag text is skipped with one logged
+    warning, since its target would not read back: the format gate fails such
+    a CoT, but tau 0 keeps reward-0 records. Records of sample ids missing
+    from `samples` raise DomainError, and no file is written.
     """
     by_id = {s.id: s for s in samples}
     unknown = sorted({r.sample_id for r in records} - set(by_id))
     if unknown:
         raise DomainError(f"records for unknown sample ids: {unknown[:5]}")
-    kept = [(r, by_id[r.sample_id]) for r in filter_high_subset(records, tau)[0]]
+    kept, tagged = [], []
+    for r in filter_high_subset(records, tau)[0]:
+        if holds_tag_text(r.cot):
+            tagged.append(r.sample_id)
+        else:
+            kept.append((r, by_id[r.sample_id]))
+    if tagged:
+        log.warning("%s: skipped %d record(s) whose CoT holds answer-tag text, "
+                    "first %s", path, len(tagged), ", ".join(tagged[:5]))
     _write_jsonl(path, SFT, (
         {"image_ref": sample.image_ref, "prompt": r1_prompt(sample),
          "target": format_answer(sample.annotation, sample.task, r.cot)}
@@ -598,15 +610,18 @@ def evaluate_predictions(predictions: dict[str, str], samples: Sequence[Sample],
 
     Classification: JSD against ground truth (prediction renormalized
     first) and argmax accuracy; win-rate is the fraction of samples
-    where the reference beats this run (strictly lower JSD).
+    where the reference beats this run (strictly lower JSD); a reference
+    given for samples that are not all classification raises DomainError.
     Detection: fraction of ground-truth boxes matched at IoU >= 0.5.
     """
     by_id = {s.id: s for s in samples}
     unknown = sorted(set(predictions) - set(by_id))
     if unknown:
         raise DomainError(f"predictions for unknown sample ids: {unknown[:5]}")
-    report = EvalReport()
     classification = all(isinstance(s.task, Classification) for s in samples)
+    if reference is not None and not classification:
+        raise DomainError("a reference run is compared on classification samples only")
+    report = EvalReport()
 
     jsd_values, hits, correct = [], [], 0
     wins = 0

@@ -6,6 +6,7 @@ The closed-loop reward gates annotation similarity on "no leak" and
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Optional, Sequence
 
 from .domain import (Classification, RewardBreakdown, Sample, ScoredRecord,
@@ -66,16 +67,11 @@ def reward_histogram(rewards: Sequence[float]) -> tuple[list[int], list[float]]:
     Only the top bin is right-inclusive, so reward 1.0 and the tau=0.75
     cutoff land together. Returns (counts, percentages).
     """
-    edges = HISTOGRAM_EDGES
-    counts = [0] * (len(edges) - 1)
+    counts = [0] * (len(HISTOGRAM_EDGES) - 1)
     for r in rewards:
         if not 0.0 <= r <= 1.0:
             raise DomainError(f"reward out of range: {r}")
-        for i in range(len(counts)):
-            last = i == len(counts) - 1
-            if edges[i] <= r < edges[i + 1] or (last and r == edges[-1]):
-                counts[i] += 1
-                break
+        counts[min(bisect_right(HISTOGRAM_EDGES, r), len(counts)) - 1] += 1
     total = len(rewards)
     pcts = [100.0 * c / total if total else 0.0 for c in counts]
     return counts, pcts

@@ -11,6 +11,15 @@ fixed-point values, written with one `%` format per category tuple (built on
 first use and cached; a `%` in a name is escaped); detection is a bracketed
 integer-or-decimal 4-tuple, or a list of them for multiple boxes.
 
+Everything the loop writes reads back as written. Take any task that `ingest`
+or a dataset load accepts, any annotation that `validate_annotation` accepts,
+and any CoT that the closed-loop gates pass: `ParsedOutput.from_text(
+format_answer(a, task, cot), task)` gives back `think == cot` and the answer
+`parse_answer_for_task(render_annotation(a, task), task)`, and `validate_f_r1`
+holds on the result. Each input is held to it where it enters: category names
+by `check_answer_keys`, a CoT by `validate_f_cot`, and `format_answer` refuses
+a think holding tag text.
+
 Everything here is pure string work. The answer parsers own the contract
 of a model answer: a distribution covers exactly the task's categories with
 finite probabilities in [0, 1] (it need not sum to 1), and a box answer is
@@ -170,9 +179,14 @@ def render_annotation(a: Annotation, task: TaskKind) -> str:
 
 def format_answer(annotation: Annotation, task: TaskKind, think: Optional[str] = None) -> str:
     """`annotation`, canonically rendered, in `<answer>` tags, after `think` in
-    `<think>` tags when it is given."""
+    `<think>` tags when it is given. ValueError when `think` holds tag text,
+    which would not read back as written."""
     answer = f"<answer>{render_annotation(annotation, task)}</answer>"
-    return answer if think is None else f"<think>{think}</think>{answer}"
+    if think is None:
+        return answer
+    if holds_tag_text(think):
+        raise ValueError("a think holding <think>/<answer> tag text does not read back")
+    return f"<think>{think}</think>{answer}"
 
 
 # --- think/answer extraction -------------------------------------------------
@@ -182,6 +196,11 @@ def format_answer(annotation: Annotation, task: TaskKind, think: Optional[str] =
 # `<tag>(.*?)</tag>` finds, in one scan instead of one trial per character.
 _TAG_RES = {tag: (re.compile(f"<{tag}>", re.IGNORECASE), re.compile(f"</{tag}>", re.IGNORECASE))
             for tag in ("think", "answer")}
+
+
+def holds_tag_text(text: str) -> bool:
+    """Whether `text` holds an opening or closing `<think>`/`<answer>` tag."""
+    return "<" in text and any(r.search(text) for pair in _TAG_RES.values() for r in pair)
 
 
 def _find_tag(text: str, tag: str) -> Optional[tuple[int, str]]:
@@ -391,6 +410,7 @@ def parse_answer_for_task(answer_raw: str, task: TaskKind) -> Annotation:
 
 # Every pattern below but `_DIRECTIONAL_RE`, the enumerator included, needs a
 # match of this (Unicode) `\d`: text without one skips them all.
+# No leak pattern has a capture group, so `findall` lists whole matches.
 _DIGIT_RE = re.compile(r"\d")
 _ENUMERATOR_RE = re.compile(r"(?m)^\s*\d+[.)]\s*")
 _DECIMAL_01_RE = re.compile(r"(?<![\d.])(?:0?\.\d+|1\.0+)(?!\d)")
@@ -425,21 +445,21 @@ def detect_leak(cot: str, task: TaskKind) -> tuple[bool, list[str]]:
     if not _DIGIT_RE.search(cot):
         if isinstance(task, Classification):
             return False, []
-        evidence = [m.group(0) for m in _DIRECTIONAL_RE.finditer(cot)]
+        evidence = _DIRECTIONAL_RE.findall(cot)
         return bool(evidence), evidence
     text = _ENUMERATOR_RE.sub("", cot)
     evidence: list[str] = []
     if isinstance(task, Classification):
-        evidence += [m.group(0) for m in _DECIMAL_01_RE.finditer(text)]
-        evidence += [m.group(0) for m in _PERCENT_RE.finditer(text)]
+        evidence += _DECIMAL_01_RE.findall(text)
+        evidence += _PERCENT_RE.findall(text)
         if _PAIR_VALUE_RE.search(text):
             for pair_re in _category_pair_res(task.categories):
-                evidence += [m.group(0) for m in pair_re.finditer(text)]
+                evidence += pair_re.findall(text)
     else:
-        evidence += [m.group(0) for m in _BRACKET_TUPLE_RE.finditer(text)]
-        evidence += [m.group(0) for m in _COORD_RUN_RE.finditer(text)]
-        evidence += [m.group(0) for m in _XY_TOKEN_RE.finditer(text)]
-        evidence += [m.group(0) for m in _DIRECTIONAL_RE.finditer(text)]
+        evidence += _BRACKET_TUPLE_RE.findall(text)
+        evidence += _COORD_RUN_RE.findall(text)
+        evidence += _XY_TOKEN_RE.findall(text)
+        evidence += _DIRECTIONAL_RE.findall(text)
     return bool(evidence), evidence
 
 
@@ -460,7 +480,7 @@ def validate_f_cot(cot: str, reconstruction: Optional[Annotation]) -> bool:
     narrative = cot.strip()
     if len(narrative) < MIN_NARRATIVE_CHARS:
         return False
-    if "<" in narrative and any(r.search(narrative) for pair in _TAG_RES.values() for r in pair):
+    if holds_tag_text(narrative):
         return False
     if _is_bare_literal(narrative):
         return False

@@ -59,7 +59,8 @@ class FakeResponse:
 
 class PayloadResponse:
     """A 200 reply whose body decodes to `payload`, or raises it if it is an
-    exception (a body that is not JSON)."""
+    exception (a body that is not JSON); a string is the body itself, decoded
+    as `requests` decodes it."""
 
     status_code = 200
 
@@ -69,6 +70,8 @@ class PayloadResponse:
     def json(self):
         if isinstance(self._payload, Exception):
             raise self._payload
+        if isinstance(self._payload, str):
+            return json.loads(self._payload)
         return self._payload
 
 
@@ -128,8 +131,9 @@ def test_remote_retries_with_backoff(monkeypatch):
     {"choices": [{"message": {"content": None}}]},
     {"choices": [{"message": {"content": ["a", "list"]}}]},
     ["not", "an", "object"],
+    "[" * 100_000 + "]" * 100_000,
 ], ids=["not-json", "no-choices", "empty-choices", "null-choices", "no-message",
-        "null-content", "list-content", "not-an-object"])
+        "null-content", "list-content", "not-an-object", "nested-too-deep"])
 def test_remote_bad_payload_is_retried_then_raised(monkeypatch, payload):
     monkeypatch.setenv("COTLOOP_API_KEY", "k")
     sleeps = []

@@ -1,5 +1,6 @@
 """CLI: exit codes, fixture outputs, manifests, and idempotence."""
 
+import argparse
 import functools
 import hashlib
 import json
@@ -44,6 +45,51 @@ def write_world_config(path, **world):
 def test_unknown_subcommand_is_usage_error(capsys):
     assert cli_dispatch(["frobnicate"]) == 64
     assert cli_dispatch(["filter"]) == 64  # missing required flag
+
+
+# Each subcommand's options: option strings -> (type, default, required, action).
+_HELP = (None, argparse.SUPPRESS, False, "_HelpAction")
+_STR = (None, None, False, "_StoreAction")
+_REQUIRED = (None, None, True, "_StoreAction")
+_INT = (int, None, False, "_StoreAction")
+_FLOAT = (float, None, False, "_StoreAction")
+_FLAG = (None, False, False, "_StoreTrueAction")
+SUBCOMMAND_OPTIONS = {
+    "ingest": {"-h --help": _HELP, "--input": _REQUIRED, "--output": _REQUIRED,
+               "--task": _REQUIRED, "--categories": _STR, "--width": _FLOAT,
+               "--height": _FLOAT, "--config": _STR},
+    "gen-cot": {"-h --help": _HELP, "--config": _STR, "--dataset": _STR,
+                "--records": _REQUIRED, "--group-size": _INT, "--seed": _INT,
+                "--skip-invalid": _FLAG},
+    "filter": {"-h --help": _HELP, "--records": _REQUIRED, "--tau": _FLOAT},
+    "export-sft": {"-h --help": _HELP, "--records": _REQUIRED, "--dataset": _REQUIRED,
+                   "--output": _REQUIRED, "--tau": _FLOAT, "--skip-invalid": _FLAG,
+                   "--config": _STR},
+    "rft-eval": {"-h --help": _HELP, "--config": _STR, "--dataset": _STR, "--output": _STR,
+                 "--group-size": _INT, "--seed": _INT, "--skip-invalid": _FLAG},
+    "train-toy": {"-h --help": _HELP, "--steps": (int, 300, False, "_StoreAction"),
+                  "--group-size": _INT, "--seed": _INT,
+                  "--lr": (float, 0.5, False, "_StoreAction"), "--minibatch": _INT,
+                  "--world-samples": _INT, "--world-cues": _INT, "--world-vocab": _INT,
+                  "--world-seed": _INT, "--output": _REQUIRED, "--config": _STR},
+    "eval": {"-h --help": _HELP, "--pred": _REQUIRED, "--gt": _REQUIRED, "--reference": _STR,
+             "--skip-invalid": _FLAG},
+    "audit": {"-h --help": _HELP, "--config": _STR, "--dataset": _STR, "--skip-invalid": _FLAG,
+              "--fraction": (float, 0.3, False, "_StoreAction"), "--tau": _FLOAT,
+              "--seed": _INT, "--group-size": _INT, "--world-samples": _INT,
+              "--world-cues": _INT, "--world-vocab": _INT, "--output": _STR},
+    "report": {"-h --help": _HELP, "--records": _REQUIRED, "--output": _STR},
+}
+
+
+def test_each_subcommand_takes_exactly_its_options():
+    subcommands = next(a for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted(subcommands) == sorted(SUBCOMMAND_OPTIONS)
+    for name, parser in subcommands.items():
+        options = {" ".join(a.option_strings): (a.type, a.default, a.required,
+                                                type(a).__name__) for a in parser._actions}
+        assert options == SUBCOMMAND_OPTIONS[name], name
 
 
 def test_validation_error_exits_one(tmp_path, capsys):
@@ -258,7 +304,16 @@ def a_directory(tmp):
     return str(tmp / "a-directory")
 
 
+def deep_header_records(tmp):
+    """Path of a records file whose header line nests too deep to decode."""
+    (tmp / "deep.jsonl").write_text(DEEP_JSON + "\n")
+    return str(tmp / "deep.jsonl")
+
+
 NO_ANNOTATION = {"id": "b", "image_ref": "img://b"}
+# Documents nested deeper than the decoders recurse.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+DEEP_YAML = "[" * 5_000 + "]" * 5_000
 
 # case -> (argv for a tmp dir, exit code, text of the last stderr line)
 BAD_INPUT = {
@@ -515,6 +570,19 @@ BAD_INPUT = {
     "export-sft-output-is-its-dataset": (lambda t: export_sft(
         t, str(t / "." / "world.jsonl")), 1,
         "world.jsonl is both the output and the --dataset input"),
+    "ingest-line-nested-too-deep": (lambda t: ingest(
+        t, "classification", [DEEP_JSON.encode()], "--categories", "a,b"), 1,
+        "raw.jsonl: line 1: maximum recursion depth exceeded"),
+    "filter-header-nested-too-deep": (lambda t: ["filter", "--records", deep_header_records(t)],
+                                      1, "deep.jsonl: unparseable header"),
+    "config-nested-too-deep": (lambda t: gen_cot(t, *config_text(t, DEEP_YAML)), 1,
+                               "not a YAML file"),
+    "mock-responses-nested-too-deep": (lambda t: gen_cot(t, *edited_config(
+        t, lambda cfg: cfg.update(backends={"reason": mock_spec(t, DEEP_JSON)}))), 1,
+        "not a JSON mapping"),
+    "eval-reference-on-detection": (lambda t: eval_with_lines(t, "detection", ref=[]), 1,
+                                    "a reference run is compared on classification samples "
+                                    "only"),
     "ingest-without-categories": (lambda t: ingest(t, "classification", []), 64,
                                   "--categories"),
     "ingest-without-height": (lambda t: ingest(t, "detection", [], "--width", "3"), 64,
@@ -702,6 +770,22 @@ def test_commands_read_a_torn_records_file(torn_run, capsys, command, expected):
     args = [a.format(dataset=dataset) for a in command]
     assert cli_dispatch(args + ["--records", str(records)]) == 0
     assert expected in capsys.readouterr().out
+
+
+def test_a_torn_tail_nested_too_deep_is_dropped_and_cut_on_resume(tmp_path, capsys):
+    """A final line cut off inside 100,000 open brackets is a torn line: report
+    reads the file without it, and a resume cuts it off and then writes the
+    bytes of an uninterrupted run."""
+    config = write_world_config(tmp_path / "config.yaml")
+    full, records = tmp_path / "full.jsonl", tmp_path / "records.jsonl"
+    assert cli_dispatch(["gen-cot", "--config", config, "--records", str(full)]) == 0
+    lines = full.read_text().splitlines(keepends=True)
+    records.write_text("".join(lines[:-1]) + "[" * 100_000)
+    capsys.readouterr()
+    assert cli_dispatch(["report", "--records", str(records)]) == 0
+    assert "[0.75-1.00]          7   100.0%" in capsys.readouterr().out
+    assert cli_dispatch(["gen-cot", "--config", config, "--records", str(records)]) == 0
+    assert records.read_bytes() == full.read_bytes()
 
 
 def test_gen_cot_refuses_a_foreign_records_file(torn_run, capsys):

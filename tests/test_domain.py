@@ -167,6 +167,11 @@ def test_distribution_argmax_tie_break():
     d = Distribution({"a": 0.5, "b": 0.5})
     assert d.argmax(("a", "b")) == "a"
     assert d.argmax(("b", "a")) == "b"
+    # Nothing compares greater than a NaN or a NaN greater than anything: the
+    # first category stands.
+    d = Distribution({"a": 0.5, "b": math.nan, "c": 0.25})
+    assert d.argmax(("a", "b", "c")) == "a"
+    assert d.argmax(("b", "a", "c")) == "b"
 
 
 def test_distribution_total():

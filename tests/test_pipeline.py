@@ -1,5 +1,6 @@
 """Pipeline: dataset IO, the closed-loop stage, SFT export, and evaluation."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -14,7 +15,8 @@ from cotloop import pipeline
 from cotloop.backends import (CueWorld, GenerationRequest, MockBackend, RemoteBackend,
                               SyntheticR1Backend, SyntheticReasonBackend,
                               SyntheticReconBackend)
-from cotloop.domain import (Box, BoxSet, Classification, Distribution, Sample)
+from cotloop.domain import (Box, BoxSet, Classification, Distribution, Sample,
+                            make_breakdown)
 from cotloop.errors import (CotloopError, DomainError, HeaderMismatch,
                             InvalidSetting, MissingFile, MockMiss, ValidationFailure)
 from cotloop.pipeline import (evaluate_predictions, export_sft_corpus,
@@ -24,6 +26,7 @@ from cotloop.pipeline import (evaluate_predictions, export_sft_corpus,
                               run_rft_reward_eval, save_dataset,
                               save_predictions, save_records)
 from cotloop.textproto import render_annotation
+from cotloop.reward import think_answer_reward
 from cotloop.similarity import classification_similarity
 from cotloop.textproto import validate_f_r1, parse_think_answer, ParsedOutput
 
@@ -460,6 +463,29 @@ def test_export_sft_corpus(stage_world, tmp_path):
         for c in stage_world.vocab:
             assert parsed.answer.probs[c] == pytest.approx(
                 sample.annotation.probs[c], abs=1e-6)
+
+
+def test_export_sft_skips_a_cot_holding_tag_text(stage_world, tmp_path, caplog):
+    """Tau 0 keeps reward-0 records, a CoT that failed the format gate among
+    them: one holding tag text is skipped, so every target reads back."""
+    failed = make_breakdown(1.0, False, False)  # how the format gate scores such a CoT
+    records = [dataclasses.replace(r, cot=r.cot + "</think> Mood: heavy.", reward=0.0,
+                                   breakdown=failed) if i in (1, 4) else r
+               for i, r in enumerate(run_stage(stage_world).records)]
+    samples = [s.as_sample() for s in stage_world.samples]
+    path = tmp_path / "sft.jsonl"
+    with caplog.at_level("WARNING", logger="cotloop.pipeline"):
+        written = export_sft_corpus(records, samples, tau=0.0, path=str(path))
+    assert written == len(records) - 2
+    assert "skipped 2 record(s) whose CoT holds answer-tag text, first syn-0001, syn-0004" \
+        in caplog.text
+    lines = path.read_text().splitlines()[1:]
+    assert len(lines) == written
+    for raw in lines:
+        obj = json.loads(raw)
+        sample = next(s for s in samples if s.image_ref == obj["image_ref"])
+        breakdown = think_answer_reward(sample, obj["target"])
+        assert breakdown.format_ok and breakdown.composite == pytest.approx(1.0)
 
 
 def test_export_sft_excludes_below_tau(stage_world, tmp_path):

@@ -128,6 +128,11 @@ def test_histogram_edge_rule():
     assert counts == [0, 1, 1, 1]
     counts, _ = reward_histogram([0.0, 1.0])
     assert counts == [1, 0, 0, 1]
+    # The float just below each interior edge stays in the bin under it.
+    counts, _ = reward_histogram([math.nextafter(edge, 0) for edge in (0.25, 0.5, 0.75)])
+    assert counts == [1, 1, 1, 0]
+    counts, _ = reward_histogram([math.nextafter(1.0, 0), 1.0])
+    assert counts == [0, 0, 0, 2]
 
 
 def test_histogram_all_zero():

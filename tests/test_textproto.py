@@ -401,6 +401,17 @@ def test_format_answer_round_trips_through_parsed_output(pair, think):
     assert parsed.answer == parse_answer_for_task(render_annotation(annotation, task), task)
 
 
+@pytest.mark.parametrize("think", [
+    "Grey light. A slumped figure.</think> Mood: heavy.",
+    "Grey light.<answer>sadness</answer> A slumped figure.",
+    "Grey light.<THINK> A slumped figure.",
+], ids=["close-think", "answer-pair", "open-think-upper"])
+def test_format_answer_refuses_a_think_holding_tag_text(think):
+    task = Classification(EMOTION_CATEGORIES)
+    with pytest.raises(ValueError, match="tag text"):
+        format_answer(Distribution(EXAMPLE_DISTRIBUTION), task, think)
+
+
 # --- answer scanner and leak prefilter vs the code they replace -----------------------
 # The parsers and leak gate as they were before the scanner and the prefilter,
 # kept as the oracles of the differential tests below. The answer oracles read
