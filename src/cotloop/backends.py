@@ -64,24 +64,45 @@ def require(name: str, value, ok: bool, want: str) -> None:
         raise InvalidSetting(f"{name} must be {want}, got {value!r}")
 
 
+def _retry_after_s(value: str) -> Optional[float]:
+    """The seconds a `Retry-After` header value asks for (RFC 9110 §10.2.3):
+    delta-seconds, or an HTTP-date, which reads 0 once it has passed. None
+    when the value is neither."""
+    value = value.strip()
+    if re.fullmatch(r"[0-9]+", value):
+        return float(value)
+    import email.utils  # loaded only for a reply that names a date
+    from datetime import datetime, timezone
+    try:
+        when = email.utils.parsedate_to_datetime(value)
+    except ValueError:
+        return None
+    if when.tzinfo is None:  # an HTTP-date is in GMT
+        when = when.replace(tzinfo=timezone.utc)
+    return max(0.0, (when - datetime.now(timezone.utc)).total_seconds())
+
+
 class RemoteBackend:
     """Chat-completion client with bounded concurrency and retry/backoff.
 
     `max_in_flight` (default 4) caps how many posts this backend has open
-    at once; a request waiting out its backoff holds no slot. The stages run
-    as many GRPO groups at once as the caps of their backends add up to (see
-    `pipeline._run_groups`). A session built here pools up to
-    `max_in_flight` connections per host; one passed in is used as given.
-    `requests` is imported here, on the constructing thread, so that a run
-    without a remote backend never loads it. A `max_in_flight` or
+    at once; a request waiting out its backoff holds no slot. The stages
+    hand GRPO group members, not whole groups, to as many threads as the
+    caps of their backends add up to (see `pipeline._run_groups`), so a
+    member in backoff leaves its slot to another. A session built here pools
+    up to `max_in_flight` connections per host; one passed in is used as
+    given. `requests` is imported here, on the constructing thread, so that
+    a run without a remote backend never loads it. A `max_in_flight` or
     `max_attempts` that is not an integer >= 1, a `timeout` <= 0 or a
     negative `backoff_base` raises InvalidSetting.
 
     Timeouts, connection errors, replies without a usable text and every
     status >= 400 but those below are retried with exponential backoff.
-    401 and 403 raise AuthFailure and the statuses in `REJECTED` raise
-    RequestRejected, both on the first post: sending the same request
-    again cannot succeed.
+    After a 429 or 503 whose `Retry-After` gives delta-seconds or an
+    HTTP-date, the wait is that many seconds instead, at most the longest
+    backoff `max_attempts` allows. 401 and 403 raise AuthFailure and the
+    statuses in `REJECTED` raise RequestRejected, both on the first post:
+    sending the same request again cannot succeed.
 
     The credential is read from the environment variable named at
     construction, never from config files. Every answered request is
@@ -192,6 +213,10 @@ class RemoteBackend:
             raise AuthFailure(f"endpoint rejected credential: {resp.status_code}")
         if resp.status_code in self.REJECTED:
             raise RequestRejected(f"HTTP {resp.status_code}")
+        if resp.status_code in (429, 503):
+            headers = getattr(resp, "headers", None) or {}
+            raise RemoteUnavailable(f"HTTP {resp.status_code}",
+                                    _retry_after_s(headers.get("Retry-After", "")))
         if resp.status_code >= 400:
             raise RemoteUnavailable(f"HTTP {resp.status_code}")
         payload, content = self._reply(resp)
@@ -204,7 +229,10 @@ class RemoteBackend:
         last_error: Exception = RemoteUnavailable("no attempt made")
         for attempt in range(self.max_attempts):
             if attempt:
-                self._sleep(self.backoff_base * 2 ** (attempt - 1))
+                # The server's Retry-After, capped at the longest backoff.
+                asked = getattr(last_error, "retry_after", None)
+                self._sleep(self.backoff_base * 2 ** (attempt - 1) if asked is None
+                            else min(asked, self.backoff_base * 2 ** (self.max_attempts - 2)))
             try:
                 return self._post(request, body, headers)
             except (Timeout, RemoteUnavailable, BadPayload) as e:

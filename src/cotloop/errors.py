@@ -42,7 +42,12 @@ class BackendError(CotloopError):
 
 
 class RemoteUnavailable(BackendError):
-    """Remote endpoint unreachable after all retries."""
+    """Remote endpoint unreachable after all retries. `retry_after` holds the
+    seconds a 429 or 503 reply asked the client to wait, or None."""
+
+    def __init__(self, message: str, retry_after: float | None = None):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class AuthFailure(BackendError):

@@ -20,14 +20,16 @@ All on-disk artifacts follow one file rule:
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import itertools
 import json
 import logging
 import os
+import queue
+import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -346,60 +348,113 @@ def _derive_seed(seed: int, sample_id: str, g: int) -> int:
     return int(h[:12], 16)
 
 
-def _ordered_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
-    """`map(fn, items)` on `workers` threads, yielding results in item order.
+def _ordered_map(groups: Iterable[list[Callable]], workers: int) -> Iterator[list]:
+    """The results of each group of zero-argument calls, `[call() for call in
+    group]`, with the calls run on `workers` threads; yielded in group order.
 
-    At most `workers` calls are submitted ahead of the oldest unyielded one.
-    An exception reaches the caller at its item's turn; then, or when the
-    caller stops early, queued calls are cancelled and running ones finish
-    before this returns.
+    A group's calls are queued together, at most `workers` groups ahead of
+    the oldest unyielded one, and the group is yielded once all of them are
+    done. An exception reaches the caller at its group's turn, the first in
+    call order; then, or when the caller stops early, queued calls are
+    dropped and running ones finish before this returns. One queue and one
+    event per group cost a fraction of an executor's future per call.
     """
-    pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="cotloop-group")
+    jobs: queue.SimpleQueue = queue.SimpleQueue()
+    stopping = False
+
+    def work() -> None:
+        while (job := jobs.get()) is not None:
+            outcomes, done, i, call = job
+            if stopping:
+                continue
+            try:
+                outcomes[i] = (True, call())
+            except BaseException as e:  # raised again on the calling thread
+                outcomes[i] = (False, e)
+            if None not in outcomes:  # this was the group's last call to finish
+                done.set()
+
+    def results(outcomes: list, done: threading.Event) -> list:
+        done.wait()
+        for ok, value in outcomes:
+            if not ok:
+                raise value
+        return [value for _, value in outcomes]
+
+    threads = [threading.Thread(target=work, name=f"cotloop-group_{n}", daemon=True)
+               for n in range(workers)]
+    for thread in threads:
+        thread.start()
     try:
         pending = deque()
-        for item in items:
-            pending.append(pool.submit(fn, item))
+        for group in groups:
+            outcomes, done = [None] * len(group), threading.Event()
+            for i, call in enumerate(group):
+                jobs.put((outcomes, done, i, call))
+            pending.append((outcomes, done))
             if len(pending) > workers:
-                yield pending.popleft().result()
+                yield results(*pending.popleft())
         while pending:
-            yield pending.popleft().result()
+            yield results(*pending.popleft())
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        stopping = True
+        for thread in threads:
+            jobs.put(None)
+        for thread in threads:
+            thread.join()
 
 
 def _run_groups(samples: Sequence[Sample], group_size: int, seed: int,
                 member_for: Callable[[Sample], Callable[[int], object]],
                 failures: list[dict], backends: Sequence,
                 done: frozenset[str] = frozenset()) -> Iterator[tuple[Sample, list]]:
-    """Yield (sample, members) for each sample whose id is not in `done`.
+    """Yield (sample, members) for each sample whose id is not in `done`,
+    the members in g order.
 
-    `member_for(sample)` returns the function that makes one group member
-    from its derived seed; it runs for g = 0..G-1 in order. A BackendError
-    anywhere in a group sends the whole sample to `failures`.
+    `member_for(sample)`, called on the calling thread, returns the function
+    that makes one member's backend calls from its derived seed; the caller
+    scores what the members return. A BackendError in any member fails the
+    whole sample with the error of the lowest failing g, the one a
+    sequential run meets first, and no member above a failed one starts.
 
-    Whole groups run concurrently on as many threads as the `max_in_flight`
-    caps of the distinct `backends` add up to. In-process backends have no
-    cap and count 0; with no cap at all, groups run one after another on
-    the calling thread. Either way groups and failures come out in sample
-    order, so output files are the same bytes as a sequential run. Only the
-    order of backend calls, and so a remote ledger's line order, varies.
+    Members, not whole groups, are the unit of work. They run on as many
+    threads as the `max_in_flight` caps of the distinct `backends` add up
+    to, at most that many groups ahead of the one being yielded. In-process
+    backends have no cap and count 0; with no cap at all, members run one
+    after another on the calling thread. Either way groups and failures come
+    out in sample order, so output files are the same bytes as a sequential
+    run. Only the order of backend calls, and so a remote ledger's line
+    order, varies.
     """
     todo = [sample for sample in samples if sample.id not in done]
+    failed: dict[str, int] = {}  # sample id -> g of a member that failed
 
-    def run(sample: Sample):
+    # No lock: a member that starts just before a lower one fails only makes
+    # posts a sequential run would not, and its result is never used.
+    def run(sample: Sample, member: Callable[[int], object], g: int):
+        if failed.get(sample.id, g) < g:
+            return None  # a lower member failed: a sequential run stops there
         try:
-            member = member_for(sample)
-            return [member(_derive_seed(seed, sample.id, g)) for g in range(group_size)]
+            return member(_derive_seed(seed, sample.id, g))
         except BackendError as e:
+            failed.setdefault(sample.id, g)
             return e
+
+    def calls(sample: Sample) -> list[Callable]:
+        member = member_for(sample)
+        return [functools.partial(run, sample, member, g) for g in range(group_size)]
 
     caps = {id(b): getattr(b, "max_in_flight", 0) for b in backends}
     workers = max(1, sum(caps.values()))
-    results = map(run, todo) if workers == 1 else _ordered_map(run, todo, workers)
+    groups = map(calls, todo)
+    results = (([call() for call in group] for group in groups) if workers == 1
+               else _ordered_map(groups, workers))
     for sample, members in zip(todo, results):
-        if isinstance(members, BackendError):
-            failures.append({"sample_id": sample.id, "error": str(members),
-                             "kind": type(members).__name__})
+        failed.pop(sample.id, None)
+        error = next((m for m in members if isinstance(m, BackendError)), None)
+        if error is not None:
+            failures.append({"sample_id": sample.id, "error": str(error),
+                             "kind": type(error).__name__})
             continue
         yield sample, members
 
@@ -435,42 +490,47 @@ def run_closed_loop_stage(samples: Sequence[Sample], reason_backend, recon_backe
 
     def member_for(sample: Sample):
         prompt = reasoning_prompt(sample)
-        # Reconstruction text -> score_reconstruction(sample, text), for this
-        # group only: similarity depends on the sample. A group's members run
-        # in order on one thread (`_run_groups`), so the dict needs no lock.
-        scores: dict[str, tuple[ParsedOutput, float]] = {}
 
-        def member(member_seed: int) -> ScoredRecord:
+        def member(member_seed: int) -> tuple[str, str]:
             cot = reason_backend.generate(GenerationRequest(
                 sample_id=sample.id, image_ref=sample.image_ref,
                 prompt=prompt, seed=member_seed))
-            recon_text = recon_backend.generate(GenerationRequest(
+            return cot, recon_backend.generate(GenerationRequest(
                 sample_id=sample.id, image_ref=sample.image_ref,
                 prompt=reconstruction_prompt(sample, cot), temperature=0.0,
                 seed=member_seed))
-            scored = scores.get(recon_text)
-            if scored is None:
-                scored = scores[recon_text] = score_reconstruction(sample, recon_text)
-            breakdown = closed_loop_reward(sample, cot, recon_text, scored=scored)
-            return ScoredRecord(sample.id, cot, scored[0].answer, breakdown.composite,
-                                breakdown)
         return member
 
     def scored() -> Iterator[ScoredRecord]:
         for sample, members in _run_groups(samples, group_size, seed, member_for,
                                            result.failures,
                                            (reason_backend, recon_backend), done):
-            _, record = select_best_of_group(members)
+            # Reconstruction text -> score_reconstruction(sample, text), for
+            # this group only: similarity depends on the sample. Members are
+            # scored in g order on this thread, so the dict needs no lock.
+            scores: dict[str, tuple[ParsedOutput, float]] = {}
+            group = []
+            for cot, recon_text in members:
+                score = scores.get(recon_text)
+                if score is None:
+                    score = scores[recon_text] = score_reconstruction(sample, recon_text)
+                breakdown = closed_loop_reward(sample, cot, recon_text, scored=score)
+                group.append(ScoredRecord(sample.id, cot, score[0].answer,
+                                          breakdown.composite, breakdown))
+            _, record = select_best_of_group(group)
             result.records.append(record)
             yield record
 
-    if records_path is None:
-        for _ in scored():
-            pass
-    elif header is None:  # no file, or no complete line in it: start afresh
-        _write_jsonl(records_path, RECORDS, map(record_to_json, scored()))
-    else:  # new records follow the complete ones
-        _append_jsonl(records_path, map(record_to_json, scored()))
+    # Closed on the way out, so an error while writing stops the members in
+    # flight before it reaches the caller.
+    with contextlib.closing(scored()) as records:
+        if records_path is None:
+            for _ in records:
+                pass
+        elif header is None:  # no file, or no complete line in it: start afresh
+            _write_jsonl(records_path, RECORDS, map(record_to_json, records))
+        else:  # new records follow the complete ones
+            _append_jsonl(records_path, map(record_to_json, records))
     return result
 
 
@@ -529,29 +589,29 @@ def run_rft_reward_eval(samples: Sequence[Sample], r1_backend, group_size: int,
     def member_for(sample: Sample):
         prompt = r1_prompt(sample)
 
-        def member(member_seed: int) -> tuple[str, float]:
-            text = r1_backend.generate(GenerationRequest(
+        def member(member_seed: int) -> str:
+            return r1_backend.generate(GenerationRequest(
                 sample_id=sample.id, image_ref=sample.image_ref, prompt=prompt,
                 seed=member_seed))
-            return text, think_answer_reward(sample, text).composite
         return member
 
     def rows() -> Iterator[dict]:
-        for sample, members in _run_groups(samples, group_size, seed, member_for,
-                                           result.failures, (r1_backend,)):
-            rewards = [reward for _, reward in members]
+        for sample, completions in _run_groups(samples, group_size, seed, member_for,
+                                               result.failures, (r1_backend,)):
+            rewards = [think_answer_reward(sample, text).composite for text in completions]
             advantages = compute_group_advantages(rewards)
             mean = sum(rewards) / len(rewards)
             result.per_sample_mean[sample.id] = mean
             totals.append(mean)
-            yield {"sample_id": sample.id, "completions": [text for text, _ in members],
+            yield {"sample_id": sample.id, "completions": completions,
                    "rewards": rewards, "advantages": advantages}
 
-    if bookkeeping_path is None:
-        for _ in rows():
-            pass
-    else:
-        _write_jsonl(bookkeeping_path, RFT_BOOKKEEPING, rows())
+    with contextlib.closing(rows()) as lines:  # as in `run_closed_loop_stage`
+        if bookkeeping_path is None:
+            for _ in lines:
+                pass
+        else:
+            _write_jsonl(bookkeeping_path, RFT_BOOKKEEPING, lines)
     result.mean_reward = sum(totals) / len(totals) if totals else 0.0
     return result
 

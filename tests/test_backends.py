@@ -1,9 +1,11 @@
 """Backends: mock lookup, remote retry/backoff, and the synthetic cue world."""
 
+import email.utils
 import json
 import random
 import re
 import threading
+from datetime import datetime, timedelta, timezone
 
 import pytest
 import requests
@@ -165,6 +167,88 @@ def test_remote_retries_a_transient_status(monkeypatch, status):
     assert make_remote(session, sleeps).generate(req()) == "hello"
     assert len(session.calls) == 2
     assert sleeps == [1.0]
+
+
+class BusyResponse:
+    """A 429 or 503 reply whose headers carry `Retry-After`, looked up as
+    `requests` looks up a header: case-insensitively."""
+
+    def __init__(self, status_code, retry_after):
+        self.status_code = status_code
+        self.headers = requests.structures.CaseInsensitiveDict({"retry-after": retry_after})
+
+
+def http_date(offset_s):
+    return email.utils.format_datetime(
+        datetime.now(timezone.utc) + timedelta(seconds=offset_s), usegmt=True)
+
+
+@pytest.mark.parametrize("status", [429, 503])
+@pytest.mark.parametrize("retry_after, wait", [
+    ("3", 3.0), (" 2 ", 2.0), ("0", 0.0), ("120", 4.0), ("9" * 30, 4.0),
+], ids=["delta", "padded", "zero", "capped", "huge"])
+def test_remote_honours_retry_after_seconds(monkeypatch, status, retry_after, wait):
+    """The wait is the server's, capped at the longest backoff that
+    `max_attempts` allows: 1 s · 2² before the fourth attempt."""
+    monkeypatch.setenv("COTLOOP_API_KEY", "k")
+    sleeps = []
+    session = FakeSession([BusyResponse(status, retry_after), FakeResponse(content="hello")])
+    backend = make_remote(session, sleeps, max_attempts=4)
+    assert backend.generate(req()) == "hello"
+    assert sleeps == [wait]
+
+
+@pytest.mark.parametrize("when, wait", [
+    ("Wed, 21 Oct 2015 07:28:00 GMT", 0.0), ("Sunday, 06-Nov-94 08:49:37 GMT", 0.0),
+    ("Sun Nov  6 08:49:37 1994", 0.0), ("past", 0.0), ("far-future", 4.0),
+])
+def test_remote_honours_retry_after_dates(monkeypatch, when, wait):
+    """An HTTP-date in any of RFC 9110's three forms: a date that has passed
+    means no wait, one far ahead waits the cap."""
+    monkeypatch.setenv("COTLOOP_API_KEY", "k")
+    when = {"past": http_date(-3600), "far-future": http_date(86400)}.get(when, when)
+    sleeps = []
+    session = FakeSession([BusyResponse(503, when), FakeResponse(content="hello")])
+    assert make_remote(session, sleeps, max_attempts=4).generate(req()) == "hello"
+    assert sleeps == [wait]
+
+
+def test_remote_waits_until_a_near_retry_after_date(monkeypatch):
+    monkeypatch.setenv("COTLOOP_API_KEY", "k")
+    sleeps = []
+    session = FakeSession([BusyResponse(429, http_date(3)), FakeResponse(content="hello")])
+    assert make_remote(session, sleeps, max_attempts=4).generate(req()) == "hello"
+    assert 1.0 < sleeps[0] <= 3.0  # an HTTP-date has whole seconds
+
+
+@pytest.mark.parametrize("retry_after", [
+    "soon", "", "1.5", "-3", "+3", "0x10", "\u0663", "3 s", "Mon, 32 Jan 2020 00:00:00 GMT",
+    "Fri, 31 Dec 99999 23:59:59 GMT",
+])
+def test_remote_falls_back_to_backoff_on_an_unreadable_retry_after(monkeypatch, retry_after):
+    monkeypatch.setenv("COTLOOP_API_KEY", "k")
+    sleeps = []
+    session = FakeSession([BusyResponse(503, retry_after), BusyResponse(429, retry_after),
+                           FakeResponse(content="hello")])
+    assert make_remote(session, sleeps, max_attempts=4).generate(req()) == "hello"
+    assert sleeps == [1.0, 2.0]
+
+
+def test_remote_caps_retry_after_at_the_longest_backoff(monkeypatch):
+    """max_attempts 3 at base 0.5 s allows at most 0.5 · 2¹ = 1 s; only 429 and
+    503 are read, so a 500's header is ignored."""
+    monkeypatch.setenv("COTLOOP_API_KEY", "k")
+    sleeps = []
+    session = FakeSession([BusyResponse(429, "60"), BusyResponse(503, "0.25"),
+                           FakeResponse(content="hello")])
+    backend = make_remote(session, sleeps, max_attempts=3, backoff_base=0.5)
+    assert backend.generate(req()) == "hello"
+    assert sleeps == [1.0, 1.0]
+    sleeps.clear()
+    session = FakeSession([BusyResponse(500, "60"), BusyResponse(503, "60")] * 2)
+    with pytest.raises(RemoteUnavailable, match="^HTTP 503$"):
+        make_remote(session, sleeps, max_attempts=4).generate(req())
+    assert sleeps == [1.0, 4.0, 4.0]
 
 
 def test_remote_frees_its_slot_during_backoff(monkeypatch):

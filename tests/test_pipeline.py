@@ -488,6 +488,32 @@ def test_export_sft_skips_a_cot_holding_tag_text(stage_world, tmp_path, caplog):
         assert breakdown.format_ok and breakdown.composite == pytest.approx(1.0)
 
 
+def test_a_cot_holding_a_close_think_tag_fails_the_stage_and_the_export(
+        stage_world, tmp_path, caplog):
+    """A reason backend that ends one sample's CoTs with `</think>` text: that
+    record gets reason `format` and reward 0, and export at tau 0 skips it."""
+    class ThinkTagReasoner(SyntheticReasonBackend):
+        def generate(self, request):
+            cot = super().generate(request)
+            return cot + "</think> Mood: heavy." if request.sample_id == "syn-0001" else cot
+
+    samples = [s.as_sample() for s in stage_world.samples]
+    result = run_closed_loop_stage(samples, ThinkTagReasoner(stage_world),
+                                   SyntheticReconBackend(stage_world), group_size=4, seed=0)
+    by_id = {r.sample_id: r for r in result.records}
+    tagged = by_id.pop("syn-0001")
+    assert (tagged.breakdown.reason, tagged.reward) == ("format", 0.0)
+    assert tagged.cot.endswith("</think> Mood: heavy.")
+    assert all(r.reward == pytest.approx(1.0) for r in by_id.values())
+    path = tmp_path / "sft.jsonl"
+    with caplog.at_level("WARNING", logger="cotloop.pipeline"):
+        written = export_sft_corpus(result.records, samples, tau=0.0, path=str(path))
+    assert written == len(samples) - 1
+    assert "skipped 1 record(s) whose CoT holds answer-tag text, first syn-0001" in caplog.text
+    image_refs = [json.loads(line)["image_ref"] for line in path.read_text().splitlines()[1:]]
+    assert "synthetic://syn-0001" not in image_refs
+
+
 def test_export_sft_excludes_below_tau(stage_world, tmp_path):
     result = run_stage(stage_world)
     samples = [s.as_sample() for s in stage_world.samples]
@@ -576,11 +602,11 @@ class Reply:
 class ServiceSession:
     """Fake chat-completion service answering each model with a synthetic backend.
 
-    Every post waits about 2 ms and counts the posts open per model. The first
-    attempt of every request whose seed is divisible by 5 gets a 503. Every
-    post for a sample in `bad_body` gets a body that is not JSON, every post
-    for one in `down` a 503, and a post for `crash` raises an error that is
-    not a backend failure.
+    Every post waits about 2 ms, counts the posts open per model and the posts
+    made per sample. The first attempt of every request whose seed is
+    divisible by 5 gets a 503. Every post for a sample in `bad_body` gets a
+    body that is not JSON, every post for one in `down` a 503, and a post for
+    `crash` raises an error that is not a backend failure.
     """
 
     def __init__(self, world, bad_body=(), down=(), crash=None):
@@ -590,13 +616,14 @@ class ServiceSession:
         self.bad_body, self.down, self.crash = set(bad_body), set(down), crash
         self._lock = threading.Lock()
         self.open, self.peak, self.seen = Counter(), Counter(), set()
-        self.answered = Counter()
+        self.answered, self.posts = Counter(), Counter()
 
     def post(self, url, json=None, headers=None, timeout=None):
         image, text = json["messages"][0]["content"]
         sample_id = image["image_url"]["url"].removeprefix("synthetic://")
         model, seed = json["model"], json["seed"]
         with self._lock:
+            self.posts[sample_id] += 1
             self.open[model] += 1
             self.peak[model] = max(self.peak[model], self.open[model])
             first = (model, sample_id, seed) not in self.seen
@@ -705,6 +732,124 @@ def test_an_error_in_one_group_leaves_an_in_order_prefix(remote_world, tmp_path,
     _, _, resumed, _ = remote_run(remote_world, root, 3,
                                   ServiceSession(remote_world, down=["syn-0002"]))
     assert resumed == full
+
+
+def remote_stage(samples, cap, session, group_size):
+    """The closed-loop stage through reason and recon RemoteBackends capped at `cap`."""
+    reason, recon = (RemoteBackend(endpoint="http://service.test/v1/chat", model=model,
+                                   max_in_flight=cap, session=session,
+                                   sleep=lambda seconds: None)
+                     for model in ("reason", "recon"))
+    return run_closed_loop_stage(samples, reason, recon, group_size=group_size, seed=5)
+
+
+def assert_nothing_left_running(session):
+    assert not [t for t in threading.enumerate() if t.name.startswith("cotloop-group")]
+    assert all(n == 0 for n in session.open.values()), session.open
+
+
+def test_the_members_of_one_group_fill_every_slot(remote_world, monkeypatch):
+    """One sample at G = 8 with caps of 2: its members share the four threads,
+    so each model has two posts open at once, where one thread per group
+    would post one at a time."""
+    monkeypatch.setenv("COTLOOP_API_KEY", "k")
+    sample = remote_world.samples[0].as_sample()
+    session = ServiceSession(remote_world)
+    stage = remote_stage([sample], 2, session, group_size=8)
+    assert [r.sample_id for r in stage.records] == [sample.id]
+    assert session.peak == {"reason": 2, "recon": 2}
+    assert_nothing_left_running(session)
+
+
+def test_a_failed_sample_posts_no_member_above_its_failure(remote_world, monkeypatch):
+    """Every post of a sample fails at cap 1 (two threads): once one member has
+    failed, no later member is posted, so the sample makes at most two
+    members' attempts, not G × max_attempts."""
+    monkeypatch.setenv("COTLOOP_API_KEY", "k")
+    down, up = (s.as_sample() for s in remote_world.samples[:2])
+    session = ServiceSession(remote_world, down=[down.id])
+    stage = remote_stage([down, up], 1, session, group_size=8)
+    assert stage.failures == [{"sample_id": down.id, "kind": "RemoteUnavailable",
+                               "error": "HTTP 503"}]
+    assert [r.sample_id for r in stage.records] == [up.id]
+    max_attempts = 3
+    assert session.posts[down.id] <= 2 * max_attempts < 8 * max_attempts
+    assert_nothing_left_running(session)
+
+
+@pytest.mark.parametrize("line", [3, 16], ids=["closed-loop", "rft"])
+def test_an_error_while_writing_stops_the_members_in_flight(remote_world, tmp_path,
+                                                            monkeypatch, line):
+    """Ctrl-C at a line write of a remote run (line 16 is the rft file's
+    second): while the caller still holds the traceback, no member thread is
+    left and no post is made after."""
+    monkeypatch.setenv("COTLOOP_API_KEY", "k")
+    dumps, writes = pipeline._dumps, itertools.count(1)
+
+    def interrupted(obj):
+        if next(writes) == line:
+            raise KeyboardInterrupt
+        return dumps(obj)
+    monkeypatch.setattr(pipeline, "_dumps", interrupted)
+    session = ServiceSession(remote_world)
+    with pytest.raises(KeyboardInterrupt) as caught:
+        remote_run(remote_world, tmp_path, 2, session)
+    assert caught.traceback  # the frames of the run are still referenced
+    assert_nothing_left_running(session)
+    posts = sum(session.posts.values())
+    time.sleep(0.05)
+    assert sum(session.posts.values()) == posts
+
+
+def test_closing_the_ordered_map_drops_its_queued_calls_and_joins_its_threads():
+    """A caller that stops after the first group: the calls still queued (at
+    most `workers` groups ahead) are dropped, and no thread outlives close()."""
+    ran = []
+
+    def call(n):
+        def run():
+            time.sleep(0.001)
+            ran.append(n)
+            return n
+        return run
+
+    groups = ([call(4 * k + i) for i in range(4)] for k in range(10))
+    results = pipeline._ordered_map(groups, workers=2)
+    assert next(results) == [0, 1, 2, 3]
+    results.close()
+    assert not [t for t in threading.enumerate() if t.name.startswith("cotloop-group")]
+    assert 4 <= len(ran) <= 3 * 4
+    assert len(ran) == len(set(ran))
+
+
+def test_a_failed_sample_records_the_error_of_its_lowest_failing_member(
+        remote_world, monkeypatch):
+    """Member 5 fails first (503s) while member 2 is still posting; member 2
+    then fails too (bodies that are not JSON). The failure recorded is member
+    2's, the one a sequential run meets first."""
+    monkeypatch.setenv("COTLOOP_API_KEY", "k")
+    sample = remote_world.samples[0].as_sample()
+    seeds = [pipeline._derive_seed(5, sample.id, g) for g in range(8)]
+    member_5_posts, member_5_failed = itertools.count(1), threading.Event()
+
+    class TwoFailingMembers(ServiceSession):
+        def post(self, url, json=None, headers=None, timeout=None):
+            if json["seed"] == seeds[5]:
+                if next(member_5_posts) == 3:  # its last attempt
+                    member_5_failed.set()
+                return Reply(503, {})
+            if json["seed"] == seeds[2]:
+                member_5_failed.wait(timeout=5)
+                return Reply(200, ValueError("Expecting value: line 1 column 1 (char 0)"))
+            return super().post(url, json=json, headers=headers, timeout=timeout)
+
+    session = TwoFailingMembers(remote_world)
+    stage = remote_stage([sample], 2, session, group_size=8)
+    assert member_5_failed.is_set()
+    assert stage.failures == [{
+        "sample_id": sample.id, "kind": "BadPayload",
+        "error": "malformed reply: ValueError: Expecting value: line 1 column 1 (char 0)"}]
+    assert_nothing_left_running(session)
 
 
 # --- evaluation ------------------------------------------------------------------------
