@@ -254,6 +254,10 @@ _NOUNS = (
 )
 
 
+# Every cue is an adjective-noun pair, so a vocabulary holds at most this many.
+MAX_CUE_VOCAB = len(_ADJECTIVES) * len(_NOUNS)
+
+
 def _cue_vocab(size: int, rng: random.Random) -> tuple[str, ...]:
     pairs = [(a, n) for a in _ADJECTIVES for n in _NOUNS]
     rng.shuffle(pairs)
@@ -303,6 +307,10 @@ class CueWorld:
 
     def __init__(self, kind: str = "classification", num_samples: int = 50,
                  cues_per_sample: int = 4, vocab_size: int = 24, seed: int = 0):
+        if not (num_samples >= 1 and 1 <= vocab_size <= MAX_CUE_VOCAB):
+            raise ValueError(f"a world needs num_samples >= 1 and vocab_size in "
+                             f"1..{MAX_CUE_VOCAB}, got num_samples {num_samples!r} "
+                             f"and vocab_size {vocab_size!r}")
         if cues_per_sample > vocab_size:
             raise ValueError("cues_per_sample cannot exceed vocab_size")
         self.kind = kind

@@ -105,13 +105,17 @@ class ToyPolicy:
         choices, cum = list(ls), list(accumulate(_softmax(list(ls.values()))))
         return [_draw(choices, cum, rng.random) for _ in range(k)]
 
-    def update(self, bucket: str, chosen: Sequence[str],
-               advantages: Sequence[float]) -> None:
+    def update(self, bucket: str, chosen: Sequence[str], advantages: Sequence[float],
+               probs: Optional[Sequence[float]] = None) -> None:
         """Score-function ascent on the group surrogate.
 
         For each member: raise the chosen logit by lr*a*(1-p), lower all
         others by lr*a*p, using pre-update probabilities. Each logit adds
         up its members' terms in member order, then takes that sum.
+
+        `probs`, when given, are those pre-update probabilities: the list
+        `_softmax` returns for the bucket's current logits, in logit order
+        (a caller that keeps them saves the softmax). None computes them.
         """
         if len(chosen) != len(advantages):
             raise DomainError("chosen/advantages length mismatch")
@@ -119,9 +123,11 @@ class ToyPolicy:
         for c in chosen:
             if c not in ls:
                 raise DomainError(f"invalid choice id {c!r} for bucket {bucket!r}")
+        if probs is None:
+            probs = _softmax(list(ls.values()))
         lr = self.learning_rate
         scaled = [lr * a for a in advantages]
-        for k, p in self.probs(bucket).items():
+        for k, p in zip(ls, probs):
             hit, miss = 1.0 - p, 0.0 - p
             g = 0.0
             for c, s in zip(chosen, scaled):
@@ -156,7 +162,11 @@ class _ToyPlan:
     """One sample's buckets in policy order: each bucket's name, its logits
     dict and its choice list, and the cue each cue bucket names. A draw is a
     tuple of choice indices, one per bucket; `cache` holds the composite
-    reward of every draw scored so far."""
+    reward of every draw scored so far.
+
+    `tables` holds each bucket's draw table (see `draw_tables`) while they
+    match the logits: None until the first draw, and set back to None by
+    whoever changes this plan's logits."""
 
     target: Sample
     buckets: list[str]
@@ -165,6 +175,7 @@ class _ToyPlan:
     cues: list[str]
     template: int
     cache: dict[tuple[int, ...], float]
+    tables: Optional[list[tuple[list[float], list[float], float, int]]] = None
 
     @classmethod
     def for_world(cls, world: CueWorld, policy: ToyPolicy) -> list["_ToyPlan"]:
@@ -182,6 +193,18 @@ class _ToyPlan:
                              cues=[b.rsplit("|", 1)[1] for b in buckets],
                              template=buckets.index(f"{sample.id}|template"), cache={}))
         return plans
+
+    def draw_tables(self) -> list[tuple[list[float], list[float], float, int]]:
+        """Per bucket: its `_softmax` probabilities, their cumulative weights,
+        the weights' total and the last index, built from the logits when
+        `tables` is None and kept until then."""
+        if self.tables is None:
+            self.tables = []
+            for ls in self.logits:
+                probs = _softmax(list(ls.values()))
+                cum = list(accumulate(probs))
+                self.tables.append((probs, cum, cum[-1] + 0.0, len(cum) - 1))
+        return self.tables
 
     def reward(self, world: CueWorld, draw: tuple[int, ...]) -> float:
         """A draw maps one-to-one onto (template, cue subset), so the cache
@@ -209,11 +232,17 @@ def train_toy_policy(world: CueWorld, steps: int, group_size: int, seed: int,
 
     Each member draws one choice index per bucket, in policy order, by
     bisecting the bucket's cumulative weights with the expression `_draw`
-    evaluates: the stream `Random.choices` takes. The weights come from one
-    `_softmax` per bucket per sample-step, the one `ToyPolicy.probs` uses.
-    Each sample caches the reward of every draw (its tuple of indices) it
-    has scored, so a CoT is built and scored only for a new draw. A
-    learning rate that is not a finite number >= 0 raises InvalidSetting.
+    evaluates: the stream `Random.choices` takes. The weights come from the
+    sample's draw tables (`_ToyPlan.draw_tables`): one `_softmax` per bucket,
+    the one `ToyPolicy.probs` uses, run on the sample's first draw and again
+    only on its first draw after an update. A group with all-zero advantages
+    changes no logit and keeps the tables; any other group drops them, and
+    its update takes the probabilities they hold instead of a softmax of its
+    own. Each sample caches the reward of every draw (its tuple of indices)
+    it has scored, so a CoT is built and scored only for a new draw. A
+    learning rate that is not a finite number >= 0 raises InvalidSetting; a
+    world whose vocabulary is smaller than cues_per_sample + TOY_DISTRACTORS
+    has too few distractors for its samples and raises DomainError.
     """
     require("learning_rate", learning_rate,
             isinstance(learning_rate, (int, float)) and math.isfinite(learning_rate)
@@ -224,6 +253,10 @@ def train_toy_policy(world: CueWorld, steps: int, group_size: int, seed: int,
         raise DomainError("group size must be >= 2")
     if minibatch_size is not None and minibatch_size < 1:
         raise DomainError("minibatch size must be >= 1")
+    if len(world.vocab) < world.cues_per_sample + TOY_DISTRACTORS:
+        raise DomainError(f"a toy world needs vocab_size >= cues_per_sample + "
+                          f"{TOY_DISTRACTORS} distractors = "
+                          f"{world.cues_per_sample + TOY_DISTRACTORS}, got {len(world.vocab)}")
     policy = build_toy_policy(world, learning_rate=learning_rate)
     # String seeds hash deterministically across processes (unlike tuples).
     rng = random.Random(f"toy-train|{seed}")
@@ -234,19 +267,17 @@ def train_toy_policy(world: CueWorld, steps: int, group_size: int, seed: int,
     for _ in range(steps):
         step_best: list[float] = []
         for plan in rng.sample(plans, batch_size):
-            # Logits change only after all G draws: one softmax per bucket.
-            tables = []
-            for ls in plan.logits:
-                cum = list(accumulate(_softmax(list(ls.values()))))
-                tables.append((cum, cum[-1] + 0.0, len(cum) - 1))
+            tables = plan.draw_tables()
             draws = [tuple([bisect_right(cum, rand() * total, 0, hi)
-                            for cum, total, hi in tables])
+                            for _probs, cum, total, hi in tables])
                      for _g in range(group_size)]
             rewards = [plan.reward(world, d) for d in draws]
             advantages = compute_group_advantages(rewards)
             if any(advantages):  # all-zero advantages update nothing
-                for b, choices, picked in zip(plan.buckets, plan.choices, zip(*draws)):
-                    policy.update(b, [choices[i] for i in picked], advantages)
+                plan.tables = None
+                for b, choices, picked, (probs, *_) in zip(plan.buckets, plan.choices,
+                                                          zip(*draws), tables):
+                    policy.update(b, [choices[i] for i in picked], advantages, probs)
             step_best.append(max(rewards))
         result.curve.append(sum(step_best) / len(step_best))
     return result

@@ -508,3 +508,8 @@ def test_world_rejects_bad_config():
         CueWorld(cues_per_sample=30, vocab_size=24)
     with pytest.raises(ValueError):
         CueWorld(kind="segmentation")
+    for size in ({"num_samples": 0}, {"num_samples": -3}, {"vocab_size": 0},
+                 {"vocab_size": 401, "cues_per_sample": 1}):
+        with pytest.raises(ValueError, match="num_samples >= 1 and vocab_size in 1..400"):
+            CueWorld(**size)
+    assert len(CueWorld(num_samples=1, vocab_size=400).vocab) == 400

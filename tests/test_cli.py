@@ -359,6 +359,22 @@ BAD_INPUT = {
                                          *edited_config(t, lambda cfg: None)], 1, "group_size"),
     "audit-cues-above-vocab": (lambda t: ["audit", "--world-cues", "30", "--world-vocab",
                                           "5"], 1, "cues_per_sample"),
+    "audit-world-samples-0": (lambda t: ["audit", "--world-samples", "0"], 1,
+                              "got num_samples 0"),
+    "audit-world-vocab-above-the-cue-pairs": (lambda t: [
+        "audit", "--world-samples", "2", "--world-vocab", "500"], 1, "vocab_size 500"),
+    "audit-detection-world-vocab-0": (lambda t: ["audit", *edited_config(
+        t, lambda cfg: cfg["world"].update(kind="detection", vocab_size=0,
+                                           cues_per_sample=0))], 1, "vocab_size 0"),
+    "train-toy-world-samples-0": (lambda t: ["train-toy", "--world-samples", "0",
+                                             "--output", str(t / "curve.tsv")], 1,
+                                  "got num_samples 0"),
+    "train-toy-world-samples-negative": (lambda t: ["train-toy", "--world-samples", "-3",
+                                                    "--output", str(t / "curve.tsv")], 1,
+                                         "got num_samples -3"),
+    "train-toy-world-too-small-for-its-distractors": (lambda t: [
+        "train-toy", "--world-vocab", "6", "--world-cues", "4", "--output",
+        str(t / "curve.tsv")], 1, "vocab_size >= cues_per_sample + 3 distractors = 7, got 6"),
     "train-toy-minibatch-0": (lambda t: ["train-toy", "--minibatch", "0", "--output",
                                          str(t / "curve.tsv")], 1, "minibatch"),
     "train-toy-lr-nan": (lambda t: ["train-toy", "--lr=nan", "--output",

@@ -10,6 +10,7 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cotloop import grpo
 from cotloop.backends import CueWorld, synthetic_reason, synthetic_reconstruct
 from cotloop.domain import ScoredRecord, make_breakdown
 from cotloop.errors import DomainError, InvalidSetting
@@ -305,16 +306,19 @@ def test_update_matches_the_frozen_update(logits, lr, data):
     advantages = data.draw(st.lists(_UPDATE_FLOATS, min_size=g + extra, max_size=g + extra))
     got = ToyPolicy(logits={"b": dict(zip(names, logits))}, learning_rate=lr)
     want = ToyPolicy(logits={"b": dict(zip(names, logits))}, learning_rate=lr)
+    given = ToyPolicy(logits={"b": dict(zip(names, logits))}, learning_rate=lr)
     assert _bits(got.probs("b")) == _bits(_oracle_probs(want.logits["b"]))
+    probs = list(_oracle_probs(given.logits["b"]).values())  # the caller's own
     outcomes = []
-    for policy, update in ((got, ToyPolicy.update), (want, _oracle_update)):
+    for policy, update in ((got, ToyPolicy.update), (want, _oracle_update),
+                           (given, lambda p, *args: ToyPolicy.update(p, *args, probs))):
         try:
             update(policy, "b", chosen, advantages)
             outcomes.append(None)
         except DomainError as e:
             outcomes.append(str(e))
-    assert outcomes[0] == outcomes[1]
-    assert _bits(got.logits["b"]) == _bits(want.logits["b"])
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert _bits(got.logits["b"]) == _bits(want.logits["b"]) == _bits(given.logits["b"])
 
 
 def _oracle_train_toy_policy(world, steps, group_size, seed, learning_rate=0.5,
@@ -386,5 +390,68 @@ def test_trainer_matches_the_pre_table_oracle(toy):
     world = CueWorld(**world_kw)
     got = train_toy_policy(world, **train_kw)
     want = _oracle_train_toy_policy(world, **train_kw)
+    assert repr(got.curve) == repr(want.curve)
+    assert got.policy.logits == want.policy.logits
+
+
+@pytest.mark.parametrize("world_kw, train_kw", [
+    (dict(num_samples=20, cues_per_sample=4, vocab_size=24, seed=0),
+     dict(steps=60, group_size=8, seed=0)),
+    (dict(kind="detection", num_samples=20, cues_per_sample=4, vocab_size=24, seed=4),
+     dict(steps=30, group_size=4, seed=9, learning_rate=0.9, minibatch_size=7)),
+], ids=["full-batch", "detection-minibatch"])
+def test_the_trainer_runs_one_softmax_per_bucket_per_logit_change(monkeypatch, world_kw,
+                                                                 train_kw):
+    """The softmax runs once per bucket on a sample's first draw and on its
+    first draw after each update of its logits, never inside an update the
+    trainer makes; the run still matches the oracle's curve and logits."""
+    world = CueWorld(**world_kw)
+    want = _oracle_train_toy_policy(world, **train_kw)
+    buckets = {}
+    for b in build_toy_policy(world).logits:
+        sid = b.split("|", 1)[0]
+        buckets[sid] = buckets.get(sid, 0) + 1
+    # In call order: "softmax", then ("reward", sample id) or ("update", sample
+    # id), each logged once the call returns.
+    log = []
+    softmax, update, reward = grpo._softmax, ToyPolicy.update, _ToyPlan.reward
+
+    def logged(kind, fn, sample_id):
+        def call(*args):
+            result = fn(*args)
+            log.append((kind, sample_id(*args)))
+            return result
+        return call
+
+    monkeypatch.setattr(grpo, "_softmax", lambda values: log.append("softmax")
+                        or softmax(values))
+    monkeypatch.setattr(ToyPolicy, "update", logged(
+        "update", update, lambda policy, bucket, *_: bucket.split("|", 1)[0]))
+    monkeypatch.setattr(_ToyPlan, "reward", logged(
+        "reward", reward, lambda plan, *_: plan.target.id))
+    got = train_toy_policy(world, **train_kw)
+    monkeypatch.undo()
+
+    group_size = train_kw["group_size"]
+    stale = set(buckets)  # samples whose next draw needs a softmax per bucket
+    pending = rewards = rebuilt = updates = 0
+    for event in log:
+        if event == "softmax":
+            pending += 1
+            continue
+        kind, sid = event
+        if kind == "reward" and rewards % group_size == 0:  # a visit's first reward
+            assert pending == (buckets[sid] if sid in stale else 0)
+            rebuilt += sid in stale
+            stale.discard(sid)
+        else:
+            assert pending == 0
+        if kind == "update":
+            stale.add(sid)
+            updates += 1
+        rewards += kind == "reward"
+        pending = 0
+    visits = rewards // group_size
+    assert 0 < updates and rebuilt < visits  # both kinds of visit happened
     assert repr(got.curve) == repr(want.curve)
     assert got.policy.logits == want.policy.logits
