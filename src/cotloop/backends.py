@@ -311,8 +311,9 @@ class CueWorld:
             raise ValueError(f"a world needs num_samples >= 1 and vocab_size in "
                              f"1..{MAX_CUE_VOCAB}, got num_samples {num_samples!r} "
                              f"and vocab_size {vocab_size!r}")
-        if cues_per_sample > vocab_size:
-            raise ValueError("cues_per_sample cannot exceed vocab_size")
+        if not 1 <= cues_per_sample <= vocab_size:
+            raise ValueError(f"a world needs cues_per_sample in 1..{vocab_size} (its "
+                             f"vocab_size), got cues_per_sample {cues_per_sample!r}")
         self.kind = kind
         self.seed = seed
         self.cues_per_sample = cues_per_sample

@@ -380,8 +380,7 @@ def build_parser() -> _Parser:
     world.add_argument("--world-cues", type=int)
     world.add_argument("--world-vocab", type=int)
 
-    p = sub.add_parser("ingest", parents=[config],
-                       help="convert raw label files into a dataset file")
+    p = sub.add_parser("ingest", help="convert raw label files into a dataset file")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--task", choices=["classification", "detection"], required=True)

@@ -5,15 +5,18 @@ evaluation.
 All on-disk artifacts follow one file rule:
 
 - The first line is a header, ``{"format": "cotloop-<kind>", "version": 1, ...}``,
-  and every later line is one JSON object. Each line is flushed as it is
-  written, so an interrupted run leaves at most a torn final line.
+  and every later line is one JSON object. A line ends at a newline, never at a
+  bare carriage return. Each line is flushed as it is written, so an
+  interrupted run leaves at most a torn final line.
 - A missing file raises `MissingFile`. A missing, unparseable or foreign
   header (another format or version, or not a text file) raises
   `HeaderMismatch`; the stage then refuses to write over the file.
 - An unterminated final line that does not parse is an interrupted write:
-  it is dropped with a logged warning. The stage resumes after the last
-  complete record, cutting the torn line off and appending, and a file
-  holding only a torn header starts afresh.
+  it is dropped with a logged warning. The stage resumes at the reader's
+  offset, just past the last complete line, cutting the torn line off and
+  appending. A file without a complete line starts afresh only when it is
+  a torn header, a prefix of the header line the stage writes; any other
+  is refused like a foreign header.
 - Any other malformed line raises `MalformedLine` with its line number;
   dataset files report such lines per line instead (see `load_dataset`).
 """
@@ -26,7 +29,6 @@ import hashlib
 import itertools
 import json
 import logging
-import os
 import queue
 import threading
 from collections import deque
@@ -63,90 +65,85 @@ def _dumps(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
 
 
-def _write_lines(f, rows: Iterable[dict]) -> None:
-    for obj in rows:
-        f.write(_dumps(obj) + "\n")
-        f.flush()
-
-
-def _write_jsonl(path: str, fmt: str, rows: Iterable[dict], **header) -> None:
-    """Write the header line, then one flushed line per row."""
-    with open(path, "w", encoding="utf-8") as f:
-        _write_lines(f, itertools.chain(
-            [{"format": fmt, "version": FORMAT_VERSION, **header}], rows))
-
-
-def _append_jsonl(path: str, rows: Iterable[dict]) -> None:
-    """Append one flushed line per row to a file that `_read_jsonl` read, after
-    its last complete line. A final line that does not parse (a torn write) is
-    cut off first; one that parses but lacks its newline gets one. The lines
-    already there are never rewritten, so an interrupt loses none of them."""
-    with open(path, "rb") as f:
-        data = f.read()
-    end = data.rfind(b"\n") + 1
-    unterminated = end < len(data)
-    if unterminated:
-        try:
-            json.loads(data[end:])
-        except (ValueError, RecursionError):
-            os.truncate(path, end)
-            unterminated = False
-    with open(path, "a", encoding="utf-8") as f:
-        if unterminated:
-            f.write("\n")
-        _write_lines(f, rows)
+def _write_jsonl(path: str, fmt: str, rows: Iterable[dict], offset: int = 0,
+                 **header) -> None:
+    """Write one flushed line per row. At offset 0 the file is written anew,
+    the header line first. At a resume offset, the end of the last complete
+    line that `_read_jsonl` found, the file is cut there, that line gets the
+    newline it may lack, and the rows follow: the lines already there are
+    never rewritten, so an interrupt loses none of them."""
+    with open(path, "r+b" if offset else "wb") as f:
+        if offset:
+            f.truncate(offset)
+            f.seek(offset - 1)
+            if f.read(1) != b"\n":
+                f.write(b"\n")
+        else:
+            rows = itertools.chain([{"format": fmt, "version": FORMAT_VERSION, **header}], rows)
+        for obj in rows:
+            f.write(_dumps(obj).encode() + b"\n")
+            f.flush()
 
 
 def _read_jsonl(path: str, fmt: str, row: Callable[[dict], object],
                 errors: Optional[list[str]] = None, missing_ok: bool = False
-                ) -> tuple[Optional[dict], list[tuple[int, object]]]:
-    """Read a `fmt` file under the file rule; returns (header, rows).
+                ) -> tuple[Optional[dict], list[tuple[int, object]], int]:
+    """Read a `fmt` file under the file rule; returns (header, rows, end).
 
-    Each row is (line number, row(parsed line)). A line that fails to
-    parse or convert raises `MalformedLine`, or is reported in `errors`
-    when a list is given. With `missing_ok`, a file that is absent or holds
-    no complete line reads as (None, []).
+    Each row is (line number, row(parsed line)); `end` is the byte offset just
+    past the last complete line, where a resume continues. A line that fails
+    to parse or convert raises `MalformedLine`, or is reported in `errors`
+    when a list is given. With `missing_ok`, a file that is absent or whose
+    bytes are a prefix of the header line of `fmt` reads as (None, [], 0).
     """
-    if not os.path.exists(path):
-        if missing_ok:
-            return None, []
-        raise MissingFile(f"no such file: {path}")
     try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().split("\n")
+        with open(path, "rb") as f:
+            data = f.read()
+    except FileNotFoundError:
+        if missing_ok:
+            return None, [], 0
+        raise MissingFile(f"no such file: {path}") from None
+    try:
+        lines = data.decode("utf-8").split("\n")
     except UnicodeDecodeError as e:
         raise HeaderMismatch(f"{path}: not a text file: {e}") from None
     tail = lines.pop()  # "" when the last line is terminated
+    end = len(data)
     if tail:
         try:
             json.loads(tail)
         except (json.JSONDecodeError, RecursionError):
-            log.warning("%s: dropped torn line %d (interrupted write)", path, len(lines) + 1)
+            end = data.rfind(b"\n") + 1
         else:
             lines.append(tail)
     if not lines:
-        if missing_ok:
-            return None, []
-        raise HeaderMismatch(f"{path}: no header line, expected {fmt}")
-    try:
-        header = json.loads(lines[0])
-    except (json.JSONDecodeError, RecursionError) as e:
-        raise HeaderMismatch(f"{path}: unparseable header: {e}") from None
-    found = (header.get("format"), header.get("version")) if isinstance(header, dict) else None
-    if found != (fmt, FORMAT_VERSION):
-        raise HeaderMismatch(f"{path}: not a {fmt} v{FORMAT_VERSION} file "
-                             f"(format, version = {found})")
-    rows = []
-    for n, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
+        if not (missing_ok and (_dumps({"format": fmt, "version": FORMAT_VERSION})
+                                + "\n").startswith(tail)):
+            raise HeaderMismatch(f"{path}: no header line ending in a newline, "
+                                 f"expected {fmt}")
+        header, rows = None, []
+    else:
         try:
-            rows.append((n, row(json.loads(raw))))
-        except Exception as e:  # malformed line, reported with its number
-            if errors is None:
-                raise MalformedLine(path, n, e) from e
-            errors.append(f"line {n}: {e}")
-    return header, rows
+            header = json.loads(lines[0])
+        except (json.JSONDecodeError, RecursionError) as e:
+            raise HeaderMismatch(f"{path}: unparseable header: {e}") from None
+        found = (header.get("format"), header.get("version")) if isinstance(header, dict) else None
+        if found != (fmt, FORMAT_VERSION):
+            raise HeaderMismatch(f"{path}: not a {fmt} v{FORMAT_VERSION} file "
+                                 f"(format, version = {found})")
+        rows = []
+        for n, raw in enumerate(lines[1:], start=2):
+            if not raw.strip():
+                continue
+            try:
+                rows.append((n, row(json.loads(raw))))
+            except Exception as e:  # malformed line, reported with its number
+                if errors is None:
+                    raise MalformedLine(path, n, e) from e
+                errors.append(f"line {n}: {e}")
+    if end < len(data):  # checked last: only a line really dropped is logged
+        log.warning("%s: dropped torn line %d (interrupted write)", path, len(lines) + 1)
+    return header, rows, end
 
 
 # --- dataset files -----------------------------------------------------------
@@ -245,7 +242,7 @@ def load_dataset(path: str, skip_invalid: bool = False) -> tuple[list[Sample], l
     that fail validation. Without skip_invalid any error aborts the load.
     """
     errors: list[str] = []
-    header, rows = _read_jsonl(path, DATASET, _sample_fields, errors)
+    header, rows, _ = _read_jsonl(path, DATASET, _sample_fields, errors)
     task = _task_from_json(header.get("task", {}), path)
 
     samples: list[Sample] = []
@@ -482,9 +479,9 @@ def run_closed_loop_stage(samples: Sequence[Sample], reason_backend, recon_backe
     """
     _require_group_size(group_size)
     result = StageResult()
-    header = None
+    end = 0
     if records_path is not None:
-        header, rows = _read_jsonl(records_path, RECORDS, record_from_json, missing_ok=True)
+        _, rows, end = _read_jsonl(records_path, RECORDS, record_from_json, missing_ok=True)
         result.records = [record for _, record in rows]
     done = frozenset(r.sample_id for r in result.records)
 
@@ -527,10 +524,8 @@ def run_closed_loop_stage(samples: Sequence[Sample], reason_backend, recon_backe
         if records_path is None:
             for _ in records:
                 pass
-        elif header is None:  # no file, or no complete line in it: start afresh
-            _write_jsonl(records_path, RECORDS, map(record_to_json, records))
-        else:  # new records follow the complete ones
-            _append_jsonl(records_path, map(record_to_json, records))
+        else:  # new records follow the complete ones, if any
+            _write_jsonl(records_path, RECORDS, map(record_to_json, records), offset=end)
     return result
 
 
@@ -638,7 +633,7 @@ def _prediction(obj: dict) -> tuple[str, str]:
 def load_predictions(path: str) -> dict[str, str]:
     """The raw output of each sample id; `MalformedLine` at a line whose id an
     earlier line has."""
-    _, rows = _read_jsonl(path, PREDICTIONS, _prediction)
+    _, rows, _ = _read_jsonl(path, PREDICTIONS, _prediction)
     preds: dict[str, str] = {}
     for n, (sid, raw) in rows:
         if sid in preds:

@@ -57,7 +57,7 @@ _FLAG = (None, False, False, "_StoreTrueAction")
 SUBCOMMAND_OPTIONS = {
     "ingest": {"-h --help": _HELP, "--input": _REQUIRED, "--output": _REQUIRED,
                "--task": _REQUIRED, "--categories": _STR, "--width": _FLOAT,
-               "--height": _FLOAT, "--config": _STR},
+               "--height": _FLOAT},
     "gen-cot": {"-h --help": _HELP, "--config": _STR, "--dataset": _STR,
                 "--records": _REQUIRED, "--group-size": _INT, "--seed": _INT,
                 "--skip-invalid": _FLAG},
@@ -359,6 +359,10 @@ BAD_INPUT = {
                                          *edited_config(t, lambda cfg: None)], 1, "group_size"),
     "audit-cues-above-vocab": (lambda t: ["audit", "--world-cues", "30", "--world-vocab",
                                           "5"], 1, "cues_per_sample"),
+    "audit-world-cues-0": (lambda t: ["audit", "--world-cues", "0", "--world-samples", "4"],
+                           1, "got cues_per_sample 0"),
+    "audit-world-cues-negative": (lambda t: ["audit", "--world-cues", "-1"], 1,
+                                  "got cues_per_sample -1"),
     "audit-world-samples-0": (lambda t: ["audit", "--world-samples", "0"], 1,
                               "got num_samples 0"),
     "audit-world-vocab-above-the-cue-pairs": (lambda t: [
@@ -662,7 +666,7 @@ def test_a_config_setting_runs_as_its_flag(tmp_path, capsys, command, key):
 # command has
 MANIFEST_RUNS = {
     "ingest": lambda t: ingest(t, "classification", [{**NO_ANNOTATION, "probs": {"x": 1.0}}],
-                               "--categories", "x", *edited_config(t, lambda cfg: None)),
+                               "--categories", "x"),
     "gen-cot": lambda t: gen_cot(t, "--dataset", world_dataset(t, 8),
                                  *edited_config(t, lambda cfg: None)),
     "export-sft": lambda t: export_sft(t, str(t / "sft.jsonl")) + edited_config(
@@ -812,6 +816,40 @@ def test_gen_cot_refuses_a_foreign_records_file(torn_run, capsys):
                          "--records", str(dataset)]) == 1
     assert "cotloop-records" in capsys.readouterr().err
     assert dataset.read_bytes() == before
+
+
+def test_gen_cot_refuses_a_records_file_of_bare_carriage_returns(tmp_path, capsys):
+    """Lines that end in a bare carriage return are no complete lines: a resume
+    refuses the file and leaves its bytes as they are."""
+    config = write_world_config(tmp_path / "config.yaml", num_samples=4)
+    records = tmp_path / "records.jsonl"
+    argv = ["gen-cot", "--config", config, "--group-size", "2", "--records", str(records)]
+    assert cli_dispatch(argv) == 0
+    lines = records.read_bytes().split(b"\n")
+    records.write_bytes(b"\r".join(lines[:3]) + b"\r")  # the header and 2 records
+    before = records.read_bytes()
+    capsys.readouterr()
+    assert cli_dispatch(argv) == 1
+    assert "cotloop-records" in capsys.readouterr().err
+    assert records.read_bytes() == before
+
+
+@pytest.mark.parametrize("content", [b"my only copy of the notes",
+                                     b'{"format": "cotloop-sft", "ver'],
+                         ids=["text", "torn-foreign-header"])
+def test_gen_cot_refuses_a_one_line_file_that_is_no_torn_header(tmp_path, capsys, caplog,
+                                                                 content):
+    """A file without a complete line starts afresh only when it begins like the
+    records header; any other is refused, untouched and without a torn-line
+    warning, since no line is dropped."""
+    config = write_world_config(tmp_path / "config.yaml")
+    notes = tmp_path / "notes.txt"
+    notes.write_bytes(content)
+    with caplog.at_level("WARNING", logger="cotloop.pipeline"):
+        assert cli_dispatch(["gen-cot", "--config", config, "--records", str(notes)]) == 1
+    assert "expected cotloop-records" in capsys.readouterr().err
+    assert "torn" not in caplog.text
+    assert notes.read_bytes() == content
 
 
 def test_gen_cot_idempotent(tmp_path):

@@ -165,3 +165,17 @@ def test_no_module_reads_literals_with_ast():
             found += [f"{path.name}:{node.lineno}: {name}" for name in names
                       if name in ("ast", "literal_eval")]
     assert found == []
+
+
+def test_only_the_jsonl_reader_and_writer_open_files():
+    """Within `pipeline`, `open` is called once in `_read_jsonl` and once in
+    `_write_jsonl` and nowhere else: one reader decides where a file's
+    complete lines end, and one writer writes every cotloop file."""
+    tree = ast.parse((ROOT / "src" / "cotloop" / "pipeline.py").read_text(encoding="utf-8"))
+    found = []
+    for top in tree.body:
+        found += [getattr(top, "name", f"line {top.lineno}") for node in ast.walk(top)
+                  if isinstance(node, ast.Call)
+                  and (getattr(node.func, "id", None) == "open"
+                       or getattr(node.func, "attr", None) == "open")]
+    assert found == ["_write_jsonl", "_read_jsonl"]

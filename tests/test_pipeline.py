@@ -391,7 +391,9 @@ def write_format(name, path, stage_world):
 @pytest.mark.parametrize("content", [
     b"", b"not json\n", b"\xff\xfe binary\n", b'{"format": "cotloop-sft", "version": 1}\n',
     b'{"format": "cotloop-records", "version": 99}\n', b"[1, 2]\n",
-], ids=["empty", "not-json", "not-utf8", "foreign", "other-version", "not-object"])
+    b'{"format": "cotloop-records", "version": 1}\r{"sample_id": "s0"}\r',
+], ids=["empty", "not-json", "not-utf8", "foreign", "other-version", "not-object",
+        "lines-ending-in-a-bare-cr"])
 def test_loaders_refuse_foreign_files(tmp_path, name, content):
     path = tmp_path / "foreign.jsonl"
     path.write_bytes(content)
