@@ -88,7 +88,7 @@ class RemoteBackend:
     `max_in_flight` (default 4) caps how many posts this backend has open
     at once; a request waiting out its backoff holds no slot. The stages
     hand GRPO group members, not whole groups, to as many threads as the
-    caps of their backends add up to (see `pipeline._run_groups`), so a
+    caps of their backends add up to (see `pipeline._run_stage`), so a
     member in backoff leaves its slot to another. A session built here pools
     up to `max_in_flight` connections per host; one passed in is used as
     given. `requests` is imported here, on the constructing thread, so that

@@ -223,13 +223,17 @@ def mask_to_box(mask) -> Box:
     return Box(c_min, r_min, c_max + 1, r_max + 1)
 
 
+REASONS = ("leak", "parse", "format", "similarity")
+
+
 @dataclass(frozen=True)
 class RewardBreakdown:
     """Similarity plus the leak/format gates and the gated composite.
 
     Invariant: composite == similarity when no leak and format ok,
     otherwise composite == 0. ``reason`` names the first failed gate
-    (leak | parse | format) or "similarity" when the gates passed.
+    (leak | parse | format) or "similarity" when the gates passed; any other
+    reason is refused (ValueError).
     """
 
     similarity: float
@@ -240,6 +244,9 @@ class RewardBreakdown:
     leak_evidence: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
+        if self.reason not in REASONS:
+            raise ValueError(f"reason must be one of {', '.join(REASONS)}, "
+                             f"got {self.reason!r}")
         gates_pass = (not self.leak_detected) and self.format_ok
         expect = self.similarity if gates_pass else 0.0
         if self.composite != expect:
@@ -266,7 +273,8 @@ def make_breakdown(similarity: float, leak_detected: bool, format_ok: bool,
 
 @dataclass(frozen=True)
 class ScoredRecord:
-    """One curated row: a sample's best CoT, its reconstruction, and its reward."""
+    """One curated row: a sample's best CoT, its reconstruction, and its reward.
+    A `sample_id` or `cot` that is not a string is refused (TypeError)."""
 
     sample_id: str
     cot: str
@@ -275,5 +283,8 @@ class ScoredRecord:
     breakdown: RewardBreakdown
 
     def __post_init__(self):
+        if not (isinstance(self.sample_id, str) and isinstance(self.cot, str)):
+            name = "cot" if isinstance(self.sample_id, str) else "sample_id"
+            raise TypeError(f"{name} must be a string, got {type(getattr(self, name)).__name__}")
         if self.reward != self.breakdown.composite:
             raise ValueError("record reward must equal the breakdown composite")

@@ -332,10 +332,10 @@ def r1_prompt(sample: Sample) -> str:
     return _prompt(sample, "r1")
 
 
-# --- the group loop ----------------------------------------------------------
+# --- the stage engine --------------------------------------------------------
 
 def _require_group_size(group_size) -> None:
-    """Both stages call this before they read or write any file."""
+    """Checked before any file is read or written."""
     require("group_size", group_size,
             isinstance(group_size, int) and group_size >= 1, "an integer >= 1")
 
@@ -343,6 +343,11 @@ def _require_group_size(group_size) -> None:
 def _derive_seed(seed: int, sample_id: str, g: int) -> int:
     h = hashlib.sha256(f"{seed}|{sample_id}|{g}".encode()).hexdigest()
     return int(h[:12], 16)
+
+
+def _request(sample: Sample, prompt: str, seed: int, **options) -> GenerationRequest:
+    return GenerationRequest(sample_id=sample.id, image_ref=sample.image_ref,
+                             prompt=prompt, seed=seed, **options)
 
 
 def _ordered_map(groups: Iterable[list[Callable]], workers: int) -> Iterator[list]:
@@ -401,59 +406,71 @@ def _ordered_map(groups: Iterable[list[Callable]], workers: int) -> Iterator[lis
             thread.join()
 
 
-def _run_groups(samples: Sequence[Sample], group_size: int, seed: int,
-                member_for: Callable[[Sample], Callable[[int], object]],
-                failures: list[dict], backends: Sequence,
-                done: frozenset[str] = frozenset()) -> Iterator[tuple[Sample, list]]:
-    """Yield (sample, members) for each sample whose id is not in `done`,
-    the members in g order.
+def _run_stage(samples: Sequence[Sample], group_size: int, seed: int, backends: Sequence,
+               member_for: Callable[[Sample], Callable[[int], object]],
+               score: Callable[[Sample, list], object], failures: list[dict],
+               output: Optional[tuple] = None) -> None:
+    """Run G members per sample, score each group, and write or drop the rows.
 
-    `member_for(sample)`, called on the calling thread, returns the function
-    that makes one member's backend calls from its derived seed; the caller
-    scores what the members return. A BackendError in any member fails the
-    whole sample with the error of the lowest failing g, the one a
-    sequential run meets first, and no member above a failed one starts.
+    `member_for(sample)` returns the function that makes one member's backend
+    calls from its derived seed. `score(sample, members)` turns what the
+    members returned, in g order, into the sample's row. Both run on the
+    calling thread, in sample order. A BackendError in any member fails the
+    whole sample, with the error of the lowest failing g, the one a sequential
+    run meets first, into `failures`; no member above a failed one starts.
+
+    `output` is None, and the rows are dropped, or (path, fmt, offset, line):
+    `line(row)` of each row is written to `path` at `offset` by `_write_jsonl`.
+    The groups are closed on the way out, so an error while scoring or writing
+    stops the members in flight before it reaches the caller.
 
     Members, not whole groups, are the unit of work. They run on as many
     threads as the `max_in_flight` caps of the distinct `backends` add up
-    to, at most that many groups ahead of the one being yielded. In-process
+    to, at most that many groups ahead of the one being scored. In-process
     backends have no cap and count 0; with no cap at all, members run one
-    after another on the calling thread. Either way groups and failures come
+    after another on the calling thread. Either way rows and failures come
     out in sample order, so output files are the same bytes as a sequential
     run. Only the order of backend calls, and so a remote ledger's line
     order, varies.
     """
-    todo = [sample for sample in samples if sample.id not in done]
-    failed: dict[str, int] = {}  # sample id -> g of a member that failed
+    _require_group_size(group_size)
+    failed: dict[int, int] = {}  # position in `samples` -> g of a member that failed
 
     # No lock: a member that starts just before a lower one fails only makes
     # posts a sequential run would not, and its result is never used.
-    def run(sample: Sample, member: Callable[[int], object], g: int):
-        if failed.get(sample.id, g) < g:
+    def run(n: int, sample_id: str, member: Callable[[int], object], g: int):
+        if failed.get(n, g) < g:
             return None  # a lower member failed: a sequential run stops there
         try:
-            return member(_derive_seed(seed, sample.id, g))
+            return member(_derive_seed(seed, sample_id, g))
         except BackendError as e:
-            failed.setdefault(sample.id, g)
+            failed.setdefault(n, g)
             return e
 
-    def calls(sample: Sample) -> list[Callable]:
+    def calls(n: int, sample: Sample) -> list[Callable]:
         member = member_for(sample)
-        return [functools.partial(run, sample, member, g) for g in range(group_size)]
+        return [functools.partial(run, n, sample.id, member, g) for g in range(group_size)]
 
-    caps = {id(b): getattr(b, "max_in_flight", 0) for b in backends}
-    workers = max(1, sum(caps.values()))
-    groups = map(calls, todo)
-    results = (([call() for call in group] for group in groups) if workers == 1
-               else _ordered_map(groups, workers))
-    for sample, members in zip(todo, results):
-        failed.pop(sample.id, None)
-        error = next((m for m in members if isinstance(m, BackendError)), None)
-        if error is not None:
-            failures.append({"sample_id": sample.id, "error": str(error),
-                             "kind": type(error).__name__})
-            continue
-        yield sample, members
+    def rows() -> Iterator:
+        caps = {id(b): getattr(b, "max_in_flight", 0) for b in backends}
+        workers = max(1, sum(caps.values()))
+        groups = itertools.starmap(calls, enumerate(samples))
+        results = (([call() for call in group] for group in groups) if workers == 1
+                   else _ordered_map(groups, workers))
+        for sample, members in zip(samples, results):
+            error = next((m for m in members if isinstance(m, BackendError)), None)
+            if error is None:
+                yield score(sample, members)
+            else:
+                failures.append({"sample_id": sample.id, "error": str(error),
+                                 "kind": type(error).__name__})
+
+    with contextlib.closing(rows()) as lines:
+        if output is None:
+            deque(lines, maxlen=0)
+        else:
+            path, fmt, offset, line = output
+            _write_jsonl(path, fmt, map(line, lines), offset)
 
 
 # --- closed-loop stage -------------------------------------------------------
@@ -467,7 +484,8 @@ class StageResult:
 def run_closed_loop_stage(samples: Sequence[Sample], reason_backend, recon_backend,
                           group_size: int, seed: int,
                           records_path: Optional[str] = None) -> StageResult:
-    """Generate G CoTs per sample, reconstruct, score, retain best-of-group.
+    """Generate G CoTs per sample, reconstruct, score, retain best-of-group,
+    all through the stage engine `_run_stage`.
 
     Each distinct reconstruction of a group is parsed and scored once; the
     gates (leak, format) run per member, since members that share a
@@ -477,55 +495,42 @@ def run_closed_loop_stage(samples: Sequence[Sample], reason_backend, recon_backe
     line, never rewriting the lines it resumes. Backend failures go into
     `StageResult.failures`; the stage completes.
     """
-    _require_group_size(group_size)
     result = StageResult()
-    end = 0
+    output = None
     if records_path is not None:
+        _require_group_size(group_size)  # before the resume read
         _, rows, end = _read_jsonl(records_path, RECORDS, record_from_json, missing_ok=True)
         result.records = [record for _, record in rows]
+        output = (records_path, RECORDS, end, record_to_json)
     done = frozenset(r.sample_id for r in result.records)
 
     def member_for(sample: Sample):
         prompt = reasoning_prompt(sample)
 
         def member(member_seed: int) -> tuple[str, str]:
-            cot = reason_backend.generate(GenerationRequest(
-                sample_id=sample.id, image_ref=sample.image_ref,
-                prompt=prompt, seed=member_seed))
-            return cot, recon_backend.generate(GenerationRequest(
-                sample_id=sample.id, image_ref=sample.image_ref,
-                prompt=reconstruction_prompt(sample, cot), temperature=0.0,
-                seed=member_seed))
+            cot = reason_backend.generate(_request(sample, prompt, member_seed))
+            return cot, recon_backend.generate(_request(
+                sample, reconstruction_prompt(sample, cot), member_seed, temperature=0.0))
         return member
 
-    def scored() -> Iterator[ScoredRecord]:
-        for sample, members in _run_groups(samples, group_size, seed, member_for,
-                                           result.failures,
-                                           (reason_backend, recon_backend), done):
-            # Reconstruction text -> score_reconstruction(sample, text), for
-            # this group only: similarity depends on the sample. Members are
-            # scored in g order on this thread, so the dict needs no lock.
-            scores: dict[str, tuple[ParsedOutput, float]] = {}
-            group = []
-            for cot, recon_text in members:
-                score = scores.get(recon_text)
-                if score is None:
-                    score = scores[recon_text] = score_reconstruction(sample, recon_text)
-                breakdown = closed_loop_reward(sample, cot, recon_text, scored=score)
-                group.append(ScoredRecord(sample.id, cot, score[0].answer,
-                                          breakdown.composite, breakdown))
-            _, record = select_best_of_group(group)
-            result.records.append(record)
-            yield record
+    def score(sample: Sample, members: list[tuple[str, str]]) -> ScoredRecord:
+        # Reconstruction text -> score_reconstruction(sample, text), for this
+        # group only: similarity depends on the sample.
+        scores: dict[str, tuple[ParsedOutput, float]] = {}
+        group = []
+        for cot, recon_text in members:
+            scored = scores.get(recon_text)
+            if scored is None:
+                scored = scores[recon_text] = score_reconstruction(sample, recon_text)
+            breakdown = closed_loop_reward(sample, cot, recon_text, scored=scored)
+            group.append(ScoredRecord(sample.id, cot, scored[0].answer,
+                                      breakdown.composite, breakdown))
+        _, record = select_best_of_group(group)
+        result.records.append(record)
+        return record
 
-    # Closed on the way out, so an error while writing stops the members in
-    # flight before it reaches the caller.
-    with contextlib.closing(scored()) as records:
-        if records_path is None:
-            for _ in records:
-                pass
-        else:  # new records follow the complete ones, if any
-            _write_jsonl(records_path, RECORDS, map(record_to_json, records), offset=end)
+    _run_stage([s for s in samples if s.id not in done], group_size, seed,
+               (reason_backend, recon_backend), member_for, score, result.failures, output)
     return result
 
 
@@ -576,37 +581,30 @@ class RftEvalResult:
 def run_rft_reward_eval(samples: Sequence[Sample], r1_backend, group_size: int,
                         seed: int, bookkeeping_path: Optional[str] = None) -> RftEvalResult:
     """Sample G think-answer outputs per sample, score with the format-gated
-    reward, and emit the grouping bookkeeping an external trainer consumes."""
-    _require_group_size(group_size)
+    reward, and emit the grouping bookkeeping an external trainer consumes,
+    all through the stage engine `_run_stage`."""
     result = RftEvalResult()
     totals: list[float] = []
 
     def member_for(sample: Sample):
         prompt = r1_prompt(sample)
+        return lambda member_seed: r1_backend.generate(_request(sample, prompt, member_seed))
 
-        def member(member_seed: int) -> str:
-            return r1_backend.generate(GenerationRequest(
-                sample_id=sample.id, image_ref=sample.image_ref, prompt=prompt,
-                seed=member_seed))
-        return member
+    def score(sample: Sample, completions: list[str]) -> tuple[str, list[str], list[float]]:
+        rewards = [think_answer_reward(sample, text).composite for text in completions]
+        mean = sum(rewards) / len(rewards)
+        result.per_sample_mean[sample.id] = mean
+        totals.append(mean)
+        return sample.id, completions, rewards
 
-    def rows() -> Iterator[dict]:
-        for sample, completions in _run_groups(samples, group_size, seed, member_for,
-                                               result.failures, (r1_backend,)):
-            rewards = [think_answer_reward(sample, text).composite for text in completions]
-            advantages = compute_group_advantages(rewards)
-            mean = sum(rewards) / len(rewards)
-            result.per_sample_mean[sample.id] = mean
-            totals.append(mean)
-            yield {"sample_id": sample.id, "completions": completions,
-                   "rewards": rewards, "advantages": advantages}
+    def line(row: tuple[str, list[str], list[float]]) -> dict:
+        sample_id, completions, rewards = row
+        return {"sample_id": sample_id, "completions": completions, "rewards": rewards,
+                "advantages": compute_group_advantages(rewards)}
 
-    with contextlib.closing(rows()) as lines:  # as in `run_closed_loop_stage`
-        if bookkeeping_path is None:
-            for _ in lines:
-                pass
-        else:
-            _write_jsonl(bookkeeping_path, RFT_BOOKKEEPING, lines)
+    _run_stage(samples, group_size, seed, (r1_backend,), member_for, score, result.failures,
+               None if bookkeeping_path is None
+               else (bookkeeping_path, RFT_BOOKKEEPING, 0, line))
     result.mean_reward = sum(totals) / len(totals) if totals else 0.0
     return result
 

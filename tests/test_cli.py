@@ -299,6 +299,23 @@ def records_file(tmp):
     return str(tmp / "scored.jsonl")
 
 
+def edited_records(tmp, edit):
+    """Path of `records_file` with `edit` applied to its last record, the one
+    of reward 7/8."""
+    path = pathlib.Path(records_file(tmp))
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[-1])
+    edit(record)
+    path.write_text("\n".join(lines[:-1] + [json.dumps(record)]) + "\n")
+    return str(path)
+
+
+def export_sft_of(records):
+    """export-sft argv for a tmp dir, of the records file `records(tmp)`."""
+    return lambda t: ["export-sft", "--records", records(t), "--dataset", world_dataset(t, 8),
+                      "--output", str(t / "sft.jsonl")]
+
+
 def a_directory(tmp):
     (tmp / "a-directory").mkdir()
     return str(tmp / "a-directory")
@@ -603,6 +620,18 @@ BAD_INPUT = {
     "eval-reference-on-detection": (lambda t: eval_with_lines(t, "detection", ref=[]), 1,
                                     "a reference run is compared on classification samples "
                                     "only"),
+    "report-record-reason-a-list": (lambda t: ["report", "--records", edited_records(
+        t, lambda r: r["breakdown"].update(reason=["x"]))], 1,
+        "scored.jsonl: line 9: reason must be one of leak, parse, format, similarity, "
+        "got ['x']"),
+    "report-record-reason-an-int": (lambda t: ["report", "--records", edited_records(
+        t, lambda r: r["breakdown"].update(reason=3))], 1,
+        "scored.jsonl: line 9: reason must be one of leak, parse, format, similarity, got 3"),
+    "export-sft-record-cot-an-int": (export_sft_of(lambda t: edited_records(
+        t, lambda r: r.update(cot=5))), 1, "scored.jsonl: line 9: cot must be a string, got int"),
+    "export-sft-record-cot-a-list": (export_sft_of(lambda t: edited_records(
+        t, lambda r: r.update(cot=["a", 1]))), 1,
+        "scored.jsonl: line 9: cot must be a string, got list"),
     "ingest-without-categories": (lambda t: ingest(t, "classification", []), 64,
                                   "--categories"),
     "ingest-without-height": (lambda t: ingest(t, "detection", [], "--width", "3"), 64,

@@ -40,7 +40,8 @@ import json, os, sys, tempfile
 import cotloop, cotloop.cli
 
 def loaded():
-    return sorted(m for m in ("numpy", "requests", "yaml", "scipy") if m in sys.modules)
+    return sorted(m for m in ("numpy", "requests", "yaml", "scipy", "concurrent.futures")
+                  if m in sys.modules)
 
 steps = [loaded()]
 from cotloop.backends import CueWorld, RemoteBackend
@@ -68,9 +69,10 @@ def run_python(code, *args):
 
 
 def test_each_heavy_dependency_loads_where_it_is_first_used():
-    """Importing the CLI loads none of numpy, requests, PyYAML or scipy; a
-    remote backend loads requests and --config PyYAML; label corruption loads
-    nothing, and numpy is loaded at no step."""
+    """Importing the CLI loads none of numpy, requests, PyYAML, scipy or
+    concurrent.futures; a remote backend loads requests and --config PyYAML;
+    label corruption loads nothing, and numpy and concurrent.futures are
+    loaded at no step."""
     out = run_python(COLD_START)
     assert json.loads(out.stdout) == [[], ["requests"], ["requests"], ["requests", "yaml"]]
 

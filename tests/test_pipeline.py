@@ -18,7 +18,8 @@ from cotloop.backends import (CueWorld, GenerationRequest, MockBackend, RemoteBa
 from cotloop.domain import (Box, BoxSet, Classification, Distribution, Sample,
                             make_breakdown)
 from cotloop.errors import (CotloopError, DomainError, HeaderMismatch,
-                            InvalidSetting, MissingFile, MockMiss, ValidationFailure)
+                            InvalidSetting, MissingFile, MockMiss, RemoteUnavailable,
+                            ValidationFailure)
 from cotloop.pipeline import (evaluate_predictions, export_sft_corpus,
                               load_dataset, load_predictions, load_records,
                               r1_prompt, reasoning_prompt,
@@ -852,6 +853,55 @@ def test_a_failed_sample_records_the_error_of_its_lowest_failing_member(
         "sample_id": sample.id, "kind": "BadPayload",
         "error": "malformed reply: ValueError: Expecting value: line 1 column 1 (char 0)"}]
     assert_nothing_left_running(session)
+
+
+class Capped:
+    """An in-process backend with a `max_in_flight` cap that answers `text`
+    after a short wait. Its first call with the seed `down` raises
+    RemoteUnavailable instead."""
+
+    def __init__(self, text, cap, down=None):
+        self.text, self.max_in_flight, self.down = text, cap, down
+
+    def generate(self, request):
+        if request.seed == self.down:
+            self.down = None
+            raise RemoteUnavailable("down")
+        time.sleep(0.005)
+        return self.text
+
+
+def test_two_samples_that_share_an_id_fail_and_score_apart(emotion_sample):
+    """The same sample twice, its member 0 down once: the copy that meets it
+    fails and the other is scored, the same with members on four threads
+    (caps of 2) as on the calling thread (no caps)."""
+    text = answer_of(emotion_sample.annotation, emotion_sample.task)
+    down = pipeline._derive_seed(0, emotion_sample.id, 0)
+
+    def run(cap):
+        return run_closed_loop_stage([emotion_sample] * 2, Capped(CLEAN_COT, cap, down),
+                                     Capped(text, cap), group_size=4, seed=0)
+    threaded, sequential = run(2), run(0)
+    assert threaded == sequential
+    assert [r.sample_id for r in threaded.records] == [emotion_sample.id]
+    assert threaded.failures == [{"sample_id": emotion_sample.id, "error": "down",
+                                  "kind": "RemoteUnavailable"}]
+
+
+def test_a_stage_without_an_output_path_serializes_nothing(monkeypatch, stage_world):
+    """Neither the closed-loop stage without a records path nor the noise
+    audit turns a record into JSON."""
+    from cotloop import audit
+
+    def refused(record):
+        raise AssertionError("record_to_json called without a records path")
+    monkeypatch.setattr(pipeline, "record_to_json", refused)
+    samples = [s.as_sample() for s in stage_world.samples]
+    reason, recon = SyntheticReasonBackend(stage_world, 0.8), SyntheticReconBackend(stage_world)
+    stage = run_closed_loop_stage(samples, reason, recon, group_size=2, seed=0)
+    assert len(stage.records) == len(samples)
+    report, _ = audit.run_noise_audit(samples, 0.5, reason, recon, group_size=2)
+    assert report.n_clean + report.n_corrupted == len(samples)
 
 
 # --- evaluation ------------------------------------------------------------------------
