@@ -10,6 +10,7 @@ cues did the CoT mention".
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -18,15 +19,12 @@ import re
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .domain import Annotation, Box, BoxSet, Classification, Detection, Distribution, Sample
 from .errors import (AuthFailure, BadPayload, InvalidSetting, MockMiss, RemoteUnavailable,
                      RequestRejected, TemplateError, Timeout)
 from .textproto import format_answer, load_template, read_slot, task_name
-
-if TYPE_CHECKING:
-    import requests
 
 
 @dataclass(frozen=True)
@@ -82,27 +80,154 @@ def _retry_after_s(value: str) -> Optional[float]:
     return max(0.0, (when - datetime.now(timezone.utc)).total_seconds())
 
 
+def _split_endpoint(endpoint):
+    """The `urlsplit` parts of an http:// or https:// URL with a host and no
+    whitespace or control character; InvalidSetting for anything else."""
+    from urllib.parse import urlsplit
+    try:
+        parts = urlsplit(endpoint)
+        parts.port  # raises ValueError unless the port is a number in 0..65535
+    except (TypeError, ValueError, AttributeError):
+        parts = None
+    require("endpoint", endpoint,
+            parts is not None and parts.scheme in ("http", "https") and bool(parts.hostname)
+            and not re.search(r"[\x00-\x20\x7f]", endpoint), "an http:// or https:// URL")
+    return parts
+
+
+def _refuse_proxy(scheme: str, host: str) -> None:
+    """InvalidSetting when the environment names a proxy for `scheme` that
+    `NO_PROXY` does not lift for `host`: HttpSession cannot tunnel, and going
+    direct where a proxy was asked for is never done silently."""
+    import os
+    import urllib.request
+    proxies = urllib.request.getproxies()
+    key = scheme if proxies.get(scheme) else "all"
+    if proxies.get(key) and not urllib.request.proxy_bypass(host):
+        var = next((v for v in (f"{key}_proxy", f"{key.upper()}_PROXY") if os.environ.get(v)),
+                   f"{key}_proxy")
+        raise InvalidSetting(f"{var} names a proxy ({proxies[key]}) for {scheme}://{host}, "
+                             f"and a remote backend does not use proxies: unset {var} or "
+                             f"exempt {host} in NO_PROXY")
+
+
+class HttpReply:
+    """One reply of an HttpSession, read as RemoteBackend reads a reply.
+    `headers` is an `http.client.HTTPMessage`: names are looked up
+    case-insensitively. (A plain class: a dataclass would add about 0.6 ms to
+    every import of this module.)"""
+
+    __slots__ = ("status_code", "headers", "body")
+
+    def __init__(self, status_code: int, headers, body: bytes):
+        self.status_code = status_code
+        self.headers = headers
+        self.body = body
+
+    def json(self):
+        return json.loads(self.body)
+
+
+class HttpSession:
+    """The session a RemoteBackend builds when it is given none: the
+    `post(url, json=, headers=, timeout=)` of `requests.Session` on
+    `http.client`, for one http:// or https:// endpoint.
+
+    Up to `size` persistent connections wait in a queue, each opened on its
+    first post, so at most `size` posts are open at once. A kept-alive
+    connection that the server has closed in the meantime (sending fails, or
+    the connection ends before a reply's headers are read) is reopened and
+    the post sent again, once. https verifies against the system's
+    certificate store (`ssl.create_default_context()`). Redirects are not
+    followed and no compressed reply is asked for. No proxy is used: a proxy
+    that the environment names for the endpoint raises InvalidSetting here.
+    """
+
+    _encode = staticmethod(json.dumps)  # `post` takes `json=`, as requests does
+
+    def __init__(self, endpoint: str, size: int):
+        import http.client  # loads ssl too: only a backend that posts itself pays for it
+        import queue
+        parts = _split_endpoint(endpoint)
+        _refuse_proxy(parts.scheme, parts.hostname)
+        self.url = endpoint
+        self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        if parts.scheme == "https":
+            import ssl
+            self._connection = functools.partial(
+                http.client.HTTPSConnection, parts.hostname, parts.port,
+                context=ssl.create_default_context())
+        else:
+            self._connection = functools.partial(http.client.HTTPConnection, parts.hostname,
+                                                 parts.port)
+        self._idle = queue.LifoQueue()  # the most recently used connection goes out first
+        for _ in range(size):
+            self._idle.put(None)  # a slot whose connection is not made yet
+
+    def _send(self, conn, body: bytes, headers: dict, timeout: float):
+        conn.timeout = timeout  # for a connection opened by this request
+        if conn.sock is not None:
+            conn.sock.settimeout(timeout)
+        conn.request("POST", self._target, body, headers)
+        return conn.getresponse()
+
+    def post(self, url: str, json=None, headers=None, timeout=None) -> HttpReply:
+        if url != self.url:
+            raise ValueError(f"this session posts to {self.url} only, got {url}")
+        body = self._encode(json).encode()
+        headers = headers or {}
+        conn = self._idle.get() or self._connection()
+        try:
+            kept = conn.sock is not None
+            try:
+                resp = self._send(conn, body, headers, timeout)
+            except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected among them
+                if not kept:
+                    raise
+                conn.close()  # the next request on it opens a new socket
+                resp = self._send(conn, body, headers, timeout)
+            return HttpReply(resp.status, resp.headers, resp.read())
+        except BaseException:
+            conn.close()
+            raise
+        finally:
+            self._idle.put(conn)
+
+    def close(self) -> None:
+        """Close every idle connection; a later post opens new ones."""
+        idle = [self._idle.get() for _ in range(self._idle.qsize())]
+        for conn in idle:
+            if conn is not None:
+                conn.close()
+            self._idle.put(conn)
+
+
 class RemoteBackend:
     """Chat-completion client with bounded concurrency and retry/backoff.
 
-    `max_in_flight` (default 4) caps how many posts this backend has open
-    at once; a request waiting out its backoff holds no slot. The stages
-    hand GRPO group members, not whole groups, to as many threads as the
-    caps of their backends add up to (see `pipeline._run_stage`), so a
-    member in backoff leaves its slot to another. A session built here pools
-    up to `max_in_flight` connections per host; one passed in is used as
-    given. `requests` is imported here, on the constructing thread, so that
-    a run without a remote backend never loads it. A `max_in_flight` or
-    `max_attempts` that is not an integer >= 1, a `timeout` <= 0 or a
-    negative `backoff_base` raises InvalidSetting.
+    `endpoint` must be an http:// or https:// URL. `max_in_flight` (default
+    4) caps how many posts this backend has open at once; a request waiting
+    out its backoff holds no slot. The stages hand GRPO group members, not
+    whole groups, to as many threads as the caps of their backends add up to
+    (see `pipeline._run_stage`), so a member in backoff leaves its slot to
+    another. A `session` passed in is posted to as given: it needs only
+    `post(url, json=, headers=, timeout=)` returning a reply with
+    `status_code`, `headers` and `json()`, and of its errors a TimeoutError
+    counts as a timeout and any other OSError (`requests`' errors are
+    OSErrors) as an unreachable endpoint. Without one the backend builds an
+    `HttpSession` of `max_in_flight` connections, the only path that loads
+    `http.client`. A `max_in_flight` or `max_attempts` that is not an
+    integer >= 1, a `timeout` <= 0 or a negative `backoff_base` raises
+    InvalidSetting.
 
     Timeouts, connection errors, replies without a usable text and every
     status >= 400 but those below are retried with exponential backoff.
     After a 429 or 503 whose `Retry-After` gives delta-seconds or an
     HTTP-date, the wait is that many seconds instead, at most the longest
-    backoff `max_attempts` allows. 401 and 403 raise AuthFailure and the
-    statuses in `REJECTED` raise RequestRejected, both on the first post:
-    sending the same request again cannot succeed.
+    backoff `max_attempts` allows. 401 and 403 raise AuthFailure, and the
+    statuses in `REJECTED` and every 3xx (redirects are not followed)
+    raise RequestRejected, all on the first post: sending the same request
+    again cannot succeed.
 
     The credential is read from the environment variable named at
     construction, never from config files. Every answered request is
@@ -118,7 +243,7 @@ class RemoteBackend:
                  timeout: float = 120.0, max_attempts: int = 3,
                  backoff_base: float = 1.0, max_in_flight: int = 4,
                  ledger_path: Optional[str] = None,
-                 session: Optional[requests.Session] = None,
+                 session: Optional[HttpSession] = None,
                  sleep: Callable[[float], None] = time.sleep):
         require("max_in_flight", max_in_flight,
                 isinstance(max_in_flight, int) and max_in_flight >= 1, "an integer >= 1")
@@ -128,6 +253,7 @@ class RemoteBackend:
                 isinstance(timeout, (int, float)) and timeout > 0, "a number > 0")
         require("backoff_base", backoff_base,
                 isinstance(backoff_base, (int, float)) and backoff_base >= 0, "a number >= 0")
+        _split_endpoint(endpoint)
         self.endpoint = endpoint
         self.model = model
         self.auth_env = auth_env
@@ -136,13 +262,11 @@ class RemoteBackend:
         self.backoff_base = backoff_base
         self.max_in_flight = max_in_flight
         self.ledger_path = ledger_path
-        import requests
-        self._requests = requests
+        self._unreachable: tuple[type[Exception], ...] = (OSError,)
         if session is None:
-            from requests.adapters import HTTPAdapter
-            session = requests.Session()
-            for prefix in ("http://", "https://"):
-                session.mount(prefix, HTTPAdapter(pool_maxsize=max_in_flight))
+            import http.client
+            session = HttpSession(endpoint, max_in_flight)
+            self._unreachable += (http.client.HTTPException,)
         self._session = session
         self._sleep = sleep
         self._gate = threading.Semaphore(max_in_flight)
@@ -199,20 +323,23 @@ class RemoteBackend:
     def _post(self, request: GenerationRequest, body: dict, headers: dict) -> str:
         """The reply text of one post, holding a `max_in_flight` slot only
         while the post is open; the backend error it ended in otherwise."""
-        requests = self._requests
         with self._gate:
             start = time.monotonic()
             try:
                 resp = self._session.post(self.endpoint, json=body,
                                           headers=headers, timeout=self.timeout)
-            except requests.Timeout as e:
+            except TimeoutError as e:
                 raise Timeout(str(e)) from None
-            except requests.RequestException as e:
+            except self._unreachable as e:
                 raise RemoteUnavailable(str(e)) from None
         if resp.status_code in (401, 403):
             raise AuthFailure(f"endpoint rejected credential: {resp.status_code}")
         if resp.status_code in self.REJECTED:
             raise RequestRejected(f"HTTP {resp.status_code}")
+        if 300 <= resp.status_code < 400:
+            location = (getattr(resp, "headers", None) or {}).get("Location")
+            raise RequestRejected(f"HTTP {resp.status_code} to Location {location!r}: "
+                                  "redirects are not followed")
         if resp.status_code in (429, 503):
             headers = getattr(resp, "headers", None) or {}
             raise RemoteUnavailable(f"HTTP {resp.status_code}",

@@ -226,6 +226,15 @@ def mask_to_box(mask) -> Box:
 REASONS = ("leak", "parse", "format", "similarity")
 
 
+def _check_score(name: str, value) -> None:
+    """TypeError unless `value` is a number and not a bool, ValueError unless
+    it lies in [0, 1] (which NaN and the infinities do not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {type(value).__name__}")
+    if not 0 <= value <= 1:
+        raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+
+
 @dataclass(frozen=True)
 class RewardBreakdown:
     """Similarity plus the leak/format gates and the gated composite.
@@ -233,7 +242,8 @@ class RewardBreakdown:
     Invariant: composite == similarity when no leak and format ok,
     otherwise composite == 0. ``reason`` names the first failed gate
     (leak | parse | format) or "similarity" when the gates passed; any other
-    reason is refused (ValueError).
+    reason is refused (ValueError), as are a similarity or composite that is
+    not a number in [0, 1] and gate flags that are not bools.
     """
 
     similarity: float
@@ -247,6 +257,18 @@ class RewardBreakdown:
         if self.reason not in REASONS:
             raise ValueError(f"reason must be one of {', '.join(REASONS)}, "
                              f"got {self.reason!r}")
+        # One check passes every breakdown the loop makes (float scores in
+        # range, bool gates); other values are checked field by field, so an
+        # error names the field at fault.
+        if not (type(self.similarity) is type(self.composite) is float
+                and 0 <= self.similarity <= 1 and 0 <= self.composite <= 1
+                and type(self.leak_detected) is type(self.format_ok) is bool):
+            _check_score("similarity", self.similarity)
+            _check_score("composite", self.composite)
+            for name in ("leak_detected", "format_ok"):
+                if not isinstance(getattr(self, name), bool):
+                    raise TypeError(f"{name} must be a bool, "
+                                    f"got {type(getattr(self, name)).__name__}")
         gates_pass = (not self.leak_detected) and self.format_ok
         expect = self.similarity if gates_pass else 0.0
         if self.composite != expect:
@@ -274,7 +296,8 @@ def make_breakdown(similarity: float, leak_detected: bool, format_ok: bool,
 @dataclass(frozen=True)
 class ScoredRecord:
     """One curated row: a sample's best CoT, its reconstruction, and its reward.
-    A `sample_id` or `cot` that is not a string is refused (TypeError)."""
+    A `sample_id` or `cot` that is not a string is refused (TypeError), as is a
+    reward that is not a number in [0, 1] (TypeError or ValueError)."""
 
     sample_id: str
     cot: str
@@ -286,5 +309,7 @@ class ScoredRecord:
         if not (isinstance(self.sample_id, str) and isinstance(self.cot, str)):
             name = "cot" if isinstance(self.sample_id, str) else "sample_id"
             raise TypeError(f"{name} must be a string, got {type(getattr(self, name)).__name__}")
+        if type(self.reward) is not float:  # a float equal to the composite is in range
+            _check_score("reward", self.reward)
         if self.reward != self.breakdown.composite:
             raise ValueError("record reward must equal the breakdown composite")

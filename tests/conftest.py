@@ -1,5 +1,7 @@
 """Shared fixtures: tasks, samples, reward fixtures, and cue worlds."""
 
+import os
+
 import pytest
 
 from cotloop.backends import CueWorld
@@ -14,6 +16,15 @@ EXAMPLE_DISTRIBUTION = {
     "anger": 0.0, "disgust": 0.1, "fear": 0.2, "joy": 0.388889,
     "sadness": 0.033333, "surprise": 0.122222, "neutral": 0.155556,
 }
+
+
+@pytest.fixture(autouse=True)
+def no_proxy_variables(monkeypatch):
+    """Tests run as if no proxy were configured: a remote backend that builds
+    its own session refuses an endpoint that a proxy variable applies to."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
 
 
 @pytest.fixture(scope="session")

@@ -1,18 +1,20 @@
 """Backends: mock lookup, remote retry/backoff, and the synthetic cue world."""
 
 import email.utils
+import http.client
 import json
 import random
 import re
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timedelta, timezone
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-import requests
 from hypothesis import given, strategies as st
 
 from cotloop.backends import (CueWorld, DEFAULT_TEMPLATE_BANK,
-                              GenerationRequest, MockBackend, RemoteBackend,
+                              GenerationRequest, HttpSession, MockBackend, RemoteBackend,
                               SyntheticR1Backend, SyntheticReasonBackend,
                               SyntheticReconBackend, synthetic_reason,
                               synthetic_reconstruct)
@@ -116,7 +118,7 @@ def test_remote_retries_with_backoff(monkeypatch):
     monkeypatch.setenv("COTLOOP_API_KEY", "k")
     sleeps = []
     session = FakeSession([FakeResponse(status_code=500),
-                           requests.ConnectionError("down"),
+                           ConnectionError("down"),
                            PayloadResponse({"choices": []}),
                            FakeResponse(content="hello")])
     backend = make_remote(session, sleeps, max_attempts=4)
@@ -175,7 +177,8 @@ class BusyResponse:
 
     def __init__(self, status_code, retry_after):
         self.status_code = status_code
-        self.headers = requests.structures.CaseInsensitiveDict({"retry-after": retry_after})
+        self.headers = http.client.HTTPMessage()
+        self.headers["retry-after"] = retry_after
 
 
 def http_date(offset_s):
@@ -297,21 +300,176 @@ def test_remote_rejects_a_cap_that_is_not_a_positive_int(setting, value):
         make_remote(FakeSession([]), [], **{setting: value})
 
 
-def test_remote_sizes_its_own_connection_pool_to_the_cap():
-    backend = RemoteBackend(endpoint="https://api.example.test/v1/chat",
-                            model="test-model", max_in_flight=16)
-    assert backend.max_in_flight == 16
-    for url in ("http://api.example.test/", "https://api.example.test/"):
-        assert backend._session.get_adapter(url)._pool_maxsize == 16
-    injected = requests.Session()
-    make_remote(injected, [], max_in_flight=16)
-    assert (injected.get_adapter("https://api.example.test/")._pool_maxsize
-            == requests.adapters.DEFAULT_POOLSIZE)
+@pytest.mark.parametrize("endpoint", [
+    "ftp://api.example.test/v1/chat", "api.example.test/v1/chat", "http://", "https:///v1",
+    "http://api.example.test:99999/", "http://api.example.test:port/",
+    "http://api.example.test/v1 chat", "http://[::1/", 5, None, True,
+])
+def test_remote_rejects_an_endpoint_that_is_not_an_http_url(endpoint):
+    with pytest.raises(InvalidSetting, match="^endpoint must be an http:// or https:// URL"):
+        RemoteBackend(endpoint=endpoint, model="test-model", session=FakeSession([]))
+
+
+# --- remote backend over loopback HTTP ------------------------------------------
+# A stdlib server on 127.0.0.1 in a thread of this process: an ordinary TCP
+# socket, with no network device and no route.
+
+class ScriptedEndpoint(ThreadingHTTPServer):
+    """A chat-completion endpoint that answers post n (from 0) as
+    `script(n)` says: (status, extra headers, close the connection after the
+    reply), or a status of None to never answer. Counts the connections it
+    accepts and the posts it reads."""
+
+    def __init__(self, script):
+        super().__init__(("127.0.0.1", 0), ScriptedHandler)
+        self.script = script
+        self.lock = threading.Lock()
+        self.connections = self.posts = 0
+        self.release = threading.Event()  # ends the wait of a post never answered
+
+    @property
+    def url(self):
+        return f"http://127.0.0.1:{self.server_address[1]}/v1/chat"
+
+
+class ScriptedHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # connections are kept alive
+    wbufsize = -1  # status line, headers and body leave in one write
+    disable_nagle_algorithm = True
+    timeout = 10
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def do_POST(self):
+        json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        with self.server.lock:
+            n = self.server.posts
+            self.server.posts += 1
+        status, headers, close = self.server.script(n)
+        if status is None:
+            self.server.release.wait(timeout=10)
+            self.close_connection = True
+            return
+        body = json.dumps({"choices": [{"message": {"content": f"reply {n}"}}]}).encode()
+        self.send_response(status)
+        for name, value in {**headers, "Content-Type": "application/json",
+                            "Content-Length": str(len(body))}.items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(body)
+        self.close_connection = close
+
+    def log_message(self, format, *args):
+        pass
+
+
+@pytest.fixture
+def serve(monkeypatch):
+    """serve(script, **backend settings) -> (server, backend posting to it
+    through its own session, the backend's sleeps)."""
+    monkeypatch.setenv("COTLOOP_API_KEY", "k")
+    started = []
+
+    def start(script, **kw):
+        server = ScriptedEndpoint(script)
+        threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
+        sleeps = []
+        backend = RemoteBackend(endpoint=server.url, model="test-model", sleep=sleeps.append,
+                                **kw)
+        started.append((server, backend))
+        return server, backend, sleeps
+
+    yield start
+    for server, backend in started:
+        backend._session.close()
+        server.release.set()
+        server.shutdown()
+        server.server_close()
+
+
+def answer(n):
+    return 200, {}, False
+
+
+def test_remote_keeps_at_most_max_in_flight_connections(serve):
+    """40 posts from 4 threads through a backend capped at 2 reach the server
+    on at most 2 connections; an injected session is the one posted to."""
+    server, backend, _ = serve(answer, max_in_flight=2)
+    with ThreadPoolExecutor(4) as pool:
+        replies = list(pool.map(lambda seed: backend.generate(req(seed=seed)), range(40)))
+    assert sorted(replies) == sorted(f"reply {n}" for n in range(40))
+    assert server.posts == 40
+    assert 1 <= server.connections <= 2
+    injected = FakeSession([FakeResponse(content="hello")])
+    backend = make_remote(injected, [], max_in_flight=16)
+    assert backend._session is injected
+    assert backend.generate(req()) == "hello"
+    assert len(injected.calls) == 1
+
+
+def test_remote_reopens_a_kept_alive_connection_the_server_closed(serve):
+    """The server closes the connection after its first reply, without saying
+    so: the second post is answered on a new connection, with no retry."""
+    server, backend, sleeps = serve(lambda n: (200, {}, n == 0))
+    assert backend.generate(req()) == "reply 0"
+    assert backend.generate(req()) == "reply 1"
+    assert sleeps == []
+    assert (server.posts, server.connections) == (2, 2)
+
+
+def test_remote_honours_a_retry_after_header_on_the_wire(serve):
+    server, backend, sleeps = serve(
+        lambda n: (503, {"Retry-After": "3"}, False) if n == 0 else answer(n), max_attempts=4)
+    assert backend.generate(req()) == "reply 1"
+    assert sleeps == [3.0]
+
+
+def test_remote_times_out_on_a_server_that_never_answers(serve):
+    server, backend, sleeps = serve(lambda n: (None, {}, False), timeout=0.2, max_attempts=2)
+    with pytest.raises(Timeout):
+        backend.generate(req())
+    assert server.posts == 2
+    assert sleeps == [1.0]
+
+
+@pytest.mark.parametrize("status, error, message", [
+    (401, AuthFailure, "^endpoint rejected credential: 401$"),
+    (404, RequestRejected, "^HTTP 404$"),
+    (302, RequestRejected, "^HTTP 302 to Location '/v2/chat': redirects are not followed$"),
+])
+def test_remote_fails_on_the_first_post_over_the_wire(serve, status, error, message):
+    server, backend, sleeps = serve(lambda n: (status, {"Location": "/v2/chat"}, False)
+                                    if n == 0 else answer(n))
+    with pytest.raises(error, match=message):
+        backend.generate(req())
+    assert server.posts == 1
+    assert sleeps == []
+
+
+@pytest.mark.parametrize("variable, endpoint", [
+    ("HTTP_PROXY", "http://127.0.0.1:9/v1/chat"), ("http_proxy", "http://127.0.0.1:9/v1/chat"),
+    ("HTTPS_PROXY", "https://127.0.0.1:9/v1/chat"), ("ALL_PROXY", "http://127.0.0.1:9/v1/chat"),
+])
+def test_remote_refuses_a_proxy_it_cannot_use(monkeypatch, variable, endpoint):
+    """A backend that builds its own session never goes direct where the
+    environment names a proxy for its endpoint, unless NO_PROXY exempts it."""
+    other = "HTTP_PROXY" if endpoint.startswith("https") else "HTTPS_PROXY"
+    monkeypatch.setenv(other, "http://other-scheme.invalid:3128")  # does not apply
+    monkeypatch.setenv(variable, "http://proxy.invalid:3128")
+    with pytest.raises(InvalidSetting, match=f"^{variable} names a proxy"):
+        RemoteBackend(endpoint=endpoint, model="test-model")
+    make_remote(FakeSession([]), [])  # an injected session is used as given
+    monkeypatch.setenv("NO_PROXY", "example.test,127.0.0.1")
+    backend = RemoteBackend(endpoint=endpoint, model="test-model")
+    assert isinstance(backend._session, HttpSession)
 
 
 def test_remote_exhausts_attempts(monkeypatch):
     monkeypatch.setenv("COTLOOP_API_KEY", "k")
-    session = FakeSession([requests.ConnectionError("down")] * 3)
+    session = FakeSession([ConnectionError("down")] * 3)
     backend = make_remote(session, [])
     with pytest.raises(RemoteUnavailable):
         backend.generate(req())
@@ -320,7 +478,7 @@ def test_remote_exhausts_attempts(monkeypatch):
 
 def test_remote_timeout(monkeypatch):
     monkeypatch.setenv("COTLOOP_API_KEY", "k")
-    session = FakeSession([requests.Timeout("slow")] * 3)
+    session = FakeSession([TimeoutError("slow")] * 3)
     backend = make_remote(session, [])
     with pytest.raises(Timeout):
         backend.generate(req())

@@ -310,6 +310,13 @@ def edited_records(tmp, edit):
     return str(path)
 
 
+def scores_as_strings(record):
+    """Make a record's reward, composite and similarity the same string, which
+    keeps the reward = composite = similarity identities."""
+    record["reward"] = "0.9"
+    record["breakdown"].update(composite="0.9", similarity="0.9")
+
+
 def export_sft_of(records):
     """export-sft argv for a tmp dir, of the records file `records(tmp)`."""
     return lambda t: ["export-sft", "--records", records(t), "--dataset", world_dataset(t, 8),
@@ -627,6 +634,10 @@ BAD_INPUT = {
     "report-record-reason-an-int": (lambda t: ["report", "--records", edited_records(
         t, lambda r: r["breakdown"].update(reason=3))], 1,
         "scored.jsonl: line 9: reason must be one of leak, parse, format, similarity, got 3"),
+    "report-record-scores-strings": (lambda t: ["report", "--records", edited_records(
+        t, scores_as_strings)], 1, "scored.jsonl: line 9: similarity must be a number, got str"),
+    "filter-record-scores-strings": (lambda t: ["filter", "--records", edited_records(
+        t, scores_as_strings)], 1, "scored.jsonl: line 9: similarity must be a number, got str"),
     "export-sft-record-cot-an-int": (export_sft_of(lambda t: edited_records(
         t, lambda r: r.update(cot=5))), 1, "scored.jsonl: line 9: cot must be a string, got int"),
     "export-sft-record-cot-a-list": (export_sft_of(lambda t: edited_records(

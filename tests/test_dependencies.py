@@ -40,11 +40,18 @@ import json, os, sys, tempfile
 import cotloop, cotloop.cli
 
 def loaded():
-    return sorted(m for m in ("numpy", "requests", "yaml", "scipy", "concurrent.futures")
-                  if m in sys.modules)
+    return sorted(m for m in ("numpy", "requests", "yaml", "scipy", "concurrent.futures",
+                              "http.client") if m in sys.modules)
 
 steps = [loaded()]
 from cotloop.backends import CueWorld, RemoteBackend
+
+class Session:
+    def post(self, url, json=None, headers=None, timeout=None):
+        raise OSError("not posted")
+
+RemoteBackend(endpoint="http://localhost:9/v1/chat", model="m", session=Session())
+steps.append(loaded())
 RemoteBackend(endpoint="http://localhost:9/v1/chat", model="m")
 steps.append(loaded())
 from cotloop import audit
@@ -69,12 +76,14 @@ def run_python(code, *args):
 
 
 def test_each_heavy_dependency_loads_where_it_is_first_used():
-    """Importing the CLI loads none of numpy, requests, PyYAML, scipy or
-    concurrent.futures; a remote backend loads requests and --config PyYAML;
-    label corruption loads nothing, and numpy and concurrent.futures are
-    loaded at no step."""
+    """Importing the CLI loads none of numpy, requests, PyYAML, scipy,
+    concurrent.futures or http.client; a remote backend given a session loads
+    nothing, one that builds its own loads http.client, and --config loads
+    PyYAML; label corruption loads nothing, and numpy, requests and
+    concurrent.futures are loaded at no step."""
     out = run_python(COLD_START)
-    assert json.loads(out.stdout) == [[], ["requests"], ["requests"], ["requests", "yaml"]]
+    assert json.loads(out.stdout) == [[], [], ["http.client"], ["http.client"],
+                                      ["http.client", "yaml"]]
 
 
 AUDIT_WITHOUT_NUMPY = """

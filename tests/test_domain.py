@@ -192,6 +192,31 @@ def test_breakdown_gating_identity_enforced():
     assert ok.composite == 0.5
 
 
+@pytest.mark.parametrize("field, value, error", [
+    ("similarity", "0.5", TypeError), ("similarity", True, TypeError),
+    ("similarity", None, TypeError), ("similarity", float("nan"), ValueError),
+    ("similarity", float("inf"), ValueError), ("similarity", 1.5, ValueError),
+    ("similarity", -0.5, ValueError), ("leak_detected", 0, TypeError),
+    ("leak_detected", "false", TypeError), ("format_ok", 1, TypeError),
+    ("format_ok", None, TypeError),
+])
+def test_breakdown_refuses_scores_and_flags_of_the_wrong_type(field, value, error):
+    """Each bad value keeps the gating identity, so only the type or range
+    check can refuse it."""
+    fields = {"similarity": 0.5, "leak_detected": False, "format_ok": True, field: value}
+    composite = fields["similarity"] if fields["format_ok"] and not fields["leak_detected"] \
+        else 0.0
+    with pytest.raises(error, match=f"^{field} must be"):
+        RewardBreakdown(composite=composite, **fields)
+
+
+@pytest.mark.parametrize("reward", [True, "1.0"])
+def test_scored_record_refuses_a_reward_that_is_not_a_number(reward):
+    with pytest.raises(TypeError, match="^reward must be a number"):
+        ScoredRecord(sample_id="s", cot="c", reconstruction=None, reward=reward,
+                     breakdown=make_breakdown(1.0, False, True))
+
+
 def test_make_breakdown_reasons():
     assert make_breakdown(0.9, True, True).reason == "leak"
     assert make_breakdown(0.9, False, False).reason == "format"
