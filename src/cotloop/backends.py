@@ -47,6 +47,9 @@ class MockBackend:
     """Pure prompt -> response lookup for scripted tests."""
 
     def __init__(self, responses: dict[str, str]):
+        if not (isinstance(responses, dict)
+                and all(isinstance(r, str) for r in responses.values())):
+            raise TypeError("responses must map each prompt to a string")
         self._responses = dict(responses)
 
     def generate(self, request: GenerationRequest) -> str:
@@ -133,21 +136,21 @@ class HttpSession:
     `post(url, json=, headers=, timeout=)` of `requests.Session` on
     `http.client`, for one http:// or https:// endpoint.
 
-    Up to `size` persistent connections wait in a queue, each opened on its
-    first post, so at most `size` posts are open at once. A kept-alive
+    A post takes the most recently used idle connection, or opens one, so
+    there are never more connections than posts open at once. A kept-alive
     connection that the server has closed in the meantime (sending fails, or
     the connection ends before a reply's headers are read) is reopened and
-    the post sent again, once. https verifies against the system's
-    certificate store (`ssl.create_default_context()`). Redirects are not
-    followed and no compressed reply is asked for. No proxy is used: a proxy
-    that the environment names for the endpoint raises InvalidSetting here.
+    the post sent again, once; a reply that breaks HTTP raises
+    ConnectionError. https verifies against the system's certificate store
+    (`ssl.create_default_context()`). Redirects are not followed and no
+    compressed reply is asked for. No proxy is used: a proxy that the
+    environment names for the endpoint raises InvalidSetting here.
     """
 
     _encode = staticmethod(json.dumps)  # `post` takes `json=`, as requests does
 
-    def __init__(self, endpoint: str, size: int):
+    def __init__(self, endpoint: str):
         import http.client  # loads ssl too: only a backend that posts itself pays for it
-        import queue
         parts = _split_endpoint(endpoint)
         _refuse_proxy(parts.scheme, parts.hostname)
         self.url = endpoint
@@ -160,9 +163,8 @@ class HttpSession:
         else:
             self._connection = functools.partial(http.client.HTTPConnection, parts.hostname,
                                                  parts.port)
-        self._idle = queue.LifoQueue()  # the most recently used connection goes out first
-        for _ in range(size):
-            self._idle.put(None)  # a slot whose connection is not made yet
+        self._broken_reply = http.client.HTTPException
+        self._idle: list = []  # list.pop and list.append are atomic
 
     def _send(self, conn, body: bytes, headers: dict, timeout: float):
         conn.timeout = timeout  # for a connection opened by this request
@@ -176,7 +178,10 @@ class HttpSession:
             raise ValueError(f"this session posts to {self.url} only, got {url}")
         body = self._encode(json).encode()
         headers = headers or {}
-        conn = self._idle.get() or self._connection()
+        try:
+            conn = self._idle.pop()
+        except IndexError:
+            conn = self._connection()
         try:
             kept = conn.sock is not None
             try:
@@ -187,19 +192,18 @@ class HttpSession:
                 conn.close()  # the next request on it opens a new socket
                 resp = self._send(conn, body, headers, timeout)
             return HttpReply(resp.status, resp.headers, resp.read())
-        except BaseException:
+        except BaseException as e:
             conn.close()
+            if isinstance(e, self._broken_reply):
+                raise ConnectionError(str(e)) from None
             raise
         finally:
-            self._idle.put(conn)
+            self._idle.append(conn)
 
     def close(self) -> None:
         """Close every idle connection; a later post opens new ones."""
-        idle = [self._idle.get() for _ in range(self._idle.qsize())]
-        for conn in idle:
-            if conn is not None:
-                conn.close()
-            self._idle.put(conn)
+        while self._idle:
+            self._idle.pop().close()
 
 
 class RemoteBackend:
@@ -207,18 +211,17 @@ class RemoteBackend:
 
     `endpoint` must be an http:// or https:// URL. `max_in_flight` (default
     4) caps how many posts this backend has open at once; a request waiting
-    out its backoff holds no slot. The stages hand GRPO group members, not
-    whole groups, to as many threads as the caps of their backends add up to
-    (see `pipeline._run_stage`), so a member in backoff leaves its slot to
-    another. A `session` passed in is posted to as given: it needs only
-    `post(url, json=, headers=, timeout=)` returning a reply with
-    `status_code`, `headers` and `json()`, and of its errors a TimeoutError
-    counts as a timeout and any other OSError (`requests`' errors are
-    OSErrors) as an unreachable endpoint. Without one the backend builds an
-    `HttpSession` of `max_in_flight` connections, the only path that loads
-    `http.client`. A `max_in_flight` or `max_attempts` that is not an
-    integer >= 1, a `timeout` <= 0 or a negative `backoff_base` raises
-    InvalidSetting.
+    out its backoff holds no slot. The slots are the one bound on posts: the
+    stages run members on as many threads as the caps add up to, at most one
+    per member (see `pipeline._run_stage`), and a session the backend builds
+    itself, an `HttpSession` (the only path that loads `http.client`), opens
+    a connection only for a post with no idle one. A `session` passed in is
+    posted to as given: it needs only `post(url, json=, headers=, timeout=)`
+    returning a reply with `status_code`, `headers` and `json()`. Of either
+    session's errors a TimeoutError counts as a timeout and any other
+    OSError (`requests`' errors are OSErrors) as an unreachable endpoint. A
+    `max_in_flight` or `max_attempts` that is not an integer >= 1, a
+    `timeout` <= 0 or a negative `backoff_base` raises InvalidSetting.
 
     Timeouts, connection errors, replies without a usable text and every
     status >= 400 but those below are retried with exponential backoff.
@@ -262,12 +265,7 @@ class RemoteBackend:
         self.backoff_base = backoff_base
         self.max_in_flight = max_in_flight
         self.ledger_path = ledger_path
-        self._unreachable: tuple[type[Exception], ...] = (OSError,)
-        if session is None:
-            import http.client
-            session = HttpSession(endpoint, max_in_flight)
-            self._unreachable += (http.client.HTTPException,)
-        self._session = session
+        self._session = HttpSession(endpoint) if session is None else session
         self._sleep = sleep
         self._gate = threading.Semaphore(max_in_flight)
         self._ledger_lock = threading.Lock()
@@ -330,20 +328,19 @@ class RemoteBackend:
                                           headers=headers, timeout=self.timeout)
             except TimeoutError as e:
                 raise Timeout(str(e)) from None
-            except self._unreachable as e:
+            except OSError as e:
                 raise RemoteUnavailable(str(e)) from None
+        replied = getattr(resp, "headers", None) or {}
         if resp.status_code in (401, 403):
             raise AuthFailure(f"endpoint rejected credential: {resp.status_code}")
         if resp.status_code in self.REJECTED:
             raise RequestRejected(f"HTTP {resp.status_code}")
         if 300 <= resp.status_code < 400:
-            location = (getattr(resp, "headers", None) or {}).get("Location")
-            raise RequestRejected(f"HTTP {resp.status_code} to Location {location!r}: "
-                                  "redirects are not followed")
+            raise RequestRejected(f"HTTP {resp.status_code} to Location "
+                                  f"{replied.get('Location')!r}: redirects are not followed")
         if resp.status_code in (429, 503):
-            headers = getattr(resp, "headers", None) or {}
             raise RemoteUnavailable(f"HTTP {resp.status_code}",
-                                    _retry_after_s(headers.get("Retry-After", "")))
+                                    _retry_after_s(replied.get("Retry-After", "")))
         if resp.status_code >= 400:
             raise RemoteUnavailable(f"HTTP {resp.status_code}")
         payload, content = self._reply(resp)

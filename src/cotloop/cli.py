@@ -218,7 +218,8 @@ def _build_backend(config: dict, stage: str, world, default: Optional[dict] = No
             try:
                 return cls(json.load(f))
             except (ValueError, TypeError, RecursionError) as e:
-                raise InvalidSetting(f"{spec['responses']}: not a JSON mapping: {e}") from None
+                raise InvalidSetting(f"{spec['responses']}: not a JSON mapping (a JSON object of "
+                                     f"prompt -> response strings): {e}") from None
     return cls(**spec)
 
 

@@ -55,7 +55,7 @@ class AuthFailure(BackendError):
 
 
 class RequestRejected(BackendError):
-    """Remote endpoint refused the request itself (HTTP 400, 404, 413, 422); not retried."""
+    """Endpoint refused a request (HTTP 400, 404, 413, 422) or redirected it (3xx); no retry."""
 
 
 class Timeout(BackendError):

@@ -426,12 +426,12 @@ def _run_stage(samples: Sequence[Sample], group_size: int, seed: int, backends: 
 
     Members, not whole groups, are the unit of work. They run on as many
     threads as the `max_in_flight` caps of the distinct `backends` add up
-    to, at most that many groups ahead of the one being scored. In-process
-    backends have no cap and count 0; with no cap at all, members run one
-    after another on the calling thread. Either way rows and failures come
-    out in sample order, so output files are the same bytes as a sequential
-    run. Only the order of backend calls, and so a remote ledger's line
-    order, varies.
+    to, but never more threads than members, and at most that many groups
+    ahead of the one being scored. In-process backends have no cap and
+    count 0; with no cap, or a single member, members run one after another
+    on the calling thread. Either way rows and failures come out in sample
+    order, so output files are the same bytes as a sequential run. Only the
+    order of backend calls, and so a remote ledger's line order, varies.
     """
     _require_group_size(group_size)
     failed: dict[int, int] = {}  # position in `samples` -> g of a member that failed
@@ -453,7 +453,7 @@ def _run_stage(samples: Sequence[Sample], group_size: int, seed: int, backends: 
 
     def rows() -> Iterator:
         caps = {id(b): getattr(b, "max_in_flight", 0) for b in backends}
-        workers = max(1, sum(caps.values()))
+        workers = max(1, min(sum(caps.values()), len(samples) * group_size))
         groups = itertools.starmap(calls, enumerate(samples))
         results = (([call() for call in group] for group in groups) if workers == 1
                    else _ordered_map(groups, workers))

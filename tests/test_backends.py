@@ -366,15 +366,34 @@ class ScriptedHandler(BaseHTTPRequestHandler):
         pass
 
 
+class NotHttpEndpoint(ScriptedEndpoint):
+    """An endpoint that reads each post and answers it with a status line that
+    is not HTTP, then closes the connection."""
+
+    def __init__(self, script):
+        super().__init__(script)
+        self.RequestHandlerClass = NotHttpHandler
+
+
+class NotHttpHandler(ScriptedHandler):
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        with self.server.lock:
+            self.server.posts += 1
+        self.wfile.write(b"NOT-HTTP 200 OK\r\n\r\n")
+        self.close_connection = True
+
+
 @pytest.fixture
 def serve(monkeypatch):
-    """serve(script, **backend settings) -> (server, backend posting to it
-    through its own session, the backend's sleeps)."""
+    """serve(script, endpoint=ScriptedEndpoint, **backend settings) ->
+    (server, backend posting to it through its own session, the backend's
+    sleeps)."""
     monkeypatch.setenv("COTLOOP_API_KEY", "k")
     started = []
 
-    def start(script, **kw):
-        server = ScriptedEndpoint(script)
+    def start(script, endpoint=ScriptedEndpoint, **kw):
+        server = endpoint(script)
         threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
         sleeps = []
         backend = RemoteBackend(endpoint=server.url, model="test-model", sleep=sleeps.append,
@@ -430,6 +449,16 @@ def test_remote_honours_a_retry_after_header_on_the_wire(serve):
 def test_remote_times_out_on_a_server_that_never_answers(serve):
     server, backend, sleeps = serve(lambda n: (None, {}, False), timeout=0.2, max_attempts=2)
     with pytest.raises(Timeout):
+        backend.generate(req())
+    assert server.posts == 2
+    assert sleeps == [1.0]
+
+
+def test_remote_counts_a_reply_that_breaks_http_as_an_unreachable_endpoint(serve):
+    """A status line that is not HTTP is retried and ends as RemoteUnavailable,
+    as an endpoint that cannot be reached does."""
+    server, backend, sleeps = serve(answer, endpoint=NotHttpEndpoint, max_attempts=2)
+    with pytest.raises(RemoteUnavailable):
         backend.generate(req())
     assert server.posts == 2
     assert sleeps == [1.0]

@@ -1,25 +1,33 @@
 """CLI: exit codes, fixture outputs, manifests, and idempotence."""
 
 import argparse
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import tempfile
 import types
 
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
 import cotloop
 from cotloop import cli
 from cotloop.cli import _build_backend, cli_dispatch
 from cotloop.domain import make_breakdown, ScoredRecord
-from cotloop.pipeline import (run_closed_loop_stage, save_dataset, save_predictions,
+from cotloop.pipeline import (load_dataset, r1_prompt, reasoning_prompt,
+                              run_closed_loop_stage, save_dataset, save_predictions,
                               save_records)
-from cotloop.backends import CueWorld, RemoteBackend
+from cotloop.backends import (CueWorld, MockBackend, RemoteBackend, SyntheticReconBackend,
+                              synthetic_reason)
+from cotloop.textproto import ParsedOutput, format_answer
 
 from conftest import CLASS_BIN_COUNTS, rewards_with_bin_counts
 
@@ -226,6 +234,15 @@ def mock_spec(tmp, responses_text):
     return {"kind": "mock", "responses": str(tmp / "responses.json")}
 
 
+def mock_answering(tmp, stage, prompt, response):
+    """--config whose `stage` backend is a mock answering the config world's
+    first sample's `prompt(sample)` with `response`."""
+    world = CueWorld(kind="classification", num_samples=8, cues_per_sample=4, vocab_size=24,
+                     seed=0)
+    text = json.dumps({prompt(world.samples[0].as_sample()): response})
+    return edited_config(tmp, lambda cfg: cfg.update(backends={stage: mock_spec(tmp, text)}))
+
+
 def ingest(tmp, task, lines, *flags):
     """ingest argv for an input of `lines`: JSON objects, or bytes as they are."""
     (tmp / "raw.jsonl").write_bytes(b"".join(
@@ -376,6 +393,15 @@ BAD_INPUT = {
     "mock-responses-not-json": (lambda t: gen_cot(t, *edited_config(
         t, lambda cfg: cfg.update(backends={"reason": mock_spec(t, "not json")}))), 1,
         "not a JSON mapping"),
+    "gen-cot-mock-response-a-list": (lambda t: gen_cot(t, *mock_answering(
+        t, "reason", reasoning_prompt, ["a"])), 1, "responses.json: not a JSON mapping "
+        "(a JSON object of prompt -> response strings): responses must map each prompt to a "
+        "string"),
+    "rft-eval-mock-response-an-int": (lambda t: ["rft-eval", *mock_answering(
+        t, "r1", r1_prompt, 5)], 1, "responses must map each prompt to a string"),
+    "mock-responses-a-list-of-pairs": (lambda t: gen_cot(t, *edited_config(
+        t, lambda cfg: cfg.update(backends={"reason": mock_spec(t, '[["p", "r"]]')}))), 1,
+        "responses must map each prompt to a string"),
     "gen-cot-group-size-0": (lambda t: gen_cot(t, "--group-size", "0",
                                                *edited_config(t, lambda cfg: None)), 1,
                              "group_size"),
@@ -755,6 +781,163 @@ def test_audit_exits_two_when_samples_fail(tmp_path, capsys):
     assert out.endswith("failed samples:        8\n"
                         "corrupted below tau:   0.0% of 0\n"
                         "clean at/above tau:    0.0% of 0\n")
+
+
+# --- generated bad input ------------------------------------------------------------
+# One valid file of each kind a command reads. Each example breaks one of them by one
+# mutation, then runs every command that reads that kind of file on the result.
+
+FUZZ_WORLD = {"kind": "classification", "num_samples": 4, "cues_per_sample": 2,
+              "vocab_size": 6, "seed": 0}
+# Values of the wrong type for any field; 10**400 is beyond the float range.
+WRONG_VALUES = (None, True, 7, -1, 0.5, 10**400, "", "x", [], ["a", 1], {}, {"a": 1})
+MUTATIONS = ("drop", "swap", "nest", "truncate", "insert")
+
+
+@functools.cache
+def fuzz_inputs():
+    """File name -> bytes of each valid input but the config, which names the
+    responses file of its own directory. The mock's responses map the world's
+    r1 prompts, then its reasoning prompts; the records are a stage's output."""
+    world = CueWorld(**FUZZ_WORLD)
+    det = CueWorld(kind="detection", num_samples=4, cues_per_sample=2, vocab_size=4, seed=0)
+    samples = [s.as_sample() for s in world.samples]
+    thinks = [synthetic_reason(0, s.cue_set) for s in world.samples]
+    answers = [format_answer(s.annotation, s.task, think) for s, think in zip(samples, thinks)]
+    responses = {**{r1_prompt(s): a for s, a in zip(samples, answers)},
+                 **{reasoning_prompt(s): think for s, think in zip(samples, thinks)}}
+    with tempfile.TemporaryDirectory() as tmp:
+        d = pathlib.Path(tmp)
+        save_dataset(samples, world.task, str(d / "data.jsonl"))
+        save_dataset([s.as_sample() for s in det.samples], det.task, str(d / "det.jsonl"))
+        save_predictions({s.id: a for s, a in zip(samples, answers)}, str(d / "preds.jsonl"))
+        save_predictions({s.id: a for s, a in zip(samples, answers)}, str(d / "ref.jsonl"))
+        save_predictions({s.id: format_answer(s.annotation, det.task) for s in det.samples},
+                         str(d / "det-preds.jsonl"))
+        run_closed_loop_stage(samples, MockBackend(responses), SyntheticReconBackend(world),
+                              group_size=2, seed=0, records_path=str(d / "records.jsonl"))
+        (d / "responses.json").write_text(json.dumps(responses), encoding="utf-8")
+        return {p.name: p.read_bytes() for p in d.iterdir()}
+
+
+def fuzz_config(d):
+    mock = {"kind": "mock", "responses": str(d / "responses.json")}
+    return yaml.safe_dump({"world": FUZZ_WORLD, "group_size": 2,
+                           "backends": {"reason": mock, "r1": mock}}).encode()
+
+
+def fuzz_runs(d, name):
+    """argv of each command that reads the input `name` in the directory `d`.
+    gen-cot resumes from its --records on purpose, so a run that gives it an
+    input comes last."""
+    f = {n: str(d / n) for n in (*fuzz_inputs(), "config.yaml")}
+    config = ["--config", f["config.yaml"]]
+    export = ["export-sft", "--records", f["records.jsonl"], "--output", str(d / "sft.jsonl")]
+    stages = [["gen-cot", "--records", str(d / "out.jsonl"), *config],
+              ["rft-eval", "--output", str(d / "book.jsonl"), *config],
+              ["audit", "--output", str(d / "audit.txt"), *config]]
+    return {
+        "config.yaml": [*stages, [*export, "--dataset", f["data.jsonl"], *config],
+                        ["train-toy", "--steps", "2", "--output", str(d / "curve.tsv"),
+                         *config]],
+        "responses.json": stages,
+        "data.jsonl": [*(argv + ["--dataset", f["data.jsonl"]] for argv in stages),
+                       [*export, "--dataset", f["data.jsonl"]],
+                       ["eval", "--pred", f["preds.jsonl"], "--gt", f["data.jsonl"]]],
+        "det.jsonl": [["eval", "--pred", f["det-preds.jsonl"], "--gt", f["det.jsonl"]],
+                      [*export, "--dataset", f["det.jsonl"]]],
+        "preds.jsonl": [["eval", "--pred", f["preds.jsonl"], "--gt", f["data.jsonl"]],
+                        ["eval", "--pred", f["ref.jsonl"], "--gt", f["data.jsonl"],
+                         "--reference", f["preds.jsonl"]]],
+        "records.jsonl": [["report", "--records", f["records.jsonl"], "--output",
+                           str(d / "plot.tsv")],
+                          ["filter", "--records", f["records.jsonl"]],
+                          [*export, "--dataset", f["data.jsonl"]],
+                          ["gen-cot", "--records", f["records.jsonl"], *config]],
+    }[name]
+
+
+def json_paths(doc, path=()):
+    """The path of every value in `doc`, `doc` itself first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in list(doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from json_paths(value, path + (key,))
+
+
+def mutate(data, yaml_file, mutation, where, value):
+    """`data` with one mutation at the `where`-th place (counted modulo the
+    places it has): a dropped key or item, a value swapped for `value` or
+    nested too deep to decode, the file cut at a byte, or a byte that is not
+    UTF-8 inserted."""
+    if mutation == "truncate":
+        return data[:where % len(data)]
+    if mutation == "insert":
+        at = where % (len(data) + 1)
+        return data[:at] + b"\xff" + data[at:]
+    docs = [yaml.safe_load(data)] if yaml_file else [json.loads(line) for line in data.splitlines()]
+    places = [(n, path) for n, doc in enumerate(docs) for path in json_paths(doc)
+              if path or mutation != "drop"]
+    n, path = places[where % len(places)]
+    new = "deep-nesting" if mutation == "nest" else value
+    if not path:
+        docs[n] = new
+    else:
+        parent = functools.reduce(lambda node, key: node[key], path[:-1], docs[n])
+        if mutation == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = new
+    if yaml_file:
+        # Block sequences, which the loader refuses about 100 times faster than
+        # DEEP_YAML's flow sequences, on a line of their own below their key.
+        text = yaml.safe_dump(docs[0])
+        line = next((line for line in text.splitlines() if "deep-nesting" in line), "")
+        below = "\n" + " " * (len(line) - len(line.lstrip()) + 2)
+        return text.replace("deep-nesting", below + "- " * 1000 + "x").encode()
+    return "".join(json.dumps(doc) + "\n" for doc in docs).replace(
+        '"deep-nesting"', DEEP_JSON).encode()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(name=st.sampled_from(("config.yaml", "responses.json", "data.jsonl", "det.jsonl",
+                             "preds.jsonl", "records.jsonl")),
+       mutation=st.sampled_from(MUTATIONS), where=st.integers(0, 10**4),
+       value=st.sampled_from(WRONG_VALUES))
+# The response to the first r1 prompt becomes an int.
+@example(name="responses.json", mutation="swap", where=1, value=7)
+def test_a_mutated_input_ends_in_a_typed_error(name, mutation, where, value):
+    """Every command that reads a file of one mutation exits 0, 1 or 2 with no
+    escaping exception. A failure ends in a typed error line, or for exit 2 in
+    the count of failed samples. No input changes but the records gen-cot
+    resumes from, and an SFT target that is written reads back with its think."""
+    with tempfile.TemporaryDirectory() as tmp:
+        d = pathlib.Path(tmp)
+        inputs = {d / n: data for n, data in fuzz_inputs().items()}
+        inputs[d / "config.yaml"] = fuzz_config(d)
+        inputs[d / name] = mutate(inputs[d / name], name.endswith(".yaml"), mutation, where,
+                                  value)
+        for path, data in inputs.items():
+            path.write_bytes(data)
+        for argv in fuzz_runs(d, name):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli_dispatch(argv)
+            lines = [line for line in err.getvalue().splitlines() if line[:1].strip()]
+            assert code in (0, 1, 2), (argv, lines)
+            if code:
+                assert lines[-1].startswith(("error: ", "backend error: ")) or (
+                    code == 2 and re.fullmatch(r"\d+ sample\(s\) failed after retries",
+                                               lines[-1])), (argv, lines)
+            if argv[0] == "gen-cot":
+                inputs.pop(pathlib.Path(argv[argv.index("--records") + 1]), None)
+            assert {path: path.read_bytes() for path in inputs} == inputs, argv
+            if code == 0 and argv[0] == "export-sft":
+                samples, _ = load_dataset(argv[argv.index("--dataset") + 1])
+                for line in (d / "sft.jsonl").read_text(encoding="utf-8").splitlines()[1:]:
+                    target = json.loads(line)["target"]
+                    assert isinstance(ParsedOutput.from_text(target, samples[0].task).think,
+                                      str), (argv, target)
 
 
 # --- filter ------------------------------------------------------------------------

@@ -764,6 +764,27 @@ def test_the_members_of_one_group_fill_every_slot(remote_world, monkeypatch):
     assert_nothing_left_running(session)
 
 
+def test_a_stage_starts_no_more_threads_than_it_has_members(remote_world, monkeypatch):
+    """One sample at G = 2 through two backends capped at 20: the caps add up
+    to 40, but only the stage's 2 members can ever run, so at most 2 member
+    threads are alive during any post."""
+    monkeypatch.setenv("COTLOOP_API_KEY", "k")
+    alive = []
+
+    class ThreadCountingSession(ServiceSession):
+        def post(self, url, json=None, headers=None, timeout=None):
+            alive.append(sum(t.name.startswith("cotloop-group")
+                             for t in threading.enumerate()))
+            return super().post(url, json=json, headers=headers, timeout=timeout)
+
+    sample = remote_world.samples[0].as_sample()
+    session = ThreadCountingSession(remote_world)
+    stage = remote_stage([sample], 20, session, group_size=2)
+    assert [r.sample_id for r in stage.records] == [sample.id]
+    assert len(alive) >= 4 and max(alive) <= 2
+    assert_nothing_left_running(session)
+
+
 def test_a_failed_sample_posts_no_member_above_its_failure(remote_world, monkeypatch):
     """Every post of a sample fails at cap 1 (two threads): once one member has
     failed, no later member is posted, so the sample makes at most two
