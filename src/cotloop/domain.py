@@ -17,11 +17,14 @@ GT_SUM_TOL = 1e-6
 
 @dataclass(frozen=True)
 class Classification:
-    """Classification task over a fixed ordered category list."""
+    """Classification task over a fixed ordered list or tuple of category names."""
 
     categories: tuple[str, ...]
 
     def __post_init__(self):
+        if not (isinstance(self.categories, (list, tuple))
+                and all(isinstance(c, str) for c in self.categories)):
+            raise TypeError("categories must be a list of strings")
         if not self.categories:
             raise ValueError("category list must be non-empty")
         if len(set(self.categories)) != len(self.categories):
@@ -37,13 +40,15 @@ class Classification:
 
 @dataclass(frozen=True)
 class Detection:
-    """Detection task on an image of known pixel dimensions."""
+    """Detection task on an image of known pixel dimensions (numbers, not bools)."""
 
     image_width: float
     image_height: float
 
     def __post_init__(self):
         w, h = self.image_width, self.image_height
+        if not all(isinstance(d, (int, float)) and not isinstance(d, bool) for d in (w, h)):
+            raise TypeError(f"image dimensions must be numbers, got {[w, h]!r}")
         if not (0 < w < math.inf and 0 < h < math.inf):
             raise ValueError("image dimensions must be positive and finite")
         # Ground-truth boxes lie inside the image, so a finite image area keeps
@@ -57,6 +62,8 @@ class Detection:
 
 
 TaskKind = Union[Classification, Detection]
+# Each task kind by the name that dataset headers and template files give it.
+TASK_KINDS = {"classification": Classification, "detection": Detection}
 
 
 @dataclass(frozen=True)
@@ -243,7 +250,8 @@ class RewardBreakdown:
     otherwise composite == 0. ``reason`` names the first failed gate
     (leak | parse | format) or "similarity" when the gates passed; any other
     reason is refused (ValueError), as are a similarity or composite that is
-    not a number in [0, 1] and gate flags that are not bools.
+    not a number in [0, 1], gate flags that are not bools and leak evidence
+    that is not a list or tuple of strings (TypeError), stored as a tuple.
     """
 
     similarity: float
@@ -269,6 +277,12 @@ class RewardBreakdown:
                 if not isinstance(getattr(self, name), bool):
                     raise TypeError(f"{name} must be a bool, "
                                     f"got {type(getattr(self, name)).__name__}")
+        evidence = self.leak_evidence
+        if type(evidence) is not tuple or evidence:  # () passes: most hold no evidence
+            if not (isinstance(evidence, (list, tuple))
+                    and all(isinstance(e, str) for e in evidence)):
+                raise TypeError("leak_evidence must be a list of strings")
+            object.__setattr__(self, "leak_evidence", tuple(evidence))
         gates_pass = (not self.leak_detected) and self.format_ok
         expect = self.similarity if gates_pass else 0.0
         if self.composite != expect:

@@ -34,7 +34,8 @@ class MissingVariable(CotloopError):
 
 
 class TemplateError(CotloopError):
-    """A template declares a placeholder outside its stage's variable set."""
+    """A prompt template has no slot of the name `read_slot` is asked for, or
+    a synthetic CoT is asked for by an unknown template id."""
 
 
 class BackendError(CotloopError):

@@ -32,13 +32,12 @@ import logging
 import queue
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .backends import GenerationRequest, require
-from .domain import (Annotation, Box, BoxSet, Classification, Detection,
-                     Distribution, RewardBreakdown, Sample, ScoredRecord,
-                     validate_annotation)
+from .domain import (TASK_KINDS, Annotation, Box, BoxSet, Classification, Distribution,
+                     RewardBreakdown, Sample, ScoredRecord, validate_annotation)
 from .errors import (BackendError, DomainError, HeaderMismatch, MalformedLine, MissingFile,
                      ValidationFailure)
 from .grpo import compute_group_advantages, select_best_of_group
@@ -146,34 +145,37 @@ def _read_jsonl(path: str, fmt: str, row: Callable[[dict], object],
     return header, rows, end
 
 
+# --- rows ----------------------------------------------------------------------
+
+@functools.cache
+def _fields(cls) -> tuple[tuple[str, bool], ...]:
+    """(name, has no default) of each field of the dataclass `cls`."""
+    return tuple((f.name, f.default is f.default_factory is MISSING) for f in fields(cls))
+
+
+def _from_json(cls, obj: dict, **decoded):
+    """A `cls` of `decoded` and of the keys of `obj` that name its other
+    fields; other keys are ignored, and a field with a default may be absent.
+    KeyError names a field without a default that neither gives."""
+    for name, required in _fields(cls):
+        if name not in decoded and (required or name in obj):
+            decoded[name] = obj[name]
+    return cls(**decoded)
+
+
 # --- dataset files -----------------------------------------------------------
-
-def _task_to_json(task) -> dict:
-    if isinstance(task, Classification):
-        return {"kind": "classification", "categories": list(task.categories)}
-    return {"kind": "detection", "image_width": task.image_width,
-            "image_height": task.image_height}
-
 
 def _task_from_json(obj, path: str):
     """The task of a dataset header's `task` block; `HeaderMismatch` when the
     block names no known kind or does not make a valid task of it."""
     kind = obj.get("kind") if isinstance(obj, dict) else None
-    if kind not in ("classification", "detection"):
+    if not (isinstance(kind, str) and kind in TASK_KINDS):
         raise HeaderMismatch(f"{path}: unknown task kind in header: {kind!r}")
     try:
-        if kind == "classification":
-            categories = obj["categories"]
-            if not (isinstance(categories, list)
-                    and all(isinstance(c, str) for c in categories)):
-                raise TypeError("categories must be a list of strings")
-            task = Classification(categories=tuple(categories))
+        task = _from_json(TASK_KINDS[kind], obj)
+        if isinstance(task, Classification):
             check_answer_keys(task.categories)
-            return task
-        dims = obj["image_width"], obj["image_height"]
-        if not all(isinstance(d, (int, float)) and not isinstance(d, bool) for d in dims):
-            raise TypeError(f"image dimensions must be numbers, got {list(dims)!r}")
-        return Detection(*dims)
+        return task
     except KeyError as e:
         raise HeaderMismatch(f"{path}: {kind} task in header has no {e.args[0]!r}") from None
     except (TypeError, ValueError) as e:
@@ -202,16 +204,25 @@ def _sample_to_json(s: Sample) -> dict:
     return line
 
 
+def _text(obj: dict, key: str, null_ok: bool = False) -> Optional[str]:
+    """`obj[key]` when it is a string, or, with `null_ok`, null or absent. An
+    `id` may be an integer (not a bool), read in its `str` form. TypeError
+    otherwise."""
+    value = obj.get(key) if null_ok else obj[key]
+    if isinstance(value, str) or (null_ok and value is None):
+        return value
+    if key == "id" and type(value) is int:
+        return str(value)
+    kinds = "an integer" if key == "id" else "null" if null_ok else ""
+    raise TypeError(f"{key} must be a string{kinds and ' or ' + kinds}, "
+                    f"got {type(value).__name__}")
+
+
 def sample_text_fields(obj: dict) -> dict:
     """The `id`, `image_ref` and `target_desc` Sample fields of a dataset or
-    ingest line. `target_desc` is a string or null (or absent); TypeError
-    otherwise."""
-    target_desc = obj.get("target_desc")
-    if target_desc is not None and not isinstance(target_desc, str):
-        raise TypeError(f"target_desc must be a string or null, "
-                        f"got {type(target_desc).__name__}")
-    return {"id": str(obj["id"]), "image_ref": str(obj["image_ref"]),
-            "target_desc": target_desc}
+    ingest line, read by `_text`: `target_desc` may be null or absent."""
+    return {"id": _text(obj, "id"), "image_ref": _text(obj, "image_ref"),
+            "target_desc": _text(obj, "target_desc", null_ok=True)}
 
 
 def _sample_fields(obj: dict) -> dict:
@@ -219,7 +230,8 @@ def _sample_fields(obj: dict) -> dict:
 
 
 def save_dataset(samples: Sequence[Sample], task, path: str) -> None:
-    _write_jsonl(path, DATASET, map(_sample_to_json, samples), task=_task_to_json(task))
+    _write_jsonl(path, DATASET, map(_sample_to_json, samples),
+                 task={"kind": task_name(task), **vars(task)})
 
 
 def check_sample(sample: Sample, seen_ids: set[str]) -> Sample:
@@ -259,35 +271,17 @@ def load_dataset(path: str, skip_invalid: bool = False) -> tuple[list[Sample], l
 
 # --- record files ------------------------------------------------------------
 
-def _breakdown_to_json(b: RewardBreakdown) -> dict:
-    return {"similarity": b.similarity, "leak_detected": b.leak_detected,
-            "format_ok": b.format_ok, "composite": b.composite,
-            "reason": b.reason, "leak_evidence": list(b.leak_evidence)}
-
-
-def _breakdown_from_json(obj: dict) -> RewardBreakdown:
-    return RewardBreakdown(similarity=obj["similarity"],
-                           leak_detected=obj["leak_detected"],
-                           format_ok=obj["format_ok"],
-                           composite=obj["composite"],
-                           reason=obj.get("reason", "similarity"),
-                           leak_evidence=tuple(obj.get("leak_evidence", ())))
-
-
 def record_to_json(r: ScoredRecord) -> dict:
-    return {"sample_id": r.sample_id, "cot": r.cot,
+    return {**vars(r), "breakdown": {**vars(r.breakdown)},
             "reconstruction": (annotation_to_json(r.reconstruction)
-                               if r.reconstruction is not None else None),
-            "reward": r.reward, "breakdown": _breakdown_to_json(r.breakdown)}
+                               if r.reconstruction is not None else None)}
 
 
 def record_from_json(obj: dict) -> ScoredRecord:
     recon = obj.get("reconstruction")
-    return ScoredRecord(sample_id=obj["sample_id"], cot=obj["cot"],
-                        reconstruction=(annotation_from_json(recon)
-                                        if recon is not None else None),
-                        reward=obj["reward"],
-                        breakdown=_breakdown_from_json(obj["breakdown"]))
+    return _from_json(ScoredRecord, obj,
+                      reconstruction=annotation_from_json(recon) if recon is not None else None,
+                      breakdown=_from_json(RewardBreakdown, obj["breakdown"]))
 
 
 def save_records(records: Sequence[ScoredRecord], path: str) -> None:
@@ -308,7 +302,9 @@ def _category_list(categories: tuple[str, ...]) -> str:
 def _prompt(sample: Sample, stage: str, **variables: str) -> str:
     """Render the `stage` template of the sample's task with `variables` and
     the task-kind variables: the category list for classification (built once
-    per task), the target for detection."""
+    per task), the target for detection. These are all a stage's template may
+    name; a template naming any other variable raises MissingVariable when it
+    is first rendered."""
     if isinstance(sample.task, Classification):
         variables["categories"] = _category_list(sample.task.categories)
     else:
@@ -317,8 +313,9 @@ def _prompt(sample: Sample, stage: str, **variables: str) -> str:
 
 
 def reasoning_prompt(sample: Sample) -> str:
-    """Reasoning-stage prompt: the ground truth is injected here and only here,
-    as `prob_distribution` (classification) or `bbox` (detection)."""
+    """Reasoning-stage prompt: the ground truth is passed here and only here,
+    as `prob_distribution` (classification) or `bbox` (detection), so no other
+    stage's template can name it."""
     truth = render_annotation(sample.annotation, sample.task)
     return _prompt(sample, "reasoning", prob_distribution=truth, bbox=truth)
 
@@ -622,10 +619,7 @@ class EvalReport:
 
 
 def _prediction(obj: dict) -> tuple[str, str]:
-    raw = obj["raw"]
-    if not isinstance(raw, str):
-        raise TypeError(f"raw must be a string, got {type(raw).__name__}")
-    return str(obj["id"]), raw
+    return _text(obj, "id"), _text(obj, "raw")
 
 
 def load_predictions(path: str) -> dict[str, str]:
@@ -664,13 +658,15 @@ def evaluate_predictions(predictions: dict[str, str], samples: Sequence[Sample],
     Classification: JSD against ground truth (prediction renormalized
     first) and argmax accuracy; win-rate is the fraction of samples
     where the reference beats this run (strictly lower JSD); a reference
-    given for samples that are not all classification raises DomainError.
+    given for samples that are not all classification raises DomainError, as
+    do predictions or a reference of sample ids missing from `samples`.
     Detection: fraction of ground-truth boxes matched at IoU >= 0.5.
     """
     by_id = {s.id: s for s in samples}
-    unknown = sorted(set(predictions) - set(by_id))
-    if unknown:
-        raise DomainError(f"predictions for unknown sample ids: {unknown[:5]}")
+    for name, run in (("predictions", predictions), ("reference", reference or {})):
+        unknown = sorted(set(run) - set(by_id))
+        if unknown:
+            raise DomainError(f"{name} for unknown sample ids: {unknown[:5]}")
     classification = all(isinstance(s.task, Classification) for s in samples)
     if reference is not None and not classification:
         raise DomainError("a reference run is compared on classification samples only")

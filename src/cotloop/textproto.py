@@ -1,9 +1,11 @@
 """Prompt and answer text: rendering, parsing, leak detection, format gates.
 
-This module owns the text the loop exchanges with a model. Each shipped
-template is read and checked once, and `read_slot` reads a rendered prompt
-back through its template: that is how a reconstruction backend gets the CoT,
-in process or behind an endpoint. `format_answer` writes every
+This module owns the text the loop exchanges with a model. A template is its
+text, read once. It may name only the variables its stage's prompt builder in
+`pipeline` passes (only the reasoning stage's gets the ground truth): any
+other slot raises MissingVariable at render. `read_slot` reads a rendered
+prompt back through its template: that is how a reconstruction backend gets
+the CoT, in process or behind an endpoint. `format_answer` writes every
 `<think>`/`<answer>` output the loop makes, with the annotation in its
 canonical form, which round-trips through the answer parsers to within 1e-6:
 classification is a single-quoted map in task category order with 6-decimal
@@ -61,65 +63,45 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from .domain import Annotation, Box, BoxSet, Classification, Distribution, TaskKind
+from .domain import (TASK_KINDS, Annotation, Box, BoxSet, Classification, Distribution,
+                     TaskKind)
 from .errors import MalformedAnswer, MissingVariable, TemplateError
 
 PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
-
-STAGE_VARS = {
-    "reasoning": {"prob_distribution", "bbox", "target"},
-    "reconstruction": {"CoTs", "target", "categories"},
-    "r1": {"target", "categories"},
-}
+_KIND_NAMES = {kind: name for name, kind in TASK_KINDS.items()}
 
 
 def task_name(task: TaskKind) -> str:
-    """The name that keys a task kind's templates."""
-    return "classification" if isinstance(task, Classification) else "detection"
-
-
-@dataclass(frozen=True)
-class PromptTemplate:
-    stage: str     # "reasoning" | "reconstruction" | "r1"
-    body: str
-
-    def __post_init__(self):
-        if self.stage not in STAGE_VARS:
-            raise TemplateError(f"unknown stage: {self.stage!r}")
-        bad = set(self.placeholders()) - STAGE_VARS[self.stage]
-        if bad:
-            raise TemplateError(
-                f"placeholders {sorted(bad)} not allowed in stage {self.stage!r}")
-
-    def placeholders(self) -> list[str]:
-        return PLACEHOLDER_RE.findall(self.body)
+    """The name of a task's kind in `TASK_KINDS`, which keys its templates."""
+    return _KIND_NAMES[type(task)]
 
 
 @functools.cache
-def load_template(task: str, stage: str) -> PromptTemplate:
-    """The shipped template of one (task, stage), read and checked on first use."""
+def load_template(task: str, stage: str) -> str:
+    """The text of the shipped template of one (task, stage), read on first use."""
     name = f"{task}_{stage}.txt"
-    body = resources.files("cotloop.templates").joinpath(name).read_text(encoding="utf-8")
-    return PromptTemplate(stage=stage, body=body.rstrip("\n"))
+    return resources.files("cotloop.templates").joinpath(name).read_text(
+        encoding="utf-8").rstrip("\n")
 
 
-def render_prompt(template: PromptTemplate, variables: dict[str, str]) -> str:
-    """Exact placeholder substitution; the body is otherwise untouched."""
+def render_prompt(template: str, variables: dict[str, str]) -> str:
+    """Exact placeholder substitution; the template text is otherwise untouched.
+    A placeholder that `variables` does not name raises MissingVariable."""
     def sub(m: re.Match) -> str:
         name = m.group(1)
         if name not in variables:
             raise MissingVariable(name)
         return variables[name]
 
-    return PLACEHOLDER_RE.sub(sub, template.body)
+    return PLACEHOLDER_RE.sub(sub, template)
 
 
-def read_slot(template: PromptTemplate, prompt: str, name: str) -> str:
+def read_slot(template: str, prompt: str, name: str) -> str:
     """The text `render_prompt` put into the slot `name` of `prompt`: from the
     first match of the template's literal text left of the slot to the last
     match of the literal text right of it. A prompt without them in that order
     is not a rendering of the template and is returned whole."""
-    before, slot, after = template.body.partition("{" + name + "}")
+    before, slot, after = template.partition("{" + name + "}")
     if not slot:
         raise TemplateError(f"template has no slot {name!r}")
     left, right = PLACEHOLDER_RE.split(before)[-1], PLACEHOLDER_RE.split(after)[0]

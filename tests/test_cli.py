@@ -468,6 +468,21 @@ BAD_INPUT = {
         t, "detection", gt=[{**NO_ANNOTATION, "annotation": {"boxes": [[0, 0, 1, 1]]},
                              "target_desc": 7}]), 1,
         "line 4: target_desc must be a string or null, got int"),
+    "ingest-image-ref-null": (lambda t: ingest(
+        t, "classification", [{"id": "b", "image_ref": None, "probs": {"a": 1.0, "b": 0.0}}],
+        "--categories", "a,b"), 1, "raw.jsonl: line 1: image_ref must be a string, "
+        "got NoneType"),
+    "eval-gt-image-ref-a-dict": (lambda t: eval_with_lines(
+        t, "detection", gt=[{**NO_ANNOTATION, "image_ref": {"u": 1},
+                             "annotation": {"boxes": [[0, 0, 1, 1]]}}]), 1,
+        "line 4: image_ref must be a string, got dict"),
+    "eval-pred-id-null": (lambda t: eval_with_lines(
+        t, pred=[{"id": None, "raw": "<answer>{}</answer>"}]), 1,
+        "preds.jsonl: line 2: id must be a string or an integer, got NoneType"),
+    "eval-reference-unknown-id": (lambda t: eval_with_lines(
+        t, pred=[{"id": "syn-0000", "raw": "<answer>{}</answer>"}],
+        ref=[{"id": "zzz", "raw": "<answer>{}</answer>"}]), 1,
+        "reference for unknown sample ids: ['zzz']"),
     "eval-pred-raw-not-a-string": (lambda t: eval_with_lines(
         t, pred=[{"id": "syn-0000", "raw": 5}]), 1,
         "preds.jsonl: line 2: raw must be a string, got int"),
@@ -669,6 +684,20 @@ BAD_INPUT = {
     "export-sft-record-cot-a-list": (export_sft_of(lambda t: edited_records(
         t, lambda r: r.update(cot=["a", 1]))), 1,
         "scored.jsonl: line 9: cot must be a string, got list"),
+    "report-record-leak-evidence-a-string": (lambda t: ["report", "--records", edited_records(
+        t, lambda r: r["breakdown"].update(leak_evidence="0.9"))], 1,
+        "scored.jsonl: line 9: leak_evidence must be a list of strings"),
+    "filter-record-leak-evidence-a-string": (lambda t: ["filter", "--records", edited_records(
+        t, lambda r: r["breakdown"].update(leak_evidence="0.9"))], 1,
+        "scored.jsonl: line 9: leak_evidence must be a list of strings"),
+    "report-record-leak-evidence-holding-a-number": (lambda t: [
+        "report", "--records", edited_records(
+            t, lambda r: r["breakdown"].update(leak_evidence=["0.9", 0.9]))], 1,
+        "scored.jsonl: line 9: leak_evidence must be a list of strings"),
+    "filter-record-leak-evidence-holding-a-number": (lambda t: [
+        "filter", "--records", edited_records(
+            t, lambda r: r["breakdown"].update(leak_evidence=["0.9", 0.9]))], 1,
+        "scored.jsonl: line 9: leak_evidence must be a list of strings"),
     "ingest-without-categories": (lambda t: ingest(t, "classification", []), 64,
                                   "--categories"),
     "ingest-without-height": (lambda t: ingest(t, "detection", [], "--width", "3"), 64,
@@ -791,7 +820,7 @@ FUZZ_WORLD = {"kind": "classification", "num_samples": 4, "cues_per_sample": 2,
               "vocab_size": 6, "seed": 0}
 # Values of the wrong type for any field; 10**400 is beyond the float range.
 WRONG_VALUES = (None, True, 7, -1, 0.5, 10**400, "", "x", [], ["a", 1], {}, {"a": 1})
-MUTATIONS = ("drop", "swap", "nest", "truncate", "insert")
+MUTATIONS = ("drop", "add", "swap", "nest", "truncate", "insert")
 
 
 @functools.cache
@@ -867,23 +896,30 @@ def json_paths(doc, path=()):
 
 def mutate(data, yaml_file, mutation, where, value):
     """`data` with one mutation at the `where`-th place (counted modulo the
-    places it has): a dropped key or item, a value swapped for `value` or
-    nested too deep to decode, the file cut at a byte, or a byte that is not
-    UTF-8 inserted."""
+    places it has): a dropped key or item, a key of `value` added to a
+    mapping, a value swapped for `value` or nested too deep to decode, the
+    file cut at a byte, or a byte that is not UTF-8 inserted."""
     if mutation == "truncate":
         return data[:where % len(data)]
     if mutation == "insert":
         at = where % (len(data) + 1)
         return data[:at] + b"\xff" + data[at:]
     docs = [yaml.safe_load(data)] if yaml_file else [json.loads(line) for line in data.splitlines()]
+
+    def at(doc, path):
+        return functools.reduce(lambda node, key: node[key], path, doc)
+
     places = [(n, path) for n, doc in enumerate(docs) for path in json_paths(doc)
-              if path or mutation != "drop"]
+              if (path or mutation != "drop")
+              and (mutation != "add" or isinstance(at(doc, path), dict))]
     n, path = places[where % len(places)]
     new = "deep-nesting" if mutation == "nest" else value
-    if not path:
+    if mutation == "add":
+        at(docs[n], path)["added-key"] = value
+    elif not path:
         docs[n] = new
     else:
-        parent = functools.reduce(lambda node, key: node[key], path[:-1], docs[n])
+        parent = at(docs[n], path[:-1])
         if mutation == "drop":
             del parent[path[-1]]
         else:

@@ -18,8 +18,8 @@ from cotloop.backends import (CueWorld, GenerationRequest, MockBackend, RemoteBa
 from cotloop.domain import (Box, BoxSet, Classification, Distribution, Sample,
                             make_breakdown)
 from cotloop.errors import (CotloopError, DomainError, HeaderMismatch,
-                            InvalidSetting, MissingFile, MockMiss, RemoteUnavailable,
-                            ValidationFailure)
+                            InvalidSetting, MissingFile, MissingVariable, MockMiss,
+                            RemoteUnavailable, ValidationFailure)
 from cotloop.pipeline import (evaluate_predictions, export_sft_corpus,
                               load_dataset, load_predictions, load_records,
                               r1_prompt, reasoning_prompt,
@@ -120,6 +120,21 @@ def test_r1_prompt_has_task_info_only(emotion_sample):
     p = r1_prompt(emotion_sample)
     assert "joy" in p  # category list
     assert "0.388889" not in p
+
+
+def test_only_the_reasoning_prompt_renders_a_template_naming_the_ground_truth(
+        monkeypatch, emotion_sample, detection_sample):
+    """The stage builders are the guard: a template naming a ground-truth slot
+    renders in the reasoning stage only, on either task."""
+    for text in ("see {bbox}", "see {prob_distribution}"):
+        monkeypatch.setattr(pipeline, "load_template", lambda task, stage, text=text: text)
+        for sample in (emotion_sample, detection_sample):
+            truth = render_annotation(sample.annotation, sample.task)
+            assert reasoning_prompt(sample) == f"see {truth}"
+            with pytest.raises(MissingVariable):
+                reconstruction_prompt(sample, "a CoT")
+            with pytest.raises(MissingVariable):
+                r1_prompt(sample)
 
 
 # --- closed-loop stage ---------------------------------------------------------------
@@ -370,6 +385,46 @@ def test_records_round_trip(stage_world, tmp_path):
     assert loaded[0] == result.records[0]
     with pytest.raises(MissingFile):
         load_records(str(tmp_path / "absent.jsonl"))
+
+
+def edit_lines(path, edit):
+    """Rewrite `path` after `edit(lines)` of the list of its parsed lines, the
+    header first."""
+    lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    edit(lines)
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+
+
+def test_a_row_or_task_block_with_an_unknown_key_loads_as_without_it(
+        stage_world, tmp_path, class_samples, emotion_task, detection_task, detection_sample):
+    records = run_stage(stage_world).records
+    path = tmp_path / "records.jsonl"
+    save_records(records, str(path))
+
+    def add_keys(lines):
+        for row in lines[1:]:
+            row["note"] = row["breakdown"]["note"] = 1
+    edit_lines(path, add_keys)
+    assert load_records(str(path)) == records
+    for samples, task in ((class_samples, emotion_task), ([detection_sample], detection_task)):
+        path = tmp_path / "data.jsonl"
+        save_dataset(samples, task, str(path))
+        edit_lines(path, lambda lines: lines[0]["task"].update(note="x"))
+        assert load_dataset(str(path)) == (samples, [])
+
+
+def test_a_record_without_its_optional_fields_loads_with_their_defaults(stage_world, tmp_path):
+    record = run_stage(stage_world).records[0]
+    path = tmp_path / "records.jsonl"
+    save_records([record], str(path))
+
+    def drop_optional_fields(lines):
+        row = lines[1]
+        del row["reconstruction"], row["breakdown"]["reason"], row["breakdown"]["leak_evidence"]
+    edit_lines(path, drop_optional_fields)
+    loaded, = load_records(str(path))
+    assert loaded == dataclasses.replace(record, reconstruction=None)
+    assert (loaded.breakdown.reason, loaded.breakdown.leak_evidence) == ("similarity", ())
 
 
 # --- the file rule: torn, foreign and malformed files ------------------------------
@@ -993,6 +1048,16 @@ def test_predictions_round_trip(tmp_path, class_samples):
     path = tmp_path / "preds.jsonl"
     save_predictions(preds, str(path))
     assert load_predictions(str(path)) == preds
+
+
+def test_an_integer_id_reads_in_its_str_form(tmp_path, class_samples, emotion_task):
+    path = tmp_path / "preds.jsonl"
+    save_predictions({3: "<answer>{}</answer>"}, str(path))
+    assert load_predictions(str(path)) == {"3": "<answer>{}</answer>"}
+    path = tmp_path / "data.jsonl"
+    save_dataset(class_samples[:1], emotion_task, str(path))
+    edit_lines(path, lambda lines: lines[1].update(id=3))
+    assert load_dataset(str(path))[0][0].id == "3"
 
 
 # --- golden bytes ------------------------------------------------------------------------
