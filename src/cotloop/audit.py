@@ -8,7 +8,8 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from .domain import Box, BoxSet, Classification, Detection, Distribution, Sample
+from .domain import (Box, BoxSet, Classification, Detection, Distribution, Sample,
+                     sum_in_order)
 from .errors import CorruptionInfeasible, DomainError
 from .pipeline import StageResult, run_closed_loop_stage
 from .reward import DEFAULT_TAU, histogram_bins, reward_histogram
@@ -33,7 +34,7 @@ def corrupt_classification(sample: Sample, rng: random.Random) -> Sample:
     original_argmax = sample.annotation.argmax(task.categories)
     while True:
         draw = [rng.expovariate(1.0) for _ in task.categories]
-        total = sum(draw)
+        total = sum_in_order(draw)
         corrupted = Distribution({c: p / total for c, p in zip(task.categories, draw)})
         if corrupted.argmax(task.categories) != original_argmax:
             return replace(sample, annotation=corrupted)

@@ -478,7 +478,14 @@ class CueWorld:
                                annotation=self.rule(cues))
 
     def rule(self, cues) -> Annotation:
-        """World rule mapping a cue set to its annotation."""
+        """World rule mapping a cue set to its annotation.
+
+        A classification annotation maps every vocab category, in vocab order,
+        to 0.0 and then each known cue to 1/len(cues); a cue outside the vocab
+        counts in len(cues) but names no category. Only the cues' categories
+        are written, and updating a key keeps its place, so the keys, their
+        order and the values are those a test per category would give.
+        """
         if self.kind == "classification":
             cues = set(cues)
             if not cues:
@@ -486,7 +493,11 @@ class CueWorld:
                 n = len(self.vocab)
                 return Distribution({c: 1.0 / n for c in self.vocab})
             w = 1.0 / len(cues)
-            return Distribution({c: (w if c in cues else 0.0) for c in self.vocab})
+            probs = dict.fromkeys(self.vocab, 0.0)
+            for c in cues:
+                if c in probs:
+                    probs[c] = w
+            return Distribution(probs)
         boxes = tuple(self.cue_box[c] for c in sorted(cues))
         if not boxes:
             boxes = (Box(0, 0, 0, 0),)

@@ -47,6 +47,9 @@ INPUT_FLAGS = ("config", "input", "records", "dataset")
 INGEST_NEEDS = {"classification": ("categories",), "detection": ("width", "height")}
 # Keys a config file may give, and the stages its backends block may name.
 CONFIG_KEYS = ("world", "backends", "group_size", "seed", "tau")
+# PyYAML's pure-Python scanner is quadratic in the depth of flow collections
+# (`[`, `{`), so a config nested deeper is refused before it is parsed.
+MAX_FLOW_DEPTH = 100
 BACKEND_STAGES = ("reason", "recon", "r1")
 # The run settings and their defaults; a command resolves those it has a flag for.
 RUN_DEFAULTS = {"group_size": 8, "seed": 0, "tau": DEFAULT_TAU}
@@ -100,15 +103,36 @@ def _known(block: dict, keys, where: str) -> dict:
     return block
 
 
+def _too_deep(data: bytes) -> bool:
+    """Whether a run of unclosed `[`/`{` in `data` passes MAX_FLOW_DEPTH. Every
+    bracket counts, quoted or not: the check only needs to be cheap."""
+    depth = 0
+    for b in data.translate(None, bytes(c for c in range(256) if c not in b"[]{}")):
+        if b in b"[{":
+            depth += 1
+            if depth > MAX_FLOW_DEPTH:
+                return True
+        elif depth:
+            depth -= 1
+    return False
+
+
 def _load_config(path):
     if not path:
         return {}
+    import io
     import yaml  # only a run with --config pays for loading PyYAML
     with _open(path) as f:
-        try:
-            config = yaml.safe_load(f) or {}
-        except (yaml.YAMLError, RecursionError) as e:
-            raise InvalidSetting(f"{path}: not a YAML file: {' '.join(str(e).split())}") from None
+        data = f.read()
+    if _too_deep(data):
+        raise InvalidSetting(f"{path}: not a YAML file: flow collections nest deeper than "
+                             f"{MAX_FLOW_DEPTH} levels")
+    stream = io.BytesIO(data)
+    stream.name = path  # PyYAML's error marks name the file
+    try:
+        config = yaml.safe_load(stream) or {}
+    except (yaml.YAMLError, RecursionError) as e:
+        raise InvalidSetting(f"{path}: not a YAML file: {' '.join(str(e).split())}") from None
     return _known(_mapping(config, path), CONFIG_KEYS, path)
 
 

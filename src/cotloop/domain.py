@@ -6,13 +6,30 @@ convention (area = width * height, unit-square mask cells).
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from .errors import EmptyMask, InvalidGeometry
 
 GT_SUM_TOL = 1e-6
+
+
+def sum_in_order(values):
+    """`values` added left to right from int 0 by `operator.add`, as `sum()`
+    adds them up to Python 3.11, NaN payloads included. From 3.12 `sum()`
+    compensates float rounding, so its last bits depend on the interpreter;
+    every float total and mean in the package is taken here, so that outputs
+    are the same on every supported Python. (A `+` in a Python loop would not
+    do: once the interpreter specialises it, it keeps the other of two NaNs.)"""
+    return functools.reduce(operator.add, values, 0)
+
+
+if sys.version_info < (3, 12):  # `sum()` adds just so there, and in C
+    sum_in_order = sum
 
 
 @dataclass(frozen=True)
@@ -118,7 +135,7 @@ class Distribution:
         object.__setattr__(self, "probs", dict(self.probs))
 
     def total(self) -> float:
-        return sum(self.probs.values())
+        return sum_in_order(self.probs.values())
 
     def argmax(self, categories: Sequence[str]) -> str:
         # Ties broken by first category in task order: max keeps the first of equal keys.

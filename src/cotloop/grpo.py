@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .backends import (CueWorld, DEFAULT_TEMPLATE_BANK, require, synthetic_reason,
                        synthetic_reconstruct)
-from .domain import Sample, ScoredRecord
+from .domain import Sample, ScoredRecord, sum_in_order
 from .errors import DomainError
 from .reward import closed_loop_reward
 
@@ -36,8 +36,8 @@ def compute_group_advantages(rewards: Sequence[float]) -> list[float]:
     if not rewards:
         raise DomainError("an advantage group needs at least one member")
     g = len(rewards)
-    mean = sum(rewards) / g
-    var = sum((r - mean) ** 2 for r in rewards) / g
+    mean = sum_in_order(rewards) / g
+    var = sum_in_order((r - mean) ** 2 for r in rewards) / g
     if var == 0.0:
         return [0.0] * g
     std = math.sqrt(var)
@@ -83,7 +83,7 @@ def _softmax(values: Sequence[float]) -> list[float]:
     """exp(v - max) / sum, in the order given: the policy's one softmax."""
     m = max(values)
     exps = [math.exp(v - m) for v in values]
-    z = sum(exps)
+    z = sum_in_order(exps)
     return [e / z for e in exps]
 
 
@@ -279,7 +279,7 @@ def train_toy_policy(world: CueWorld, steps: int, group_size: int, seed: int,
                                                           zip(*draws), tables):
                     policy.update(b, [choices[i] for i in picked], advantages, probs)
             step_best.append(max(rewards))
-        result.curve.append(sum(step_best) / len(step_best))
+        result.curve.append(sum_in_order(step_best) / len(step_best))
     return result
 
 

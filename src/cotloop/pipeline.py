@@ -37,7 +37,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .backends import GenerationRequest, require
 from .domain import (TASK_KINDS, Annotation, Box, BoxSet, Classification, Distribution,
-                     RewardBreakdown, Sample, ScoredRecord, validate_annotation)
+                     RewardBreakdown, Sample, ScoredRecord, sum_in_order,
+                     validate_annotation)
 from .errors import (BackendError, DomainError, HeaderMismatch, MalformedLine, MissingFile,
                      ValidationFailure)
 from .grpo import compute_group_advantages, select_best_of_group
@@ -189,8 +190,15 @@ def annotation_to_json(a: Annotation) -> dict:
 
 
 def annotation_from_json(obj: dict) -> Annotation:
+    """The annotation a decoded JSON object holds. A `probs` mapping whose values
+    are all finite floats, as written by `annotation_to_json`, is taken as it
+    is (JSON keys are strings); any other goes through `as_number` per value."""
     if "probs" in obj:
-        return Distribution({str(k): as_number(v) for k, v in obj["probs"].items()})
+        probs = obj["probs"]
+        if type(probs) is dict and all(v.__class__ is float and v - v == 0.0
+                                       for v in probs.values()):
+            return Distribution(probs)
+        return Distribution({str(k): as_number(v) for k, v in probs.items()})
     if "boxes" in obj:
         return BoxSet(tuple(Box(*map(as_number, b)) for b in obj["boxes"]))
     raise ValueError(f"unknown annotation shape: {sorted(obj)}")
@@ -589,7 +597,7 @@ def run_rft_reward_eval(samples: Sequence[Sample], r1_backend, group_size: int,
 
     def score(sample: Sample, completions: list[str]) -> tuple[str, list[str], list[float]]:
         rewards = [think_answer_reward(sample, text).composite for text in completions]
-        mean = sum(rewards) / len(rewards)
+        mean = sum_in_order(rewards) / len(rewards)
         result.per_sample_mean[sample.id] = mean
         totals.append(mean)
         return sample.id, completions, rewards
@@ -602,7 +610,7 @@ def run_rft_reward_eval(samples: Sequence[Sample], r1_backend, group_size: int,
     _run_stage(samples, group_size, seed, (r1_backend,), member_for, score, result.failures,
                None if bookkeeping_path is None
                else (bookkeeping_path, RFT_BOOKKEEPING, 0, line))
-    result.mean_reward = sum(totals) / len(totals) if totals else 0.0
+    result.mean_reward = sum_in_order(totals) / len(totals) if totals else 0.0
     return result
 
 
@@ -707,10 +715,10 @@ def evaluate_predictions(predictions: dict[str, str], samples: Sequence[Sample],
             hits.append(frac)
 
     if classification and jsd_values:
-        report.mean_jsd = sum(jsd_values) / len(jsd_values)
+        report.mean_jsd = sum_in_order(jsd_values) / len(jsd_values)
         report.accuracy = correct / len(jsd_values)
         if reference is not None and compared:
             report.win_rate = wins / compared
     if not classification and hits:
-        report.detection_score = sum(hits) / len(hits)
+        report.detection_score = sum_in_order(hits) / len(hits)
     return report

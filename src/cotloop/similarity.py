@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .domain import Box, BoxSet, Distribution
+from .domain import Box, BoxSet, Distribution, sum_in_order
 from .errors import DomainError
 
 CLAMP = 1e-10
@@ -26,24 +26,51 @@ TIE_TOL = 1e-9  # an assignment total this near the optimum counts as optimal
 
 
 def _aligned(p: Distribution, q: Distribution) -> tuple[list[float], list[float]]:
-    if p.probs.keys() != q.probs.keys():
+    """Both distributions' values in sorted category order, leaving out each
+    category that is a float zero (0.0 or -0.0) on both sides.
+
+    Leaving such a pair out is exact. In `_kld` both sides clamp to CLAMP and
+    the term is CLAMP * log(1) = +0.0; in `_mse` the term is +0.0, and the mean
+    still divides by the full category count. A float total plus +0.0 is
+    itself (no total here is -0.0), and int 0 plus a float t is computed as
+    0.0 + t, so every result keeps its bits, type and error. If a kept value
+    is not a float, every category is kept: a sum of ints, say, rounds
+    differently once a +0.0 has made it a float. A sparse distribution, as
+    most of a 48-category world's are, thus costs work only where either side
+    carries mass.
+    """
+    pp, qp = p.probs, q.probs
+    if pp.keys() != qp.keys():
         raise DomainError("distributions are over different category sets")
-    cats = sorted(p.probs)
-    return list(map(p.probs.__getitem__, cats)), list(map(q.probs.__getitem__, cats))
+    cats = pp
+    if not all(pp.values()):  # else no category is zero on both sides
+        cats = [c for c, a in pp.items()
+                if a or (b := qp[c]) or not (a.__class__ is b.__class__ is float)]
+    pv, qv = _values(pp, qp, cats)
+    if len(pv) < len(pp) and {*map(type, pv), *map(type, qv)} - {float}:
+        pv, qv = _values(pp, qp, pp)
+    return pv, qv
+
+
+def _values(pp: dict, qp: dict, cats) -> tuple[list[float], list[float]]:
+    cats = sorted(cats)
+    return list(map(pp.__getitem__, cats)), list(map(qp.__getitem__, cats))
 
 
 def _kld(pv: list[float], qv: list[float]) -> float:
-    # `CLAMP if CLAMP > a else a` is `max(a, CLAMP)`, NaN included, without the call.
-    log, total = math.log, 0.0
+    # `clamp if clamp > a else a` is `max(a, CLAMP)`, NaN included, without the call.
+    log, clamp, total = math.log, CLAMP, 0.0
     for a, b in zip(pv, qv):
-        a = CLAMP if CLAMP > a else a
-        b = CLAMP if CLAMP > b else b
+        a = clamp if clamp > a else a
+        b = clamp if clamp > b else b
         total += a * log(a / b)
     return total
 
 
-def _mse(pv: list[float], qv: list[float]) -> float:
-    return sum((a - b) ** 2 for a, b in zip(pv, qv)) / len(pv)
+def _mse(pv: list[float], qv: list[float], n: int) -> float:
+    """Mean squared error over n categories, `_aligned` having left out those
+    zero on both sides."""
+    return sum_in_order((a - b) ** 2 for a, b in zip(pv, qv)) / n
 
 
 def kld(p: Distribution, q: Distribution) -> float:
@@ -53,7 +80,7 @@ def kld(p: Distribution, q: Distribution) -> float:
 
 def mse(p: Distribution, q: Distribution) -> float:
     """Mean squared error over the shared category set."""
-    return _mse(*_aligned(p, q))
+    return _mse(*_aligned(p, q), len(p.probs))
 
 
 def classification_similarity(gt: Distribution, pred: Distribution) -> float:
@@ -63,7 +90,7 @@ def classification_similarity(gt: Distribution, pred: Distribution) -> float:
     exp(-|log10(sum)|) is the penalty for a mis-normalized prediction.
     """
     gv, pv = _aligned(gt, pred)
-    phi = math.exp(-(_kld(gv, pv) + _mse(gv, pv)))
+    phi = math.exp(-(_kld(gv, pv) + _mse(gv, pv, len(gt.probs))))
     total = max(pred.total(), CLAMP)
     # KLD against an over-mass prediction can be negative, pushing the raw
     # product above 1; the score is capped to stay in (0, 1].
@@ -105,7 +132,7 @@ class MatchResult:
 
     @property
     def total_iou(self) -> float:
-        return sum(self.per_pair_iou)
+        return sum_in_order(self.per_pair_iou)
 
 
 def _shift(cost: list[list[float]], col: list[int], u: list[float], g: int,

@@ -18,7 +18,7 @@ from cotloop.backends import (CueWorld, DEFAULT_TEMPLATE_BANK,
                               SyntheticR1Backend, SyntheticReasonBackend,
                               SyntheticReconBackend, synthetic_reason,
                               synthetic_reconstruct)
-from cotloop.domain import Classification, Detection
+from cotloop.domain import Classification, Detection, Distribution
 from cotloop.errors import (AuthFailure, BadPayload, InvalidSetting, MockMiss,
                             RemoteUnavailable, RequestRejected, TemplateError, Timeout)
 from cotloop.reward import closed_loop_reward, think_answer_reward
@@ -553,6 +553,29 @@ def test_cue_world_classification_rule(class_world):
         assert {c for c, p in probs.items() if p > 0} == set(s.cue_set)
     uniform = class_world.rule(frozenset())
     assert all(p == pytest.approx(1 / 24) for p in uniform.probs.values())
+
+
+def _rule_by_category(world, cues):
+    """The classification rule as a per-category comprehension, kept as the
+    oracle of `CueWorld.rule`, which sets only the cues' categories."""
+    cues = set(cues)
+    if not cues:
+        n = len(world.vocab)
+        return Distribution({c: 1.0 / n for c in world.vocab})
+    w = 1.0 / len(cues)
+    return Distribution({c: (w if c in cues else 0.0) for c in world.vocab})
+
+
+def test_cue_world_rule_matches_the_per_category_rule():
+    world = CueWorld(vocab_size=48, num_samples=60, cues_per_sample=4, seed=3)
+    vocab = world.vocab
+    cases = [set(), frozenset(), ["not-a-cue"], {vocab[0], "not-a-cue", 7},
+             [vocab[5], vocab[5], vocab[1]], set(vocab), tuple(reversed(vocab[:9]))]
+    cases += [s.cue_set for s in world.samples]
+    for cues in cases:
+        got, want = world.rule(cues).probs, _rule_by_category(world, cues).probs
+        # repr shows the key order, each value's type and each float's bits.
+        assert repr(list(got.items())) == repr(list(want.items())), cues
 
 
 def test_cue_world_detection_rule(det_world):

@@ -1,7 +1,10 @@
 """Domain model: geometry utilities, validation, and gated breakdowns."""
 
+import functools
 import itertools
 import math
+import operator
+import struct
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -9,7 +12,7 @@ from hypothesis import example, given, strategies as st
 from cotloop.domain import (Box, BoxSet, Classification, Detection,
                             Distribution, RewardBreakdown, Sample,
                             ScoredRecord, make_breakdown,
-                            mask_to_box, validate_annotation)
+                            mask_to_box, sum_in_order, validate_annotation)
 from cotloop.errors import EmptyMask, InvalidGeometry
 
 from conftest import EXAMPLE_DISTRIBUTION
@@ -176,6 +179,22 @@ def test_distribution_argmax_tie_break():
 
 def test_distribution_total():
     assert math.isclose(Distribution(dict(EXAMPLE_DISTRIBUTION)).total(), 1.0)
+
+
+def test_sum_in_order_adds_left_to_right_on_every_interpreter():
+    # From Python 3.12 `sum()` gives 1.0 and 1.0 here: it compensates rounding.
+    assert sum_in_order([0.1] * 10) == 0.9999999999999999
+    assert sum_in_order([1e16, 1.0, -1e16]) == 0.0
+    assert Distribution({"a": 1e16, "b": 1.0, "c": -1e16}).total() == 0.0
+    assert sum_in_order([]) == 0 and type(sum_in_order([])) is int
+    assert sum_in_order(iter([1, True, 2])) == 4 and type(sum_in_order([1, 2])) is int
+    # Up to 3.11 it is `sum()` itself, which adds as `operator.add` does (NaN
+    # payloads included); from 3.12 it is that `operator.add` fold.
+    nan1 = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+    for values in ([1.0, math.inf - math.inf, nan1], [1.0, nan1, -math.nan], [0.5, 2**60 + 1, 3],
+                   [1e308, 1e308, -math.inf], [0.25] * 7 + [1e-17] * 5):
+        bits = lambda x: struct.pack("<d", x)
+        assert bits(sum_in_order(values)) == bits(functools.reduce(operator.add, values, 0))
 
 
 # --- gated breakdowns -----------------------------------------------------------

@@ -1,7 +1,9 @@
 """Group advantages, best-of-group retention, and the toy policy trainer."""
 
+import functools
 import hashlib
 import math
+import operator
 import random
 import struct
 import sys
@@ -256,12 +258,17 @@ def test_toy_detection_minibatch_run_is_byte_stable():
     assert digest == GOLDEN_TOY_DETECTION_SHA256
 
 
+def _left_sum(values):
+    """`sum()` as it adds up to Python 3.11: left to right, from int 0."""
+    return functools.reduce(operator.add, values, 0)
+
+
 # `ToyPolicy.probs` and `ToyPolicy.update` as they were before the shared
 # softmax and the per-logit update: the trainer's oracle, and the update's.
 def _oracle_probs(ls):
     m = max(ls.values())
     exps = {c: math.exp(v - m) for c, v in ls.items()}
-    z = sum(exps.values())
+    z = _left_sum(exps.values())
     return {c: e / z for c, e in exps.items()}
 
 
@@ -366,7 +373,7 @@ def _oracle_train_toy_policy(world, steps, group_size, seed, learning_rate=0.5,
                 for b in buckets[sample.id]:
                     _oracle_update(policy, b, [d[b] for d in draws], group.advantages)
             step_best.append(max(group.rewards))
-        result.curve.append(sum(step_best) / len(step_best))
+        result.curve.append(_left_sum(step_best) / len(step_best))
     return result
 
 
