@@ -9,7 +9,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -26,10 +25,6 @@ def sum_in_order(values):
     are the same on every supported Python. (A `+` in a Python loop would not
     do: once the interpreter specialises it, it keeps the other of two NaNs.)"""
     return functools.reduce(operator.add, values, 0)
-
-
-if sys.version_info < (3, 12):  # `sum()` adds just so there, and in C
-    sum_in_order = sum
 
 
 @dataclass(frozen=True)

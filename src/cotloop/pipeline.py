@@ -190,15 +190,8 @@ def annotation_to_json(a: Annotation) -> dict:
 
 
 def annotation_from_json(obj: dict) -> Annotation:
-    """The annotation a decoded JSON object holds. A `probs` mapping whose values
-    are all finite floats, as written by `annotation_to_json`, is taken as it
-    is (JSON keys are strings); any other goes through `as_number` per value."""
     if "probs" in obj:
-        probs = obj["probs"]
-        if type(probs) is dict and all(v.__class__ is float and v - v == 0.0
-                                       for v in probs.values()):
-            return Distribution(probs)
-        return Distribution({str(k): as_number(v) for k, v in probs.items()})
+        return Distribution({str(k): as_number(v) for k, v in obj["probs"].items()})
     if "boxes" in obj:
         return BoxSet(tuple(Box(*map(as_number, b)) for b in obj["boxes"]))
     raise ValueError(f"unknown annotation shape: {sorted(obj)}")

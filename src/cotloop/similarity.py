@@ -37,23 +37,19 @@ def _aligned(p: Distribution, q: Distribution) -> tuple[list[float], list[float]
     is not a float, every category is kept: a sum of ints, say, rounds
     differently once a +0.0 has made it a float. A sparse distribution, as
     most of a 48-category world's are, thus costs work only where either side
-    carries mass.
+    carries mass; when `p` has no zero, the one scan for it is all it adds.
     """
     pp, qp = p.probs, q.probs
     if pp.keys() != qp.keys():
         raise DomainError("distributions are over different category sets")
-    cats = pp
-    if not all(pp.values()):  # else no category is zero on both sides
-        cats = [c for c, a in pp.items()
-                if a or (b := qp[c]) or not (a.__class__ is b.__class__ is float)]
-    pv, qv = _values(pp, qp, cats)
-    if len(pv) < len(pp) and {*map(type, pv), *map(type, qv)} - {float}:
-        pv, qv = _values(pp, qp, pp)
-    return pv, qv
-
-
-def _values(pp: dict, qp: dict, cats) -> tuple[list[float], list[float]]:
-    cats = sorted(cats)
+    if all(pp.values()):  # no category is zero on both sides
+        cats = sorted(pp)
+    else:
+        cats = sorted([c for c, a in pp.items()
+                       if a or (b := qp[c]) or not (a.__class__ is b.__class__ is float)])
+        if len(cats) < len(pp) and not all(
+                pp[c].__class__ is qp[c].__class__ is float for c in cats):
+            cats = sorted(pp)
     return list(map(pp.__getitem__, cats)), list(map(qp.__getitem__, cats))
 
 

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import types
 
 import pytest
@@ -173,10 +174,11 @@ def test_a_rejected_request_fails_its_sample_and_exits_two(tmp_path, capsys, mon
     monkeypatch.setenv("COTLOOP_API_KEY", "k")
 
     class RejectingSession:
-        posts = 0
+        posts, lock = 0, threading.Lock()  # members post from worker threads
 
         def post(self, url, json=None, headers=None, timeout=None):
-            self.posts += 1
+            with self.lock:
+                self.posts += 1
             return types.SimpleNamespace(status_code=404)
 
     session, stages = RejectingSession(), []
@@ -192,7 +194,9 @@ def test_a_rejected_request_fails_its_sample_and_exits_two(tmp_path, capsys, mon
         backends={"reason": remote_spec(), "recon": remote_spec()}))
     assert cli_dispatch(gen_cot(tmp_path, *config)) == 2
     assert capsys.readouterr().err.splitlines()[-1] == "8 sample(s) failed after retries"
-    assert session.posts == 8  # one post per sample: the first reasoning call
+    # Member 0 of each sample posts its first reasoning call and is rejected; a
+    # member of the same sample that started before that failure may post too.
+    assert 8 <= session.posts <= 8 * 8
     assert [f["kind"] for f in stages[0].failures] == ["RequestRejected"] * 8
     assert {f["error"] for f in stages[0].failures} == {"HTTP 404"}
 

@@ -26,7 +26,7 @@ from cotloop.pipeline import (evaluate_predictions, export_sft_corpus,
                               reconstruction_prompt, run_closed_loop_stage,
                               run_rft_reward_eval, save_dataset,
                               save_predictions, save_records)
-from cotloop.textproto import as_number, render_annotation
+from cotloop.textproto import render_annotation
 from cotloop.reward import think_answer_reward
 from cotloop.similarity import classification_similarity
 from cotloop.textproto import validate_f_r1, parse_think_answer, ParsedOutput
@@ -385,32 +385,6 @@ def test_records_round_trip(stage_world, tmp_path):
     assert loaded[0] == result.records[0]
     with pytest.raises(MissingFile):
         load_records(str(tmp_path / "absent.jsonl"))
-
-
-def _probs_by_value(obj):
-    """`annotation_from_json` of a `probs` object read value by value through
-    `as_number`, kept as the oracle of the path that takes finite floats as
-    they are."""
-    return Distribution({str(k): as_number(v) for k, v in obj["probs"].items()})
-
-
-def _value_or_error(fn, obj):
-    try:
-        probs = fn(obj).probs
-    except Exception as e:
-        return type(e).__name__, str(e)
-    return repr(list(probs.items()))  # the key order, each type and each float's bits
-
-
-@pytest.mark.parametrize("probs", [
-    '{"a": 0.25, "b": 0.75, "c": 0.0, "d": -0.0}', '{"a": NaN, "b": 0.5}',
-    '{"a": 0.5, "b": Infinity}', '{"a": -Infinity}', '{"a": true, "b": 0.5}',
-    '{"a": 1, "b": 0.0}', '{"a": "0.5"}', '{"a": 1e400}', '{}', '[0.5, 0.5]',
-    '[["a", 0.5]]'])
-def test_probs_read_as_floats_or_value_by_value_give_the_same_value_or_error(probs):
-    obj = json.loads('{"probs": %s}' % probs)
-    assert (_value_or_error(pipeline.annotation_from_json, obj)
-            == _value_or_error(_probs_by_value, obj))
 
 
 def edit_lines(path, edit):
