@@ -200,7 +200,23 @@ def hungarian_match(gt: BoxSet, pred: BoxSet) -> MatchResult:
     cost.append([0.0] * npd + [math.inf])
     col, u = [-1] * (ng + 1), [0.0] * (ng + 1)
     for r in reversed(range(ng)):  # insert each row at least cost, keeping the optimum
-        _shift(cost, col, u, r, None, 0.0)
+        # A row whose least pred cost sits on a free pred takes the first such pred
+        # without a search. That is exact: the total becomes the old optimum plus the
+        # row's minimum, a lower bound for any matching of the rows so far. And the
+        # potential u[ng] + cost[r][x] keeps what `_shift`'s heap order rests on (each
+        # column's holder minimises cost[i][x] - u[i] over the movable rows): x was
+        # held by row ng, and cost[r][x] is the row's minimum over every column, the
+        # unmatched one (cost 0) included. `min` and `==` pass over a NaN cost, but a
+        # NaN first cost makes `least` NaN, so that row still ends in `_shift`.
+        x = None
+        if ng - r <= npd:  # a pred is free: each insertion so far filled one
+            row = cost[r][:npd]
+            least = min(row)
+            x = next((j for j, c in enumerate(row) if c == least and j not in col), None)
+        if x is None:
+            _shift(cost, col, u, r, None, 0.0)
+        else:
+            col[r], u[r] = x, u[ng] + row[x]
     # Then each row in turn takes its first option (preds in order, then "unmatched")
     # whose best completion keeps the total within TIE_TOL of the optimum.
     slack = TIE_TOL

@@ -402,8 +402,10 @@ _BRACKET_TUPLE_RE = re.compile(
 _COORD_RUN_RE = re.compile(
     r"(?<![\w.])[1-9]\d+(?:\s*,\s*|\s+)[1-9]\d+(?:(?:\s*,\s*|\s+)[1-9]\d+)*")
 _XY_TOKEN_RE = re.compile(r"\b[xy][12]\b", re.IGNORECASE)
+# The lookahead accepts the same first characters as the words (under IGNORECASE,
+# the 8 ASCII letters only), and lets the scan skip every other position cheaply.
 _DIRECTIONAL_RE = re.compile(
-    r"\b(?:top|bottom|upper|lower)[-\s](?:left|right)\b", re.IGNORECASE)
+    r"(?=[tbul])\b(?:top|bottom|upper|lower)[-\s](?:left|right)\b", re.IGNORECASE)
 # The common tail of every category-value pair pattern, with the same flags:
 # text it does not occur in holds no pair, so the per-category scans are skipped.
 _PAIR_VALUE_RE = re.compile(r"[:=]\s*\d", re.IGNORECASE)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cotloop import audit
 from cotloop.backends import CueWorld
 from cotloop.domain import Box, BoxSet, Distribution
 from cotloop.errors import DomainError
@@ -611,6 +612,59 @@ def test_hungarian_matches_the_parent_on_seeded_and_near_tie_sets():
     for gt, pred in sets:
         assert _match_bits(hungarian_match, gt, pred) == _match_bits(_oracle_hungarian_match,
                                                                      gt, pred)
+
+
+# Two overlapping boxes of side 1e200 (their IoU, and each one's with itself, is
+# NaN), boxes with -0.0 corners (one of them with zero width), one box inside
+# another, a partial overlap and a disjoint box.
+_EDGE_POOL = (Box(0.0, 0.0, 1e200, 1e200), Box(1.0, 1.0, 1e200, 1e200),
+              Box(-0.0, -0.0, 4.0, 4.0), Box(1.0, 1.0, 2.0, 2.0), Box(2.0, 3.0, 6.0, 5.0),
+              Box(-0.0, 0.0, -0.0, 3.0), Box(10.0, 10.0, 12.0, 12.0))
+
+
+def test_hungarian_matches_the_parent_on_every_small_edge_tuple():
+    # Every tuple of up to 2 pool boxes against every other, and each multiset of
+    # 3 against each of them on either side: rows placed without a search keep
+    # every bit, and a NaN IoU against the first pred still ends in the parent's
+    # StopIteration.
+    small = [BoxSet(t) for k in range(3) for t in itertools.product(_EDGE_POOL, repeat=k)]
+    pairs = [(a, b) for a in small for b in small]
+    for c in map(BoxSet, itertools.combinations_with_replacement(_EDGE_POOL, 3)):
+        pairs += [(c, b) for b in small] + [(b, c) for b in small]
+    errors = 0
+    for gt, pred in pairs:
+        got = _match_bits(hungarian_match, gt, pred)
+        assert got == _match_bits(_oracle_hungarian_match, gt, pred), (gt, pred)
+        errors += got == ("StopIteration", "")
+    assert errors > 0
+
+
+def test_hungarian_matches_both_oracles_on_cue_world_boxes():
+    # The boxes of a detection world, where every IoU is exactly 0 or 1: each
+    # sample's ground truth against reorderings, subsets and supersets of its cue
+    # boxes, and a corrupted label (a box overlapping none) on either side.
+    world = CueWorld("detection", num_samples=8, vocab_size=24, seed=3)
+    rng = random.Random("cue-world-matches")
+    checked = 0
+    for s in world.samples:
+        gt = s.annotation
+        others = [b for b in world.cue_box.values() if b not in gt.boxes]
+        preds = [p for k in range(len(gt) + 1) for p in itertools.permutations(gt.boxes, k)]
+        for extra in (1, 2):
+            for _ in range(6):
+                sup = list(gt.boxes) + rng.sample(others, extra)
+                rng.shuffle(sup)
+                preds.append(tuple(sup))
+        wrong = audit.corrupt_detection(s.as_sample(), rng).annotation
+        cases = [(gt, BoxSet(p)) for p in preds]
+        cases += [(wrong, BoxSet(p)) for p in preds[:12]] + [(gt, wrong), (wrong, gt)]
+        for g, p in cases:
+            m = hungarian_match(g, p)
+            assert set(m.per_pair_iou) <= {0.0, 1.0}
+            assert m == brute_force_lexicographic_match(g, p), (g, p)
+            assert _match_bits(hungarian_match, g, p) == _match_bits(_oracle_hungarian_match, g, p)
+            checked += 1
+    assert checked > 8 * 80
 
 
 @settings(max_examples=300)

@@ -921,6 +921,29 @@ def test_digit_free_leak_gate_matches_the_pattern_table(text):
         assert detect_leak(text, world.task) == _oracle_detect_leak(text, world.task)
 
 
+# The directional pattern without its leading `(?=[tbul])` lookahead.
+_OLD_DIRECTIONAL_RE = re.compile(
+    r"\b(?:top|bottom|upper|lower)[-\s](?:left|right)\b", re.IGNORECASE)
+
+
+def test_directional_lookahead_keeps_every_match():
+    # Each side-word pair in four casings, split by `-`, a space, a tab or a
+    # no-break space, with word characters or separators on either edge.
+    def casings(word):
+        return word, word.upper(), word.title(), word.title().swapcase()
+
+    firsts = [c for w in ("top", "bottom", "upper", "lower") for c in casings(w)]
+    seconds = [c for w in ("left", "right") for c in casings(w)]
+    texts = [f"{pre}{a}{sep}{b}{post}"
+             for a in firsts for sep in ("-", " ", "\t", "\u00a0") for b in seconds
+             for pre in ("", "x", "_", " ", "-") for post in ("", "x", "_", ".", " ")]
+    texts += ["xtop-left top-leftx _top-left", "toplet ToP lEfT uPPer\u00a0RIGHT, bottoms-left",
+              " | ".join(texts[::7])]
+    assert sum(bool(_OLD_DIRECTIONAL_RE.findall(t)) for t in texts) > len(texts) // 4
+    for text in texts:
+        assert textproto._DIRECTIONAL_RE.findall(text) == _OLD_DIRECTIONAL_RE.findall(text)
+
+
 LEAK_CORPUS_CLS = (
     "The mood is roughly 0.8 joyful, with .25 fear and 1.0 calm, not 1.000 or 0.333.",
     "About 80% of the frame glows; 12.5 % is shade and 3% reads neutral.",
