@@ -21,10 +21,11 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .domain import Annotation, Box, BoxSet, Classification, Detection, Distribution, Sample
+from .domain import (Annotation, Box, BoxSet, Classification, Detection, Distribution, Sample,
+                     task_name)
 from .errors import (AuthFailure, BadPayload, InvalidSetting, MockMiss, RemoteUnavailable,
                      RequestRejected, TemplateError, Timeout)
-from .textproto import format_answer, load_template, read_slot, task_name
+from .textproto import format_answer, load_template, read_slot
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ from .pipeline import (annotation_from_json, check_sample, evaluate_predictions,
                        run_closed_loop_stage, run_rft_reward_eval, sample_text_fields,
                        save_dataset)
 from .reward import DEFAULT_TAU, filter_high_subset, histogram_bins, reward_histogram
-from .textproto import check_answer_keys
 
 USAGE_EXIT = 64
 # The flags that name a file a command reads; its manifest records their digests.
@@ -267,11 +266,8 @@ def _dataset_or_world(args, world, *backends):
 
 def _cmd_ingest(args, config, settings):
     try:
-        if args.task == "classification":
-            task = Classification(categories=tuple(args.categories.split(",")))
-            check_answer_keys(task.categories)
-        else:
-            task = Detection(image_width=args.width, image_height=args.height)
+        task = (Classification(args.categories.split(",")) if args.task == "classification"
+                else Detection(args.width, args.height))
     except ValueError as e:
         raise InvalidSetting(f"ingest --task {args.task}: {e}") from None
     samples, seen_ids = [], set()
@@ -281,14 +277,13 @@ def _cmd_ingest(args, config, settings):
                 continue
             try:
                 obj = json.loads(raw)
-                if args.task == "detection" and "mask" in obj:
+                if args.task == "detection" and isinstance(obj, dict) and "mask" in obj:
                     annotation = BoxSet((mask_to_box(obj["mask"]),))
                 else:
                     annotation = annotation_from_json(obj)
                 sample = Sample(task=task, annotation=annotation, **sample_text_fields(obj))
                 samples.append(check_sample(sample, seen_ids))
-            except (ValueError, LookupError, TypeError, AttributeError, RecursionError,
-                    CotloopError) as e:
+            except (ValueError, LookupError, TypeError, RecursionError, CotloopError) as e:
                 raise MalformedLine(args.input, n, e) from e
     save_dataset(samples, task, args.output)
     print(f"ingested {len(samples)} samples -> {args.output}")
@@ -395,7 +390,8 @@ def build_parser() -> _Parser:
                      description="Closed-loop chain-of-thought curation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
     # The flags several subcommands share, each group declared once.
-    config, run, data, world = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    config, run, data, world, records, tau = (argparse.ArgumentParser(add_help=False)
+                                              for _ in range(6))
     config.add_argument("--config")
     run.add_argument("--group-size", type=int)
     run.add_argument("--seed", type=int)
@@ -404,6 +400,8 @@ def build_parser() -> _Parser:
     world.add_argument("--world-samples", type=int)
     world.add_argument("--world-cues", type=int)
     world.add_argument("--world-vocab", type=int)
+    records.add_argument("--records", required=True)
+    tau.add_argument("--tau", type=float)
 
     p = sub.add_parser("ingest", help="convert raw label files into a dataset file")
     p.add_argument("--input", required=True)
@@ -414,22 +412,18 @@ def build_parser() -> _Parser:
     p.add_argument("--height", type=float, help="image height for detection")
     p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("gen-cot", parents=[config, data, run],
+    p = sub.add_parser("gen-cot", parents=[config, data, run, records],
                        help="run the closed-loop generation stage")
-    p.add_argument("--records", required=True)
     p.set_defaults(func=_cmd_gen_cot)
 
-    p = sub.add_parser("filter", help="threshold filter plus reward histogram")
-    p.add_argument("--records", required=True)
-    p.add_argument("--tau", type=float)
+    p = sub.add_parser("filter", parents=[records, tau],
+                       help="threshold filter plus reward histogram")
     p.set_defaults(func=_cmd_filter)
 
-    p = sub.add_parser("export-sft", parents=[config],
+    p = sub.add_parser("export-sft", parents=[config, records, tau],
                        help="export the high-reward SFT corpus")
-    p.add_argument("--records", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--tau", type=float)
     p.add_argument("--skip-invalid", action="store_true")
     p.set_defaults(func=_cmd_export_sft)
 
@@ -455,15 +449,14 @@ def build_parser() -> _Parser:
     p.add_argument("--skip-invalid", action="store_true")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("audit", parents=[config, data, run, world],
+    p = sub.add_parser("audit", parents=[config, data, run, world, tau],
                        help="label-noise audit on a synthetic world")
     p.add_argument("--fraction", type=float, default=0.3)
-    p.add_argument("--tau", type=float)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_audit)
 
-    p = sub.add_parser("report", help="render histograms as text tables and plot data")
-    p.add_argument("--records", required=True)
+    p = sub.add_parser("report", parents=[records],
+                       help="render histograms as text tables and plot data")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_report)
 

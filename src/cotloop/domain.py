@@ -9,12 +9,19 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from .errors import EmptyMask, InvalidGeometry
 
 GT_SUM_TOL = 1e-6
+# The characters no category name may hold, as a regex class body: in the key
+# of an answer map a quote, backslash or brace would end or change the key, a
+# control character or a surrogate is not valid in its source, and `<` or `>`
+# could close the `<answer>` tag around it.
+KEY_FORBIDDEN = r"'\"\\{}<>\x00-\x1f\x7f\ud800-\udfff"
+KEY_FORBIDDEN_RE = re.compile(f"[{KEY_FORBIDDEN}]")
 
 
 def sum_in_order(values):
@@ -29,7 +36,8 @@ def sum_in_order(values):
 
 @dataclass(frozen=True)
 class Classification:
-    """Classification task over a fixed ordered list or tuple of category names."""
+    """Classification task over a fixed ordered list or tuple of category names,
+    each non-empty and free of `KEY_FORBIDDEN`, so that its answers read back."""
 
     categories: tuple[str, ...]
 
@@ -43,6 +51,11 @@ class Classification:
             raise ValueError("category names must be unique")
         if "" in self.categories:
             raise ValueError("category names must be non-empty")
+        bad = [c for c in self.categories if KEY_FORBIDDEN_RE.search(c)]
+        if bad:
+            raise ValueError(f"category names {bad!r} hold a quote, backslash, brace, angle "
+                             "bracket, control character or surrogate, which an answer map "
+                             "cannot carry")
         object.__setattr__(self, "categories", tuple(self.categories))
 
     @property
@@ -76,6 +89,12 @@ class Detection:
 TaskKind = Union[Classification, Detection]
 # Each task kind by the name that dataset headers and template files give it.
 TASK_KINDS = {"classification": Classification, "detection": Detection}
+_KIND_NAMES = {kind: name for name, kind in TASK_KINDS.items()}
+
+
+def task_name(task: TaskKind) -> str:
+    """The name of a task's kind in `TASK_KINDS`, which keys its templates."""
+    return _KIND_NAMES[type(task)]
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .backends import GenerationRequest, require
 from .domain import (TASK_KINDS, Annotation, Box, BoxSet, Classification, Distribution,
-                     RewardBreakdown, Sample, ScoredRecord, sum_in_order,
+                     RewardBreakdown, Sample, ScoredRecord, sum_in_order, task_name,
                      validate_annotation)
 from .errors import (BackendError, DomainError, HeaderMismatch, MalformedLine, MissingFile,
                      ValidationFailure)
@@ -45,9 +45,8 @@ from .grpo import compute_group_advantages, select_best_of_group
 from .reward import (DEFAULT_TAU, closed_loop_reward, filter_high_subset,
                      score_reconstruction, think_answer_reward)
 from .similarity import hungarian_match, jsd
-from .textproto import (ParsedOutput, as_number, check_answer_keys, format_answer,
-                        holds_tag_text, load_template, render_annotation, render_prompt,
-                        task_name)
+from .textproto import (ParsedOutput, as_number, format_answer, holds_tag_text,
+                        load_template, render_annotation, render_prompt)
 
 log = logging.getLogger(__name__)
 
@@ -173,10 +172,7 @@ def _task_from_json(obj, path: str):
     if not (isinstance(kind, str) and kind in TASK_KINDS):
         raise HeaderMismatch(f"{path}: unknown task kind in header: {kind!r}")
     try:
-        task = _from_json(TASK_KINDS[kind], obj)
-        if isinstance(task, Classification):
-            check_answer_keys(task.categories)
-        return task
+        return _from_json(TASK_KINDS[kind], obj)
     except KeyError as e:
         raise HeaderMismatch(f"{path}: {kind} task in header has no {e.args[0]!r}") from None
     except (TypeError, ValueError) as e:
@@ -190,10 +186,21 @@ def annotation_to_json(a: Annotation) -> dict:
 
 
 def annotation_from_json(obj: dict) -> Annotation:
+    """The annotation of a `probs` or `boxes` mapping; TypeError names a shape at fault."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"annotation must be a mapping, got {type(obj).__name__}")
     if "probs" in obj:
-        return Distribution({str(k): as_number(v) for k, v in obj["probs"].items()})
+        probs = obj["probs"]
+        if not isinstance(probs, dict):
+            raise TypeError(f"probs must be a mapping, got {type(probs).__name__}")
+        return Distribution({k: as_number(v) for k, v in probs.items()})
     if "boxes" in obj:
-        return BoxSet(tuple(Box(*map(as_number, b)) for b in obj["boxes"]))
+        boxes = obj["boxes"]
+        if not isinstance(boxes, list):
+            raise TypeError(f"boxes must be a list, got {type(boxes).__name__}")
+        if not all(isinstance(b, list) and len(b) == 4 for b in boxes):
+            raise TypeError("each box must be a list of 4 numbers")
+        return BoxSet(tuple(Box(*map(as_number, b)) for b in boxes))
     raise ValueError(f"unknown annotation shape: {sorted(obj)}")
 
 

@@ -13,14 +13,14 @@ fixed-point values, written with one `%` format per category tuple (built on
 first use and cached; a `%` in a name is escaped); detection is a bracketed
 integer-or-decimal 4-tuple, or a list of them for multiple boxes.
 
-Everything the loop writes reads back as written. Take any task that `ingest`
-or a dataset load accepts, any annotation that `validate_annotation` accepts,
-and any CoT that the closed-loop gates pass: `ParsedOutput.from_text(
-format_answer(a, task, cot), task)` gives back `think == cot` and the answer
-`parse_answer_for_task(render_annotation(a, task), task)`, and `validate_f_r1`
-holds on the result. Each input is held to it where it enters: category names
-by `check_answer_keys`, a CoT by `validate_f_cot`, and `format_answer` refuses
-a think holding tag text.
+Everything the loop writes reads back as written. Take any task that can be
+built, any annotation that `validate_annotation` accepts, and any CoT that the
+closed-loop gates pass: `ParsedOutput.from_text(format_answer(a, task, cot),
+task)` gives back `think == cot` and the answer `parse_answer_for_task(
+render_annotation(a, task), task)`, and `validate_f_r1` holds on the result.
+Each input is held to it where it is made or enters: category names by
+`Classification`, a CoT by `validate_f_cot`, and `format_answer` refuses a
+think holding tag text.
 
 Everything here is pure string work. The answer parsers own the contract
 of a model answer: a distribution covers exactly the task's categories with
@@ -37,8 +37,8 @@ returns and form feeds, and a trailing comma may close a literal. A number is
 ASCII: a decimal with an optional exponent, or an int of 0s or without a
 leading zero; it is read with `float`, and an int-form -0 as 0.0. A key holds
 no quote, backslash, brace, angle bracket, control character or surrogate
-(`check_answer_keys`, which `ingest` and a dataset load apply to category
-names). Anything else (int keys, escapes, implicit concatenation, `1_000`,
+(`domain.KEY_FORBIDDEN`, which `Classification` holds its category names
+to). Anything else (int keys, escapes, implicit concatenation, `1_000`,
 hex, tuples, comments, line continuations) is refused. Every path is regular
 expressions and `float`: no parser state is shared between threads.
 
@@ -63,17 +63,11 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from .domain import (TASK_KINDS, Annotation, Box, BoxSet, Classification, Distribution,
-                     TaskKind)
+from .domain import (KEY_FORBIDDEN, KEY_FORBIDDEN_RE, Annotation, Box, BoxSet, Classification,
+                     Distribution, TaskKind)
 from .errors import MalformedAnswer, MissingVariable, TemplateError
 
 PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
-_KIND_NAMES = {kind: name for name, kind in TASK_KINDS.items()}
-
-
-def task_name(task: TaskKind) -> str:
-    """The name of a task's kind in `TASK_KINDS`, which keys its templates."""
-    return _KIND_NAMES[type(task)]
 
 
 @functools.cache
@@ -215,19 +209,14 @@ def parse_think_answer(text: str) -> tuple[Optional[str], str]:
 # --- answer-body parsers -----------------------------------------------------
 
 # The answer grammar (see the module docstring). Digits are ASCII (`\d` would
-# take other scripts' digits), and keys hold no character of `_KEY_FORBIDDEN`,
+# take other scripts' digits), and keys hold no character of `KEY_FORBIDDEN`,
 # so each literal is valid Python and a match ends where the literal ends. Each
 # whitespace run sits between two tokens that it cannot be part of, so a failed
 # match backtracks over it once, not once per split.
 _WS = r"[ \t\n\r\f]*"
 _NUM = (r"[-+]?(?:(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
         r"|[0-9]+[eE][-+]?[0-9]+|0+|[1-9][0-9]*)")
-# A quote, backslash or brace would end or change a quoted key, a control
-# character or a surrogate is not valid in its source, and `<` or `>` could
-# close the `<answer>` tag around it.
-_KEY_FORBIDDEN = r"'\"\\{}<>\x00-\x1f\x7f\ud800-\udfff"
-_KEY_FORBIDDEN_RE = re.compile(f"[{_KEY_FORBIDDEN}]")
-_KEY = f"[^{_KEY_FORBIDDEN}]*"
+_KEY = f"[^{KEY_FORBIDDEN}]*"
 _PAIR = rf"""(?:'{_KEY}'|"{_KEY}"){_WS}:{_WS}{_NUM}"""
 _MAP_RE = re.compile(rf"\{{{_WS}(?:{_PAIR}{_WS}(?:,{_WS}{_PAIR}{_WS})*(?:,{_WS})?)?\}}")
 # A run of number characters. In a literal of the grammar, each number token is
@@ -245,22 +234,11 @@ _NESTED_RE = re.compile(rf"\[{_WS}{_LIST}{_WS}(?:,{_WS}{_LIST}{_WS})*(?:,{_WS})?
 _INNER_RE = re.compile(r"\[([^\[\]]*)\]")
 
 
-def check_answer_keys(categories) -> None:
-    """ValueError when a category name holds a character that an answer map's
-    key may not hold (a quote, backslash, brace, angle bracket, control
-    character or surrogate): no answer of the task could be read."""
-    bad = [c for c in categories if _KEY_FORBIDDEN_RE.search(c)]
-    if bad:
-        raise ValueError(f"category names {bad!r} hold a quote, backslash, brace, angle "
-                         "bracket, control character or surrogate, which an answer map "
-                         "cannot carry")
-
-
 @functools.lru_cache(maxsize=64)
 def _map_re(categories: tuple[str, ...]) -> Optional[re.Pattern]:
     """The answer map of `categories` in task order, one number run per key;
     None when a name cannot be a key."""
-    if any(_KEY_FORBIDDEN_RE.search(c) for c in categories):
+    if any(KEY_FORBIDDEN_RE.search(c) for c in categories):
         return None
     pairs = rf"{_WS},{_WS}".join(rf"""(?:'{key}'|"{key}"){_WS}:{_WS}({_RUN})"""
                                  for key in map(re.escape, categories))

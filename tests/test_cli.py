@@ -616,6 +616,53 @@ BAD_INPUT = {
         "raw.jsonl: line 1: number outside the float range"),
     "eval-gt-probability-a-string": (eval_with_a_string_probability, 1,
                                      "line 4: non-numeric value: '1'"),
+    # Annotation shapes that are not a probs mapping or a list of 4-number boxes,
+    # on each path that reads one: an ingest line, a dataset line, a record.
+    "ingest-line-not-a-mapping": (lambda t: ingest(
+        t, "classification", [5], "--categories", "a,b"), 1,
+        "raw.jsonl: line 1: annotation must be a mapping, got int"),
+    "ingest-detection-line-not-a-mapping": (lambda t: ingest(
+        t, "detection", [5], "--width", "3", "--height", "3"), 1,
+        "raw.jsonl: line 1: annotation must be a mapping, got int"),
+    "ingest-probs-a-list": (lambda t: ingest(
+        t, "classification", [{**NO_ANNOTATION, "probs": [1]}], "--categories", "a,b"), 1,
+        "raw.jsonl: line 1: probs must be a mapping, got list"),
+    "ingest-boxes-an-int": (lambda t: ingest(
+        t, "detection", [{**NO_ANNOTATION, "boxes": 5}], "--width", "3", "--height", "3"), 1,
+        "raw.jsonl: line 1: boxes must be a list, got int"),
+    "ingest-box-of-3-numbers": (lambda t: ingest(
+        t, "detection", [{**NO_ANNOTATION, "boxes": [[1, 2, 3]]}], "--width", "3",
+        "--height", "3"), 1, "raw.jsonl: line 1: each box must be a list of 4 numbers"),
+    "eval-gt-annotation-a-string": (lambda t: eval_with_lines(
+        t, gt=[{**NO_ANNOTATION, "annotation": "probs"}]), 1,
+        "line 4: annotation must be a mapping, got str"),
+    "eval-gt-annotation-an-int": (lambda t: eval_with_lines(
+        t, gt=[{**NO_ANNOTATION, "annotation": 5}]), 1,
+        "line 4: annotation must be a mapping, got int"),
+    "eval-gt-probs-a-list": (lambda t: eval_with_lines(
+        t, gt=[{**NO_ANNOTATION, "annotation": {"probs": [1]}}]), 1,
+        "line 4: probs must be a mapping, got list"),
+    "eval-gt-boxes-a-mapping": (lambda t: eval_with_lines(
+        t, "detection", gt=[{**NO_ANNOTATION, "annotation": {"boxes": {"a": 1}}}]), 1,
+        "line 4: boxes must be a list, got dict"),
+    "eval-gt-box-of-5-numbers": (lambda t: eval_with_lines(
+        t, "detection", gt=[{**NO_ANNOTATION, "annotation": {"boxes": [[0, 0, 1, 1, 1]]}}]),
+        1, "line 4: each box must be a list of 4 numbers"),
+    "report-record-reconstruction-a-string": (lambda t: ["report", "--records", edited_records(
+        t, lambda r: r.update(reconstruction="probs"))], 1,
+        "scored.jsonl: line 9: annotation must be a mapping, got str"),
+    "report-record-reconstruction-probs-a-list": (lambda t: [
+        "report", "--records", edited_records(t, lambda r: r.update(
+            reconstruction={"probs": [1]}))], 1,
+        "scored.jsonl: line 9: probs must be a mapping, got list"),
+    "report-record-reconstruction-boxes-an-int": (lambda t: [
+        "report", "--records", edited_records(t, lambda r: r.update(
+            reconstruction={"boxes": 5}))], 1,
+        "scored.jsonl: line 9: boxes must be a list, got int"),
+    "report-record-reconstruction-box-of-3-numbers": (lambda t: [
+        "report", "--records", edited_records(t, lambda r: r.update(
+            reconstruction={"boxes": [[1, 2, 3]]}))], 1,
+        "scored.jsonl: line 9: each box must be a list of 4 numbers"),
     "gen-cot-records-a-directory": (lambda t: [
         "gen-cot", "--records", a_directory(t), *edited_config(t, lambda cfg: None)], 1,
         "Is a directory"),

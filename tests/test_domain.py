@@ -30,6 +30,18 @@ def test_classification_requires_unique_nonempty_categories():
     assert Classification(categories=("a", "b")).num_categories == 2
 
 
+@pytest.mark.parametrize("name", ["it's", 'say "hi"', "a\\b", "a{", "b}", "<x", "x>",
+                                  "b\nc", "del\x7f", "\ud800"])
+def test_classification_refuses_a_name_no_answer_map_key_can_carry(name):
+    with pytest.raises(ValueError) as e:
+        Classification(categories=("a", name))
+    assert str(e.value) == (f"category names {[name]!r} hold a quote, backslash, brace, angle "
+                            "bracket, control character or surrogate, which an answer map "
+                            "cannot carry")
+    with pytest.raises(ValueError, match="^category names must be non-empty$"):
+        Classification(categories=(name, ""))  # an empty name is reported first
+
+
 def test_detection_requires_positive_dimensions():
     with pytest.raises(ValueError):
         Detection(image_width=0, image_height=10)

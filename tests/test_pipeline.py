@@ -4,12 +4,15 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import os
 import sys
+import tempfile
 import threading
 import time
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from cotloop import pipeline
 from cotloop.backends import (CueWorld, GenerationRequest, MockBackend, RemoteBackend,
@@ -26,7 +29,7 @@ from cotloop.pipeline import (evaluate_predictions, export_sft_corpus,
                               reconstruction_prompt, run_closed_loop_stage,
                               run_rft_reward_eval, save_dataset,
                               save_predictions, save_records)
-from cotloop.textproto import render_annotation
+from cotloop.textproto import format_answer, render_annotation
 from cotloop.reward import think_answer_reward
 from cotloop.similarity import classification_similarity
 from cotloop.textproto import validate_f_r1, parse_think_answer, ParsedOutput
@@ -58,6 +61,30 @@ def test_dataset_round_trip(tmp_path, class_samples, emotion_task):
     path2 = tmp_path / "data2.jsonl"
     save_dataset(loaded, emotion_task, str(path2))
     assert path.read_bytes() == path2.read_bytes()
+
+
+@example(names=["it's", "b"], values=[0.5] * 6)
+@given(names=st.lists(st.text(min_size=1, max_size=5) | st.sampled_from(
+    ["it's", '"', "a\\b", "{", "}", "</answer>", "b\nc", "\x7f", "%", "x y", "\u00e9"]),
+    min_size=1, max_size=6, unique=True),
+    values=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6))
+def test_every_classification_that_can_be_built_reads_back(names, values):
+    """A task that `Classification` accepts loads back from its dataset, and
+    its canonical answer parses back to the annotation within 1e-6."""
+    try:
+        task = Classification(tuple(names))
+    except ValueError:
+        return
+    probs = dict(zip(names, values))
+    parsed = ParsedOutput.from_text(format_answer(Distribution(probs), task, "cot"), task)
+    assert parsed.error is None
+    assert parsed.answer.probs == pytest.approx(probs, abs=1e-6)
+    truth = Distribution({c: float(i == 0) for i, c in enumerate(names)})
+    samples = [Sample(id="s", image_ref="img://s", task=task, annotation=truth)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.jsonl")
+        save_dataset(samples, task, path)
+        assert load_dataset(path) == (samples, [])
 
 
 def test_dataset_detection_round_trip(tmp_path, detection_task, detection_sample):
