@@ -62,12 +62,12 @@ class Group:
         return [m.reward for m in self.members]
 
 
-def select_best_of_group(members: Sequence[ScoredRecord]) -> tuple[int, ScoredRecord]:
-    """(index, member) of the highest-reward member; ties break to the lowest index."""
-    if not members:
+def best_of_group(rewards: Sequence[float]) -> int:
+    """The index of the highest reward of a group; ties break to the lowest
+    index. The closed-loop stage keeps that member's record and builds no other."""
+    if not rewards:
         raise DomainError("cannot select from an empty group")
-    best = max(range(len(members)), key=lambda i: (members[i].reward, -i))
-    return best, members[best]
+    return max(range(len(rewards)), key=rewards.__getitem__)
 
 
 # --- toy policy --------------------------------------------------------------

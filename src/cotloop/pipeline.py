@@ -41,7 +41,7 @@ from .domain import (TASK_KINDS, Annotation, Box, BoxSet, Classification, Distri
                      validate_annotation)
 from .errors import (BackendError, DomainError, HeaderMismatch, MalformedLine, MissingFile,
                      ValidationFailure)
-from .grpo import compute_group_advantages, select_best_of_group
+from .grpo import best_of_group, compute_group_advantages
 from .reward import (DEFAULT_TAU, closed_loop_reward, filter_high_subset,
                      score_reconstruction, think_answer_reward)
 from .similarity import hungarian_match, jsd
@@ -91,9 +91,10 @@ def _read_jsonl(path: str, fmt: str, row: Callable[[dict], object],
 
     Each row is (line number, row(parsed line)); `end` is the byte offset just
     past the last complete line, where a resume continues. A line that fails
-    to parse or convert raises `MalformedLine`, or is reported in `errors`
-    when a list is given. With `missing_ok`, a file that is absent or whose
-    bytes are a prefix of the header line of `fmt` reads as (None, [], 0).
+    to parse, is not a JSON object or fails to convert raises `MalformedLine`,
+    or is reported in `errors` when a list is given. With `missing_ok`, a file
+    that is absent or whose bytes are a prefix of the header line of `fmt`
+    reads as (None, [], 0).
     """
     try:
         with open(path, "rb") as f:
@@ -135,7 +136,7 @@ def _read_jsonl(path: str, fmt: str, row: Callable[[dict], object],
             if not raw.strip():
                 continue
             try:
-                rows.append((n, row(json.loads(raw))))
+                rows.append((n, row(_json_object("a row", json.loads(raw)))))
             except Exception as e:  # malformed line, reported with its number
                 if errors is None:
                     raise MalformedLine(path, n, e) from e
@@ -146,6 +147,13 @@ def _read_jsonl(path: str, fmt: str, row: Callable[[dict], object],
 
 
 # --- rows ----------------------------------------------------------------------
+
+def _json_object(what: str, value):
+    """`value` when it is a JSON object; TypeError naming `what` otherwise."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
 
 @functools.cache
 def _fields(cls) -> tuple[tuple[str, bool], ...]:
@@ -289,7 +297,8 @@ def record_from_json(obj: dict) -> ScoredRecord:
     recon = obj.get("reconstruction")
     return _from_json(ScoredRecord, obj,
                       reconstruction=annotation_from_json(recon) if recon is not None else None,
-                      breakdown=_from_json(RewardBreakdown, obj["breakdown"]))
+                      breakdown=_from_json(RewardBreakdown,
+                                           _json_object("breakdown", obj["breakdown"])))
 
 
 def save_records(records: Sequence[ScoredRecord], path: str) -> None:
@@ -494,7 +503,9 @@ def run_closed_loop_stage(samples: Sequence[Sample], reason_backend, recon_backe
 
     Each distinct reconstruction of a group is parsed and scored once; the
     gates (leak, format) run per member, since members that share a
-    reconstruction may differ in their CoT. Records persist incrementally
+    reconstruction may differ in their CoT. One record is built per group,
+    for the member `grpo.best_of_group` picks from the members' rewards: the
+    highest, ties to the lowest g. Records persist incrementally
     (one flushed line per sample), and a restarted run skips sample ids
     already present in the record file and appends after its last complete
     line, never rewriting the lines it resumes. Backend failures go into
@@ -527,10 +538,10 @@ def run_closed_loop_stage(samples: Sequence[Sample], reason_backend, recon_backe
             scored = scores.get(recon_text)
             if scored is None:
                 scored = scores[recon_text] = score_reconstruction(sample, recon_text)
-            breakdown = closed_loop_reward(sample, cot, recon_text, scored=scored)
-            group.append(ScoredRecord(sample.id, cot, scored[0].answer,
-                                      breakdown.composite, breakdown))
-        _, record = select_best_of_group(group)
+            group.append((cot, scored, closed_loop_reward(sample, cot, recon_text,
+                                                          scored=scored)))
+        cot, scored, breakdown = group[best_of_group([b.composite for _, _, b in group])]
+        record = ScoredRecord(sample.id, cot, scored[0].answer, breakdown.composite, breakdown)
         result.records.append(record)
         return record
 

@@ -1,11 +1,13 @@
 """Prompt and answer text: rendering, parsing, leak detection, format gates.
 
 This module owns the text the loop exchanges with a model. A template is its
-text, read once. It may name only the variables its stage's prompt builder in
-`pipeline` passes (only the reasoning stage's gets the ground truth): any
-other slot raises MissingVariable at render. `read_slot` reads a rendered
-prompt back through its template: that is how a reconstruction backend gets
-the CoT, in process or behind an endpoint. `format_answer` writes every
+text, read once and split once into literal text and slots (cached per
+template text): a render fills the slots and joins. It may name only the
+variables its stage's prompt builder in `pipeline` passes (only the reasoning
+stage's gets the ground truth): any other slot raises MissingVariable at
+render. `read_slot` reads a rendered prompt back through its template: that
+is how a reconstruction backend gets the CoT, in process or behind an
+endpoint. `format_answer` writes every
 `<think>`/`<answer>` output the loop makes, with the annotation in its
 canonical form, which round-trips through the answer parsers to within 1e-6:
 classification is a single-quoted map in task category order with 6-decimal
@@ -78,16 +80,35 @@ def load_template(task: str, stage: str) -> str:
         encoding="utf-8").rstrip("\n")
 
 
+@functools.lru_cache(maxsize=64)
+def _template_pieces(template: str) -> tuple[str, ...]:
+    """`PLACEHOLDER_RE.split(template)`: the literal text at even indices, the
+    slot names between them at odd ones."""
+    return tuple(PLACEHOLDER_RE.split(template))
+
+
 def render_prompt(template: str, variables: dict[str, str]) -> str:
     """Exact placeholder substitution; the template text is otherwise untouched.
-    A placeholder that `variables` does not name raises MissingVariable."""
-    def sub(m: re.Match) -> str:
-        name = m.group(1)
+    The slots of the template's cached split are filled and the pieces joined.
+    The first placeholder in template order that `variables` does not name
+    raises MissingVariable."""
+    pieces = list(_template_pieces(template))
+    for i in range(1, len(pieces), 2):
+        name = pieces[i]
         if name not in variables:
             raise MissingVariable(name)
-        return variables[name]
+        pieces[i] = variables[name]
+    return "".join(pieces)
 
-    return PLACEHOLDER_RE.sub(sub, template)
+
+@functools.lru_cache(maxsize=64)
+def _slot_anchors(template: str, name: str) -> tuple[str, str]:
+    """The template's literal text left and right of the slot `name`, up to the
+    next slot on either side; TemplateError when it has no such slot."""
+    before, slot, after = template.partition("{" + name + "}")
+    if not slot:
+        raise TemplateError(f"template has no slot {name!r}")
+    return PLACEHOLDER_RE.split(before)[-1], PLACEHOLDER_RE.split(after)[0]
 
 
 def read_slot(template: str, prompt: str, name: str) -> str:
@@ -95,10 +116,7 @@ def read_slot(template: str, prompt: str, name: str) -> str:
     first match of the template's literal text left of the slot to the last
     match of the literal text right of it. A prompt without them in that order
     is not a rendering of the template and is returned whole."""
-    before, slot, after = template.partition("{" + name + "}")
-    if not slot:
-        raise TemplateError(f"template has no slot {name!r}")
-    left, right = PLACEHOLDER_RE.split(before)[-1], PLACEHOLDER_RE.split(after)[0]
+    left, right = _slot_anchors(template, name)
     start = prompt.find(left)
     end = prompt.rfind(right)
     if start < 0 or end < start + len(left):

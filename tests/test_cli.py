@@ -331,6 +331,14 @@ def edited_records(tmp, edit):
     return str(path)
 
 
+def records_with_line(tmp, line):
+    """Path of `records_file` with the JSON value `line` appended as line 10."""
+    path = pathlib.Path(records_file(tmp))
+    with open(path, "a", encoding="utf-8") as f:
+        f.write(json.dumps(line) + "\n")
+    return str(path)
+
+
 def scores_as_strings(record):
     """Make a record's reward, composite and similarity the same string, which
     keeps the reward = composite = similarity identities."""
@@ -648,6 +656,15 @@ BAD_INPUT = {
     "eval-gt-box-of-5-numbers": (lambda t: eval_with_lines(
         t, "detection", gt=[{**NO_ANNOTATION, "annotation": {"boxes": [[0, 0, 1, 1, 1]]}}]),
         1, "line 4: each box must be a list of 4 numbers"),
+    "eval-pred-line-a-string": (lambda t: eval_with_lines(t, pred=["x"]), 1,
+                                "preds.jsonl: line 2: a row must be a JSON object, got str"),
+    "eval-gt-line-an-int": (lambda t: eval_with_lines(t, gt=[5]), 1,
+                            "line 4: a row must be a JSON object, got int"),
+    "report-records-line-a-list": (lambda t: ["report", "--records", records_with_line(
+        t, [1, 2])], 1, "scored.jsonl: line 10: a row must be a JSON object, got list"),
+    "report-record-breakdown-an-int": (lambda t: ["report", "--records", edited_records(
+        t, lambda r: r.update(breakdown=5))], 1,
+        "scored.jsonl: line 9: breakdown must be a JSON object, got int"),
     "report-record-reconstruction-a-string": (lambda t: ["report", "--records", edited_records(
         t, lambda r: r.update(reconstruction="probs"))], 1,
         "scored.jsonl: line 9: annotation must be a mapping, got str"),

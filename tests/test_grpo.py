@@ -16,9 +16,9 @@ from cotloop import grpo
 from cotloop.backends import CueWorld, synthetic_reason, synthetic_reconstruct
 from cotloop.domain import ScoredRecord, make_breakdown
 from cotloop.errors import DomainError, InvalidSetting
-from cotloop.grpo import (Group, ToyPolicy, ToyTrainResult, _draw, _ToyPlan,
+from cotloop.grpo import (Group, ToyPolicy, ToyTrainResult, _draw, _ToyPlan, best_of_group,
                           build_toy_policy, compute_group_advantages, export_curve,
-                          select_best_of_group, smooth_curve, train_toy_policy)
+                          smooth_curve, train_toy_policy)
 from cotloop.reward import closed_loop_reward
 
 
@@ -67,16 +67,20 @@ def test_group_build_carries_advantages():
     assert len(g.advantages) == 4
 
 
-def test_select_best_of_group_tie_break():
-    idx, record = select_best_of_group([member(0.2), member(0.9), member(0.9)])
-    assert idx == 1
-    assert record.reward == 0.9
-    assert record.sample_id == "s"
+def test_best_of_group_tie_break():
+    assert best_of_group([0.2, 0.9, 0.9]) == 1
+    assert best_of_group([0.9, 0.2, 0.9]) == 0
+    assert best_of_group([0.1, 0.2, 0.3]) == 2
 
 
-def test_select_best_all_zero_still_retained():
-    idx, record = select_best_of_group([member(0.0), member(0.0)])
-    assert idx == 0 and record.reward == 0.0
+def test_best_all_zero_still_retained():
+    assert best_of_group([0.0, 0.0]) == 0
+    assert best_of_group([0.0]) == 0
+
+
+def test_best_of_an_empty_group_is_refused():
+    with pytest.raises(DomainError, match="empty group"):
+        best_of_group([])
 
 
 # --- toy policy ------------------------------------------------------------------

@@ -19,7 +19,7 @@ from cotloop.backends import (CueWorld, GenerationRequest, MockBackend, RemoteBa
                               SyntheticR1Backend, SyntheticReasonBackend,
                               SyntheticReconBackend)
 from cotloop.domain import (Box, BoxSet, Classification, Distribution, Sample,
-                            make_breakdown)
+                            ScoredRecord, make_breakdown)
 from cotloop.errors import (CotloopError, DomainError, HeaderMismatch,
                             InvalidSetting, MissingFile, MissingVariable, MockMiss,
                             RemoteUnavailable, ValidationFailure)
@@ -312,6 +312,58 @@ def test_stage_gates_each_member_that_shares_a_reconstruction(monkeypatch, emoti
     assert [(cot, b.reason, b.composite) for cot, b in scored] == [
         (LEAKING_COT, "leak", 0.0), (CLEAN_COT, "similarity", pytest.approx(1.0))] * 2
     assert result.records[0].cot == CLEAN_COT
+
+
+def _oracle_select_best_of_group(members):
+    """(index, member) of the highest-reward member of per-member records, ties
+    to the lowest index: the selection the stage made when it built a record
+    for every member."""
+    if not members:
+        raise DomainError("cannot select from an empty group")
+    best = max(range(len(members)), key=lambda i: (members[i].reward, -i))
+    return best, members[best]
+
+
+OTHER_CLEAN_COT = "A dog naps in a pool of afternoon sun beside an overturned water bowl."
+SHORT_COT = "a dog"  # shorter than a narrative: fails the format gate
+
+
+@pytest.mark.parametrize("cots, answers, best", [
+    # Two members tied at the top, after a lower one: the first of the tie.
+    ([CLEAN_COT, OTHER_CLEAN_COT, LEAKING_COT, CLEAN_COT + " "],
+     ["uniform", "exact", "exact", "exact"], 1),
+    # Every member gated to 0: the first.
+    ([LEAKING_COT, SHORT_COT, LEAKING_COT + " "], ["exact", "exact", "no answer"], 0),
+    # A leak-gated member shares the best member's reconstruction.
+    ([LEAKING_COT, CLEAN_COT], ["exact", "exact"], 1),
+], ids=["tie-at-the-top", "all-zero", "leak-shares-the-best-reconstruction"])
+def test_the_stage_keeps_the_record_that_per_member_selection_keeps(
+        monkeypatch, emotion_sample, cots, answers, best):
+    from cotloop import pipeline
+    original, members = pipeline.closed_loop_reward, []
+
+    def recording(sample, cot, text, *, scored):
+        breakdown = original(sample, cot, text, scored=scored)
+        members.append(ScoredRecord(sample.id, cot, scored[0].answer, breakdown.composite,
+                                    breakdown))
+        return breakdown
+    monkeypatch.setattr(pipeline, "closed_loop_reward", recording)
+    task = emotion_sample.task
+    uniform = Distribution({c: 1 / len(task.categories) for c in task.categories})
+    texts = {"exact": answer_of(emotion_sample.annotation, task),
+             "uniform": answer_of(uniform, task), "no answer": "no answer"}
+    recon = MockBackend({reconstruction_prompt(emotion_sample, cot): texts[answer]
+                         for cot, answer in zip(cots, answers)})
+    other = Sample(id="other", image_ref="img://other", task=task, annotation=uniform)
+    g = len(cots)
+    result = run_closed_loop_stage([emotion_sample, other], Scripted(cots), recon,
+                                   group_size=g, seed=0)
+    assert result.failures == []
+    # closed_loop_reward runs once per member: G times per sample.
+    assert [r.sample_id for r in members] == [emotion_sample.id] * g + ["other"] * g
+    assert result.records == [_oracle_select_best_of_group(members[:g])[1],
+                              _oracle_select_best_of_group(members[g:])[1]]
+    assert result.records[0].cot == cots[best]
 
 
 def test_stage_fails_a_sample_whose_backend_fails_part_way_through_a_group(emotion_sample):

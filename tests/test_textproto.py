@@ -85,6 +85,116 @@ def test_read_slot_falls_back_to_the_whole_prompt(task):
         read_slot(t, rendered, "bbox")
 
 
+# The regex `render_prompt` and `read_slot` that split a template on every call.
+# They are the oracles of the split-once versions.
+def _oracle_render_prompt(template, variables):
+    def sub(m):
+        name = m.group(1)
+        if name not in variables:
+            raise MissingVariable(name)
+        return variables[name]
+
+    return PLACEHOLDER_RE.sub(sub, template)
+
+
+def _oracle_read_slot(template, prompt, name):
+    before, slot, after = template.partition("{" + name + "}")
+    if not slot:
+        raise TemplateError(f"template has no slot {name!r}")
+    left, right = PLACEHOLDER_RE.split(before)[-1], PLACEHOLDER_RE.split(after)[0]
+    start = prompt.find(left)
+    end = prompt.rfind(right)
+    if start < 0 or end < start + len(left):
+        return prompt
+    return prompt[start + len(left):end]
+
+
+def _outcome(fn, *args):
+    """What `fn(*args)` returns, or the type and text of what it raises."""
+    try:
+        return "returns", fn(*args)
+    except (MissingVariable, TemplateError) as e:
+        return type(e), str(e)
+
+
+SHIPPED = [(task, stage) for task in ("classification", "detection")
+           for stage in ("reasoning", "reconstruction", "r1")]
+_SLOT_NAMES = ("a", "b", "x", "CoTs", "_1")
+# Template pieces: slots, adjacent slots, braces that are not slots, a doubled
+# slot, and a backslash.
+_TEMPLATE_PIECES = ("{a}", "{b}", "{a}{b}", "{x}", "{CoTs}", "{_1}", "{", "}", "{not-an-id}",
+                    "{{x}}", "{}", "{a}{", "}{b}", "\\", "\\1", " ", ": ", "Description")
+_VALUES = st.text(max_size=6) | st.sampled_from(["{x}", "{a}", "\\", "\\1", "\\g<0>", ""])
+
+
+def _templates():
+    pieced = st.lists(st.sampled_from(_TEMPLATE_PIECES) | st.text(max_size=4), max_size=8)
+    return pieced.map("".join) | st.sampled_from([load_template(*ts) for ts in SHIPPED])
+
+
+def _variables():
+    """Maps over some of the slot names, so that a template may name a missing one."""
+    return st.dictionaries(st.sampled_from(_SLOT_NAMES + ("categories", "target", "bbox",
+                                                          "prob_distribution")),
+                           _VALUES, max_size=8)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(template=_templates(), variables=_variables())
+@example(template="{a}{b}", variables={"a": "{b}", "b": "\\1"})
+@example(template="{a}{b}{c}", variables={"a": "1"})
+@example(template="{{x}} {not-an-id} {x}", variables={"x": "\\g<0>"})
+def test_render_prompt_matches_the_regex_oracle(template, variables):
+    assert _outcome(render_prompt, template, variables) == _outcome(
+        _oracle_render_prompt, template, variables)
+
+
+def _prompts(template, values):
+    """Renderings of `template`, every slot filled from `values`, or free text
+    mixed with the template's literal pieces."""
+    names = PLACEHOLDER_RE.findall(template)
+    filled = st.fixed_dictionaries({n: values for n in names})
+    pieces = PLACEHOLDER_RE.split(template)[::2]
+    mixed = st.lists(st.text(max_size=6) | st.sampled_from(pieces), max_size=5).map("".join)
+    return filled.map(lambda v: _oracle_render_prompt(template, v)) | mixed
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(data=st.data(), template=_templates())
+def test_read_slot_matches_the_regex_oracle(data, template):
+    # Mostly a slot of the template; else a name it may lack, or one no slot can have.
+    slots = PLACEHOLDER_RE.findall(template)
+    others = st.sampled_from(_SLOT_NAMES + ("not-an-id",))
+    name = data.draw(st.sampled_from(slots) | others if slots else others)
+    prompt = data.draw(_prompts(template, _VALUES))
+    want = _outcome(_oracle_read_slot, template, prompt, name)
+    assert _outcome(read_slot, template, prompt, name) == want
+    assert _outcome(read_slot, template, prompt, name) == want  # a missing slot raises again
+
+
+@pytest.mark.parametrize("task, stage", SHIPPED)
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_shipped_templates_render_and_read_back_as_the_oracle(task, stage, data):
+    template = load_template(task, stage)
+    names = PLACEHOLDER_RE.findall(template)
+    pieces = PLACEHOLDER_RE.split(template)
+    variables = {}
+    for i, name in enumerate(names):
+        # A value that holds the literal text right of its slot, where `read_slot`
+        # looks for the end of the slot.
+        right = pieces[2 * i + 2]
+        variables[name] = data.draw(st.lists(_VALUES | st.just(right), max_size=3).map("".join))
+    prompt = render_prompt(template, variables)
+    assert prompt == _oracle_render_prompt(template, variables)
+    for name in names:
+        assert read_slot(template, prompt, name) == _oracle_read_slot(template, prompt, name)
+    for missing in data.draw(st.lists(st.sampled_from(names), unique=True, min_size=1)):
+        partial = {k: v for k, v in variables.items() if k != missing}
+        assert _outcome(render_prompt, template, partial) == _outcome(
+            _oracle_render_prompt, template, partial)
+
+
 # --- think/answer extraction --------------------------------------------------------
 
 def test_parse_think_answer_basic():
