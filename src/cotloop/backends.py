@@ -222,7 +222,9 @@ class RemoteBackend:
     session's errors a TimeoutError counts as a timeout and any other
     OSError (`requests`' errors are OSErrors) as an unreachable endpoint. A
     `max_in_flight` or `max_attempts` that is not an integer >= 1, a
-    `timeout` <= 0 or a negative `backoff_base` raises InvalidSetting.
+    `timeout` <= 0, a negative `backoff_base`, a `model` or `auth_env` that
+    is not a string or a `ledger_path` that is neither None nor a string
+    raises InvalidSetting.
 
     Timeouts, connection errors, replies without a usable text and every
     status >= 400 but those below are retried with exponential backoff.
@@ -257,6 +259,10 @@ class RemoteBackend:
                 isinstance(timeout, (int, float)) and timeout > 0, "a number > 0")
         require("backoff_base", backoff_base,
                 isinstance(backoff_base, (int, float)) and backoff_base >= 0, "a number >= 0")
+        require("model", model, isinstance(model, str), "a string")
+        require("auth_env", auth_env, isinstance(auth_env, str), "a string")
+        require("ledger_path", ledger_path, ledger_path is None or isinstance(ledger_path, str),
+                "a path")
         _split_endpoint(endpoint)
         self.endpoint = endpoint
         self.model = model
@@ -427,11 +433,16 @@ class CueWorld:
 
     The world rule is a pure function cue_set -> annotation:
     classification assigns each cue its own category and returns the
-    normalized weight sum; detection assigns each cue a fixed box.
+    normalized weight sum; detection assigns each cue a fixed box. A count or
+    seed that is not an integer (a bool among them) raises ValueError.
     """
 
     def __init__(self, kind: str = "classification", num_samples: int = 50,
                  cues_per_sample: int = 4, vocab_size: int = 24, seed: int = 0):
+        for name, value in (("num_samples", num_samples), ("cues_per_sample", cues_per_sample),
+                            ("vocab_size", vocab_size), ("seed", seed)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"a world needs an integer {name}, got {name} {value!r}")
         if not (num_samples >= 1 and 1 <= vocab_size <= MAX_CUE_VOCAB):
             raise ValueError(f"a world needs num_samples >= 1 and vocab_size in "
                              f"1..{MAX_CUE_VOCAB}, got num_samples {num_samples!r} "

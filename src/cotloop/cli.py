@@ -237,6 +237,8 @@ def _build_backend(config: dict, stage: str, world, default: Optional[dict] = No
             raise InvalidSetting("synthetic backend requires a world block in config")
         spec["world"] = world
     elif kind == "mock":
+        if not isinstance(spec["responses"], str):
+            raise InvalidSetting(f"{where}.responses must be a path, got {spec['responses']!r}")
         with _open(spec["responses"]) as f:
             try:
                 return cls(json.load(f))

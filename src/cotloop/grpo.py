@@ -138,17 +138,12 @@ class ToyPolicy:
 
 
 def build_toy_policy(world: CueWorld, learning_rate: float = 0.5) -> ToyPolicy:
-    """Factored buckets per sample: one template bucket plus one
-    include/exclude bucket per candidate cue (true cues + seeded
-    distractors). A policy draw assembles template + cue subset from
-    the per-bucket choices."""
-    logits: dict[str, dict[str, float]] = {}
-    for sample in world.samples:
-        pool = world.distractor_pool(sample, TOY_DISTRACTORS)
-        logits[f"{sample.id}|template"] = {f"t{t}": 0.0 for t in range(len(DEFAULT_TEMPLATE_BANK))}
-        for cue in pool:
-            logits[f"{sample.id}|cue|{cue}"] = {"in": 0.0, "out": 0.0}
-    return ToyPolicy(logits=logits, learning_rate=learning_rate)
+    """Factored buckets per sample: one template bucket `{id}|template` over
+    the choices `t0`, `t1`, ... of the template bank, then one `{id}|cue|{cue}`
+    bucket over `in`/`out` per candidate cue (true cues + seeded distractors,
+    in `distractor_pool` order), all logits 0. A policy draw assembles
+    template + cue subset from the per-bucket choices."""
+    return _toy_policy_and_plans(world, learning_rate)[0]
 
 
 @dataclass
@@ -160,9 +155,10 @@ class ToyTrainResult:
 @dataclass
 class _ToyPlan:
     """One sample's buckets in policy order: each bucket's name, its logits
-    dict and its choice list, and the cue each cue bucket names. A draw is a
-    tuple of choice indices, one per bucket; `cache` holds the composite
-    reward of every draw scored so far.
+    dict and its choice list. Bucket 0 is the template bucket, whose choice
+    index is the template id; bucket 1 + k is the bucket of `cues[k]`, whose
+    choice 0 is `in`. A draw is a tuple of choice indices, one per bucket;
+    `cache` holds the composite reward of every draw scored so far.
 
     `tables` holds each bucket's draw table (see `draw_tables`) while they
     match the logits: None until the first draw, and set back to None by
@@ -172,27 +168,9 @@ class _ToyPlan:
     buckets: list[str]
     logits: list[dict[str, float]]
     choices: list[list[str]]
-    cues: list[str]
-    template: int
+    cues: tuple[str, ...]
     cache: dict[tuple[int, ...], float]
     tables: Optional[list[tuple[list[float], list[float], float, int]]] = None
-
-    @classmethod
-    def for_world(cls, world: CueWorld, policy: ToyPolicy) -> list["_ToyPlan"]:
-        """One plan per sample, in world order. The buckets are grouped by
-        sample id in one pass over the policy; a sample id holds no `|`."""
-        by_id: dict[str, list[str]] = {}
-        for b in policy.logits:
-            by_id.setdefault(b.split("|", 1)[0], []).append(b)
-        plans = []
-        for sample in world.samples:
-            buckets = by_id.get(sample.id, [])
-            logits = [policy.logits[b] for b in buckets]
-            plans.append(cls(target=sample.as_sample(), buckets=buckets, logits=logits,
-                             choices=[list(ls) for ls in logits],
-                             cues=[b.rsplit("|", 1)[1] for b in buckets],
-                             template=buckets.index(f"{sample.id}|template"), cache={}))
-        return plans
 
     def draw_tables(self) -> list[tuple[list[float], list[float], float, int]]:
         """Per bucket: its `_softmax` probabilities, their cumulative weights,
@@ -208,15 +186,31 @@ class _ToyPlan:
 
     def reward(self, world: CueWorld, draw: tuple[int, ...]) -> float:
         """A draw maps one-to-one onto (template, cue subset), so the cache
-        misses once per distinct CoT; only a miss maps indices to choices."""
+        misses once per distinct CoT; only a miss builds and scores one."""
         composite = self.cache.get(draw)
         if composite is None:
-            picked = [choices[i] for choices, i in zip(self.choices, draw)]
-            subset = sorted(cue for cue, c in zip(self.cues, picked) if c == "in")
-            cot = synthetic_reason(int(picked[self.template][1:]), subset)
+            subset = sorted(cue for cue, i in zip(self.cues, draw[1:]) if i == 0)
+            cot = synthetic_reason(draw[0], subset)
             composite = self.cache[draw] = closed_loop_reward(
                 self.target, cot, synthetic_reconstruct(world, cot)).composite
         return composite
+
+
+def _toy_policy_and_plans(world: CueWorld,
+                          learning_rate: float) -> tuple[ToyPolicy, list[_ToyPlan]]:
+    """The policy of `build_toy_policy` and one plan per sample, in world order,
+    each built in the loop that writes the sample's buckets."""
+    templates = [f"t{t}" for t in range(len(DEFAULT_TEMPLATE_BANK))]
+    logits: dict[str, dict[str, float]] = {}
+    plans = []
+    for sample in world.samples:
+        pool = world.distractor_pool(sample, TOY_DISTRACTORS)
+        buckets = [f"{sample.id}|template", *(f"{sample.id}|cue|{cue}" for cue in pool)]
+        own = [dict.fromkeys(templates, 0.0), *({"in": 0.0, "out": 0.0} for _ in pool)]
+        logits.update(zip(buckets, own))
+        plans.append(_ToyPlan(target=sample.as_sample(), buckets=buckets, logits=own,
+                              choices=[list(ls) for ls in own], cues=pool, cache={}))
+    return ToyPolicy(logits=logits, learning_rate=learning_rate), plans
 
 
 def train_toy_policy(world: CueWorld, steps: int, group_size: int, seed: int,
@@ -224,7 +218,8 @@ def train_toy_policy(world: CueWorld, steps: int, group_size: int, seed: int,
                      minibatch_size: Optional[int] = None) -> ToyTrainResult:
     """Train a fresh toy policy (see `build_toy_policy`) and return the
     per-step mean best-of-group reward curve. Fully deterministic under a
-    fixed seed.
+    fixed seed. Each sample's plan (`_ToyPlan`) is built with its buckets, so
+    a draw is read by index only: no bucket name or choice id is parsed.
 
     By default every step visits the whole dataset (full batch), which
     keeps the per-step mean reward low-variance; pass a smaller
@@ -257,11 +252,10 @@ def train_toy_policy(world: CueWorld, steps: int, group_size: int, seed: int,
         raise DomainError(f"a toy world needs vocab_size >= cues_per_sample + "
                           f"{TOY_DISTRACTORS} distractors = "
                           f"{world.cues_per_sample + TOY_DISTRACTORS}, got {len(world.vocab)}")
-    policy = build_toy_policy(world, learning_rate=learning_rate)
+    policy, plans = _toy_policy_and_plans(world, learning_rate)
     # String seeds hash deterministically across processes (unlike tuples).
     rng = random.Random(f"toy-train|{seed}")
     rand = rng.random
-    plans = _ToyPlan.for_world(world, policy)
     result = ToyTrainResult(policy=policy)
     batch_size = len(plans) if minibatch_size is None else min(minibatch_size, len(plans))
     for _ in range(steps):

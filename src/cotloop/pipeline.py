@@ -670,15 +670,26 @@ def _normalized_prediction(raw: str, task: Classification) -> tuple[Distribution
     return Distribution({c: v / total for c, v in parsed.answer.probs.items()}), False
 
 
+def _box_hit_rate(raw: str, sample: Sample) -> tuple[float, bool]:
+    """The fraction of the sample's ground-truth boxes that the answer of `raw`
+    matches at IoU >= 0.5, and whether that answer failed to parse; an answer
+    that does not parse or holds no box scores 0 and counts as failed."""
+    parsed = ParsedOutput.from_text(raw, sample.task)
+    if parsed.answer is None or len(parsed.answer) == 0:
+        return 0.0, True
+    match = hungarian_match(sample.annotation, parsed.answer)
+    return sum(1 for v in match.per_pair_iou if v >= 0.5) / len(sample.annotation), False
+
+
 def evaluate_predictions(predictions: dict[str, str], samples: Sequence[Sample],
                          reference: Optional[dict[str, str]] = None) -> EvalReport:
-    """Per-sample metrics plus aggregates.
+    """Per-sample metrics plus aggregates, over samples of one task kind.
 
     Classification: JSD against ground truth (prediction renormalized
     first) and argmax accuracy; win-rate is the fraction of samples
-    where the reference beats this run (strictly lower JSD); a reference
-    given for samples that are not all classification raises DomainError, as
-    do predictions or a reference of sample ids missing from `samples`.
+    where the reference beats this run (strictly lower JSD); samples of
+    both kinds, a reference given for detection samples, and predictions
+    or a reference of sample ids missing from `samples` raise DomainError.
     Detection: fraction of ground-truth boxes matched at IoU >= 0.5.
     """
     by_id = {s.id: s for s in samples}
@@ -686,50 +697,36 @@ def evaluate_predictions(predictions: dict[str, str], samples: Sequence[Sample],
         unknown = sorted(set(run) - set(by_id))
         if unknown:
             raise DomainError(f"{name} for unknown sample ids: {unknown[:5]}")
-    classification = all(isinstance(s.task, Classification) for s in samples)
+    kinds = {type(s.task) for s in samples}
+    if len(kinds) > 1:
+        raise DomainError("evaluated samples must be of one task kind, got classification "
+                          "and detection samples")
+    classification = kinds <= {Classification}
     if reference is not None and not classification:
         raise DomainError("a reference run is compared on classification samples only")
     report = EvalReport()
-
-    jsd_values, hits, correct = [], [], 0
-    wins = 0
-    compared = 0
+    correct = wins = compared = 0
     for sid, raw in predictions.items():
         sample = by_id[sid]
-        if isinstance(sample.task, Classification):
+        if classification:
             pred, failed = _normalized_prediction(raw, sample.task)
-            if failed:
-                report.parse_failures += 1
             value = jsd(sample.annotation, pred)
-            report.per_sample[sid] = value
-            jsd_values.append(value)
-            if pred.argmax(sample.task.categories) == sample.annotation.argmax(
-                    sample.task.categories):
-                correct += 1
+            categories = sample.task.categories
+            correct += pred.argmax(categories) == sample.annotation.argmax(categories)
             if reference is not None and sid in reference:
                 ref_pred, _ = _normalized_prediction(reference[sid], sample.task)
-                ref_value = jsd(sample.annotation, ref_pred)
                 compared += 1
-                if ref_value < value:
-                    wins += 1
+                wins += jsd(sample.annotation, ref_pred) < value
         else:
-            parsed = ParsedOutput.from_text(raw, sample.task)
-            if parsed.answer is None or len(parsed.answer) == 0:
-                report.parse_failures += 1
-                report.per_sample[sid] = 0.0
-                hits.append(0.0)
-                continue
-            match = hungarian_match(sample.annotation, parsed.answer)
-            n_hit = sum(1 for v in match.per_pair_iou if v >= 0.5)
-            frac = n_hit / len(sample.annotation)
-            report.per_sample[sid] = frac
-            hits.append(frac)
-
-    if classification and jsd_values:
-        report.mean_jsd = sum_in_order(jsd_values) / len(jsd_values)
-        report.accuracy = correct / len(jsd_values)
-        if reference is not None and compared:
-            report.win_rate = wins / compared
-    if not classification and hits:
-        report.detection_score = sum_in_order(hits) / len(hits)
+            value, failed = _box_hit_rate(raw, sample)
+        report.per_sample[sid] = value
+        report.parse_failures += failed
+    if report.per_sample:
+        mean = sum_in_order(report.per_sample.values()) / len(report.per_sample)
+        if classification:
+            report.mean_jsd, report.accuracy = mean, correct / len(report.per_sample)
+            if compared:
+                report.win_rate = wins / compared
+        else:
+            report.detection_score = mean
     return report

@@ -300,6 +300,23 @@ def test_remote_rejects_a_cap_that_is_not_a_positive_int(setting, value):
         make_remote(FakeSession([]), [], **{setting: value})
 
 
+@pytest.mark.parametrize("setting, value, want", [
+    pytest.param(setting, value, want, id=f"{setting}={value!r}")
+    for setting, value, want in (
+        ("model", 5, "a string"), ("model", None, "a string"), ("model", ["m"], "a string"),
+        ("auth_env", 5, "a string"), ("auth_env", None, "a string"),
+        ("ledger_path", 3, "a path"), ("ledger_path", True, "a path"),
+        ("ledger_path", ["l.jsonl"], "a path"))
+])
+def test_remote_refuses_a_string_setting_of_another_type(setting, value, want):
+    session = FakeSession([])
+    kw = {"endpoint": "https://api.example.test/v1/chat", "model": "test-model",
+          "session": session, setting: value}
+    with pytest.raises(InvalidSetting, match=f"^{setting} must be {want}, got "):
+        RemoteBackend(**kw)
+    assert session.calls == []
+
+
 @pytest.mark.parametrize("endpoint", [
     "ftp://api.example.test/v1/chat", "api.example.test/v1/chat", "http://", "https:///v1",
     "http://api.example.test:99999/", "http://api.example.test:port/",

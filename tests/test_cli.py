@@ -170,6 +170,17 @@ def test_python_dash_m_runs_the_cli():
     assert "the following arguments are required" in out.stderr
 
 
+def test_a_mock_whose_responses_is_a_file_descriptor_number_reads_no_stdin(tmp_path):
+    """`responses: 0` is not a path, so the run refuses it instead of reading
+    its responses from stdin, here a pipe that holds a JSON mapping."""
+    config = edited_config(tmp_path, lambda cfg: cfg.update(
+        backends={"reason": {"kind": "mock", "responses": 0}}))
+    out = python_with_src("-m", "cotloop.cli", *gen_cot(tmp_path, *config), input="{}")
+    assert out.returncode == 1
+    assert "backends.reason.responses must be a path, got 0" in out.stderr.splitlines()[-1]
+    assert not (tmp_path / "records.jsonl").exists()
+
+
 def test_a_rejected_request_fails_its_sample_and_exits_two(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("COTLOOP_API_KEY", "k")
 
@@ -402,6 +413,23 @@ BAD_INPUT = {
         "backends: unknown key(s) reasn"),
     "world-unknown-key": (lambda t: gen_cot(t, *edited_config(
         t, lambda cfg: cfg["world"].update(vocab=48))), 1, "world: unknown key(s) vocab"),
+    "remote-auth-env-an-int": (lambda t: gen_cot(t, *edited_config(
+        t, lambda cfg: cfg.update(backends={"reason": remote_spec(auth_env=5),
+                                            "recon": remote_spec()}))), 1,
+        "auth_env must be a string, got 5"),
+    "mock-responses-a-list": (lambda t: gen_cot(t, *edited_config(
+        t, lambda cfg: cfg.update(backends={"reason": {"kind": "mock", "responses": ["a"]}}))),
+        1, "backends.reason.responses must be a path, got ['a']"),
+    "mock-responses-a-mapping": (lambda t: gen_cot(t, *edited_config(
+        t, lambda cfg: cfg.update(backends={"recon": {"kind": "mock", "responses": {"a": 1}}}))),
+        1, "backends.recon.responses must be a path, got {'a': 1}"),
+    "world-num-samples-a-bool": (lambda t: gen_cot(t, *edited_config(
+        t, lambda cfg: cfg["world"].update(num_samples=True, cues_per_sample=2,
+                                           vocab_size=6))), 1,
+        "world: a world needs an integer num_samples, got num_samples True"),
+    "world-seed-a-bool": (lambda t: gen_cot(t, *edited_config(
+        t, lambda cfg: cfg["world"].update(seed=True))), 1,
+        "world: a world needs an integer seed, got seed True"),
     "mock-responses-not-json": (lambda t: gen_cot(t, *edited_config(
         t, lambda cfg: cfg.update(backends={"reason": mock_spec(t, "not json")}))), 1,
         "not a JSON mapping"),

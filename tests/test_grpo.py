@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import itertools
 import math
 import operator
 import random
@@ -13,12 +14,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cotloop import grpo
-from cotloop.backends import CueWorld, synthetic_reason, synthetic_reconstruct
+from cotloop.backends import (CueWorld, DEFAULT_TEMPLATE_BANK, synthetic_reason,
+                              synthetic_reconstruct)
 from cotloop.domain import ScoredRecord, make_breakdown
 from cotloop.errors import DomainError, InvalidSetting
-from cotloop.grpo import (Group, ToyPolicy, ToyTrainResult, _draw, _ToyPlan, best_of_group,
-                          build_toy_policy, compute_group_advantages, export_curve,
-                          smooth_curve, train_toy_policy)
+from cotloop.grpo import (TOY_DISTRACTORS, Group, ToyPolicy, ToyTrainResult, _draw, _ToyPlan,
+                          _toy_policy_and_plans, best_of_group, build_toy_policy,
+                          compute_group_advantages, export_curve, smooth_curve,
+                          train_toy_policy)
 from cotloop.reward import closed_loop_reward
 
 
@@ -173,18 +176,34 @@ def test_a_learning_rate_that_is_not_a_finite_number_at_least_0_is_refused(tiny_
         train_toy_policy(tiny_world, steps=1, group_size=2, seed=0, learning_rate=lr)
 
 
-def test_plans_group_the_buckets_of_the_per_sample_scan():
+def test_plans_are_built_with_the_buckets_of_the_policy():
     world = CueWorld(num_samples=120, cues_per_sample=2, vocab_size=8, seed=3)
-    policy = build_toy_policy(world)
-    plans = _ToyPlan.for_world(world, policy)
+    policy, plans = _toy_policy_and_plans(world, 0.5)
+    assert list(policy.logits.items()) == list(build_toy_policy(world).logits.items())
     assert [p.target for p in plans] == [s.as_sample() for s in world.samples]
     for sample, plan in zip(world.samples, plans):
         buckets = [b for b in policy.logits if b.startswith(f"{sample.id}|")]
         assert plan.buckets == buckets
         assert all(ls is policy.logits[b] for ls, b in zip(plan.logits, buckets))
         assert plan.choices == [list(policy.logits[b]) for b in buckets]
-        assert plan.cues == [b.rsplit("|", 1)[1] for b in buckets]
-        assert plan.template == buckets.index(f"{sample.id}|template")
+        assert plan.cues == world.distractor_pool(sample, TOY_DISTRACTORS)
+        assert plan.buckets[0] == f"{sample.id}|template"
+        assert plan.buckets[1:] == [f"{sample.id}|cue|{cue}" for cue in plan.cues]
+        assert [c[0] for c in plan.choices[1:]] == ["in"] * len(plan.cues)
+        assert plan.choices[0] == [f"t{t}" for t in range(len(DEFAULT_TEMPLATE_BANK))]
+
+
+def test_a_plan_scores_the_template_and_cues_that_its_draw_picks(monkeypatch):
+    world = CueWorld(num_samples=2, cues_per_sample=2, vocab_size=8, seed=3)
+    plan = _toy_policy_and_plans(world, 0.5)[1][1]
+    built = []
+    monkeypatch.setattr(grpo, "synthetic_reason", lambda template_id, subset: built.append(
+        (template_id, subset)) or synthetic_reason(template_id, subset))
+    for draw in itertools.product(*(range(len(c)) for c in plan.choices)):
+        plan.reward(world, draw)
+        picked = [choices[i] for choices, i in zip(plan.choices, draw)]
+        assert built.pop() == (int(picked[0][1:]), sorted(
+            cue for cue, c in zip(plan.cues, picked[1:]) if c == "in"))
 
 
 def test_training_improves_reward(tiny_world):

@@ -1117,6 +1117,14 @@ def test_evaluate_detection_hit_rate(detection_task):
     assert report.detection_score == 0.0 and report.parse_failures == 1
 
 
+def test_evaluate_refuses_samples_of_two_task_kinds(class_samples, detection_task):
+    gt = Sample(id="d", image_ref="x", task=detection_task,
+                annotation=BoxSet((Box(0, 0, 100, 100),)))
+    preds = {**predictions_for(class_samples[:1]), "d": "<answer>[[0, 0, 100, 100]]</answer>"}
+    with pytest.raises(DomainError, match="one task kind"):
+        evaluate_predictions(preds, [class_samples[0], gt])
+
+
 def test_evaluate_unknown_id(class_samples):
     with pytest.raises(DomainError):
         evaluate_predictions({"ghost": "<answer>{}</answer>"}, class_samples)
