@@ -1,11 +1,7 @@
-"""Text-generation providers behind one `generate` interface.
-
-Three kinds: a remote chat-completion service (retries + backoff), a
-scripted mock for tests, and a synthetic cue-world that closes the
-generate/reconstruct loop deterministically without any vision model.
-Images in the cue world are hidden sets of cue tags; a fixed rule maps
-cue sets to annotations, so reconstruction quality is exactly "which
-cues did the CoT mention".
+"""Text-generation providers behind one `generate` interface: a remote
+chat-completion client (`RemoteBackend` over `HttpSession`, with retries and
+backoff) and a scripted mock for tests. The synthetic providers over the cue
+world are in `world`.
 """
 
 from __future__ import annotations
@@ -14,34 +10,16 @@ import functools
 import hashlib
 import json
 import math
-import random
 import re
 import threading
 import time
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
-from .domain import (Annotation, Box, BoxSet, Classification, Detection, Distribution, Sample,
-                     task_name)
+from .domain import GenerationRequest
 from .errors import (AuthFailure, BadPayload, InvalidSetting, MockMiss, RemoteUnavailable,
-                     RequestRejected, TemplateError, Timeout)
-from .textproto import format_answer, load_template, read_slot
-
-
-@dataclass(frozen=True)
-class GenerationRequest:
-    sample_id: str
-    image_ref: str
-    prompt: str
-    temperature: float = 0.7
-    max_tokens: int = 512
-    seed: Optional[int] = None
-
-    def __post_init__(self):
-        if self.max_tokens <= 0:
-            raise ValueError("max_tokens must be positive")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+                     RequestRejected, Timeout, require)
+# Re-exported for perfbench's imports; ROADMAP item 5 moves those and deletes this line.
+from .world import CueWorld, SyntheticReasonBackend, SyntheticReconBackend  # noqa: F401
 
 
 class MockBackend:
@@ -58,12 +36,6 @@ class MockBackend:
             return self._responses[request.prompt]
         except KeyError:
             raise MockMiss(f"no canned response for prompt: {request.prompt[:80]!r}")
-
-
-def require(name: str, value, ok: bool, want: str) -> None:
-    """InvalidSetting unless `ok`; a bool is never a valid setting value."""
-    if not ok or isinstance(value, bool):
-        raise InvalidSetting(f"{name} must be {want}, got {value!r}")
 
 
 def _retry_after_s(value: str) -> Optional[float]:
@@ -133,9 +105,11 @@ class HttpReply:
 
 
 class HttpSession:
-    """The session a RemoteBackend builds when it is given none: the
-    `post(url, json=, headers=, timeout=)` of `requests.Session` on
-    `http.client`, for one http:// or https:// endpoint.
+    """The session a RemoteBackend builds when it is given none, on
+    `http.client`, for one http:// or https:// endpoint: `post(url, json=,
+    headers=, timeout=)` sends `json` as the JSON body and returns a reply with
+    `status_code`, `headers` and `json()`, or raises TimeoutError or another
+    OSError when the post fails.
 
     A post takes the most recently used idle connection, or opens one, so
     there are never more connections than posts open at once. A kept-alive
@@ -148,7 +122,7 @@ class HttpSession:
     environment names for the endpoint raises InvalidSetting here.
     """
 
-    _encode = staticmethod(json.dumps)  # `post` takes `json=`, as requests does
+    _encode = staticmethod(json.dumps)  # the body of `post`'s `json=` value
 
     def __init__(self, endpoint: str):
         import http.client  # loads ssl too: only a backend that posts itself pays for it
@@ -218,12 +192,13 @@ class RemoteBackend:
     itself, an `HttpSession` (the only path that loads `http.client`), opens
     a connection only for a post with no idle one. A `session` passed in is
     posted to as given: it needs only `post(url, json=, headers=, timeout=)`
-    returning a reply with `status_code`, `headers` and `json()`. Of either
-    session's errors a TimeoutError counts as a timeout and any other
-    OSError (`requests`' errors are OSErrors) as an unreachable endpoint. A
-    `max_in_flight` or `max_attempts` that is not an integer >= 1, a
-    `timeout` <= 0, a negative `backoff_base`, a `model` or `auth_env` that
-    is not a string or a `ledger_path` that is neither None nor a string
+    returning a reply with `status_code`, `headers` and `json()`, and raising
+    TimeoutError or another OSError when a post fails. Of either session's
+    errors a TimeoutError counts as a timeout and any other OSError as an
+    unreachable endpoint. A `max_in_flight` or `max_attempts` that is not an
+    integer >= 1, a `timeout` that is not a finite number > 0, a
+    `backoff_base` that is not a finite number >= 0, a `model` or `auth_env`
+    that is not a string or a `ledger_path` that is neither None nor a string
     raises InvalidSetting.
 
     Timeouts, connection errors, replies without a usable text and every
@@ -256,9 +231,11 @@ class RemoteBackend:
         require("max_attempts", max_attempts,
                 isinstance(max_attempts, int) and max_attempts >= 1, "an integer >= 1")
         require("timeout", timeout,
-                isinstance(timeout, (int, float)) and timeout > 0, "a number > 0")
+                isinstance(timeout, (int, float)) and 0 < timeout < math.inf,
+                "a finite number > 0")
         require("backoff_base", backoff_base,
-                isinstance(backoff_base, (int, float)) and backoff_base >= 0, "a number >= 0")
+                isinstance(backoff_base, (int, float)) and 0 <= backoff_base < math.inf,
+                "a finite number >= 0")
         require("model", model, isinstance(model, str), "a string")
         require("auth_env", auth_env, isinstance(auth_env, str), "a string")
         require("ledger_path", ledger_path, ledger_path is None or isinstance(ledger_path, str),
@@ -369,234 +346,3 @@ class RemoteBackend:
             except (Timeout, RemoteUnavailable, BadPayload) as e:
                 last_error = e
         raise last_error
-
-
-# --- synthetic cue world -----------------------------------------------------
-
-_ADJECTIVES = (
-    "amber", "mossy", "gilded", "weathered", "crimson", "silvered", "dusky",
-    "braided", "speckled", "hollow", "velvet", "rusted", "frosted", "woven",
-    "sunlit", "shadowed", "polished", "tangled", "painted", "carved",
-)
-_NOUNS = (
-    "lantern", "fence", "archway", "banner", "kettle", "ladder", "awning",
-    "satchel", "mirror", "bellows", "anvil", "quilt", "orchard", "chimney",
-    "paddle", "garland", "spindle", "trellis", "goblet", "plinth",
-)
-
-
-# Every cue is an adjective-noun pair, so a vocabulary holds at most this many.
-MAX_CUE_VOCAB = len(_ADJECTIVES) * len(_NOUNS)
-
-
-def _cue_vocab(size: int, rng: random.Random) -> tuple[str, ...]:
-    pairs = [(a, n) for a in _ADJECTIVES for n in _NOUNS]
-    rng.shuffle(pairs)
-    return tuple(f"{a}-{n}" for a, n in pairs[:size])
-
-
-@dataclass(frozen=True)
-class SyntheticSample:
-    """A sample whose 'image' is a hidden cue-tag set."""
-
-    id: str
-    cue_set: frozenset[str]
-    task: object
-    annotation: Annotation
-
-    @property
-    def image_ref(self) -> str:
-        return f"synthetic://{self.id}"
-
-    def as_sample(self) -> Sample:
-        target = None
-        if isinstance(self.task, Detection):
-            target = "the region marked by " + " and ".join(sorted(self.cue_set))
-        return Sample(id=self.id, image_ref=self.image_ref, task=self.task,
-                      annotation=self.annotation, target_desc=target)
-
-
-DEFAULT_TEMPLATE_BANK = (
-    "The scene is quietly dominated by {cues}; their arrangement and texture "
-    "set the overall character of the picture and justify the annotation.",
-    "Close inspection reveals {cues}, whose colors and placement carry the "
-    "weight of the interpretation offered here.",
-)
-
-
-# Width and height of a detection world's square image.
-WORLD_IMAGE_SIZE = 1200.0
-
-
-class CueWorld:
-    """Deterministic stand-in environment closing the loop at desk scale.
-
-    The world rule is a pure function cue_set -> annotation:
-    classification assigns each cue its own category and returns the
-    normalized weight sum; detection assigns each cue a fixed box. A count or
-    seed that is not an integer (a bool among them) raises ValueError.
-    """
-
-    def __init__(self, kind: str = "classification", num_samples: int = 50,
-                 cues_per_sample: int = 4, vocab_size: int = 24, seed: int = 0):
-        for name, value in (("num_samples", num_samples), ("cues_per_sample", cues_per_sample),
-                            ("vocab_size", vocab_size), ("seed", seed)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"a world needs an integer {name}, got {name} {value!r}")
-        if not (num_samples >= 1 and 1 <= vocab_size <= MAX_CUE_VOCAB):
-            raise ValueError(f"a world needs num_samples >= 1 and vocab_size in "
-                             f"1..{MAX_CUE_VOCAB}, got num_samples {num_samples!r} "
-                             f"and vocab_size {vocab_size!r}")
-        if not 1 <= cues_per_sample <= vocab_size:
-            raise ValueError(f"a world needs cues_per_sample in 1..{vocab_size} (its "
-                             f"vocab_size), got cues_per_sample {cues_per_sample!r}")
-        self.kind = kind
-        self.seed = seed
-        self.cues_per_sample = cues_per_sample
-        # String seeds hash deterministically across processes (unlike tuples).
-        rng = random.Random(f"cue-world|{seed}")
-        self.vocab = _cue_vocab(vocab_size, rng)
-        # Cues are [\w-]+ runs and the lookarounds make each match a whole
-        # run, so matches cannot overlap and one findall finds every cue.
-        self._cue_re = re.compile(
-            rf"(?<![\w-])(?:{'|'.join(map(re.escape, self.vocab))})(?![\w-])")
-        if kind == "classification":
-            self.task = Classification(categories=self.vocab)
-            self.cue_box = {}
-        elif kind == "detection":
-            self.task = Detection(image_width=WORLD_IMAGE_SIZE, image_height=WORLD_IMAGE_SIZE)
-            per_row = math.ceil(math.sqrt(len(self.vocab)))
-            spacing = WORLD_IMAGE_SIZE / per_row
-            side = 0.9 * spacing
-            self.cue_box = {
-                cue: Box(
-                    (i % per_row) * spacing,
-                    (i // per_row) * spacing,
-                    (i % per_row) * spacing + side,
-                    (i // per_row) * spacing + side,
-                )
-                for i, cue in enumerate(self.vocab)
-            }
-        else:
-            raise ValueError(f"unknown world kind: {kind!r}")
-        self.samples = tuple(
-            self._make_sample(i, rng) for i in range(num_samples)
-        )
-        self.by_id = {s.id: s for s in self.samples}
-
-    def _make_sample(self, i: int, rng: random.Random) -> SyntheticSample:
-        cues = frozenset(rng.sample(self.vocab, self.cues_per_sample))
-        return SyntheticSample(id=f"syn-{i:04d}", cue_set=cues, task=self.task,
-                               annotation=self.rule(cues))
-
-    def rule(self, cues) -> Annotation:
-        """World rule mapping a cue set to its annotation.
-
-        A classification annotation maps every vocab category, in vocab order,
-        to 0.0 and then each known cue to 1/len(cues); a cue outside the vocab
-        counts in len(cues) but names no category. Only the cues' categories
-        are written, and updating a key keeps its place, so the keys, their
-        order and the values are those a test per category would give.
-        """
-        if self.kind == "classification":
-            cues = set(cues)
-            if not cues:
-                # Empty evidence reads as total uncertainty.
-                n = len(self.vocab)
-                return Distribution({c: 1.0 / n for c in self.vocab})
-            w = 1.0 / len(cues)
-            probs = dict.fromkeys(self.vocab, 0.0)
-            for c in cues:
-                if c in probs:
-                    probs[c] = w
-            return Distribution(probs)
-        boxes = tuple(self.cue_box[c] for c in sorted(cues))
-        if not boxes:
-            boxes = (Box(0, 0, 0, 0),)
-        return BoxSet(boxes)
-
-    def extract_cues(self, text: str) -> frozenset[str]:
-        return frozenset(self._cue_re.findall(text))
-
-    def distractor_pool(self, sample: SyntheticSample, extra: int) -> tuple[str, ...]:
-        """Per-sample candidate cues: the true set plus `extra` seeded distractors."""
-        rng = random.Random(f"pool|{self.seed}|{sample.id}")
-        others = [c for c in self.vocab if c not in sample.cue_set]
-        return tuple(sorted(sample.cue_set)) + tuple(rng.sample(others, extra))
-
-
-def synthetic_reason(template_id: int, cue_subset: Sequence[str]) -> str:
-    """Render a leak-free narrative CoT naming exactly the chosen cue tags."""
-    if not 0 <= template_id < len(DEFAULT_TEMPLATE_BANK):
-        raise TemplateError(f"unknown template id: {template_id}")
-    subset = sorted(cue_subset)
-    if subset:
-        phrase = " and ".join(f"the {c}" for c in subset)
-    else:
-        phrase = "an otherwise unremarkable backdrop"
-    return DEFAULT_TEMPLATE_BANK[template_id].replace("{cues}", phrase)
-
-
-def synthetic_reconstruct(world: CueWorld, cot: str) -> str:
-    """Apply the world rule to the cues mentioned in a CoT; render as an answer string."""
-    return format_answer(world.rule(world.extract_cues(cot)), world.task)
-
-
-class SyntheticReasonBackend:
-    """Reasoning-stage provider over a cue world.
-
-    `fidelity`, a number in [0, 1], is the per-cue probability that a true cue
-    is mentioned; 1.0 is the scripted full-cue policy with closed-loop reward 1.
-    """
-
-    _rng_stream = "reason"
-
-    def __init__(self, world: CueWorld, fidelity: float = 1.0):
-        require("fidelity", fidelity,
-                isinstance(fidelity, (int, float)) and 0 <= fidelity <= 1, "a number in [0, 1]")
-        self.world = world
-        self.fidelity = fidelity
-
-    def _draw(self, request: GenerationRequest) -> tuple[list[str], str]:
-        """Seeded cue-subset draw: (mentioned cues, narrative naming them)."""
-        sample = self.world.by_id[request.sample_id]
-        rng = random.Random(
-            f"{self._rng_stream}|{self.world.seed}|{request.sample_id}|{request.seed}")
-        if self.fidelity >= 1.0:
-            subset = sorted(sample.cue_set)
-        else:
-            subset = [c for c in sorted(sample.cue_set) if rng.random() < self.fidelity]
-        template_id = rng.randrange(len(DEFAULT_TEMPLATE_BANK))
-        return subset, synthetic_reason(template_id, subset)
-
-    def generate(self, request: GenerationRequest) -> str:
-        return self._draw(request)[1]
-
-
-class SyntheticReconBackend:
-    """Reconstruction-stage provider: reads cue mentions out of the CoT.
-
-    Like a remote model, it gets the CoT only inside the rendered prompt, which
-    also lists every category name. It reads the CoT back through its world's
-    reconstruction template (`textproto.read_slot`) and scans only that.
-    """
-
-    def __init__(self, world: CueWorld):
-        self.world = world
-        self.template = load_template(task_name(world.task), "reconstruction")
-
-    def generate(self, request: GenerationRequest) -> str:
-        cot = read_slot(self.template, request.prompt, "CoTs")
-        return synthetic_reconstruct(self.world, cot)
-
-
-class SyntheticR1Backend(SyntheticReasonBackend):
-    """Think-answer provider for reward evaluation at a chosen cue fidelity:
-    the reasoning draw (on its own RNG stream) plus the world rule's answer
-    for the cues it names."""
-
-    _rng_stream = "r1"
-
-    def generate(self, request: GenerationRequest) -> str:
-        subset, think = self._draw(request)
-        return format_answer(self.world.rule(subset), self.world.task, think)

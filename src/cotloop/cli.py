@@ -26,13 +26,9 @@ from collections import Counter
 from typing import Iterator, Optional
 
 from . import __version__
-from .audit import run_noise_audit
-from .backends import (CueWorld, MockBackend, RemoteBackend,
-                       SyntheticR1Backend, SyntheticReasonBackend,
-                       SyntheticReconBackend, require)
 from .domain import BoxSet, Classification, Detection, Sample, mask_to_box
-from .errors import BackendError, CotloopError, InvalidSetting, MalformedLine, MissingFile
-from .grpo import export_curve, train_toy_policy
+from .errors import (BackendError, CotloopError, InvalidSetting, MalformedLine, MissingFile,
+                     require)
 from .pipeline import (annotation_from_json, check_sample, evaluate_predictions,
                        export_sft_corpus, load_dataset, load_predictions, load_records,
                        run_closed_loop_stage, run_rft_reward_eval, sample_text_fields,
@@ -55,8 +51,6 @@ RUN_DEFAULTS = {"group_size": 8, "seed": 0, "tau": DEFAULT_TAU}
 # The `--world-*` flag of each world setting; only train-toy has --world-seed.
 WORLD_FLAGS = {"num_samples": "world_samples", "cues_per_sample": "world_cues",
                "vocab_size": "world_vocab", "seed": "world_seed"}
-SYNTHETIC_BACKENDS = {"reason": SyntheticReasonBackend, "recon": SyntheticReconBackend,
-                      "r1": SyntheticR1Backend}
 # Constructor parameters no config block sets: a synthetic backend's world, and
 # the session and clock a caller may hand a remote backend.
 NOT_CONFIG = ("world", "session", "sleep")
@@ -200,6 +194,7 @@ def _build_world(args, config: dict, seed: Optional[int] = None) -> Optional[Cue
     resolves flag, config, then `seed` for the seed, then CueWorld's default."""
     if "world" not in config and not hasattr(args, "world_samples"):
         return None
+    from .world import CueWorld
     settings = dict(_known(_mapping(config.get("world", {}), "world"),
                            tuple(inspect.signature(CueWorld).parameters), "world"))
     settings.update((key, getattr(args, flag)) for key, flag in WORLD_FLAGS.items()
@@ -215,14 +210,16 @@ def _build_world(args, config: dict, seed: Optional[int] = None) -> Optional[Cue
 def _build_backend(config: dict, stage: str, world, default: Optional[dict] = None):
     """The backend of the config's spec for `stage` (else `default`), built by
     passing the checked spec to the class of its kind."""
+    from .backends import MockBackend, RemoteBackend
+    from .world import SyntheticR1Backend, SyntheticReasonBackend, SyntheticReconBackend
+    synthetic = {"reason": SyntheticReasonBackend, "recon": SyntheticReconBackend,
+                 "r1": SyntheticR1Backend}
     backends = _known(_mapping(config.get("backends", {}), "backends"), BACKEND_STAGES,
                       "backends")
     where = f"backends.{stage}"
     spec = dict(_mapping(backends.get(stage, default or {}), where))
     kind = spec.pop("kind", "synthetic")
-    # Built per call: a test may replace the module's RemoteBackend.
-    classes = {"synthetic": SYNTHETIC_BACKENDS[stage], "mock": MockBackend,
-               "remote": RemoteBackend}
+    classes = {"synthetic": synthetic[stage], "mock": MockBackend, "remote": RemoteBackend}
     if not isinstance(kind, str) or kind not in classes:
         raise InvalidSetting(f"{where}: unknown backend kind: {kind!r}")
     cls = classes[kind]
@@ -252,8 +249,9 @@ def _dataset_or_world(args, world, *backends):
     """The samples of `--dataset`, else of the world. A dataset run through
     synthetic backends may only name samples of their world."""
     if getattr(args, "dataset", None):
+        from .world import SyntheticReasonBackend, SyntheticReconBackend  # R1 subclasses Reason
         samples, _ = load_dataset(args.dataset, skip_invalid=args.skip_invalid)
-        if any(isinstance(b, tuple(SYNTHETIC_BACKENDS.values())) for b in backends):
+        if any(isinstance(b, (SyntheticReasonBackend, SyntheticReconBackend)) for b in backends):
             unknown = [s.id for s in samples if s.id not in world.by_id]
             if unknown:
                 raise InvalidSetting(f"{args.dataset}: {len(unknown)} sample id(s) not in "
@@ -329,6 +327,7 @@ def _cmd_rft_eval(args, config, settings):
 
 
 def _cmd_train_toy(args, config, settings):
+    from .grpo import export_curve, train_toy_policy
     world = _build_world(args, config)
     result = train_toy_policy(world, steps=args.steps, learning_rate=args.lr,
                               minibatch_size=args.minibatch, **settings)
@@ -353,6 +352,7 @@ def _cmd_eval(args, config, settings):
 
 
 def _cmd_audit(args, config, settings):
+    from .audit import run_noise_audit
     world = _build_world(args, config, settings["seed"])
     reason = _build_backend(config, "reason", world, {"fidelity": 0.9})
     recon = _build_backend(config, "recon", world)

@@ -1,4 +1,4 @@
-"""Core data model: tasks, annotations, samples, reward breakdowns, records.
+"""Core data model: tasks, annotations, samples, generation requests, reward breakdowns, records.
 
 All types are immutable value objects; geometry uses the continuous-area
 convention (area = width * height, unit-square mask cells).
@@ -188,6 +188,22 @@ class Sample:
     task: TaskKind
     annotation: Annotation
     target_desc: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class GenerationRequest:
+    sample_id: str
+    image_ref: str
+    prompt: str
+    temperature: float = 0.7
+    max_tokens: int = 512
+    seed: Optional[int] = None
+
+    def __post_init__(self):
+        if self.max_tokens <= 0:
+            raise ValueError("max_tokens must be positive")
+        if self.temperature < 0:
+            raise ValueError("temperature must be >= 0")
 
 
 def validate_annotation(a: Annotation, task: TaskKind) -> list[str]:

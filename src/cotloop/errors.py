@@ -75,6 +75,12 @@ class InvalidSetting(CotloopError):
     """A run or backend setting outside its valid range."""
 
 
+def require(name: str, value, ok: bool, want: str) -> None:
+    """InvalidSetting unless `ok`; a bool is never a valid setting value."""
+    if not ok or isinstance(value, bool):
+        raise InvalidSetting(f"{name} must be {want}, got {value!r}")
+
+
 class CorruptionInfeasible(CotloopError):
     """No zero-overlap corruption box exists for a detection sample."""
 

@@ -1,5 +1,5 @@
-"""Group sampling, group-relative advantages, best-of-group retention,
-and a tabular toy policy trained against the closed-loop reward.
+"""Group sampling and a tabular toy policy trained against the closed-loop
+reward on group-relative advantages (`reward.compute_group_advantages`).
 
 The toy trainer demonstrates that the reward structure alone drives a
 policy from near-random cue selection to full-cue narratives; it uses
@@ -17,31 +17,13 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Optional, Sequence
 
-from .backends import (CueWorld, DEFAULT_TEMPLATE_BANK, require, synthetic_reason,
-                       synthetic_reconstruct)
 from .domain import Sample, ScoredRecord, sum_in_order
-from .errors import DomainError
-from .reward import closed_loop_reward
+from .errors import DomainError, require
+from .reward import closed_loop_reward, compute_group_advantages
+from .world import CueWorld, DEFAULT_TEMPLATE_BANK, synthetic_reason, synthetic_reconstruct
 
-ADV_EPS = 1e-8
 # Seeded distractor cues per sample that the toy policy may wrongly include.
 TOY_DISTRACTORS = 3
-
-
-def compute_group_advantages(rewards: Sequence[float]) -> list[float]:
-    """Group-standardized rewards: (r - mean) / (population std + 1e-8).
-
-    All-equal groups, a group of one among them, get all-zero advantages.
-    """
-    if not rewards:
-        raise DomainError("an advantage group needs at least one member")
-    g = len(rewards)
-    mean = sum_in_order(rewards) / g
-    var = sum_in_order((r - mean) ** 2 for r in rewards) / g
-    if var == 0.0:
-        return [0.0] * g
-    std = math.sqrt(var)
-    return [(r - mean) / (std + ADV_EPS) for r in rewards]
 
 
 @dataclass(frozen=True)
@@ -60,14 +42,6 @@ class Group:
     @property
     def rewards(self) -> list[float]:
         return [m.reward for m in self.members]
-
-
-def best_of_group(rewards: Sequence[float]) -> int:
-    """The index of the highest reward of a group; ties break to the lowest
-    index. The closed-loop stage keeps that member's record and builds no other."""
-    if not rewards:
-        raise DomainError("cannot select from an empty group")
-    return max(range(len(rewards)), key=rewards.__getitem__)
 
 
 # --- toy policy --------------------------------------------------------------

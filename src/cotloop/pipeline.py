@@ -35,15 +35,13 @@ from collections import deque
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .backends import GenerationRequest, require
 from .domain import (TASK_KINDS, Annotation, Box, BoxSet, Classification, Distribution,
-                     RewardBreakdown, Sample, ScoredRecord, sum_in_order, task_name,
-                     validate_annotation)
+                     GenerationRequest, RewardBreakdown, Sample, ScoredRecord, sum_in_order,
+                     task_name, validate_annotation)
 from .errors import (BackendError, DomainError, HeaderMismatch, MalformedLine, MissingFile,
-                     ValidationFailure)
-from .grpo import best_of_group, compute_group_advantages
-from .reward import (DEFAULT_TAU, closed_loop_reward, filter_high_subset,
-                     score_reconstruction, think_answer_reward)
+                     ValidationFailure, require)
+from .reward import (DEFAULT_TAU, best_of_group, closed_loop_reward, compute_group_advantages,
+                     filter_high_subset, score_reconstruction, think_answer_reward)
 from .similarity import hungarian_match, jsd
 from .textproto import (ParsedOutput, as_number, format_answer, holds_tag_text,
                         load_template, render_annotation, render_prompt)
@@ -504,7 +502,7 @@ def run_closed_loop_stage(samples: Sequence[Sample], reason_backend, recon_backe
     Each distinct reconstruction of a group is parsed and scored once; the
     gates (leak, format) run per member, since members that share a
     reconstruction may differ in their CoT. One record is built per group,
-    for the member `grpo.best_of_group` picks from the members' rewards: the
+    for the member `reward.best_of_group` picks from the members' rewards: the
     highest, ties to the lowest g. Records persist incrementally
     (one flushed line per sample), and a restarted run skips sample ids
     already present in the record file and appends after its last complete

@@ -1,4 +1,5 @@
-"""Composite reward functions, threshold filtering, and reward histograms.
+"""Composite reward functions, group-normalized advantages, best-of-group
+selection, threshold filtering, and reward histograms.
 
 The closed-loop reward gates annotation similarity on "no leak" and
 "format ok"; the think-answer reward gates on format only.
@@ -6,17 +7,19 @@ The closed-loop reward gates annotation similarity on "no leak" and
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from typing import Optional, Sequence
 
 from .domain import (Classification, RewardBreakdown, Sample, ScoredRecord,
-                     make_breakdown)
+                     make_breakdown, sum_in_order)
 from .errors import DomainError
 from .similarity import classification_similarity, detection_similarity
 from .textproto import ParsedOutput, detect_leak, think_precedes_answer, validate_f_cot
 
 HISTOGRAM_EDGES = (0.0, 0.25, 0.5, 0.75, 1.0)
 DEFAULT_TAU = 0.75
+ADV_EPS = 1e-8
 
 
 def _similarity(sample: Sample, reconstruction) -> float:
@@ -59,6 +62,30 @@ def think_answer_reward(sample: Sample, raw_model_output: str) -> RewardBreakdow
     format_ok = parsed.answer is not None and think_precedes_answer(raw_model_output)
     return make_breakdown(similarity, leak_detected=False, format_ok=format_ok,
                           parsed=parsed.answer is not None)
+
+
+def compute_group_advantages(rewards: Sequence[float]) -> list[float]:
+    """Group-standardized rewards: (r - mean) / (population std + 1e-8).
+
+    All-equal groups, a group of one among them, get all-zero advantages.
+    """
+    if not rewards:
+        raise DomainError("an advantage group needs at least one member")
+    g = len(rewards)
+    mean = sum_in_order(rewards) / g
+    var = sum_in_order((r - mean) ** 2 for r in rewards) / g
+    if var == 0.0:
+        return [0.0] * g
+    std = math.sqrt(var)
+    return [(r - mean) / (std + ADV_EPS) for r in rewards]
+
+
+def best_of_group(rewards: Sequence[float]) -> int:
+    """The index of the highest reward of a group; ties break to the lowest
+    index. The closed-loop stage keeps that member's record and builds no other."""
+    if not rewards:
+        raise DomainError("cannot select from an empty group")
+    return max(range(len(rewards)), key=rewards.__getitem__)
 
 
 def reward_histogram(rewards: Sequence[float]) -> tuple[list[int], list[float]]:

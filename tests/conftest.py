@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from cotloop.backends import CueWorld
+from cotloop.world import CueWorld
 from cotloop.domain import (Box, BoxSet, Classification, Detection,
                             Distribution, Sample)
 

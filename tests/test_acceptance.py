@@ -14,8 +14,8 @@ import time
 import pytest
 
 from cotloop.audit import run_noise_audit
-from cotloop.backends import (CueWorld, SyntheticReasonBackend,
-                              SyntheticReconBackend)
+from cotloop.world import (CueWorld, SyntheticReasonBackend,
+                           SyntheticReconBackend)
 from cotloop.cli import cli_dispatch
 from cotloop.domain import (Box, BoxSet, Classification, Detection,
                             Distribution, Sample, make_breakdown, ScoredRecord)

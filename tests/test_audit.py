@@ -7,8 +7,8 @@ import pytest
 from cotloop.audit import (AuditReport, corrupt_classification,
                            corrupt_dataset, corrupt_detection,
                            run_noise_audit)
-from cotloop.backends import (CueWorld, SyntheticReasonBackend,
-                              SyntheticReconBackend)
+from cotloop.world import (CueWorld, SyntheticReasonBackend,
+                           SyntheticReconBackend)
 from cotloop.domain import (Box, BoxSet, Classification, Detection,
                             Distribution, Sample)
 from cotloop.errors import CorruptionInfeasible, DomainError

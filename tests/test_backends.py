@@ -13,17 +13,16 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 from hypothesis import given, strategies as st
 
-from cotloop.backends import (CueWorld, DEFAULT_TEMPLATE_BANK,
-                              GenerationRequest, HttpSession, MockBackend, RemoteBackend,
-                              SyntheticR1Backend, SyntheticReasonBackend,
-                              SyntheticReconBackend, synthetic_reason,
-                              synthetic_reconstruct)
-from cotloop.domain import Classification, Detection, Distribution
+from cotloop.backends import HttpSession, MockBackend, RemoteBackend
+from cotloop.domain import Classification, Detection, Distribution, GenerationRequest
 from cotloop.errors import (AuthFailure, BadPayload, InvalidSetting, MockMiss,
                             RemoteUnavailable, RequestRejected, TemplateError, Timeout)
 from cotloop.reward import closed_loop_reward, think_answer_reward
 from cotloop.textproto import detect_leak, load_template, read_slot, validate_f_r1
 from cotloop.pipeline import reconstruction_prompt
+from cotloop.world import (CueWorld, DEFAULT_TEMPLATE_BANK, SyntheticR1Backend,
+                           SyntheticReasonBackend, SyntheticReconBackend, synthetic_reason,
+                           synthetic_reconstruct)
 
 
 def req(prompt="p", sample_id="s", seed=0):
@@ -314,6 +313,18 @@ def test_remote_refuses_a_string_setting_of_another_type(setting, value, want):
           "session": session, setting: value}
     with pytest.raises(InvalidSetting, match=f"^{setting} must be {want}, got "):
         RemoteBackend(**kw)
+    assert session.calls == []
+
+
+@pytest.mark.parametrize("setting, want", [("timeout", "a finite number > 0"),
+                                           ("backoff_base", "a finite number >= 0")])
+def test_remote_refuses_an_infinite_timeout_or_backoff(setting, want):
+    """An infinite timeout or backoff would end in OverflowError at the first
+    post or backoff; it is refused before anything is posted."""
+    session = FakeSession([])
+    with pytest.raises(InvalidSetting, match=f"^{setting} must be {want}, got inf$"):
+        RemoteBackend(endpoint="https://api.example.test/v1/chat", model="test-model",
+                      session=session, **{setting: float("inf")})
     assert session.calls == []
 
 

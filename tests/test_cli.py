@@ -26,8 +26,8 @@ from cotloop.domain import make_breakdown, ScoredRecord
 from cotloop.pipeline import (load_dataset, r1_prompt, reasoning_prompt,
                               run_closed_loop_stage, save_dataset, save_predictions,
                               save_records)
-from cotloop.backends import (CueWorld, MockBackend, RemoteBackend, SyntheticReconBackend,
-                              synthetic_reason)
+from cotloop.backends import MockBackend, RemoteBackend
+from cotloop.world import CueWorld, SyntheticReconBackend, synthetic_reason
 from cotloop.textproto import ParsedOutput, format_answer
 
 from conftest import CLASS_BIN_COUNTS, rewards_with_bin_counts
@@ -198,7 +198,7 @@ def test_a_rejected_request_fails_its_sample_and_exits_two(tmp_path, capsys, mon
         stages.append(run_closed_loop_stage(*args, **kw))
         return stages[-1]
 
-    monkeypatch.setattr(cli, "RemoteBackend", functools.partial(
+    monkeypatch.setattr("cotloop.backends.RemoteBackend", functools.partial(
         RemoteBackend, session=session, sleep=lambda seconds: pytest.fail("slept")))
     monkeypatch.setattr(cli, "run_closed_loop_stage", stage)
     config = edited_config(tmp_path, lambda cfg: cfg.update(
@@ -417,6 +417,14 @@ BAD_INPUT = {
         t, lambda cfg: cfg.update(backends={"reason": remote_spec(auth_env=5),
                                             "recon": remote_spec()}))), 1,
         "auth_env must be a string, got 5"),
+    "remote-timeout-inf": (lambda t: gen_cot(t, *edited_config(
+        t, lambda cfg: cfg.update(backends={"reason": remote_spec(timeout=float("inf")),
+                                            "recon": remote_spec()}))), 1,
+        "timeout must be a finite number > 0, got inf"),
+    "remote-backoff-base-inf": (lambda t: gen_cot(t, *edited_config(
+        t, lambda cfg: cfg.update(backends={"reason": remote_spec(),
+                                            "recon": remote_spec(backoff_base=float("inf"))}))),
+        1, "backoff_base must be a finite number >= 0, got inf"),
     "mock-responses-a-list": (lambda t: gen_cot(t, *edited_config(
         t, lambda cfg: cfg.update(backends={"reason": {"kind": "mock", "responses": ["a"]}}))),
         1, "backends.reason.responses must be a path, got ['a']"),

@@ -44,7 +44,8 @@ def loaded():
                               "http.client") if m in sys.modules)
 
 steps = [loaded()]
-from cotloop.backends import CueWorld, RemoteBackend
+from cotloop.backends import RemoteBackend
+from cotloop.world import CueWorld
 
 class Session:
     def post(self, url, json=None, headers=None, timeout=None):
@@ -120,7 +121,7 @@ NO_ANSWER_PATTERN_AT_SETUP = """
 import json
 import cotloop.cli
 from cotloop import textproto
-from cotloop.backends import CueWorld, SyntheticReasonBackend, SyntheticReconBackend
+from cotloop.world import CueWorld, SyntheticReasonBackend, SyntheticReconBackend
 
 world = CueWorld(num_samples=4, cues_per_sample=4, vocab_size=48, seed=0)
 SyntheticReasonBackend(world), SyntheticReconBackend(world)
@@ -190,3 +191,84 @@ def test_only_the_jsonl_reader_and_writer_open_files():
                   and (getattr(node.func, "id", None) == "open"
                        or getattr(node.func, "attr", None) == "open")]
     assert found == ["_write_jsonl", "_read_jsonl"]
+
+
+# The package's modules from the bottom up: a module may import only modules
+# before it. `__init__` re-exports from `domain`, `reward` and `similarity`.
+MODULE_ORDER = ("errors", "domain", "textproto", "similarity", "reward", "__init__",
+                "pipeline", "audit", "world", "grpo", "backends", "cli")
+
+
+def _package_imports(path: pathlib.Path) -> set[str]:
+    """The package modules that `path` imports, inside functions too."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else
+                         [a.name if (path.parent / f"{a.name}.py").exists() else "__init__"
+                          for a in node.names])
+    return found
+
+
+def test_the_module_graph_points_one_way():
+    """No module imports one above it in MODULE_ORDER: the loop's own modules
+    (`pipeline`, `reward` and below) load neither the cue world, the toy
+    trainer nor the HTTP client."""
+    paths = sorted((ROOT / "src" / "cotloop").glob("*.py"))
+    assert {p.stem for p in paths} <= set(MODULE_ORDER)
+    rank = {name: i for i, name in enumerate(MODULE_ORDER)}
+    upward = [f"{p.stem} -> {name}" for p in paths for name in sorted(_package_imports(p))
+              if rank[name] > rank[p.stem]]
+    assert upward == []
+
+
+LOADED_BY = """
+import contextlib, io, json, sys
+from cotloop.cli import cli_dispatch
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli_dispatch(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("cotloop."))]))
+"""
+
+
+def test_each_subcommand_loads_only_what_it_runs(tmp_path):
+    """Each subcommand, run in a fresh interpreter, loads the remote client,
+    the cue world, the toy trainer and the audit only if it runs them."""
+    from cotloop.pipeline import save_dataset, save_predictions
+    from cotloop.world import CueWorld
+
+    config = tmp_path / "config.yaml"
+    config.write_text("world: {kind: classification, num_samples: 6, cues_per_sample: 2, "
+                      "vocab_size: 8, seed: 0}\ngroup_size: 2\n")
+    world = CueWorld(num_samples=6, cues_per_sample=2, vocab_size=8)
+    dataset, records = str(tmp_path / "data.jsonl"), str(tmp_path / "records.jsonl")
+    save_dataset([s.as_sample() for s in world.samples], world.task, dataset)
+    save_predictions({s.id: "<answer>{}</answer>" for s in world.samples},
+                     str(tmp_path / "preds.jsonl"))
+    (tmp_path / "raw.jsonl").write_text(
+        json.dumps({"id": "a", "image_ref": "img://a", "probs": {"x": 1.0}}) + "\n")
+    heavy = {"backends", "world", "grpo", "audit"}
+    # Run in this order: gen-cot writes the records the next three read.
+    runs = [
+        (["gen-cot", "--config", str(config), "--records", records], {"grpo", "audit"}),
+        (["report", "--records", records], heavy),
+        (["filter", "--records", records], heavy),
+        (["export-sft", "--records", records, "--dataset", dataset, "--output",
+          str(tmp_path / "sft.jsonl")], heavy),
+        (["eval", "--pred", str(tmp_path / "preds.jsonl"), "--gt", dataset], heavy),
+        (["ingest", "--input", str(tmp_path / "raw.jsonl"), "--output",
+          str(tmp_path / "ingested.jsonl"), "--task", "classification", "--categories", "x"],
+         heavy),
+        (["rft-eval", "--config", str(config)], {"grpo", "audit"}),
+        (["train-toy", "--steps", "2", "--world-samples", "2", "--world-cues", "2",
+          "--world-vocab", "6", "--output", str(tmp_path / "curve.tsv")],
+         {"backends", "audit"}),
+        (["audit", "--config", str(config)], {"grpo"}),
+    ]
+    loaded = {}
+    for argv, unwanted in runs:
+        code, modules = json.loads(run_python(LOADED_BY, *argv).stdout)
+        assert code == 0, argv
+        loaded[argv[0]] = sorted(unwanted & {m.split(".", 1)[1] for m in modules})
+    assert loaded == {argv[0]: [] for argv, _ in runs}

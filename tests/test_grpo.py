@@ -14,15 +14,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cotloop import grpo
-from cotloop.backends import (CueWorld, DEFAULT_TEMPLATE_BANK, synthetic_reason,
-                              synthetic_reconstruct)
+from cotloop.world import (CueWorld, DEFAULT_TEMPLATE_BANK, synthetic_reason,
+                           synthetic_reconstruct)
 from cotloop.domain import ScoredRecord, make_breakdown
 from cotloop.errors import DomainError, InvalidSetting
 from cotloop.grpo import (TOY_DISTRACTORS, Group, ToyPolicy, ToyTrainResult, _draw, _ToyPlan,
-                          _toy_policy_and_plans, best_of_group, build_toy_policy,
+                          _toy_policy_and_plans, build_toy_policy,
                           compute_group_advantages, export_curve, smooth_curve,
                           train_toy_policy)
-from cotloop.reward import closed_loop_reward
+from cotloop.reward import best_of_group, closed_loop_reward
 
 
 def member(reward):
@@ -216,7 +216,7 @@ def test_training_improves_reward(tiny_world):
 def test_best_of_group_grows_with_group_size(tiny_world):
     """Mean best-of-group reward is higher for G=8 than G=2 under the
     same random-subset policy."""
-    from cotloop.backends import synthetic_reason, synthetic_reconstruct
+    from cotloop.world import synthetic_reason, synthetic_reconstruct
     from cotloop.reward import closed_loop_reward
 
     def mean_best(g_size, runs=200):

@@ -15,11 +15,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from cotloop import pipeline
-from cotloop.backends import (CueWorld, GenerationRequest, MockBackend, RemoteBackend,
-                              SyntheticR1Backend, SyntheticReasonBackend,
-                              SyntheticReconBackend)
-from cotloop.domain import (Box, BoxSet, Classification, Distribution, Sample,
-                            ScoredRecord, make_breakdown)
+from cotloop.backends import MockBackend, RemoteBackend
+from cotloop.world import (CueWorld, SyntheticR1Backend, SyntheticReasonBackend,
+                           SyntheticReconBackend)
+from cotloop.domain import (Box, BoxSet, Classification, Distribution, GenerationRequest,
+                            Sample, ScoredRecord, make_breakdown)
 from cotloop.errors import (CotloopError, DomainError, HeaderMismatch,
                             InvalidSetting, MissingFile, MissingVariable, MockMiss,
                             RemoteUnavailable, ValidationFailure)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cotloop import audit
-from cotloop.backends import CueWorld
+from cotloop.world import CueWorld
 from cotloop.domain import Box, BoxSet, Distribution
 from cotloop.errors import DomainError
 from cotloop.pipeline import evaluate_predictions
